@@ -16,22 +16,13 @@ import json
 import sys
 
 from treebed import formulas
-from treebed.embedding import (
-    build_report,
-    congestion_lemma_value,
-    cut_congestion,
-    identity_embedding,
-    verify_cut_conditions,
-    wirelength_direct,
-    wirelength_via_partition,
-)
+from treebed.embedding import build_report, identity_embedding
 from treebed.errors import BudgetExceededError
-from treebed.graphs import Guest, build_guest
+from treebed.graphs import Guest, build_guest, check_guest_shape
 from treebed.hosts import (
     LAYOUT_VARIANTS,
     HostTree,
     build_host,
-    cut_family,
     inorder_labeling,
     sibling_layout_labeling,
 )
@@ -86,19 +77,28 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_guest(args) -> int:
-    guest = build_guest(args.n, args.p)
+    # Every field is closed-form in (n, p); building the edge set would take
+    # memory quadratic in 2**n.
+    check_guest_shape(args.n, args.p)
+    vertex_count = 1 << args.n
+    part_count = 1 << args.p
+    part_size = vertex_count // part_count
+    degree = vertex_count - part_size
     info = {
         "schema": 1,
         "n": args.n,
         "p": args.p,
-        "vertex_count": guest.graph.vertex_count,
-        "edge_count": guest.graph.edge_count,
-        "part_count": guest.part_count,
-        "part_size": guest.part_size,
-        "degree": guest.degree,
+        "vertex_count": vertex_count,
+        "edge_count": vertex_count * degree // 2,
+        "part_count": part_count,
+        "part_size": part_size,
+        "degree": degree,
     }
     if args.n <= ENGINE_MAX_N:
-        info["partites"] = [sorted(part) for part in guest.partites]
+        info["partites"] = [
+            list(range(first, vertex_count + 1, part_count))
+            for first in range(1, part_count + 1)
+        ]
     if args.output == "json":
         print(json.dumps(info, indent=2))
     else:
@@ -175,37 +175,23 @@ def cmd_wirelength(args) -> int:
 def cmd_verify(args) -> int:
     guest, host = _instance(args)
     embedding = _apply_swaps(identity_embedding(guest, host), args.swap)
-    cuts = cut_family(host)
-    count = guest.graph.vertex_count
-    rows = []
-    all_ok = True
-    for cut in cuts:
-        ec = cut_congestion(guest, host, embedding, cut)
-        cond = verify_cut_conditions(guest, host, embedding, cut)
-        inside = {
-            m
-            for m in range(1, count + 1)
-            if cut.component_lo <= embedding.label_for(m) <= cut.component_hi
+    report = build_report(guest, host, embedding)
+    rows = [
+        {
+            "family": cut.family,
+            "j": cut.j,
+            "i": cut.i,
+            "ec": cut.ec,
+            "lemma_value": cond.lemma_value,
+            "inside_avoids_cut": cond.inside_avoids_cut,
+            "crossings_cross_once": cond.crossings_cross_once,
+            "preimages_optimal": cond.preimages_optimal,
+            "ok": cond.ok,
         }
-        lemma = congestion_lemma_value(guest, inside)
-        ok = cond.ok and ec == lemma
-        all_ok = all_ok and ok
-        rows.append(
-            {
-                "family": cut.family,
-                "j": cut.j,
-                "i": cut.i,
-                "ec": ec,
-                "lemma_value": lemma,
-                "inside_avoids_cut": cond.inside_avoids_cut,
-                "crossings_cross_once": cond.crossings_cross_once,
-                "preimages_optimal": cond.preimages_optimal,
-                "ok": ok,
-            }
-        )
-    direct = wirelength_direct(guest, host, embedding)
-    partition = wirelength_via_partition(guest, host, embedding)
-    all_ok = all_ok and direct == partition
+        for cut, cond in zip(report.per_cut, report.cut_conditions)
+    ]
+    direct, partition = report.direct, report.via_partition
+    all_ok = report.cut_conditions_ok and direct == partition
     result = {
         "schema": 1,
         "n": args.n,
@@ -216,7 +202,7 @@ def cmd_verify(args) -> int:
         "direct": direct,
         "via_partition": partition,
         "partition_matches_direct": direct == partition,
-        "cut_conditions_ok": all(r["ok"] for r in rows),
+        "cut_conditions_ok": report.cut_conditions_ok,
         "per_cut": rows,
     }
     if args.output == "json":

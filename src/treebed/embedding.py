@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Mapping
 
 from treebed import formulas
@@ -79,11 +80,15 @@ class CutConditionReport:
     touches the cut.  ``crossings_cross_once``: every routed path between
     opposite sides uses exactly one cut edge.  ``preimages_optimal``: both
     preimage vertex sets induce the maximum possible edge count.
+    ``lemma_value`` is ``congestion_lemma_value`` of the inside preimage;
+    the first two conditions together force the cut's congestion to equal
+    it.
     """
 
     inside_avoids_cut: bool
     crossings_cross_once: bool
     preimages_optimal: bool
+    lemma_value: int
 
     @property
     def ok(self) -> bool:
@@ -100,7 +105,11 @@ class CutReport:
 
 @dataclass(frozen=True)
 class WirelengthReport:
-    """All wirelength computations for one (guest, host, embedding) run."""
+    """All wirelength computations for one (guest, host, embedding) run.
+
+    ``cut_conditions[i]`` is the condition report for the cut of
+    ``per_cut[i]``.
+    """
 
     n: int
     p: int
@@ -114,6 +123,7 @@ class WirelengthReport:
     cut_conditions_ok: bool
     per_cut: tuple[CutReport, ...]
     local_search_min: int | None = None
+    cut_conditions: tuple[CutConditionReport, ...] = ()
 
     @property
     def consistent(self) -> bool:
@@ -286,23 +296,24 @@ def verify_cut_conditions(
     inside = {m for m in range(1, count + 1) if lo <= labels[m - 1] <= hi}
     outside = set(range(1, count + 1)) - inside
 
-    touched: Counter[int] = Counter()
-    for edge in cut.cut_edges:
-        for idx in analysis.usage.get(edge, ()):
-            touched[idx] += 1
-
-    def crosses(idx: int) -> bool:
-        gu, gv = analysis.guest_edges[idx]
-        return (gu in inside) != (gv in inside)
-
-    inside_ok = all(crosses(idx) for idx in touched)
-    expected = congestion_lemma_value(guest, inside)
-    single = sum(1 for idx, hits in touched.items() if hits == 1 and crosses(idx))
-    crossings_ok = single == expected and all(
-        hits == 1 for idx, hits in touched.items() if crosses(idx)
+    # Guest edge index -> how many cut edges its route uses.
+    touched = Counter(
+        chain.from_iterable(analysis.usage.get(edge, ()) for edge in cut.cut_edges)
     )
+    expected = congestion_lemma_value(guest, inside)
+    inside_ok = crossings_ok = True
+    single = 0
+    for idx, hits in touched.items():
+        gu, gv = analysis.guest_edges[idx]
+        if (gu in inside) == (gv in inside):
+            inside_ok = False
+        elif hits == 1:
+            single += 1
+        else:
+            crossings_ok = False
+    crossings_ok = crossings_ok and single == expected
     optimal = is_optimal_set(guest, inside) and is_optimal_set(guest, outside)
-    return CutConditionReport(inside_ok, crossings_ok, optimal)
+    return CutConditionReport(inside_ok, crossings_ok, optimal, expected)
 
 
 def wirelength_via_partition(
@@ -353,8 +364,8 @@ def build_report(
         CutReport(c.family, c.j, c.i, cut_congestion(guest, host, embedding, c))
         for c in cuts
     )
-    conditions_ok = all(
-        verify_cut_conditions(guest, host, embedding, c).ok for c in cuts
+    conditions = tuple(
+        verify_cut_conditions(guest, host, embedding, c) for c in cuts
     )
     return WirelengthReport(
         n=guest.n,
@@ -368,7 +379,8 @@ def build_report(
             guest.n, guest.p, n1=host.n1, sibling=host.sibling
         ),
         exhaustive_min=exhaustive_min,
-        cut_conditions_ok=conditions_ok,
+        cut_conditions_ok=all(c.ok for c in conditions),
         per_cut=per_cut,
         local_search_min=local_search_min,
+        cut_conditions=conditions,
     )

@@ -15,6 +15,7 @@ __all__ = [
     "Guest",
     "build_complete_multipartite",
     "build_guest",
+    "check_guest_shape",
     "induced_edge_count",
 ]
 
@@ -137,16 +138,24 @@ def build_complete_multipartite(part_sizes: Iterable[int]) -> Graph:
     return Graph(count, edges)
 
 
-def build_guest(n: int, p: int) -> Guest:
-    """Guest graph on ``2**n`` vertices with ``2**p`` interleaved partite sets.
+def check_guest_shape(n: int, p: int) -> None:
+    """Raise ``ValueError`` unless ``2 <= p <= n <= 20``.
 
-    Requires ``2 <= p <= n <= 20``.  The upper bound keeps instances inside
-    the integer-width and memory envelope the rest of the package assumes.
+    The upper bound keeps instances inside the integer-width and memory
+    envelope the rest of the package assumes.
     """
     if not 2 <= p <= n:
         raise ValueError(f"need 2 <= p <= n, got n={n}, p={p}")
     if n > 20:
         raise ValueError(f"n={n} exceeds the supported maximum of 20")
+
+
+def build_guest(n: int, p: int) -> Guest:
+    """Guest graph on ``2**n`` vertices with ``2**p`` interleaved partite sets.
+
+    Requires ``2 <= p <= n <= 20`` (see ``check_guest_shape``).
+    """
+    check_guest_shape(n, p)
     count = 1 << n
     parts = 1 << p
     edges = frozenset(

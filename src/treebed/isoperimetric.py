@@ -9,10 +9,10 @@ brute-force counterpart exists to check that claim on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from treebed import kernels
 from treebed.errors import BudgetExceededError
 from treebed.graphs import Graph, Guest, induced_edge_count
 
@@ -57,6 +57,29 @@ def max_subgraph_edges_closed_form(p_parts: int, r: int, k: int) -> int:
     return q * q * p_parts * (p_parts - 1) // 2 + j * q * (p_parts - 1) + j * (j - 1) // 2
 
 
+def _max_induced_edges(nv, adj_masks, k):
+    """Maximize induced edge count over all k-subsets of ``0..nv-1``.
+
+    ``adj_masks[v]`` is the neighbor bitmask of vertex ``v``.  Returns
+    ``(best_count, witness, explored)`` with the lexicographically first
+    witness tuple and the number of subsets examined.
+    """
+    best = -1
+    witness = None
+    explored = 0
+    for combo in combinations(range(nv), k):
+        mask = 0
+        count = 0
+        for v in combo:
+            count += (adj_masks[v] & mask).bit_count()
+            mask |= 1 << v
+        explored += 1
+        if count > best:
+            best = count
+            witness = combo
+    return best, witness, explored
+
+
 def max_subgraph_edges_bruteforce(
     graph: Graph, k: int, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> MspResult:
@@ -78,7 +101,7 @@ def max_subgraph_edges_bruteforce(
     for u, v in graph.edges:
         masks[u - 1] |= 1 << (v - 1)
         masks[v - 1] |= 1 << (u - 1)
-    best, combo, _explored = kernels.max_induced_edges(count, masks, k)
+    best, combo, _explored = _max_induced_edges(count, masks, k)
     witness = frozenset(v + 1 for v in combo)
     return MspResult(k=k, max_edges=best, witness=witness)
 

@@ -1,7 +1,6 @@
 """Search over embeddings: exhaustive enumeration and 2-swap local search.
 
-Both searches run on flattened integer tables and defer the hot loops to
-``treebed.kernels`` (exhaustive) or tight Python (local search).  All
+Both searches run in pure Python on flattened integer tables.  All
 randomness comes from a self-contained SplitMix64 generator, so results
 are reproducible across platforms and Python versions.
 """
@@ -9,10 +8,10 @@ are reproducible across platforms and Python versions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from treebed import kernels
 from treebed.embedding import Embedding, _distance_table
 from treebed.errors import BudgetExceededError
 from treebed.graphs import Guest
@@ -85,6 +84,47 @@ def _instance_tables(guest: Guest, host: HostTree):
     return count, dist, edge_u, edge_v
 
 
+def _min_wirelength_bijections(nv, dist, edge_u, edge_v, first_choices=None):
+    """Exhaustively minimize total edge length over all bijections.
+
+    Parameters
+    ----------
+    nv:
+        Number of vertices (and labels); both sides are ``0..nv-1`` here.
+    dist:
+        Flat row-major ``nv * nv`` distance table between labels.
+    edge_u, edge_v:
+        Parallel arrays of guest edge endpoints (0-based).
+    first_choices:
+        Optional sorted labels allowed as the image of vertex 0; ``None``
+        means unrestricted.  Used for symmetry reduction by the caller.
+
+    Returns ``(best_total, best_assignment, explored)`` where
+    ``best_assignment`` is the lexicographically smallest optimal tuple
+    (within the restriction) and ``explored`` counts complete bijections
+    evaluated.
+    """
+    labels = range(nv)
+    if first_choices is None:
+        first_choices = labels
+    pairs = list(zip(edge_u, edge_v))
+    best = None
+    best_perm = None
+    explored = 0
+    for first in first_choices:
+        rest = [lab for lab in labels if lab != first]
+        for tail in permutations(rest):
+            perm = (first,) + tail
+            total = 0
+            for u, v in pairs:
+                total += dist[perm[u] * nv + perm[v]]
+            explored += 1
+            if best is None or total < best:
+                best = total
+                best_perm = perm
+    return best, best_perm, explored
+
+
 def _label_orbit_reps(
     count: int,
     host: HostTree,
@@ -154,7 +194,7 @@ def exhaustive_min_wirelength(
         raise BudgetExceededError(
             f"{planned} embeddings exceed the budget of {budget}"
         )
-    best, perm, explored = kernels.min_wirelength_bijections(
+    best, perm, explored = _min_wirelength_bijections(
         count, dist, edge_u, edge_v, first_choices
     )
     witness = Embedding(tuple(lab + 1 for lab in perm))

@@ -1,5 +1,19 @@
 import json
 
+from treebed import (
+    LAYOUT_VARIANTS,
+    build_guest,
+    build_host,
+    congestion_lemma_value,
+    cut_congestion,
+    cut_family,
+    identity_embedding,
+    inorder_labeling,
+    sibling_layout_labeling,
+    verify_cut_conditions,
+    wirelength_direct,
+    wirelength_via_partition,
+)
 from treebed.cli import main
 
 
@@ -186,6 +200,104 @@ def test_verify_text(capsys):
     assert "direct=54 via_partition=54 -> ok" in out
 
 
+def _reference_verify(n, p, n1, kind, variant, swaps):
+    """``verify``'s rows, flags and exit code, computed cut by cut from the
+    public functions as the command did before it was built on
+    ``build_report``."""
+    guest = build_guest(n, p)
+    host = build_host(n1, 1 << (n - n1), sibling=(kind == "sibling"))
+    if kind == "sibling":
+        host = sibling_layout_labeling(host, variant)
+    else:
+        host = inorder_labeling(host)
+    embedding = identity_embedding(guest, host)
+    for a, b in swaps:
+        embedding = embedding.swapped(a, b)
+    count = guest.graph.vertex_count
+    rows = []
+    for cut in cut_family(host):
+        ec = cut_congestion(guest, host, embedding, cut)
+        cond = verify_cut_conditions(guest, host, embedding, cut)
+        inside = {
+            m
+            for m in range(1, count + 1)
+            if cut.component_lo <= embedding.label_for(m) <= cut.component_hi
+        }
+        lemma = congestion_lemma_value(guest, inside)
+        rows.append(
+            {
+                "family": cut.family,
+                "j": cut.j,
+                "i": cut.i,
+                "ec": ec,
+                "lemma_value": lemma,
+                "inside_avoids_cut": cond.inside_avoids_cut,
+                "crossings_cross_once": cond.crossings_cross_once,
+                "preimages_optimal": cond.preimages_optimal,
+                "ok": cond.ok and ec == lemma,
+            }
+        )
+    cuts_ok = all(r["ok"] for r in rows)
+    matches = wirelength_direct(guest, host, embedding) == wirelength_via_partition(
+        guest, host, embedding
+    )
+    return rows, cuts_ok, matches, 0 if cuts_ok and matches else 1
+
+
+def _verify_cases():
+    for n in range(2, 5):
+        for p in range(2, n + 1):
+            for n1 in range(1, n + 1):
+                yield n, p, n1, "binary", 0, []
+                for variant in LAYOUT_VARIANTS:
+                    yield n, p, n1, "sibling", variant, []
+    # cross-partite swaps that break the cut conditions
+    yield 3, 2, 3, "binary", 0, [(1, 7)]
+    yield 3, 2, 3, "sibling", 2, [(1, 7)]
+    yield 4, 2, 2, "binary", 0, [(1, 10)]
+    yield 4, 3, 1, "sibling", 1, [(2, 13)]
+    yield 4, 2, 1, "binary", 0, [(2, 3), (1, 10)]
+
+
+def test_verify_matches_per_cut_reference(capsys):
+    failing = 0
+    for n, p, n1, kind, variant, swaps in _verify_cases():
+        argv = ["verify", "--n", str(n), "--p", str(p), "--n1", str(n1),
+                "--host", kind, "--variant", str(variant)]
+        for a, b in swaps:
+            argv += ["--swap", str(a), str(b)]
+        code, data, _ = run_json(capsys, *argv)
+        rows, cuts_ok, matches, want_code = _reference_verify(
+            n, p, n1, kind, variant, swaps
+        )
+        assert data["per_cut"] == rows, argv
+        assert data["cut_conditions_ok"] is cuts_ok, argv
+        assert data["partition_matches_direct"] is matches, argv
+        assert code == want_code, argv
+        if swaps:
+            assert want_code == 1, argv
+        failing += want_code
+    assert failing == 5
+
+
+def test_verify_text_bytes(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--n", "3", "--p", "2", "--swap", "1", "7",
+        "--output", "text",
+    )
+    assert code == 1
+    assert out == (
+        "S(j=1, i=1): ec=6 lemma=6 ok\n"
+        "S(j=1, i=2): ec=6 lemma=6 ok\n"
+        "S(j=1, i=3): ec=6 lemma=6 ok\n"
+        "S(j=1, i=4): ec=6 lemma=6 ok\n"
+        "S(j=2, i=1): ec=14 lemma=14 FAIL\n"
+        "S(j=2, i=2): ec=14 lemma=14 FAIL\n"
+        "S(j=3, i=1): ec=6 lemma=6 ok\n"
+        "direct=58 via_partition=58 -> FAIL\n"
+    )
+
+
 def test_guest_json(capsys):
     code, data, _ = run_json(capsys, "guest", "--n", "3", "--p", "2")
     assert code == 0
@@ -193,6 +305,17 @@ def test_guest_json(capsys):
     assert data["edge_count"] == 24
     assert data["degree"] == 6
     assert data["partites"] == [[1, 5], [2, 6], [3, 7], [4, 8]]
+
+
+def test_guest_at_max_scale(capsys):
+    code, data, _ = run_json(capsys, "guest", "--n", "20", "--p", "2")
+    assert code == 0
+    assert data["vertex_count"] == 1 << 20
+    assert data["edge_count"] == (1 << 20) * ((1 << 20) - (1 << 18)) // 2
+    assert "partites" not in data
+    code, _, err = run(capsys, "guest", "--n", "21", "--p", "2")
+    assert code == 2
+    assert "maximum of 20" in err
 
 
 def test_host_json(capsys):

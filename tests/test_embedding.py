@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import bfs_distances
 from treebed import (
     CoverageError,
+    EdgeCut,
     Embedding,
     UnlabeledHostError,
     build_guest,
@@ -165,6 +166,44 @@ def test_cut_conditions_hold_for_identity():
             assert cut_congestion(guest, host, emb, cut) == congestion_lemma_value(
                 guest, set(range(cut.component_lo, cut.component_hi + 1))
             )
+
+
+def test_cut_conditions_match_route_oracle():
+    # Label intervals cut out by their edge boundary, convex or not, so that
+    # routes can leave a side and come back or cross more than once.
+    guest = build_guest(3, 2)
+    guest_edges = sorted(guest.graph.edges)
+    seen = set()
+    for host in (T31, ST31, T22, ST22):
+        for emb in (
+            identity_embedding(guest, host),
+            identity_embedding(guest, host).swapped(1, 7),
+        ):
+            for lo in range(1, 9):
+                for hi in range(lo, 8):
+                    boundary = frozenset(
+                        (a, b) for a, b in host.label_edges
+                        if (lo <= a <= hi) != (lo <= b <= hi)
+                    )
+                    cut = EdgeCut("X", None, 1, boundary, lo, hi)
+                    inside_ok = crossings_ok = True
+                    crossing = 0
+                    for u, v in guest_edges:
+                        lu, lv = emb.label_for(u), emb.label_for(v)
+                        hits = len(boundary.intersection(route(host, lu, lv)))
+                        if (lo <= lu <= hi) != (lo <= lv <= hi):
+                            crossing += 1
+                            crossings_ok = crossings_ok and hits == 1
+                        else:
+                            inside_ok = inside_ok and hits == 0
+                    report = verify_cut_conditions(guest, host, emb, cut)
+                    assert (
+                        report.inside_avoids_cut,
+                        report.crossings_cross_once,
+                        report.lemma_value,
+                    ) == (inside_ok, crossings_ok, crossing), (host.kind, lo, hi)
+                    seen.add((inside_ok, crossings_ok))
+    assert seen >= {(True, True), (False, True), (False, False)}
 
 
 def test_same_partite_swap_changes_nothing():

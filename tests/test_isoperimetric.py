@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from treebed import (
     max_subgraph_edges_bruteforce,
     max_subgraph_edges_closed_form,
 )
+from treebed.isoperimetric import _max_induced_edges
 
 
 def test_closed_form_spot_values():
@@ -83,6 +86,33 @@ def test_bruteforce_budget():
     graph = build_guest(3, 2).graph
     with pytest.raises(BudgetExceededError, match="budget"):
         max_subgraph_edges_bruteforce(graph, 4, budget=10)
+
+
+def test_max_induced_kernel():
+    # square 0-1-3-2-0 as bitmasks
+    masks = [0b0110, 0b1001, 0b1001, 0b0110]
+    best, witness, explored = _max_induced_edges(4, masks, 2)
+    assert best == 1
+    assert witness == (0, 1)
+    assert explored == comb(4, 2)
+    best, witness, explored = _max_induced_edges(4, masks, 3)
+    assert best == 2
+    assert witness == (0, 1, 2)
+    best, witness, explored = _max_induced_edges(4, masks, 0)
+    assert best == 0 and witness == () and explored == 1
+
+
+def test_max_induced_kernel_wide_masks():
+    # 70-vertex path; subsets wider than one machine word must still work
+    nv = 70
+    masks = [0] * nv
+    for v in range(nv - 1):
+        masks[v] |= 1 << (v + 1)
+        masks[v + 1] |= 1 << v
+    best, witness, explored = _max_induced_edges(nv, masks, 2)
+    assert best == 1
+    assert witness == (0, 1)
+    assert explored == comb(nv, 2)
 
 
 def test_is_optimal_set():

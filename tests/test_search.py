@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -17,6 +18,7 @@ from treebed import (
     wl_binary,
     wl_sibling,
 )
+from treebed.search import _min_wirelength_bijections
 
 T21 = inorder_labeling(build_host(2, 1))
 T31 = inorder_labeling(build_host(3, 1))
@@ -90,6 +92,69 @@ def test_automorphisms_are_validated():
         exhaustive_min_wirelength(guest, T12, automorphisms=[[1, 1, 3, 3]])
     with pytest.raises(ValueError):
         exhaustive_min_wirelength(guest, T12, automorphisms=[[2, 1, 4]])
+
+
+# path 0-1-2, flattened row-major
+PATH3 = [0, 1, 2, 1, 0, 1, 2, 1, 0]
+
+
+def _random_instance(rng, nv):
+    dist = [[0] * nv for _ in range(nv)]
+    for a in range(nv):
+        for b in range(a + 1, nv):
+            dist[a][b] = dist[b][a] = rng.randint(1, 9)
+    flat = [dist[a][b] for a in range(nv) for b in range(nv)]
+    edges = [
+        (u, v)
+        for u in range(nv)
+        for v in range(u + 1, nv)
+        if rng.random() < 0.5
+    ]
+    edge_u = [u for u, _ in edges]
+    edge_v = [v for _, v in edges]
+    return flat, edge_u, edge_v
+
+
+def _brute(nv, flat, edge_u, edge_v):
+    best = None
+    witness = None
+    for perm in permutations(range(nv)):
+        total = sum(flat[perm[u] * nv + perm[v]] for u, v in zip(edge_u, edge_v))
+        if best is None or total < best:
+            best, witness = total, perm
+    return best, witness
+
+
+def test_bijection_kernel_tiny():
+    best, perm, explored = _min_wirelength_bijections(3, PATH3, [0], [1])
+    assert best == 1
+    assert perm == (0, 1, 2)
+    assert explored == 6
+
+
+def test_bijection_kernel_first_choices():
+    best, perm, explored = _min_wirelength_bijections(
+        3, PATH3, [0], [2], first_choices=[2]
+    )
+    assert explored == 2
+    assert perm[0] == 2
+    # vertex 0 is pinned to label 2, so the best places vertex 2 at label 1
+    assert best == 1 and perm == (2, 0, 1)
+
+
+def test_bijection_kernel_matches_bruteforce():
+    rng = random.Random(1234)
+    for nv in (4, 5, 6):
+        for _ in range(3):
+            flat, edge_u, edge_v = _random_instance(rng, nv)
+            best, perm, explored = _min_wirelength_bijections(
+                nv, flat, edge_u, edge_v
+            )
+            expect_best, expect_perm = _brute(nv, flat, edge_u, edge_v)
+            assert best == expect_best
+            # brute force scans in the same lexicographic order
+            assert perm == expect_perm
+            assert explored == len(list(permutations(range(nv))))
 
 
 def test_local_search_finds_small_optima():
