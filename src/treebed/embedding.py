@@ -3,6 +3,9 @@
 An embedding maps guest vertices bijectively onto host position labels.
 Every guest edge is routed along one shortest host path, chosen by a
 deterministic rule, so congestion counts are reproducible run to run.
+The routes toward one goal label form that label's shortest-path in-tree
+(``HostTree.routing``), so the load on every host edge is accumulated per
+subtree, one sweep per goal, instead of walking route by route.
 Wirelength comes out three ways that must agree: summing routed path
 lengths, summing cut congestions weighted by coverage, and (elsewhere)
 closed forms.
@@ -10,17 +13,16 @@ closed forms.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Mapping
 
 from treebed import formulas
 from treebed.errors import CoverageError, ConsistencyError
 from treebed.graphs import Guest, induced_edge_count
-from treebed.hosts import EdgeCut, HostTree, cut_family
-from treebed.isoperimetric import is_optimal_set
+from treebed.hosts import EdgeCut, HostTree, RoutingTables, cut_family
+from treebed.isoperimetric import max_subgraph_edges_closed_form
 
 __all__ = [
     "Embedding",
@@ -170,32 +172,13 @@ def identity_embedding(guest: Guest, host: HostTree) -> Embedding:
     return Embedding(tuple(range(1, count + 1)))
 
 
-@lru_cache(maxsize=32)
-def _distance_table(host: HostTree) -> list[list[int]]:
-    """All-pairs label distances, indexed ``[a - 1][b - 1]``."""
-    adjacency = host.label_adjacency
-    count = host.graph.vertex_count
-    table = []
-    for src in range(1, count + 1):
-        dist = [-1] * (count + 1)
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        table.append(dist[1:])
-    return table
-
-
 def route(host: HostTree, u: int, v: int) -> tuple[tuple[int, int], ...]:
     """The canonical shortest path between labels ``u`` and ``v``.
 
     Walks from the smaller label toward the larger, always stepping to the
-    smallest-labeled neighbor that still shrinks the remaining distance.
-    Returns the path's edges in walk order; ``route(u, v) == route(v, u)``.
+    smallest-labeled neighbor that still shrinks the remaining distance
+    (``host.routing.next_hop``).  Returns the path's edges in walk order;
+    ``route(u, v) == route(v, u)``.
     """
     count = host.graph.vertex_count
     for lab in (u, v):
@@ -204,41 +187,58 @@ def route(host: HostTree, u: int, v: int) -> tuple[tuple[int, int], ...]:
     if u == v:
         raise ValueError("route endpoints must differ")
     start, goal = (u, v) if u < v else (v, u)
-    dist = _distance_table(host)
-    adjacency = host.label_adjacency
+    hops = host.routing.next_hop[goal]
     edges = []
     cur = start
-    remaining = dist[start - 1][goal - 1]
     while cur != goal:
-        nxt = next(
-            w for w in adjacency[cur] if dist[w - 1][goal - 1] == remaining - 1
-        )
+        nxt = hops[cur]
         edges.append((cur, nxt) if cur < nxt else (nxt, cur))
         cur = nxt
-        remaining -= 1
     return tuple(edges)
 
 
-class _Analysis:
-    """Routed paths and per-edge usage for one (guest, host, embedding)."""
+class _Tally:
+    """Routed load on every host edge for one (guest, host, embedding).
 
-    __slots__ = ("guest_edges", "path_sets", "usage", "labels")
+    ``load[i]`` counts the guest edges whose canonical route uses host edge
+    ``host.routing.edges[i]``; ``vertex_at[lab]`` is the guest vertex placed
+    on label ``lab``.
+    """
 
-    def __init__(self, guest: Guest, host: HostTree, embedding: Embedding) -> None:
-        self.labels = embedding.assignment
-        self.guest_edges = tuple(sorted(guest.graph.edges))
-        self.path_sets: list[frozenset[tuple[int, int]]] = []
-        usage: dict[tuple[int, int], list[int]] = {}
-        for idx, (gu, gv) in enumerate(self.guest_edges):
-            path = route(host, self.labels[gu - 1], self.labels[gv - 1])
-            self.path_sets.append(frozenset(path))
-            for edge in path:
-                usage.setdefault(edge, []).append(idx)
-        self.usage = usage
+    __slots__ = ("guest", "embedding", "vertex_at", "load")
+
+    def __init__(
+        self, guest: Guest, routing: RoutingTables, embedding: Embedding
+    ) -> None:
+        self.guest = guest
+        self.embedding = embedding
+        labels = embedding.assignment
+        vertex_at = [0] * (len(labels) + 1)
+        for m, lab in enumerate(labels, start=1):
+            vertex_at[lab] = m
+        self.vertex_at = vertex_at
+        # Every guest edge is routed toward its larger label.  In the in-tree
+        # of goal g, a host edge carries one route per source below it, so
+        # sweeping away from the leaves adds each subtree's count once.
+        load = [0] * len(routing.edges)
+        adjacency = guest.graph.adjacency
+        for goal in range(2, len(labels) + 1):
+            below = [0] * len(vertex_at)
+            for w in adjacency[vertex_at[goal]]:
+                src = labels[w - 1]
+                if src < goal:
+                    below[src] = 1
+            hops, hop_edges = routing.next_hop[goal], routing.hop_edge[goal]
+            for t in routing.sweep[goal]:
+                c = below[t]
+                if c:
+                    load[hop_edges[t]] += c
+                    below[hops[t]] += c
+        self.load = load
 
 
-@lru_cache(maxsize=32)
-def _analysis(guest: Guest, host: HostTree, embedding: Embedding) -> _Analysis:
+def _tally(guest: Guest, host: HostTree, embedding: Embedding) -> _Tally:
+    """The instance's tallies, from the host's memo when it already has them."""
     count = guest.graph.vertex_count
     if count != host.graph.vertex_count:
         raise ValueError(
@@ -246,13 +246,16 @@ def _analysis(guest: Guest, host: HostTree, embedding: Embedding) -> _Analysis:
         )
     if len(embedding.assignment) != count:
         raise ValueError("embedding size does not match the instance")
-    return _Analysis(guest, host, embedding)
+    routing = host.routing
+    memo = routing.memo
+    if memo is None or memo.guest != guest or memo.embedding != embedding:
+        memo = routing.memo = _Tally(guest, routing, embedding)
+    return memo
 
 
 def wirelength_direct(guest: Guest, host: HostTree, embedding: Embedding) -> int:
     """Sum of routed path lengths over all guest edges."""
-    analysis = _analysis(guest, host, embedding)
-    return sum(len(path) for path in analysis.path_sets)
+    return sum(_tally(guest, host, embedding).load)
 
 
 def edge_congestion(
@@ -263,8 +266,7 @@ def edge_congestion(
     edge = (a, b) if a < b else (b, a)
     if edge not in host.label_edges:
         raise ValueError(f"{host_edge} is not a host edge (in label space)")
-    analysis = _analysis(guest, host, embedding)
-    return len(analysis.usage.get(edge, ()))
+    return _tally(guest, host, embedding).load[host.routing.edge_index[edge]]
 
 
 def cut_congestion(
@@ -274,46 +276,122 @@ def cut_congestion(
     return sum(edge_congestion(guest, host, embedding, e) for e in cut.cut_edges)
 
 
+def _leaving_and_induced(guest: Guest, subset: Iterable[int]) -> tuple[int, int]:
+    """Guest edges with exactly one, and with both, endpoints in ``subset``."""
+    chosen = set(subset)
+    induced = induced_edge_count(guest.graph, chosen)
+    degree_sum = sum(guest.graph.degree(v) for v in chosen)
+    return degree_sum - 2 * induced, induced
+
+
 def congestion_lemma_value(guest: Guest, subset: Iterable[int]) -> int:
     """Guest edges leaving ``subset``: degree sum minus twice the induced count.
 
     When a cut's preimage is an optimal set this is the smallest congestion
     any embedding can put on that cut.
     """
-    chosen = set(subset)
-    degree_sum = sum(guest.graph.degree(v) for v in chosen)
-    return degree_sum - 2 * induced_edge_count(guest.graph, chosen)
+    return _leaving_and_induced(guest, subset)[0]
+
+
+def _smaller_side(cut: EdgeCut, count: int) -> Iterable[int]:
+    """Labels of the cut's smaller side.
+
+    Both sides have the same edge boundary and the same guest edges leaving
+    them, so scanning the smaller one is enough.
+    """
+    lo, hi = cut.component_lo, cut.component_hi
+    if 2 * (hi - lo + 1) <= count:
+        return range(lo, hi + 1)
+    return chain(range(1, lo), range(hi + 1, count + 1))
+
+
+def _check_boundary(host: HostTree, cut: EdgeCut) -> None:
+    """Raise ``ValueError`` unless the cut edges are exactly the host edges
+    with one end in ``component_lo..component_hi``."""
+    lo, hi = cut.component_lo, cut.component_hi
+    count = host.graph.vertex_count
+    if not 1 <= lo <= hi <= count:
+        raise ValueError(f"cut component {lo}..{hi} is not inside 1..{count}")
+    adjacency = host.label_adjacency
+    boundary = {
+        (a, b) if a < b else (b, a)
+        for a in _smaller_side(cut, count)
+        for b in adjacency[a]
+        if (lo <= a <= hi) != (lo <= b <= hi)
+    }
+    if boundary != cut.cut_edges:
+        raise ValueError(
+            f"cut edges are not the edge boundary of labels {lo}..{hi}"
+        )
+
+
+def _route_hits(
+    guest: Guest, routing: RoutingTables, tally: _Tally, cut: EdgeCut
+) -> tuple[bool, bool]:
+    """``(inside_avoids_cut, crossings_cross_once)`` by counting, for every
+    route, the cut edges on it.
+
+    ``hits[t]`` is the number of cut edges on the in-tree path from ``t`` to
+    the goal, filled from the goal outward.
+    """
+    lo, hi = cut.component_lo, cut.component_hi
+    on_cut = {routing.edge_index[e] for e in cut.cut_edges}
+    labels, vertex_at = tally.embedding.assignment, tally.vertex_at
+    adjacency = guest.graph.adjacency
+    inside_ok = crossings_ok = True
+    for goal in range(2, len(labels) + 1):
+        hops, hop_edges = routing.next_hop[goal], routing.hop_edge[goal]
+        hits = [0] * len(vertex_at)
+        for t in reversed(routing.sweep[goal]):
+            hits[t] = hits[hops[t]] + (hop_edges[t] in on_cut)
+        goal_inside = lo <= goal <= hi
+        for w in adjacency[vertex_at[goal]]:
+            src = labels[w - 1]
+            if src < goal:
+                if (lo <= src <= hi) == goal_inside:
+                    inside_ok = inside_ok and hits[src] == 0
+                else:
+                    crossings_ok = crossings_ok and hits[src] == 1
+    return inside_ok, crossings_ok
+
+
+def _cut_report(
+    guest: Guest, host: HostTree, tally: _Tally, cut: EdgeCut
+) -> CutConditionReport:
+    _check_boundary(host, cut)
+    routing = host.routing
+    load, index = tally.load, routing.edge_index
+    congestion = sum(load[index[e]] for e in cut.cut_edges)
+    count = len(tally.vertex_at) - 1
+    side = [tally.vertex_at[lab] for lab in _smaller_side(cut, count)]
+    leaving, induced = _leaving_and_induced(guest, side)
+    # Every guest edge lies inside one side or leaves both.
+    other = guest.graph.edge_count - induced - leaving
+    parts, size = guest.part_count, guest.part_size
+    optimal = (
+        induced == max_subgraph_edges_closed_form(parts, size, len(side))
+        and other == max_subgraph_edges_closed_form(parts, size, count - len(side))
+    )
+    # Each route crossing the cut uses an odd number of its edges and each
+    # other route an even number, so the congestion is at least the number
+    # of crossing guest edges, with equality exactly when both conditions
+    # hold.
+    if congestion == leaving:
+        inside_ok = crossings_ok = True
+    else:
+        inside_ok, crossings_ok = _route_hits(guest, routing, tally, cut)
+    return CutConditionReport(inside_ok, crossings_ok, optimal, leaving)
 
 
 def verify_cut_conditions(
     guest: Guest, host: HostTree, embedding: Embedding, cut: EdgeCut
 ) -> CutConditionReport:
-    """Check the three congestion-lemma conditions for one cut."""
-    analysis = _analysis(guest, host, embedding)
-    lo, hi = cut.component_lo, cut.component_hi
-    labels = analysis.labels
-    count = len(labels)
-    inside = {m for m in range(1, count + 1) if lo <= labels[m - 1] <= hi}
-    outside = set(range(1, count + 1)) - inside
+    """Check the three congestion-lemma conditions for one cut.
 
-    # Guest edge index -> how many cut edges its route uses.
-    touched = Counter(
-        chain.from_iterable(analysis.usage.get(edge, ()) for edge in cut.cut_edges)
-    )
-    expected = congestion_lemma_value(guest, inside)
-    inside_ok = crossings_ok = True
-    single = 0
-    for idx, hits in touched.items():
-        gu, gv = analysis.guest_edges[idx]
-        if (gu in inside) == (gv in inside):
-            inside_ok = False
-        elif hits == 1:
-            single += 1
-        else:
-            crossings_ok = False
-    crossings_ok = crossings_ok and single == expected
-    optimal = is_optimal_set(guest, inside) and is_optimal_set(guest, outside)
-    return CutConditionReport(inside_ok, crossings_ok, optimal, expected)
+    Raises ``ValueError`` when the cut edges are not exactly the host edges
+    with one end in the cut's component interval.
+    """
+    return _cut_report(guest, host, _tally(guest, host, embedding), cut)
 
 
 def wirelength_via_partition(
@@ -360,13 +438,12 @@ def build_report(
 ) -> WirelengthReport:
     """Run every wirelength computation for one instance and bundle the results."""
     cuts = cut_family(host)
+    tally = _tally(guest, host, embedding)
     per_cut = tuple(
         CutReport(c.family, c.j, c.i, cut_congestion(guest, host, embedding, c))
         for c in cuts
     )
-    conditions = tuple(
-        verify_cut_conditions(guest, host, embedding, c) for c in cuts
-    )
+    conditions = tuple(_cut_report(guest, host, tally, c) for c in cuts)
     return WirelengthReport(
         n=guest.n,
         p=guest.p,

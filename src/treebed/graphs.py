@@ -62,6 +62,15 @@ class Graph:
             nbrs[v].add(u)
         return {v: frozenset(s) for v, s in nbrs.items()}
 
+    @cached_property
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Neighbor bitmasks: ``adjacency_masks[v - 1]`` has bit ``w - 1`` set
+        for every neighbor ``w`` of ``v``."""
+        return tuple(
+            sum(1 << (w - 1) for w in self.adjacency[v])
+            for v in range(1, self.vertex_count + 1)
+        )
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -173,6 +182,7 @@ def induced_edge_count(graph: Graph, subset: Iterable[int]) -> int:
     for v in chosen:
         if not 1 <= v <= graph.vertex_count:
             raise ValueError(f"vertex {v} out of range 1..{graph.vertex_count}")
-    adjacency = graph.adjacency
+    mask = sum(1 << (v - 1) for v in chosen)
+    masks = graph.adjacency_masks
     # Each induced edge is seen from both endpoints.
-    return sum(len(adjacency[v] & chosen) for v in chosen) // 2
+    return sum((masks[v - 1] & mask).bit_count() for v in chosen) // 2

@@ -25,6 +25,7 @@ from treebed.graphs import Graph
 
 __all__ = [
     "HostTree",
+    "RoutingTables",
     "EdgeCut",
     "build_host",
     "inorder_labeling",
@@ -96,6 +97,74 @@ class HostTree:
             nbrs[b].append(a)
         return {lab: tuple(sorted(ns)) for lab, ns in nbrs.items()}
 
+    @cached_property
+    def routing(self) -> RoutingTables:
+        """Distances and canonical next-hop in-trees toward every label."""
+        return RoutingTables(self)
+
+
+class RoutingTables:
+    """Label distances and canonical shortest-path routes, as in-trees.
+
+    The canonical route from a label to a larger goal ``g`` always steps to
+    the smallest-labeled neighbor one step closer to ``g``.  Those steps
+    form an in-tree rooted at ``g``.  Per goal ``g``:
+
+    - ``distance[g][t]`` is the distance between labels ``g`` and ``t``;
+    - ``next_hop[g][t]`` is the label the route toward ``g`` steps to from
+      ``t``, and ``hop_edge[g][t]`` the index in ``edges`` of that step;
+    - ``sweep[g]`` lists every label but ``g`` in decreasing distance from
+      ``g``, so each label comes before its next hop.
+
+    Per-goal lists are indexed by label; slot 0 and slot ``g`` of
+    ``next_hop[g]`` and ``hop_edge[g]`` are unused, as is goal 0.  ``memo``
+    holds results for the most recent (guest, embedding) routed over these
+    tables, so repeated queries on one instance share one pass and die
+    with the host.
+    """
+
+    __slots__ = (
+        "edges", "edge_index", "distance", "next_hop", "hop_edge", "sweep", "memo"
+    )
+
+    def __init__(self, host: HostTree) -> None:
+        count = host.graph.vertex_count
+        self.edges = tuple(sorted(host.label_edges))
+        self.edge_index = {edge: idx for idx, edge in enumerate(self.edges)}
+        indexed = {
+            t: tuple((w, self.edge_index[(t, w) if t < w else (w, t)]) for w in ws)
+            for t, ws in host.label_adjacency.items()
+        }
+        self.distance: list[list[int]] = [[]]
+        self.next_hop: list[list[int]] = [[]]
+        self.hop_edge: list[list[int]] = [[]]
+        self.sweep: list[list[int]] = [[]]
+        self.memo = None
+        for goal in range(1, count + 1):
+            # Breadth-first from the goal: every label one step closer is
+            # scanned before the label, so the smallest one wins.
+            dist = [-1] * (count + 1)
+            dist[goal] = 0
+            hops = [0] * (count + 1)
+            hop_edges = [0] * (count + 1)
+            order = [goal]
+            for u in order:
+                du = dist[u] + 1
+                for w, edge in indexed[u]:
+                    dw = dist[w]
+                    if dw < 0:
+                        dist[w] = du
+                        hops[w], hop_edges[w] = u, edge
+                        order.append(w)
+                    elif dw == du and u < hops[w]:
+                        hops[w], hop_edges[w] = u, edge
+            self.distance.append(dist)
+            self.next_hop.append(hops)
+            self.hop_edge.append(hop_edges)
+            order.reverse()
+            order.pop()
+            self.sweep.append(order)
+
 
 @dataclass(frozen=True)
 class EdgeCut:
@@ -103,7 +172,9 @@ class EdgeCut:
 
     ``cut_edges`` are label pairs.  Removing them splits the host in two;
     the side designated as the component occupies exactly the labels
-    ``component_lo..component_hi``.  ``multiplicity_share`` is how many
+    ``component_lo..component_hi``, so the cut edges are exactly the host
+    edges with one end in that interval (``verify_cut_conditions`` rejects
+    a cut that breaks this rule).  ``multiplicity_share`` is how many
     times this cut counts in the family's coverage of its edges (the chain
     cuts of sibling hosts count double; everything else counts once).
     """

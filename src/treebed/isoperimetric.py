@@ -97,11 +97,7 @@ def max_subgraph_edges_bruteforce(
         raise BudgetExceededError(
             f"{subsets} subsets of size {k} exceed the budget of {budget}"
         )
-    masks = [0] * count
-    for u, v in graph.edges:
-        masks[u - 1] |= 1 << (v - 1)
-        masks[v - 1] |= 1 << (u - 1)
-    best, combo, _explored = _max_induced_edges(count, masks, k)
+    best, combo, _explored = _max_induced_edges(count, graph.adjacency_masks, k)
     witness = frozenset(v + 1 for v in combo)
     return MspResult(k=k, max_edges=best, witness=witness)
 

@@ -12,7 +12,7 @@ from itertools import permutations
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from treebed.embedding import Embedding, _distance_table
+from treebed.embedding import Embedding
 from treebed.errors import BudgetExceededError
 from treebed.graphs import Guest
 from treebed.hosts import HostTree
@@ -76,8 +76,8 @@ def _instance_tables(guest: Guest, host: HostTree):
         raise ValueError(
             f"guest has {count} vertices but host has {host.graph.vertex_count}"
         )
-    table = _distance_table(host)
-    dist = [table[a][b] for a in range(count) for b in range(count)]
+    table = host.routing.distance
+    dist = [table[a][b] for a in range(1, count + 1) for b in range(1, count + 1)]
     edges = sorted(guest.graph.edges)
     edge_u = [u - 1 for u, _ in edges]
     edge_v = [v - 1 for _, v in edges]

@@ -56,3 +56,20 @@ def brute_force_max_induced(count, edges, k):
         if got > best:
             best = got
     return best
+
+
+def canonical_route(table, neighbors, u, v):
+    """Edges of the canonical route between ``u`` and ``v``.
+
+    Walks from the smaller endpoint to the larger, always stepping to the
+    smallest neighbor that is one step closer to the goal.  ``table`` comes
+    from ``bfs_distances``; ``neighbors`` maps each vertex to its neighbors.
+    """
+    cur, goal = min(u, v), max(u, v)
+    to_goal = table[goal]
+    path = []
+    while cur != goal:
+        nxt = min(w for w in neighbors[cur] if to_goal[w] == to_goal[cur] - 1)
+        path.append((min(cur, nxt), max(cur, nxt)))
+        cur = nxt
+    return path

@@ -1,14 +1,18 @@
+import random
+import weakref
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bfs_distances
+from oracles import bfs_distances, canonical_route
 from treebed import (
     CoverageError,
     EdgeCut,
     Embedding,
+    Graph,
+    HostTree,
     UnlabeledHostError,
     build_guest,
     build_host,
@@ -92,6 +96,23 @@ def test_route_lengths_match_bfs():
                 assert len(path) == table[u][v]
                 # consecutive edges chain from u to v
                 assert len(set(path)) == len(path)
+
+
+def test_route_breaks_ties_toward_smallest_label():
+    # Two shortest paths join labels 1 and 7; breadth-first search from 7
+    # reaches 1 through 3 before it reaches it through 2.
+    edges = [(1, 2), (1, 3), (2, 6), (3, 5), (5, 7), (6, 7), (4, 7)]
+    host = HostTree(
+        graph=Graph.from_edges(7, edges), n1=1, k=1, sibling=False, level_of={},
+        parent_of={}, sibling_pairs=frozenset(), root_chain=(),
+        label_of={v: v for v in range(1, 8)},
+    )
+    assert route(host, 7, 1) == ((1, 2), (2, 6), (6, 7))
+    table = bfs_distances(7, edges)
+    neighbors = {v: [w for e in edges for w in e if v in e and w != v] for v in table}
+    for u in range(1, 8):
+        for v in range(u + 1, 8):
+            assert list(route(host, u, v)) == canonical_route(table, neighbors, u, v)
 
 
 def test_unlabeled_host_rejected():
@@ -204,6 +225,102 @@ def test_cut_conditions_match_route_oracle():
                     ) == (inside_ok, crossings_ok, crossing), (host.kind, lo, hi)
                     seen.add((inside_ok, crossings_ok))
     assert seen >= {(True, True), (False, True), (False, False)}
+
+
+def test_verify_rejects_cut_that_is_not_an_interval_boundary():
+    guest = build_guest(3, 2)
+    emb = identity_embedding(guest, ST31)
+    cut = _cut(ST31, ("S", 2, 1))
+    assert len(cut.cut_edges) == 2
+    partial = replace(cut, cut_edges=frozenset(sorted(cut.cut_edges)[:1]))
+    extra = replace(cut, cut_edges=cut.cut_edges | {(7, 8)})
+    outside = replace(cut, component_lo=0)
+    for bad in (partial, extra, outside):
+        with pytest.raises(ValueError):
+            verify_cut_conditions(guest, ST31, emb, bad)
+    assert verify_cut_conditions(guest, ST31, emb, cut).ok
+
+
+def _labeled(n, n1, sibling, variant):
+    host = build_host(n1, 1 << (n - n1), sibling=sibling)
+    return sibling_layout_labeling(host, variant) if sibling else inorder_labeling(host)
+
+
+def _check_against_route_oracle(guest, host, emb):
+    count = host.graph.vertex_count
+    table = bfs_distances(count, host.label_edges)
+    neighbors = {lab: [] for lab in range(1, count + 1)}
+    for a, b in host.label_edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    routes = [
+        (emb.label_for(u), emb.label_for(v),
+         canonical_route(table, neighbors, emb.label_for(u), emb.label_for(v)))
+        for u, v in guest.graph.edges
+    ]
+    load = {edge: 0 for edge in host.label_edges}
+    for _, _, path in routes:
+        for edge in path:
+            load[edge] += 1
+    for edge, expected in load.items():
+        assert edge_congestion(guest, host, emb, edge) == expected, edge
+    assert wirelength_direct(guest, host, emb) == sum(load.values())
+
+    intervals = [
+        EdgeCut(
+            "X", None, 1,
+            frozenset((a, b) for a, b in host.label_edges
+                      if (lo <= a <= hi) != (lo <= b <= hi)),
+            lo, hi,
+        )
+        for lo in range(1, count + 1)
+        for hi in range(lo, count + 1)
+    ]
+    for cut in cut_family(host) + tuple(intervals):
+        lo, hi = cut.component_lo, cut.component_hi
+        inside_ok = crossings_ok = True
+        crossing = 0
+        for a, b, path in routes:
+            hits = len(cut.cut_edges.intersection(path))
+            if (lo <= a <= hi) != (lo <= b <= hi):
+                crossing += 1
+                crossings_ok = crossings_ok and hits == 1
+            else:
+                inside_ok = inside_ok and hits == 0
+        report = verify_cut_conditions(guest, host, emb, cut)
+        assert (
+            report.inside_avoids_cut, report.crossings_cross_once, report.lemma_value
+        ) == (inside_ok, crossings_ok, crossing), (cut.family, cut.j, cut.i, lo, hi)
+
+
+def test_engine_matches_independent_route_oracle():
+    # Every host shape up to n = 5 with the identity and a randomly swapped
+    # embedding (at n = 5, one p per shape and the swapped embedding only),
+    # every standard cut and every label interval cut out by its boundary.
+    rng = random.Random(2019)
+    for n in range(2, 6):
+        for n1 in range(1, n + 1):
+            for sibling in (False, True):
+                ps = range(2, n + 1) if n < 5 else [rng.randrange(2, n + 1)]
+                for p in ps:
+                    guest = build_guest(n, p)
+                    host = _labeled(n, n1, sibling, rng.randrange(4) if sibling else 0)
+                    emb = identity_embedding(guest, host)
+                    if n < 5:
+                        _check_against_route_oracle(guest, host, emb)
+                    count = guest.graph.vertex_count
+                    for _ in range(3):
+                        emb = emb.swapped(*rng.sample(range(1, count + 1), 2))
+                    _check_against_route_oracle(guest, host, emb)
+
+
+def test_build_report_leaves_no_instance_alive():
+    guest = build_guest(6, 3)
+    host = inorder_labeling(build_host(3, 8))
+    build_report(guest, host, identity_embedding(guest, host))
+    refs = [weakref.ref(guest), weakref.ref(host)]
+    del guest, host
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_same_partite_swap_changes_nothing():
