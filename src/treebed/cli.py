@@ -27,13 +27,13 @@ from treebed.hosts import (
     sibling_layout_labeling,
 )
 from treebed.search import (
-    DEFAULT_BIJECTION_BUDGET,
+    DEFAULT_PARTITION_BUDGET,
     exhaustive_min_wirelength,
     local_search_min,
 )
 
 ENGINE_MAX_N = 8       # routed-path engine: 2**8 = 256 vertices
-EXHAUSTIVE_MAX_N = 3   # bijection enumeration: 2**n <= 8
+EXHAUSTIVE_MAX_N = 3   # label-partition enumeration: 2**n <= 8
 FORMULA_MAX_N = formulas.MAX_N
 
 
@@ -285,6 +285,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(
             f"exhaustive search is capped at 2**n <= {1 << EXHAUSTIVE_MAX_N}"
         )
+    if args.exhaustive and args.engine == "off":
+        raise ValueError("--exhaustive needs the engine; drop --engine off")
     rows = list(_sweep_rows(args))
     failed = any(
         row[col] is False
@@ -413,9 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_wl = sub.add_parser("wirelength", help="compute and cross-check wirelengths")
     add_instance_flags(p_wl)
     p_wl.add_argument("--exhaustive", action="store_true",
-                      help="also enumerate all embeddings (needs 2**n <= 8)")
-    p_wl.add_argument("--budget", type=int, default=DEFAULT_BIJECTION_BUDGET,
-                      help="bound on embeddings the exhaustive run may evaluate")
+                      help="also take the exact minimum over all embeddings "
+                      "(needs 2**n <= 8)")
+    p_wl.add_argument("--budget", type=int, default=DEFAULT_PARTITION_BUDGET,
+                      help="bound on label partitions the exhaustive run may "
+                      "evaluate")
     p_wl.add_argument("--local-search", type=int, default=None, metavar="ITERS",
                       help="also run 2-swap local search for ITERS restarts; "
                       "reported as an upper bound and requires --seed")
@@ -441,8 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--engine", choices=["auto", "on", "off"], default="auto",
                          help="auto runs the engine when n <= 8 (default)")
     p_sweep.add_argument("--exhaustive", action="store_true",
-                         help="add exhaustive minima (needs n-max <= 3)")
-    p_sweep.add_argument("--budget", type=int, default=DEFAULT_BIJECTION_BUDGET)
+                         help="add exhaustive minima (needs n-max <= 3 and the engine)")
+    p_sweep.add_argument("--budget", type=int, default=DEFAULT_PARTITION_BUDGET,
+                         help="bound on label partitions each exhaustive run "
+                         "may evaluate")
     p_sweep.add_argument("--output", choices=["csv", "json"], default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -1,16 +1,23 @@
-"""Search over embeddings: exhaustive enumeration and 2-swap local search.
+"""Search over embeddings: exact minimum over label partitions, 2-swap local search.
 
-Both searches run in pure Python on flattened integer tables.  All
-randomness comes from a self-contained SplitMix64 generator, so results
-are reproducible across platforms and Python versions.
+Both searches use the guest's partite quotient.  Two vertices of one
+partite set of ``K_{r,...,r}`` have the same neighbors, so the wirelength of
+an embedding depends only on how it splits the host labels into ``2**p``
+unordered blocks of ``r`` labels, one block per partite set:
+
+    WL = sum of d over all label pairs - sum of d over pairs inside a block.
+
+The exhaustive search enumerates those partitions instead of bijections,
+and the local search prices a swap from per-block distance sums.  Both run
+in pure Python on the host's label distance table.  All randomness comes
+from a self-contained SplitMix64 generator, so results are reproducible
+across platforms and Python versions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import factorial
-from typing import Iterable, Mapping, Sequence
 
 from treebed.embedding import Embedding
 from treebed.errors import BudgetExceededError
@@ -23,7 +30,7 @@ __all__ = [
     "local_search_min",
 ]
 
-DEFAULT_BIJECTION_BUDGET = 100_000_000
+DEFAULT_PARTITION_BUDGET = 100_000_000
 
 _MASK64 = (1 << 64) - 1
 # SplitMix64 reference constants.
@@ -69,136 +76,102 @@ class SearchResult:
     exhaustive: bool
 
 
-def _instance_tables(guest: Guest, host: HostTree):
-    """Flatten the instance: 0-based distance table and guest edge arrays."""
+def _instance_tables(guest: Guest, host: HostTree) -> tuple[int, list[list[int]]]:
+    """Vertex count and the 0-based label distance rows of the host."""
     count = guest.graph.vertex_count
     if count != host.graph.vertex_count:
         raise ValueError(
             f"guest has {count} vertices but host has {host.graph.vertex_count}"
         )
     table = host.routing.distance
-    dist = [table[a][b] for a in range(1, count + 1) for b in range(1, count + 1)]
-    edges = sorted(guest.graph.edges)
-    edge_u = [u - 1 for u, _ in edges]
-    edge_v = [v - 1 for _, v in edges]
-    return count, dist, edge_u, edge_v
+    return count, [table[a][1:] for a in range(1, count + 1)]
 
 
-def _min_wirelength_bijections(nv, dist, edge_u, edge_v, first_choices=None):
-    """Exhaustively minimize total edge length over all bijections.
+def _partition_count(nv: int, parts: int) -> int:
+    """Number of ways to split ``nv`` labels into ``parts`` unordered equal blocks."""
+    size = nv // parts
+    return factorial(nv) // (factorial(size) ** parts * factorial(parts))
+
+
+def _min_wirelength_partitions(nv, rows, parts):
+    """Minimize the multipartite wirelength over all label partitions.
 
     Parameters
     ----------
     nv:
-        Number of vertices (and labels); both sides are ``0..nv-1`` here.
-    dist:
-        Flat row-major ``nv * nv`` distance table between labels.
-    edge_u, edge_v:
-        Parallel arrays of guest edge endpoints (0-based).
-    first_choices:
-        Optional sorted labels allowed as the image of vertex 0; ``None``
-        means unrestricted.  Used for symmetry reduction by the caller.
+        Number of labels, ``0..nv-1``; a multiple of ``parts``.
+    rows:
+        ``rows[x][y]`` is the distance between labels ``x`` and ``y``.
+    parts:
+        Number of partite sets; each block holds ``nv // parts`` labels.
 
-    Returns ``(best_total, best_assignment, explored)`` where
-    ``best_assignment`` is the lexicographically smallest optimal tuple
-    (within the restriction) and ``explored`` counts complete bijections
-    evaluated.
+    Labels join blocks in increasing order: each either joins an open block
+    that is not full or opens the next empty one, so every partition is met
+    once, with its blocks ordered by their smallest label.  The
+    within-block distance sum grows as labels join.
+
+    Returns ``(best_total, best_blocks, explored)``: the minimum
+    wirelength, the blocks of the first partition that attains it (each in
+    increasing label order), and the number of partitions evaluated.
     """
-    labels = range(nv)
-    if first_choices is None:
-        first_choices = labels
-    pairs = list(zip(edge_u, edge_v))
-    best = None
-    best_perm = None
+    size = nv // parts
+    blocks: list[list[int]] = [[] for _ in range(parts)]
+    best_within = -1
+    best_blocks: tuple[tuple[int, ...], ...] = ()
     explored = 0
-    for first in first_choices:
-        rest = [lab for lab in labels if lab != first]
-        for tail in permutations(rest):
-            perm = (first,) + tail
-            total = 0
-            for u, v in pairs:
-                total += dist[perm[u] * nv + perm[v]]
+
+    def place(label: int, opened: int, within: int) -> None:
+        nonlocal best_within, best_blocks, explored
+        if label == nv:
             explored += 1
-            if best is None or total < best:
-                best = total
-                best_perm = perm
-    return best, best_perm, explored
+            if within > best_within:
+                best_within = within
+                best_blocks = tuple(map(tuple, blocks))
+            return
+        row = rows[label]
+        for block in blocks[:opened]:
+            if len(block) < size:
+                gain = sum(row[x] for x in block)
+                block.append(label)
+                place(label + 1, opened, within + gain)
+                block.pop()
+        if opened < parts:
+            blocks[opened].append(label)
+            place(label + 1, opened + 1, within)
+            blocks[opened].pop()
 
-
-def _label_orbit_reps(
-    count: int,
-    host: HostTree,
-    automorphisms: Iterable[Mapping[int, int] | Sequence[int]],
-) -> list[int]:
-    """Smallest label of each orbit under the supplied host automorphisms.
-
-    Fixing the image of guest vertex 1 to orbit representatives is sound
-    because composing an embedding with a host automorphism preserves all
-    distances, hence the wirelength.
-    """
-    maps = []
-    for perm in automorphisms:
-        if isinstance(perm, Mapping):
-            mapping = {lab: perm[lab] for lab in range(1, count + 1)}
-        else:
-            if len(perm) != count:
-                raise ValueError("automorphism sequence has the wrong length")
-            mapping = {lab: perm[lab - 1] for lab in range(1, count + 1)}
-        if sorted(mapping.values()) != list(range(1, count + 1)):
-            raise ValueError("automorphism is not a permutation of the labels")
-        for a, b in host.label_edges:
-            ma, mb = mapping[a], mapping[b]
-            if ((ma, mb) if ma < mb else (mb, ma)) not in host.label_edges:
-                raise ValueError("supplied permutation is not a host automorphism")
-        maps.append(mapping)
-
-    parent = list(range(count + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for mapping in maps:
-        for a, b in mapping.items():
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    return sorted({find(lab) for lab in range(1, count + 1)})
+    place(0, 0, 0)
+    total = sum(map(sum, rows)) // 2
+    return total - best_within, best_blocks, explored
 
 
 def exhaustive_min_wirelength(
     guest: Guest,
     host: HostTree,
-    budget: int = DEFAULT_BIJECTION_BUDGET,
-    automorphisms: Iterable[Mapping[int, int] | Sequence[int]] | None = None,
+    budget: int = DEFAULT_PARTITION_BUDGET,
 ) -> SearchResult:
-    """True minimum wirelength by enumerating bijections.
+    """True minimum wirelength by enumerating label partitions.
 
-    Enumeration is in lexicographic order of the assignment tuple, and the
-    witness is the lexicographically smallest optimal embedding.  Passing
-    host ``automorphisms`` restricts the image of vertex 1 to one label per
-    orbit, shrinking the work by that factor; the witness is then smallest
-    within the restricted enumeration.  Refuses to start if the number of
-    embeddings to evaluate exceeds ``budget``.
+    Every embedding with the same split of labels over the partite sets has
+    the same wirelength, so the search visits each split once
+    (``explored`` counts them).  The witness comes from the first optimal
+    split: its ``j``-th block (blocks ordered by smallest label) goes to
+    partite set ``j + 1``, in increasing label order.  Refuses to start if
+    the number of partitions exceeds ``budget``.
     """
-    count, dist, edge_u, edge_v = _instance_tables(guest, host)
-    first_choices = None
-    planned = factorial(count)
-    if automorphisms is not None:
-        reps = _label_orbit_reps(count, host, automorphisms)
-        first_choices = [lab - 1 for lab in reps]
-        planned = len(reps) * factorial(count - 1)
+    count, rows = _instance_tables(guest, host)
+    parts = guest.part_count
+    planned = _partition_count(count, parts)
     if planned > budget:
         raise BudgetExceededError(
-            f"{planned} embeddings exceed the budget of {budget}"
+            f"{planned} label partitions exceed the budget of {budget}"
         )
-    best, perm, explored = _min_wirelength_bijections(
-        count, dist, edge_u, edge_v, first_choices
-    )
-    witness = Embedding(tuple(lab + 1 for lab in perm))
-    return SearchResult(best, witness, explored, exhaustive=True)
+    best, blocks, explored = _min_wirelength_partitions(count, rows, parts)
+    # Partite set j + 1 holds the vertices j + 1, j + 1 + parts, ...
+    assignment = [0] * count
+    for j, block in enumerate(blocks):
+        assignment[j::parts] = [lab + 1 for lab in block]
+    return SearchResult(best, Embedding(tuple(assignment)), explored, exhaustive=True)
 
 
 def local_search_min(
@@ -212,18 +185,23 @@ def local_search_min(
     iterations restart from fresh shuffles.  ``iterations=0`` just reports
     the seed embedding.  ``explored`` counts full evaluations plus swap
     deltas, i.e. candidate embeddings looked at.
+
+    A table ``T[j][x]`` holds the distance from label ``x`` to the labels
+    of partite set ``j``, so a swap's delta costs O(1) and applying it
+    updates two rows.  Swaps inside one partite set change nothing; they
+    are counted but not priced.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
-    count, dist, edge_u, edge_v = _instance_tables(guest, host)
-    pairs = list(zip(edge_u, edge_v))
-    neighbors: list[list[int]] = [[] for _ in range(count)]
-    for u, v in pairs:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-
-    def evaluate(perm: list[int]) -> int:
-        return sum(dist[perm[u] * count + perm[v]] for u, v in pairs)
+    count, rows = _instance_tables(guest, host)
+    parts = guest.part_count
+    total = sum(map(sum, rows)) // 2
+    pairs_per_pass = count * (count - 1) // 2
+    # Later vertices in other partite sets, in scan order; never empty,
+    # since vertex a + 1 lies in the next set.
+    partners = [
+        [b for b in range(a + 1, count) if (b - a) % parts] for a in range(count - 1)
+    ]
 
     rng = _SplitMix64(seed)
     explored = 0
@@ -233,47 +211,60 @@ def local_search_min(
         rng.shuffle(perm)
         return perm
 
-    current = fresh()
-    value = evaluate(current)
-    explored += 1
-    best_value, best_perm = value, tuple(current)
+    def start(perm: list[int]) -> tuple[list[list[int]], int]:
+        """Per-set distance table of ``perm`` and its wirelength."""
+        table = [
+            [sum(col) for col in zip(*(rows[lab] for lab in perm[j::parts]))]
+            for j in range(parts)
+        ]
+        within = sum(table[v % parts][lab] for v, lab in enumerate(perm)) // 2
+        return table, total - within
 
-    def descend(perm: list[int], value: int) -> int:
+    def descend(perm: list[int], table: list[list[int]], value: int) -> int:
         nonlocal explored
+        # Row of T for each vertex's own partite set; rows update in place.
+        own = [table[v % parts] for v in range(count)]
         while True:
             best_delta = 0
             swap = None
-            for a in range(count - 1):
+            for a, others in enumerate(partners):
                 la = perm[a]
-                for b in range(a + 1, count):
-                    lb = perm[b]
-                    delta = 0
-                    for w in neighbors[a]:
-                        if w != b:
-                            pw = perm[w]
-                            delta += dist[lb * count + pw] - dist[la * count + pw]
-                    for w in neighbors[b]:
-                        if w != a:
-                            pw = perm[w]
-                            delta += dist[la * count + pw] - dist[lb * count + pw]
-                    explored += 1
-                    if delta < best_delta:
-                        best_delta = delta
-                        swap = (a, b)
+                ta = own[a]
+                da = rows[la]
+                keep = ta[la]
+                deltas = [
+                    keep - ta[lb] + tb[lb] - tb[la] + 2 * da[lb]
+                    for lb, tb in ((perm[b], own[b]) for b in others)
+                ]
+                low = min(deltas)
+                if low < best_delta:
+                    best_delta = low
+                    swap = (a, others[deltas.index(low)])
+            explored += pairs_per_pass
             if swap is None:
                 return value
             a, b = swap
-            perm[a], perm[b] = perm[b], perm[a]
+            la, lb = perm[a], perm[b]
+            ta, tb = own[a], own[b]
+            for x, (dx_a, dx_b) in enumerate(zip(rows[la], rows[lb])):
+                ta[x] += dx_b - dx_a
+                tb[x] += dx_a - dx_b
+            perm[a], perm[b] = lb, la
             value += best_delta
+
+    current = fresh()
+    table, value = start(current)
+    explored += 1
+    best_value, best_perm = value, tuple(current)
 
     for it in range(iterations):
         if it > 0:
             current = fresh()
-            value = evaluate(current)
+            table, value = start(current)
             explored += 1
             if value < best_value:
                 best_value, best_perm = value, tuple(current)
-        value = descend(current, value)
+        value = descend(current, table, value)
         if value < best_value:
             best_value, best_perm = value, tuple(current)
 

@@ -1,7 +1,8 @@
 """Small independent oracles the tests check the package against.
 
-Deliberately separate implementations: plain BFS over edge lists and raw
-itertools enumeration, sharing no code with the package.
+Deliberately separate implementations: plain BFS over edge lists, raw
+itertools enumeration, and searches that ignore the guest's symmetry,
+sharing no code with the package.
 """
 
 from collections import deque
@@ -73,3 +74,114 @@ def canonical_route(table, neighbors, u, v):
         path.append((min(cur, nxt), max(cur, nxt)))
         cur = nxt
     return path
+
+
+def min_wirelength_bijections(nv, dist, edge_u, edge_v, first_choices=None):
+    """Exhaustively minimize total edge length over all bijections.
+
+    The symmetry-free oracle for the partition search.  ``dist`` is a flat
+    row-major ``nv * nv`` table between labels ``0..nv-1``; ``edge_u`` and
+    ``edge_v`` are parallel arrays of guest edge endpoints (0-based).
+    ``first_choices`` optionally restricts the image of vertex 0 to the
+    given sorted labels.
+
+    Returns ``(best_total, best_assignment, explored)`` where
+    ``best_assignment`` is the lexicographically smallest optimal tuple
+    (within the restriction) and ``explored`` counts complete bijections
+    evaluated.
+    """
+    labels = range(nv)
+    if first_choices is None:
+        first_choices = labels
+    pairs = list(zip(edge_u, edge_v))
+    best = None
+    best_perm = None
+    explored = 0
+    for first in first_choices:
+        rest = [lab for lab in labels if lab != first]
+        for tail in permutations(rest):
+            perm = (first,) + tail
+            total = 0
+            for u, v in pairs:
+                total += dist[perm[u] * nv + perm[v]]
+            explored += 1
+            if best is None or total < best:
+                best = total
+                best_perm = perm
+    return best, best_perm, explored
+
+
+def local_search_by_neighbors(nv, dist, edge_u, edge_v, rng, iterations):
+    """Best-improvement 2-swap descent that prices each swap edge by edge.
+
+    The reference for the package's local search: the same scan order,
+    restarts and strict first-best rule, but every swap delta is summed
+    over the guest neighbours of both vertices.  ``rng`` supplies
+    ``shuffle``; ``dist``, ``edge_u`` and ``edge_v`` are as in
+    ``min_wirelength_bijections``.
+
+    Returns one ``(best_total, best_assignment, explored)`` per ``i`` in
+    ``0..iterations``, 0-based labels: the result a run of ``i``
+    iterations gives, since a shorter run is a prefix of a longer one.
+    """
+    pairs = list(zip(edge_u, edge_v))
+    neighbors = [[] for _ in range(nv)]
+    for u, v in pairs:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+
+    def evaluate(perm):
+        return sum(dist[perm[u] * nv + perm[v]] for u, v in pairs)
+
+    def fresh():
+        perm = list(range(nv))
+        rng.shuffle(perm)
+        return perm
+
+    explored = 0
+
+    def descend(perm, value):
+        nonlocal explored
+        while True:
+            best_delta = 0
+            swap = None
+            for a in range(nv - 1):
+                la = perm[a]
+                for b in range(a + 1, nv):
+                    lb = perm[b]
+                    delta = 0
+                    for w in neighbors[a]:
+                        if w != b:
+                            pw = perm[w]
+                            delta += dist[lb * nv + pw] - dist[la * nv + pw]
+                    for w in neighbors[b]:
+                        if w != a:
+                            pw = perm[w]
+                            delta += dist[la * nv + pw] - dist[lb * nv + pw]
+                    explored += 1
+                    if delta < best_delta:
+                        best_delta = delta
+                        swap = (a, b)
+            if swap is None:
+                return value
+            a, b = swap
+            perm[a], perm[b] = perm[b], perm[a]
+            value += best_delta
+
+    current = fresh()
+    value = evaluate(current)
+    explored += 1
+    best_value, best_perm = value, tuple(current)
+    history = [(best_value, best_perm, explored)]
+    for it in range(iterations):
+        if it > 0:
+            current = fresh()
+            value = evaluate(current)
+            explored += 1
+            if value < best_value:
+                best_value, best_perm = value, tuple(current)
+        value = descend(current, value)
+        if value < best_value:
+            best_value, best_perm = value, tuple(current)
+        history.append((best_value, best_perm, explored))
+    return history

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from oracles import bfs_distances, min_wirelength_bijections
 from treebed import (
     Embedding,
     HostTree,
@@ -242,8 +243,17 @@ def test_acceptance_08_exhaustive_search_confirms_optimality():
         guest = build_guest(3, p)
         host = build_host(n1, 1 << (3 - n1), sibling=sibling)
         host = sibling_layout_labeling(host) if sibling else inorder_labeling(host)
+        table = bfs_distances(8, host.label_edges)
+        dist = [table[a][b] for a in range(1, 9) for b in range(1, 9)]
+        edges = sorted(guest.graph.edges)
+        best, _, explored = min_wirelength_bijections(
+            8, dist, [u - 1 for u, _ in edges], [v - 1 for _, v in edges]
+        )
+        assert explored == 40320
+        assert best == expected, (p, n1, sibling)
         result = exhaustive_min_wirelength(guest, host)
-        assert result.exhaustive and result.explored == 40320
+        # 8!/((2!)^4 4!) = 105 label partitions at p = 2, one at p = 3
+        assert result.exhaustive and result.explored == (105 if p == 2 else 1)
         assert result.best_value == expected, (p, n1, sibling)
         canonical = wirelength_direct(guest, host, identity_embedding(guest, host))
         assert canonical == expected, (p, n1, sibling)
@@ -252,8 +262,9 @@ def test_acceptance_08_exhaustive_search_confirms_optimality():
     elapsed = time.perf_counter() - started
     assert elapsed < 600
     print(
-        f"ACCEPTANCE 08 PASS: all 12 exhaustive searches (40320 embeddings "
-        f"each) match the canonical embeddings in {elapsed:.1f}s; "
+        f"ACCEPTANCE 08 PASS: all 12 exhaustive searches (40320 bijections "
+        f"each, and the label partitions) match the canonical embeddings "
+        f"in {elapsed:.1f}s; "
         f"minima include 54 and 45"
     )
 

@@ -401,6 +401,17 @@ def test_sweep_caps(capsys):
     assert code == 2 and "capped" in err
 
 
+def test_sweep_exhaustive_needs_engine(capsys):
+    # without the engine no guest is built, so there is nothing to search
+    code, out, err = run(
+        capsys, "sweep", "--n-min", "2", "--n-max", "3", "--exhaustive",
+        "--engine", "off",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--exhaustive needs the engine" in err
+
+
 def test_export_dot_host(capsys):
     code, out, _ = run(
         capsys, "export-dot", "host", "--n1", "3", "--host", "sibling"

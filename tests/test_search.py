@@ -1,10 +1,16 @@
 import random
 from itertools import permutations
+from math import factorial
 
 import pytest
 
-from oracles import bfs_distances
+from oracles import (
+    bfs_distances,
+    local_search_by_neighbors,
+    min_wirelength_bijections,
+)
 from treebed import (
+    LAYOUT_VARIANTS,
     BudgetExceededError,
     Embedding,
     build_guest,
@@ -18,12 +24,11 @@ from treebed import (
     wl_binary,
     wl_sibling,
 )
-from treebed.search import _min_wirelength_bijections
+from treebed.search import SearchResult, _SplitMix64, _min_wirelength_partitions
 
 T21 = inorder_labeling(build_host(2, 1))
 T31 = inorder_labeling(build_host(3, 1))
 ST31 = sibling_layout_labeling(build_host(3, 1, sibling=True))
-T12 = inorder_labeling(build_host(1, 2))
 
 
 def test_exhaustive_complete_guest_is_flat():
@@ -31,7 +36,8 @@ def test_exhaustive_complete_guest_is_flat():
     result = exhaustive_min_wirelength(guest, T21)
     assert result.best_value == 9
     assert result.exhaustive
-    assert result.explored == 24
+    # singleton blocks: one partition
+    assert result.explored == 1
     # with a complete guest every bijection costs the same, so the witness
     # is the identity
     assert result.witness.assignment == (1, 2, 3, 4)
@@ -47,7 +53,7 @@ def test_exhaustive_single_blocks():
     guest = build_guest(3, 2)
     result = exhaustive_min_wirelength(guest, T31)
     assert result.best_value == wl_binary(3, 2) == 54
-    assert result.explored == 40320
+    assert result.explored == 105
     assert wirelength_direct(guest, T31, result.witness) == 54
 
     result = exhaustive_min_wirelength(guest, ST31)
@@ -57,41 +63,14 @@ def test_exhaustive_single_blocks():
 
 def test_exhaustive_budget_guard():
     guest = build_guest(3, 2)
-    with pytest.raises(BudgetExceededError, match="40320"):
-        exhaustive_min_wirelength(guest, T31, budget=1000)
+    with pytest.raises(BudgetExceededError, match="105 label partitions"):
+        exhaustive_min_wirelength(guest, T31, budget=104)
+    assert exhaustive_min_wirelength(guest, T31, budget=105).explored == 105
 
 
 def test_exhaustive_size_mismatch():
     with pytest.raises(ValueError):
         exhaustive_min_wirelength(build_guest(3, 2), T21)
-
-
-def test_automorphisms_shrink_the_scan():
-    guest = build_guest(2, 2)
-    plain = exhaustive_min_wirelength(guest, T12)
-    assert plain.best_value == 10
-    assert plain.explored == 24
-
-    # reversing the two-block chain is a host symmetry
-    reversal = {1: 3, 2: 4, 3: 1, 4: 2}
-    reduced = exhaustive_min_wirelength(guest, T12, automorphisms=[reversal])
-    assert reduced.best_value == plain.best_value
-    assert reduced.explored == 12
-    assert reduced.witness.assignment[0] in (1, 2)
-
-    as_sequence = exhaustive_min_wirelength(guest, T12, automorphisms=[[3, 4, 1, 2]])
-    assert as_sequence.best_value == plain.best_value
-    assert as_sequence.explored == 12
-
-
-def test_automorphisms_are_validated():
-    guest = build_guest(2, 2)
-    with pytest.raises(ValueError):
-        exhaustive_min_wirelength(guest, T12, automorphisms=[{1: 2, 2: 1, 3: 3, 4: 4}])
-    with pytest.raises(ValueError):
-        exhaustive_min_wirelength(guest, T12, automorphisms=[[1, 1, 3, 3]])
-    with pytest.raises(ValueError):
-        exhaustive_min_wirelength(guest, T12, automorphisms=[[2, 1, 4]])
 
 
 # path 0-1-2, flattened row-major
@@ -126,14 +105,14 @@ def _brute(nv, flat, edge_u, edge_v):
 
 
 def test_bijection_kernel_tiny():
-    best, perm, explored = _min_wirelength_bijections(3, PATH3, [0], [1])
+    best, perm, explored = min_wirelength_bijections(3, PATH3, [0], [1])
     assert best == 1
     assert perm == (0, 1, 2)
     assert explored == 6
 
 
 def test_bijection_kernel_first_choices():
-    best, perm, explored = _min_wirelength_bijections(
+    best, perm, explored = min_wirelength_bijections(
         3, PATH3, [0], [2], first_choices=[2]
     )
     assert explored == 2
@@ -147,7 +126,7 @@ def test_bijection_kernel_matches_bruteforce():
     for nv in (4, 5, 6):
         for _ in range(3):
             flat, edge_u, edge_v = _random_instance(rng, nv)
-            best, perm, explored = _min_wirelength_bijections(
+            best, perm, explored = min_wirelength_bijections(
                 nv, flat, edge_u, edge_v
             )
             expect_best, expect_perm = _brute(nv, flat, edge_u, edge_v)
@@ -155,6 +134,97 @@ def test_bijection_kernel_matches_bruteforce():
             # brute force scans in the same lexicographic order
             assert perm == expect_perm
             assert explored == len(list(permutations(range(nv))))
+
+
+def _labeled(n, n1, kind, variant):
+    host = build_host(n1, 1 << (n - n1), sibling=(kind == "sibling"))
+    if kind == "sibling":
+        return sibling_layout_labeling(host, variant)
+    return inorder_labeling(host)
+
+
+HOST_SHAPES = [("binary", 0)] + [("sibling", v) for v in LAYOUT_VARIANTS]
+
+
+def _oracle_tables(guest, host):
+    """Flat 0-based distance table and guest edge arrays for the oracles."""
+    count = guest.graph.vertex_count
+    table = bfs_distances(count, host.label_edges)
+    dist = [table[a][b] for a in range(1, count + 1) for b in range(1, count + 1)]
+    edges = sorted(guest.graph.edges)
+    return count, dist, [u - 1 for u, _ in edges], [v - 1 for _, v in edges]
+
+
+def _partition_count(nv, parts):
+    """Splits of ``nv`` labels into ``parts`` unordered blocks of equal size."""
+    return factorial(nv) // (factorial(nv // parts) ** parts * factorial(parts))
+
+
+def test_partition_search_matches_bijection_oracle():
+    # every instance with 2**n <= 8: each p and n1, both host kinds, every
+    # sibling layout variant
+    for n in (2, 3):
+        for p in range(2, n + 1):
+            guest = build_guest(n, p)
+            partitions = _partition_count(1 << n, 1 << p)
+            for n1 in range(1, n + 1):
+                for kind, variant in HOST_SHAPES:
+                    host = _labeled(n, n1, kind, variant)
+                    count, dist, edge_u, edge_v = _oracle_tables(guest, host)
+                    expect, _, _ = min_wirelength_bijections(count, dist, edge_u, edge_v)
+                    result = exhaustive_min_wirelength(guest, host)
+                    case = (n, p, n1, kind, variant)
+                    assert result.best_value == expect, case
+                    assert result.explored == partitions, case
+                    assert wirelength_direct(guest, host, result.witness) == expect, case
+
+
+def _canonical_blocks(nv, parts, perm):
+    """Block index of each label, blocks numbered by their smallest label,
+    when vertex ``v`` gets label ``perm[v]`` and lies in set ``v % parts``."""
+    set_of = [0] * nv
+    for v, lab in enumerate(perm):
+        set_of[lab] = v % parts
+    rank = {}
+    return tuple(rank.setdefault(j, len(rank)) for j in set_of)
+
+
+def test_partition_kernel_matches_oracle_on_random_tables():
+    rng = random.Random(4321)
+    for nv, parts in ((4, 2), (6, 2), (6, 3), (6, 6), (8, 2), (8, 4)):
+        # distances up to 9 make the optimum unique; up to 2, ties are common
+        for top in (9, 2):
+            rows = [[0] * nv for _ in range(nv)]
+            for a in range(nv):
+                for b in range(a + 1, nv):
+                    rows[a][b] = rows[b][a] = rng.randint(1, top)
+            flat = [rows[a][b] for a in range(nv) for b in range(nv)]
+            # complete multipartite, vertex v in partite set v % parts
+            edges = [
+                (u, v) for u in range(nv) for v in range(u + 1, nv)
+                if (v - u) % parts
+            ]
+            edge_u = [u for u, _ in edges]
+            edge_v = [v for _, v in edges]
+            best, blocks, explored = _min_wirelength_partitions(nv, rows, parts)
+            expect, _, _ = min_wirelength_bijections(nv, flat, edge_u, edge_v)
+            assert best == expect
+            assert explored == _partition_count(nv, parts)
+            # the witness assignment: block j to partite set j, in label order
+            assignment = [0] * nv
+            for j, block in enumerate(blocks):
+                assert list(block) == sorted(block)
+                assignment[j::parts] = block
+            assert sum(rows[assignment[u]][assignment[v]] for u, v in edges) == best
+            if nv <= 6:
+                # enumeration is lexicographic in the block index of each
+                # label, so the witness is the smallest optimal one
+                first = min(
+                    (sum(rows[perm[u]][perm[v]] for u, v in edges),
+                     _canonical_blocks(nv, parts, perm))
+                    for perm in permutations(range(nv))
+                )
+                assert (best, _canonical_blocks(nv, parts, assignment)) == first
 
 
 def test_local_search_finds_small_optima():
@@ -201,3 +271,30 @@ def test_local_search_validation():
     guest = build_guest(3, 2)
     with pytest.raises(ValueError):
         local_search_min(guest, T31, seed=0, iterations=-1)
+
+
+def test_local_search_matches_neighbor_descent():
+    # every (n, p) with 3 <= n <= 6, rotating through block heights, host
+    # kinds and sibling variants; the whole result must match, witness and
+    # explored count included
+    shape = 0
+    for n in range(3, 7):
+        for p in range(2, n + 1):
+            guest = build_guest(n, p)
+            kind, variant = HOST_SHAPES[shape % len(HOST_SHAPES)]
+            n1 = 1 + shape % n
+            shape += 1
+            host = _labeled(n, n1, kind, variant)
+            count, dist, edge_u, edge_v = _oracle_tables(guest, host)
+            for seed in (shape, 1000 + 7 * shape):
+                history = local_search_by_neighbors(
+                    count, dist, edge_u, edge_v, _SplitMix64(seed), 3
+                )
+                for iterations in (0, 1, 3):
+                    best, perm, explored = history[iterations]
+                    expect = SearchResult(
+                        best, Embedding(tuple(lab + 1 for lab in perm)),
+                        explored, exhaustive=False,
+                    )
+                    result = local_search_min(guest, host, seed, iterations)
+                    assert result == expect, (n, p, n1, kind, variant, seed, iterations)
