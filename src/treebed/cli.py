@@ -18,7 +18,7 @@ import sys
 from treebed import formulas
 from treebed.embedding import build_report, identity_embedding
 from treebed.errors import BudgetExceededError
-from treebed.graphs import Guest, build_guest, check_guest_shape
+from treebed.graphs import Guest, build_guest
 from treebed.hosts import (
     LAYOUT_VARIANTS,
     HostTree,
@@ -76,34 +76,20 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+GUEST_FIELDS = ("vertex_count", "edge_count", "part_count", "part_size", "degree")
+
+
 def cmd_guest(args) -> int:
-    # Every field is closed-form in (n, p); building the edge set would take
-    # memory quadratic in 2**n.
-    check_guest_shape(args.n, args.p)
-    vertex_count = 1 << args.n
-    part_count = 1 << args.p
-    part_size = vertex_count // part_count
-    degree = vertex_count - part_size
-    info = {
-        "schema": 1,
-        "n": args.n,
-        "p": args.p,
-        "vertex_count": vertex_count,
-        "edge_count": vertex_count * degree // 2,
-        "part_count": part_count,
-        "part_size": part_size,
-        "degree": degree,
-    }
+    guest = Guest(args.n, args.p)
+    info = {"schema": 1, "n": guest.n, "p": guest.p}
+    info.update((key, getattr(guest, key)) for key in GUEST_FIELDS)
     if args.n <= ENGINE_MAX_N:
-        info["partites"] = [
-            list(range(first, vertex_count + 1, part_count))
-            for first in range(1, part_count + 1)
-        ]
+        info["partites"] = [sorted(part) for part in guest.partites]
     if args.output == "json":
         print(json.dumps(info, indent=2))
     else:
         print(f"guest: 2^{args.n} vertices in 2^{args.p} partite sets")
-        for key in ("vertex_count", "edge_count", "part_count", "part_size", "degree"):
+        for key in GUEST_FIELDS:
             print(f"  {key} = {info[key]}")
     return 0
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Mapping
 
 from treebed import formulas
 from treebed.errors import CoverageError, ConsistencyError
-from treebed.graphs import Guest, induced_edge_count
+from treebed.graphs import Guest
 from treebed.hosts import EdgeCut, HostTree, RoutingTables, cut_family
 from treebed.isoperimetric import max_subgraph_edges_closed_form
 
@@ -39,6 +39,12 @@ __all__ = [
     "verify_cut_conditions",
     "build_report",
 ]
+
+
+def _check_labels(count: int, *labels: int) -> None:
+    for lab in labels:
+        if not 1 <= lab <= count:
+            raise ValueError(f"label {lab} out of range 1..{count}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,7 @@ class Embedding:
 
     def swapped(self, a: int, b: int) -> Embedding:
         """Copy with labels ``a`` and ``b`` exchanged between their vertices."""
+        _check_labels(len(self.assignment), a, b)
         seq = list(self.assignment)
         ia, ib = seq.index(a), seq.index(b)
         seq[ia], seq[ib] = b, a
@@ -162,14 +169,19 @@ class WirelengthReport:
         return out
 
 
-def identity_embedding(guest: Guest, host: HostTree) -> Embedding:
-    """Map guest vertex ``m`` to host label ``m``."""
-    count = guest.graph.vertex_count
+def _vertex_count(guest: Guest, host: HostTree) -> int:
+    """The instance's vertex count, once guest and host agree on it."""
+    count = guest.vertex_count
     if count != host.graph.vertex_count:
         raise ValueError(
             f"guest has {count} vertices but host has {host.graph.vertex_count}"
         )
-    return Embedding(tuple(range(1, count + 1)))
+    return count
+
+
+def identity_embedding(guest: Guest, host: HostTree) -> Embedding:
+    """Map guest vertex ``m`` to host label ``m``."""
+    return Embedding(tuple(range(1, _vertex_count(guest, host) + 1)))
 
 
 def route(host: HostTree, u: int, v: int) -> tuple[tuple[int, int], ...]:
@@ -180,10 +192,7 @@ def route(host: HostTree, u: int, v: int) -> tuple[tuple[int, int], ...]:
     (``host.routing.next_hop``).  Returns the path's edges in walk order;
     ``route(u, v) == route(v, u)``.
     """
-    count = host.graph.vertex_count
-    for lab in (u, v):
-        if not 1 <= lab <= count:
-            raise ValueError(f"label {lab} out of range 1..{count}")
+    _check_labels(host.graph.vertex_count, u, v)
     if u == v:
         raise ValueError("route endpoints must differ")
     start, goal = (u, v) if u < v else (v, u)
@@ -221,13 +230,8 @@ class _Tally:
         # of goal g, a host edge carries one route per source below it, so
         # sweeping away from the leaves adds each subtree's count once.
         load = [0] * len(routing.edges)
-        adjacency = guest.graph.adjacency
         for goal in range(2, len(labels) + 1):
-            below = [0] * len(vertex_at)
-            for w in adjacency[vertex_at[goal]]:
-                src = labels[w - 1]
-                if src < goal:
-                    below[src] = 1
+            below = self.sources(goal)
             hops, hop_edges = routing.next_hop[goal], routing.hop_edge[goal]
             for t in routing.sweep[goal]:
                 c = below[t]
@@ -236,15 +240,19 @@ class _Tally:
                     below[hops[t]] += c
         self.load = load
 
+    def sources(self, goal: int) -> list[int]:
+        """Per label, 1 when it is below ``goal`` and its guest vertex is
+        adjacent to the one on ``goal`` (lies in another partite set), else 0."""
+        guest, labels = self.guest, self.embedding.assignment
+        flags = [0] + [1] * (goal - 1) + [0] * (len(labels) + 1 - goal)
+        for w in guest.partites[guest.partite_of(self.vertex_at[goal]) - 1]:
+            flags[labels[w - 1]] = 0
+        return flags
+
 
 def _tally(guest: Guest, host: HostTree, embedding: Embedding) -> _Tally:
     """The instance's tallies, from the host's memo when it already has them."""
-    count = guest.graph.vertex_count
-    if count != host.graph.vertex_count:
-        raise ValueError(
-            f"guest has {count} vertices but host has {host.graph.vertex_count}"
-        )
-    if len(embedding.assignment) != count:
+    if len(embedding.assignment) != _vertex_count(guest, host):
         raise ValueError("embedding size does not match the instance")
     routing = host.routing
     memo = routing.memo
@@ -279,9 +287,8 @@ def cut_congestion(
 def _leaving_and_induced(guest: Guest, subset: Iterable[int]) -> tuple[int, int]:
     """Guest edges with exactly one, and with both, endpoints in ``subset``."""
     chosen = set(subset)
-    induced = induced_edge_count(guest.graph, chosen)
-    degree_sum = sum(guest.graph.degree(v) for v in chosen)
-    return degree_sum - 2 * induced, induced
+    induced = guest.induced_edge_count(chosen)
+    return len(chosen) * guest.degree - 2 * induced, induced
 
 
 def congestion_lemma_value(guest: Guest, subset: Iterable[int]) -> int:
@@ -326,7 +333,7 @@ def _check_boundary(host: HostTree, cut: EdgeCut) -> None:
 
 
 def _route_hits(
-    guest: Guest, routing: RoutingTables, tally: _Tally, cut: EdgeCut
+    routing: RoutingTables, tally: _Tally, cut: EdgeCut
 ) -> tuple[bool, bool]:
     """``(inside_avoids_cut, crossings_cross_once)`` by counting, for every
     route, the cut edges on it.
@@ -336,22 +343,19 @@ def _route_hits(
     """
     lo, hi = cut.component_lo, cut.component_hi
     on_cut = {routing.edge_index[e] for e in cut.cut_edges}
-    labels, vertex_at = tally.embedding.assignment, tally.vertex_at
-    adjacency = guest.graph.adjacency
+    count = len(tally.vertex_at) - 1
     inside_ok = crossings_ok = True
-    for goal in range(2, len(labels) + 1):
+    for goal in range(2, count + 1):
         hops, hop_edges = routing.next_hop[goal], routing.hop_edge[goal]
-        hits = [0] * len(vertex_at)
+        hits = [0] * (count + 1)
         for t in reversed(routing.sweep[goal]):
             hits[t] = hits[hops[t]] + (hop_edges[t] in on_cut)
         goal_inside = lo <= goal <= hi
-        for w in adjacency[vertex_at[goal]]:
-            src = labels[w - 1]
-            if src < goal:
-                if (lo <= src <= hi) == goal_inside:
-                    inside_ok = inside_ok and hits[src] == 0
-                else:
-                    crossings_ok = crossings_ok and hits[src] == 1
+        for src in compress(range(goal), tally.sources(goal)):
+            if (lo <= src <= hi) == goal_inside:
+                inside_ok = inside_ok and hits[src] == 0
+            else:
+                crossings_ok = crossings_ok and hits[src] == 1
     return inside_ok, crossings_ok
 
 
@@ -366,7 +370,7 @@ def _cut_report(
     side = [tally.vertex_at[lab] for lab in _smaller_side(cut, count)]
     leaving, induced = _leaving_and_induced(guest, side)
     # Every guest edge lies inside one side or leaves both.
-    other = guest.graph.edge_count - induced - leaving
+    other = guest.edge_count - induced - leaving
     parts, size = guest.part_count, guest.part_size
     optimal = (
         induced == max_subgraph_edges_closed_form(parts, size, len(side))
@@ -379,7 +383,7 @@ def _cut_report(
     if congestion == leaving:
         inside_ok = crossings_ok = True
     else:
-        inside_ok, crossings_ok = _route_hits(guest, routing, tally, cut)
+        inside_ok, crossings_ok = _route_hits(routing, tally, cut)
     return CutConditionReport(inside_ok, crossings_ok, optimal, leaving)
 
 

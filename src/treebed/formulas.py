@@ -15,6 +15,7 @@ helpers below compute.  Single-tree forms are the chain forms at n1 = n.
 from __future__ import annotations
 
 from treebed.errors import ConsistencyError
+from treebed.graphs import MAX_N, check_guest_shape
 from treebed.isoperimetric import max_subgraph_edges_closed_form
 
 __all__ = [
@@ -29,18 +30,8 @@ __all__ = [
     "closed_form_wirelength",
 ]
 
-MAX_N = 20  # keeps every wirelength below 2**63 and instances enumerable
-
-
-def _check(n: int, p: int) -> None:
-    if not 2 <= p <= n:
-        raise ValueError(f"need 2 <= p <= n, got n={n}, p={p}")
-    if n > MAX_N:
-        raise ValueError(f"n={n} exceeds the supported maximum of {MAX_N}")
-
-
 def _check_chain(n: int, n1: int, p: int) -> None:
-    _check(n, p)
+    check_guest_shape(n, p)
     if not 1 <= n1 <= n:
         raise ValueError(f"need 1 <= n1 <= n, got n1={n1}, n={n}")
 
@@ -51,7 +42,7 @@ def interval_boundary_congestion(size: int, n: int, p: int) -> int:
     Any ``size`` consecutive guest labels form such a set, so this is the
     minimum congestion of a cut isolating ``size`` labels.
     """
-    _check(n, p)
+    check_guest_shape(n, p)
     if not 0 <= size <= 1 << n:
         raise ValueError(f"size={size} out of range 0..{1 << n}")
     degree = (1 << (n - p)) * ((1 << p) - 1)
@@ -67,7 +58,7 @@ def branch_cut_congestion(j: int, n: int, p: int) -> int:
     pair inside it can be adjacent; past that the partite sets saturate and
     the count grows linearly per level.
     """
-    _check(n, p)
+    check_guest_shape(n, p)
     if not 1 <= j <= n:
         raise ValueError(f"need 1 <= j <= n, got j={j}")
     if j <= p:
@@ -83,7 +74,7 @@ def pair_cut_congestion(j: int, n: int, p: int) -> int:
     These are the cuts around a sibling pair; the component holds
     ``2**(j+1) - 2`` labels.
     """
-    _check(n, p)
+    check_guest_shape(n, p)
     if not 1 <= j <= n - 1:
         raise ValueError(f"need 1 <= j <= n - 1, got j={j}")
     if j + 1 <= p:

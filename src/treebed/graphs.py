@@ -6,8 +6,11 @@ as ``(min, max)`` tuples so every edge has exactly one representation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
+from math import comb
 from typing import Iterable
 
 __all__ = [
@@ -18,6 +21,8 @@ __all__ = [
     "check_guest_shape",
     "induced_edge_count",
 ]
+
+MAX_N = 20  # largest n of a guest; the closed forms share the cap
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -89,12 +94,24 @@ class Guest:
     The graph is ``K_{r,...,r}`` with ``2**p`` partite sets of ``r = 2**(n-p)``
     vertices each.  Vertex ``m`` belongs to partite set ``((m - 1) % 2**p) + 1``,
     so the partite sets interleave: any window of consecutive vertices is
-    spread as evenly as possible over the partite sets.
+    spread as evenly as possible over the partite sets.  Two vertices are
+    adjacent exactly when their partite sets differ, so ``(n, p)`` is the
+    whole graph; ``graph`` builds the edge set only when asked.
     """
 
-    graph: Graph
     n: int
     p: int
+
+    def __post_init__(self) -> None:
+        check_guest_shape(self.n, self.p)
+
+    @property
+    def vertex_count(self) -> int:
+        return 1 << self.n
+
+    @property
+    def edge_count(self) -> int:
+        return self.vertex_count * self.degree // 2
 
     @property
     def part_count(self) -> int:
@@ -107,19 +124,34 @@ class Guest:
     @property
     def degree(self) -> int:
         """Common degree: everything outside the vertex's own partite set."""
-        return (1 << self.n) - self.part_size
+        return self.vertex_count - self.part_size
 
     def partite_of(self, m: int) -> int:
-        if not 1 <= m <= self.graph.vertex_count:
-            raise ValueError(f"vertex {m} out of range 1..{self.graph.vertex_count}")
+        if not 1 <= m <= self.vertex_count:
+            raise ValueError(f"vertex {m} out of range 1..{self.vertex_count}")
         return ((m - 1) % self.part_count) + 1
 
     @cached_property
     def partites(self) -> tuple[frozenset[int], ...]:
-        parts: list[set[int]] = [set() for _ in range(self.part_count)]
-        for m in range(1, self.graph.vertex_count + 1):
-            parts[(m - 1) % self.part_count].add(m)
-        return tuple(frozenset(s) for s in parts)
+        return tuple(
+            frozenset(range(first, self.vertex_count + 1, self.part_count))
+            for first in range(1, self.part_count + 1)
+        )
+
+    def induced_edge_count(self, subset: Iterable[int]) -> int:
+        """Edges with both ends in ``subset``: all its pairs but those
+        inside one partite set."""
+        counts = Counter(map(self.partite_of, set(subset))).values()
+        return comb(sum(counts), 2) - sum(comb(c, 2) for c in counts)
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The edge set, built on first use; only drawings and tests need it."""
+        parts = self.part_count
+        pairs = combinations(range(1, self.vertex_count + 1), 2)
+        # u and v share a partite set exactly when parts divides v - u.
+        edges = frozenset((u, v) for u, v in pairs if (v - u) % parts)
+        return Graph(self.vertex_count, edges)
 
 
 def build_complete_multipartite(part_sizes: Iterable[int]) -> Graph:
@@ -148,32 +180,19 @@ def build_complete_multipartite(part_sizes: Iterable[int]) -> Graph:
 
 
 def check_guest_shape(n: int, p: int) -> None:
-    """Raise ``ValueError`` unless ``2 <= p <= n <= 20``.
-
-    The upper bound keeps instances inside the integer-width and memory
-    envelope the rest of the package assumes.
-    """
+    """Raise ``ValueError`` unless ``2 <= p <= n <= MAX_N``."""
     if not 2 <= p <= n:
         raise ValueError(f"need 2 <= p <= n, got n={n}, p={p}")
-    if n > 20:
-        raise ValueError(f"n={n} exceeds the supported maximum of 20")
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds the supported maximum of {MAX_N}")
 
 
 def build_guest(n: int, p: int) -> Guest:
     """Guest graph on ``2**n`` vertices with ``2**p`` interleaved partite sets.
 
-    Requires ``2 <= p <= n <= 20`` (see ``check_guest_shape``).
+    Requires ``2 <= p <= n <= MAX_N`` (see ``check_guest_shape``).
     """
-    check_guest_shape(n, p)
-    count = 1 << n
-    parts = 1 << p
-    edges = frozenset(
-        (u, v)
-        for u in range(1, count + 1)
-        for v in range(u + 1, count + 1)
-        if (u - 1) % parts != (v - 1) % parts
-    )
-    return Guest(Graph(count, edges), n, p)
+    return Guest(n, p)
 
 
 def induced_edge_count(graph: Graph, subset: Iterable[int]) -> int:

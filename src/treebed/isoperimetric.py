@@ -14,7 +14,7 @@ from math import comb
 from typing import Iterable
 
 from treebed.errors import BudgetExceededError
-from treebed.graphs import Graph, Guest, induced_edge_count
+from treebed.graphs import Graph, Guest
 
 __all__ = [
     "MspResult",
@@ -105,7 +105,7 @@ def max_subgraph_edges_bruteforce(
 def is_optimal_set(guest: Guest, subset: Iterable[int]) -> bool:
     """Whether ``subset`` induces the maximum edge count for its size."""
     chosen = set(subset)
-    induced = induced_edge_count(guest.graph, chosen)
+    induced = guest.induced_edge_count(chosen)
     return induced == max_subgraph_edges_closed_form(
         guest.part_count, guest.part_size, len(chosen)
     )

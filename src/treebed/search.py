@@ -78,7 +78,7 @@ class SearchResult:
 
 def _instance_tables(guest: Guest, host: HostTree) -> tuple[int, list[list[int]]]:
     """Vertex count and the 0-based label distance rows of the host."""
-    count = guest.graph.vertex_count
+    count = guest.vertex_count
     if count != host.graph.vertex_count:
         raise ValueError(
             f"guest has {count} vertices but host has {host.graph.vertex_count}"

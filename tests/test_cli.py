@@ -298,6 +298,18 @@ def test_verify_text_bytes(capsys):
     )
 
 
+def test_swap_label_out_of_range(capsys):
+    for command in ("wirelength", "verify"):
+        code, out, err = run(
+            capsys, command, "--n", "3", "--p", "2", "--swap", "1", "9"
+        )
+        assert (code, out, err) == (2, "", "error: label 9 out of range 1..8\n")
+        code, _, err = run(
+            capsys, command, "--n", "3", "--p", "2", "--swap", "0", "2"
+        )
+        assert (code, err) == (2, "error: label 0 out of range 1..8\n")
+
+
 def test_guest_json(capsys):
     code, data, _ = run_json(capsys, "guest", "--n", "3", "--p", "2")
     assert code == 0

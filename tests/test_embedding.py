@@ -3,7 +3,7 @@ import weakref
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import bfs_distances, canonical_route
@@ -21,8 +21,12 @@ from treebed import (
     cut_congestion,
     cut_family,
     edge_congestion,
+    exhaustive_min_wirelength,
     identity_embedding,
     inorder_labeling,
+    is_optimal_set,
+    local_search_min,
+    max_subgraph_edges_closed_form,
     route,
     sibling_layout_labeling,
     verify_cut_conditions,
@@ -321,6 +325,43 @@ def test_build_report_leaves_no_instance_alive():
     refs = [weakref.ref(guest), weakref.ref(host)]
     del guest, host
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_engine_never_materializes_the_guest():
+    guest = build_guest(3, 2)
+    for host in (T31, ST31):
+        identity = identity_embedding(guest, host)
+        for emb in (identity, identity.swapped(1, 7)):
+            build_report(guest, host, emb)
+            # Every label interval's boundary: the non-convex ones need the
+            # per-route hit count.
+            for lo in range(1, 9):
+                for hi in range(lo, 8):
+                    boundary = frozenset(
+                        (a, b) for a, b in host.label_edges
+                        if (lo <= a <= hi) != (lo <= b <= hi)
+                    )
+                    cut = EdgeCut("X", None, 1, boundary, lo, hi)
+                    verify_cut_conditions(guest, host, emb, cut)
+        exhaustive_min_wirelength(guest, host)
+        local_search_min(guest, host, seed=3, iterations=2)
+    assert "graph" not in vars(guest)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_partite_counts_match_the_edge_list(data):
+    # random vertex sets that are not intervals, against the materialized edges
+    n = data.draw(st.integers(2, 6))
+    p = data.draw(st.integers(2, n))
+    guest = build_guest(n, p)
+    chosen = data.draw(st.sets(st.integers(1, guest.vertex_count), min_size=2))
+    assume(max(chosen) - min(chosen) >= len(chosen))
+    induced = sum(1 for u, v in guest.graph.edges if u in chosen and v in chosen)
+    leaving = sum(1 for u, v in guest.graph.edges if (u in chosen) != (v in chosen))
+    assert congestion_lemma_value(guest, chosen) == leaving
+    best = max_subgraph_edges_closed_form(guest.part_count, guest.part_size, len(chosen))
+    assert is_optimal_set(guest, chosen) == (induced == best)
 
 
 def test_same_partite_swap_changes_nothing():

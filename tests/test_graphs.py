@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -103,17 +104,21 @@ def test_guest_degrees_are_uniform():
                 guest.graph.degree(v) == expected
                 for v in range(1, guest.graph.vertex_count + 1)
             )
+            assert guest.vertex_count == guest.graph.vertex_count
+            assert guest.edge_count == guest.graph.edge_count
 
 
 def test_induced_edge_count_examples():
     guest = build_guest(3, 2)
-    assert induced_edge_count(guest.graph, set()) == 0
-    assert induced_edge_count(guest.graph, {1}) == 0
-    assert induced_edge_count(guest.graph, {1, 2, 3}) == 3
-    assert induced_edge_count(guest.graph, range(1, 7)) == 13
-    assert induced_edge_count(guest.graph, range(1, 9)) == 24
-    with pytest.raises(ValueError):
-        induced_edge_count(guest.graph, {0, 1})
+    # the edge-list count and the guest's partite count
+    for count in (partial(induced_edge_count, guest.graph), guest.induced_edge_count):
+        assert count(set()) == 0
+        assert count({1}) == 0
+        assert count({1, 2, 3}) == 3
+        assert count(range(1, 7)) == 13
+        assert count(range(1, 9)) == 24
+        with pytest.raises(ValueError):
+            count({0, 1})
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
