@@ -23,6 +23,7 @@ from treebed.hosts import (
     LAYOUT_VARIANTS,
     HostTree,
     build_host,
+    check_host_shape,
     inorder_labeling,
     sibling_layout_labeling,
 )
@@ -274,6 +275,11 @@ def cmd_sweep(args) -> int:
     if args.exhaustive and args.engine == "off":
         raise ValueError("--exhaustive needs the engine; drop --engine off")
     rows = list(_sweep_rows(args))
+    if not rows:
+        raise ValueError(
+            "the sweep selects no instance: it needs some n in "
+            f"{args.n_min}..{args.n_max} with 2 <= p <= n and 1 <= n1 <= n"
+        )
     failed = any(
         row[col] is False
         for row in rows
@@ -356,6 +362,7 @@ def cmd_export_dot(args) -> int:
     else:
         if args.n1 is None:
             raise ValueError("host export needs --n1")
+        check_host_shape(args.n1, args.k)
         if args.k * (1 << args.n1) > 1024:
             raise ValueError("host export is capped at 1024 vertices")
         text = _host_dot(_build_labeled(args.n1, args.k, args.host, args.variant))

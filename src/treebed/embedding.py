@@ -14,13 +14,13 @@ closed forms.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from treebed import formulas
 from treebed.errors import CoverageError, ConsistencyError
-from treebed.graphs import Guest
+from treebed.frozen import Frozen
+from treebed.graphs import Guest, induced_by_partite_counts
 from treebed.hosts import EdgeCut, HostTree, RoutingTables, cut_family
 from treebed.isoperimetric import max_subgraph_edges_closed_form
 
@@ -47,20 +47,20 @@ def _check_labels(count: int, *labels: int) -> None:
             raise ValueError(f"label {lab} out of range 1..{count}")
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Frozen):
     """A bijection from guest vertices onto host labels.
 
     ``assignment[m - 1]`` is the label of guest vertex ``m``.  Stored as a
     tuple so embeddings hash and compare by value.
     """
 
+    _fields = ("assignment",)
     assignment: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        count = len(self.assignment)
-        if sorted(self.assignment) != list(range(1, count + 1)):
+    def __init__(self, assignment: tuple[int, ...]) -> None:
+        if sorted(assignment) != list(range(1, len(assignment) + 1)):
             raise ValueError("assignment is not a bijection onto 1..vertex_count")
+        self._set(assignment=assignment)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, int]) -> Embedding:
@@ -81,8 +81,7 @@ class Embedding:
         return Embedding(tuple(seq))
 
 
-@dataclass(frozen=True)
-class CutConditionReport:
+class CutConditionReport(NamedTuple):
     """The three congestion-lemma conditions for one cut.
 
     ``inside_avoids_cut``: no routed path between same-side guest vertices
@@ -104,16 +103,14 @@ class CutConditionReport:
         return self.inside_avoids_cut and self.crossings_cross_once and self.preimages_optimal
 
 
-@dataclass(frozen=True)
-class CutReport:
+class CutReport(NamedTuple):
     family: str
     j: int | None
     i: int
     ec: int
 
 
-@dataclass(frozen=True)
-class WirelengthReport:
+class WirelengthReport(NamedTuple):
     """All wirelength computations for one (guest, host, embedding) run.
 
     ``cut_conditions[i]`` is the condition report for the cut of
@@ -211,10 +208,10 @@ class _Tally:
 
     ``load[i]`` counts the guest edges whose canonical route uses host edge
     ``host.routing.edges[i]``; ``vertex_at[lab]`` is the guest vertex placed
-    on label ``lab``.
+    on label ``lab`` and ``partite_at[lab]`` its partite set.
     """
 
-    __slots__ = ("guest", "embedding", "vertex_at", "load")
+    __slots__ = ("guest", "embedding", "vertex_at", "partite_at", "load")
 
     def __init__(
         self, guest: Guest, routing: RoutingTables, embedding: Embedding
@@ -226,6 +223,7 @@ class _Tally:
         for m, lab in enumerate(labels, start=1):
             vertex_at[lab] = m
         self.vertex_at = vertex_at
+        self.partite_at = [0] + [guest.partite_of(m) for m in vertex_at[1:]]
         # Every guest edge is routed toward its larger label.  In the in-tree
         # of goal g, a host edge carries one route per source below it, so
         # sweeping away from the leaves adds each subtree's count once.
@@ -243,9 +241,9 @@ class _Tally:
     def sources(self, goal: int) -> list[int]:
         """Per label, 1 when it is below ``goal`` and its guest vertex is
         adjacent to the one on ``goal`` (lies in another partite set), else 0."""
-        guest, labels = self.guest, self.embedding.assignment
+        labels = self.embedding.assignment
         flags = [0] + [1] * (goal - 1) + [0] * (len(labels) + 1 - goal)
-        for w in guest.partites[guest.partite_of(self.vertex_at[goal]) - 1]:
+        for w in self.guest.partites[self.partite_at[goal] - 1]:
             flags[labels[w - 1]] = 0
         return flags
 
@@ -284,11 +282,9 @@ def cut_congestion(
     return sum(edge_congestion(guest, host, embedding, e) for e in cut.cut_edges)
 
 
-def _leaving_and_induced(guest: Guest, subset: Iterable[int]) -> tuple[int, int]:
-    """Guest edges with exactly one, and with both, endpoints in ``subset``."""
-    chosen = set(subset)
-    induced = guest.induced_edge_count(chosen)
-    return len(chosen) * guest.degree - 2 * induced, induced
+def _cut_load(load: list[int], edge_index: dict, cut: EdgeCut) -> int:
+    """Total of ``load`` over the cut's edges, which must be host edges."""
+    return sum(load[edge_index[e]] for e in cut.cut_edges)
 
 
 def congestion_lemma_value(guest: Guest, subset: Iterable[int]) -> int:
@@ -297,19 +293,20 @@ def congestion_lemma_value(guest: Guest, subset: Iterable[int]) -> int:
     When a cut's preimage is an optimal set this is the smallest congestion
     any embedding can put on that cut.
     """
-    return _leaving_and_induced(guest, subset)[0]
+    chosen = set(subset)
+    return len(chosen) * guest.degree - 2 * guest.induced_edge_count(chosen)
 
 
-def _smaller_side(cut: EdgeCut, count: int) -> Iterable[int]:
-    """Labels of the cut's smaller side.
+def _smaller_side(cut: EdgeCut, count: int) -> tuple[range, ...]:
+    """Label runs that make up the cut's smaller side.
 
     Both sides have the same edge boundary and the same guest edges leaving
     them, so scanning the smaller one is enough.
     """
     lo, hi = cut.component_lo, cut.component_hi
     if 2 * (hi - lo + 1) <= count:
-        return range(lo, hi + 1)
-    return chain(range(1, lo), range(hi + 1, count + 1))
+        return (range(lo, hi + 1),)
+    return (range(1, lo), range(hi + 1, count + 1))
 
 
 def _check_boundary(host: HostTree, cut: EdgeCut) -> None:
@@ -322,7 +319,7 @@ def _check_boundary(host: HostTree, cut: EdgeCut) -> None:
     adjacency = host.label_adjacency
     boundary = {
         (a, b) if a < b else (b, a)
-        for a in _smaller_side(cut, count)
+        for a in chain.from_iterable(_smaller_side(cut, count))
         for b in adjacency[a]
         if (lo <= a <= hi) != (lo <= b <= hi)
     }
@@ -364,17 +361,20 @@ def _cut_report(
 ) -> CutConditionReport:
     _check_boundary(host, cut)
     routing = host.routing
-    load, index = tally.load, routing.edge_index
-    congestion = sum(load[index[e]] for e in cut.cut_edges)
+    congestion = _cut_load(tally.load, routing.edge_index, cut)
     count = len(tally.vertex_at) - 1
-    side = [tally.vertex_at[lab] for lab in _smaller_side(cut, count)]
-    leaving, induced = _leaving_and_induced(guest, side)
+    counts: Counter[int] = Counter()
+    for run in _smaller_side(cut, count):
+        counts.update(tally.partite_at[run.start:run.stop])
+    side = sum(counts.values())
+    induced = induced_by_partite_counts(counts.values())
+    leaving = side * guest.degree - 2 * induced
     # Every guest edge lies inside one side or leaves both.
     other = guest.edge_count - induced - leaving
     parts, size = guest.part_count, guest.part_size
     optimal = (
-        induced == max_subgraph_edges_closed_form(parts, size, len(side))
-        and other == max_subgraph_edges_closed_form(parts, size, count - len(side))
+        induced == max_subgraph_edges_closed_form(parts, size, side)
+        and other == max_subgraph_edges_closed_form(parts, size, count - side)
     )
     # Each route crossing the cut uses an odd number of its edges and each
     # other route an even number, so the congestion is at least the number
@@ -422,10 +422,8 @@ def wirelength_via_partition(
     if len(counts) != 1 or coverage.keys() != host.label_edges:
         raise CoverageError("cut family does not cover every host edge uniformly")
     k_mult = counts.pop()
-    total = sum(
-        cut.multiplicity_share * cut_congestion(guest, host, embedding, cut)
-        for cut in cuts
-    )
+    load, index = _tally(guest, host, embedding).load, host.routing.edge_index
+    total = sum(cut.multiplicity_share * _cut_load(load, index, cut) for cut in cuts)
     if total % k_mult:
         raise ConsistencyError(
             f"weighted congestion {total} is not divisible by coverage {k_mult}"
@@ -443,9 +441,9 @@ def build_report(
     """Run every wirelength computation for one instance and bundle the results."""
     cuts = cut_family(host)
     tally = _tally(guest, host, embedding)
+    load, index = tally.load, host.routing.edge_index
     per_cut = tuple(
-        CutReport(c.family, c.j, c.i, cut_congestion(guest, host, embedding, c))
-        for c in cuts
+        CutReport(c.family, c.j, c.i, _cut_load(load, index, c)) for c in cuts
     )
     conditions = tuple(_cut_report(guest, host, tally, c) for c in cuts)
     return WirelengthReport(
@@ -454,7 +452,7 @@ def build_report(
         n1=host.n1,
         k=host.k,
         host_kind=host.kind,
-        direct=wirelength_direct(guest, host, embedding),
+        direct=sum(load),
         via_partition=wirelength_via_partition(guest, host, embedding, cuts),
         closed_form=formulas.closed_form_wirelength(
             guest.n, guest.p, n1=host.n1, sibling=host.sibling

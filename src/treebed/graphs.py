@@ -7,11 +7,12 @@ as ``(min, max)`` tuples so every edge has exactly one representation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Collection, Iterable
+
+from treebed.frozen import Frozen
 
 __all__ = [
     "Graph",
@@ -19,6 +20,7 @@ __all__ = [
     "build_complete_multipartite",
     "build_guest",
     "check_guest_shape",
+    "induced_by_partite_counts",
     "induced_edge_count",
 ]
 
@@ -29,8 +31,7 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Immutable undirected simple graph.
 
     Parameters
@@ -41,17 +42,19 @@ class Graph:
         Normalized ``(min, max)`` pairs with distinct endpoints in range.
     """
 
+    _fields = ("vertex_count", "edges")
     vertex_count: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        if self.vertex_count < 1:
-            raise ValueError(f"vertex_count must be positive, got {self.vertex_count}")
-        for u, v in self.edges:
+    def __init__(self, vertex_count: int, edges: frozenset[tuple[int, int]]) -> None:
+        if vertex_count < 1:
+            raise ValueError(f"vertex_count must be positive, got {vertex_count}")
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u < v <= self.vertex_count):
+            if not (1 <= u < v <= vertex_count):
                 raise ValueError(f"edge ({u}, {v}) is out of range or not normalized")
+        self._set(vertex_count=vertex_count, edges=edges)
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -87,8 +90,7 @@ class Graph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class Guest:
+class Guest(Frozen):
     """A balanced complete multipartite graph on ``2**n`` vertices.
 
     The graph is ``K_{r,...,r}`` with ``2**p`` partite sets of ``r = 2**(n-p)``
@@ -99,11 +101,13 @@ class Guest:
     whole graph; ``graph`` builds the edge set only when asked.
     """
 
+    _fields = ("n", "p")
     n: int
     p: int
 
-    def __post_init__(self) -> None:
-        check_guest_shape(self.n, self.p)
+    def __init__(self, n: int, p: int) -> None:
+        check_guest_shape(n, p)
+        self._set(n=n, p=p)
 
     @property
     def vertex_count(self) -> int:
@@ -139,10 +143,10 @@ class Guest:
         )
 
     def induced_edge_count(self, subset: Iterable[int]) -> int:
-        """Edges with both ends in ``subset``: all its pairs but those
-        inside one partite set."""
-        counts = Counter(map(self.partite_of, set(subset))).values()
-        return comb(sum(counts), 2) - sum(comb(c, 2) for c in counts)
+        """Edges with both ends in ``subset``."""
+        return induced_by_partite_counts(
+            Counter(map(self.partite_of, set(subset))).values()
+        )
 
     @cached_property
     def graph(self) -> Graph:
@@ -152,6 +156,13 @@ class Guest:
         # u and v share a partite set exactly when parts divides v - u.
         edges = frozenset((u, v) for u, v in pairs if (v - u) % parts)
         return Graph(self.vertex_count, edges)
+
+
+def induced_by_partite_counts(counts: Collection[int]) -> int:
+    """Edges of a balanced complete multipartite guest induced by a vertex
+    set with ``counts[j]`` vertices in partite set ``j``: all its pairs but
+    those inside one partite set."""
+    return comb(sum(counts), 2) - sum(comb(c, 2) for c in counts)
 
 
 def build_complete_multipartite(part_sizes: Iterable[int]) -> Graph:

@@ -17,10 +17,11 @@ downstream of labeling works in label space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from treebed.errors import ConsistencyError, UnlabeledHostError
+from treebed.frozen import Frozen
 from treebed.graphs import Graph
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "RoutingTables",
     "EdgeCut",
     "build_host",
+    "check_host_shape",
     "inorder_labeling",
     "sibling_layout_labeling",
     "cut_family",
@@ -39,8 +41,7 @@ __all__ = [
 LAYOUT_VARIANTS = (0, 1, 2, 3)
 
 
-@dataclass(frozen=True, eq=False)
-class HostTree:
+class HostTree(Frozen):
     """A built host; compared and hashed by identity.
 
     ``level_of`` maps vertex ids to levels: pendants sit at level 0, tree
@@ -48,15 +49,30 @@ class HostTree:
     a labeling function produces a labeled copy.
     """
 
-    graph: Graph
-    n1: int
-    k: int
-    sibling: bool
-    level_of: dict[int, int]
-    parent_of: dict[int, int]
-    sibling_pairs: frozenset[tuple[int, int]]
-    root_chain: tuple[int, ...]
-    label_of: dict[int, int] | None = None
+    _fields = (
+        "graph", "n1", "k", "sibling", "level_of", "parent_of", "sibling_pairs",
+        "root_chain", "label_of",
+    )
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        graph: Graph,
+        n1: int,
+        k: int,
+        sibling: bool,
+        level_of: dict[int, int],
+        parent_of: dict[int, int],
+        sibling_pairs: frozenset[tuple[int, int]],
+        root_chain: tuple[int, ...],
+        label_of: dict[int, int] | None = None,
+    ) -> None:
+        self._set(
+            graph=graph, n1=n1, k=k, sibling=sibling, level_of=level_of,
+            parent_of=parent_of, sibling_pairs=sibling_pairs,
+            root_chain=root_chain, label_of=label_of,
+        )
 
     @property
     def is_labeled(self) -> bool:
@@ -166,8 +182,7 @@ class RoutingTables:
             self.sweep.append(order)
 
 
-@dataclass(frozen=True)
-class EdgeCut:
+class EdgeCut(NamedTuple):
     """One cut in a host's edge-cut family.
 
     ``cut_edges`` are label pairs.  Removing them splits the host in two;
@@ -192,16 +207,21 @@ class EdgeCut:
         return range(self.component_lo, self.component_hi + 1)
 
 
+def check_host_shape(n1: int, k: int) -> None:
+    """Raise ``ValueError`` unless ``n1 >= 1`` and ``k >= 1``."""
+    if n1 < 1:
+        raise ValueError(f"n1 must be at least 1, got {n1}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
 def build_host(n1: int, k: int, sibling: bool = False) -> HostTree:
     """Assemble the host with ``k`` blocks of height ``n1``.
 
     ``sibling=True`` adds the edge between the two children of every
     internal tree vertex (``2**(n1-1) - 1`` extra edges per block).
     """
-    if n1 < 1:
-        raise ValueError(f"n1 must be at least 1, got {n1}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    check_host_shape(n1, k)
     if k * (1 << n1) > (1 << 20):
         raise ValueError(f"host with k={k}, n1={n1} exceeds the supported 2**20 vertices")
 
@@ -292,7 +312,7 @@ def _apply_block_order(host: HostTree, order: list[int]) -> HostTree:
         for idx, h in enumerate(order, start=1):
             label_of[base + h] = base + idx
         label_of[base + block] = base + block
-    return replace(host, label_of=label_of)
+    return host._replace(label_of=label_of)
 
 
 def inorder_labeling(host: HostTree) -> HostTree:

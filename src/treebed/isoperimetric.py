@@ -8,10 +8,9 @@ brute-force counterpart exists to check that claim on small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from treebed.errors import BudgetExceededError
 from treebed.graphs import Graph, Guest
@@ -26,8 +25,7 @@ __all__ = [
 DEFAULT_SUBSET_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class MspResult:
+class MspResult(NamedTuple):
     """Outcome of a maximum-subgraph search: size, value, and one witness."""
 
     k: int

@@ -16,8 +16,8 @@ across platforms and Python versions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from treebed.embedding import Embedding
 from treebed.errors import BudgetExceededError
@@ -66,8 +66,7 @@ class _SplitMix64:
             seq[i], seq[j] = seq[j], seq[i]
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of a search: value, witness embedding, work done."""
 
     best_value: int

@@ -365,14 +365,17 @@ def test_sweep_fixed_p_binary_only(capsys):
 
 
 def test_sweep_empty_range(capsys):
-    code, out, _ = run(capsys, "sweep", "--n-min", "3", "--n-max", "2")
-    assert code == 0
-    assert out.strip().split("\n") == ["n,p,n1,k,host,closed_form,direct,"
-                                       "via_partition,exhaustive_min,"
-                                       "formula_matches_direct,"
-                                       "partition_matches_direct,"
-                                       "exhaustive_matches_closed_form,"
-                                       "cut_conditions_ok"]
+    # A selection with no instance is a usage error, not an empty table.
+    for bounds in (
+        ("--n-min", "3", "--n-max", "2"),
+        ("--n-min", "5", "--n-max", "3"),
+        ("--n-min", "2", "--n-max", "3", "--p", "9"),
+        ("--n-min", "0", "--n-max", "1"),
+        ("--n-min", "2", "--n-max", "3", "--n1", "4", "--output", "json"),
+    ):
+        code, out, err = run(capsys, "sweep", *bounds)
+        assert (code, out) == (2, ""), bounds
+        assert err.startswith("error: the sweep selects no instance"), bounds
 
 
 def test_sweep_json_output(capsys):
@@ -466,6 +469,9 @@ def test_export_dot_validation(capsys):
     assert code == 2
     code, _, err = run(capsys, "export-dot", "host", "--n1", "11")
     assert code == 2 and "1024" in err
+    # n1 is checked before the vertex cap computes 2**n1.
+    code, out, err = run(capsys, "export-dot", "host", "--n1", "-1")
+    assert (code, out, err) == (2, "", "error: n1 must be at least 1, got -1\n")
 
 
 def test_usage_errors(capsys):

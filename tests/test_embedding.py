@@ -1,6 +1,5 @@
 import random
 import weakref
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -236,9 +235,9 @@ def test_verify_rejects_cut_that_is_not_an_interval_boundary():
     emb = identity_embedding(guest, ST31)
     cut = _cut(ST31, ("S", 2, 1))
     assert len(cut.cut_edges) == 2
-    partial = replace(cut, cut_edges=frozenset(sorted(cut.cut_edges)[:1]))
-    extra = replace(cut, cut_edges=cut.cut_edges | {(7, 8)})
-    outside = replace(cut, component_lo=0)
+    partial = cut._replace(cut_edges=frozenset(sorted(cut.cut_edges)[:1]))
+    extra = cut._replace(cut_edges=cut.cut_edges | {(7, 8)})
+    outside = cut._replace(component_lo=0)
     for bad in (partial, extra, outside):
         with pytest.raises(ValueError):
             verify_cut_conditions(guest, ST31, emb, bad)
@@ -434,10 +433,10 @@ def test_report_consistency_flags():
     guest = build_guest(3, 2)
     report = build_report(guest, T31, identity_embedding(guest, T31))
     assert report.consistent
-    assert replace(report, exhaustive_min=report.direct).consistent
-    assert not replace(report, exhaustive_min=report.direct - 1).consistent
-    assert replace(report, local_search_min=report.closed_form + 2).consistent
-    assert not replace(report, local_search_min=report.closed_form - 1).consistent
+    assert report._replace(exhaustive_min=report.direct).consistent
+    assert not report._replace(exhaustive_min=report.direct - 1).consistent
+    assert report._replace(local_search_min=report.closed_form + 2).consistent
+    assert not report._replace(local_search_min=report.closed_form - 1).consistent
 
     broken = build_report(guest, T31, identity_embedding(guest, T31).swapped(1, 7))
     assert broken.direct == 58
