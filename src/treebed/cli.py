@@ -363,7 +363,7 @@ def cmd_export_dot(args) -> int:
         if args.n1 is None:
             raise ValueError("host export needs --n1")
         check_host_shape(args.n1, args.k)
-        if args.k * (1 << args.n1) > 1024:
+        if args.n1 > 10 or args.k * (1 << args.n1) > 1024:
             raise ValueError("host export is capped at 1024 vertices")
         text = _host_dot(_build_labeled(args.n1, args.k, args.host, args.variant))
     _emit(args, text)

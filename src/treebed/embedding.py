@@ -1,11 +1,14 @@
 """Embedding a guest into a labeled host: routing, wirelength, cut checks.
 
 An embedding maps guest vertices bijectively onto host position labels.
-Every guest edge is routed along one shortest host path, chosen by a
-deterministic rule, so congestion counts are reproducible run to run.
-The routes toward one goal label form that label's shortest-path in-tree
-(``HostTree.routing``), so the load on every host edge is accumulated per
-subtree, one sweep per goal, instead of walking route by route.
+Every guest edge is routed along its shortest host path.  The hosts are
+trees whose only other edges join two siblings, so that path is unique:
+from a label off the goal's spine (the goal and its ancestors) it climbs,
+or steps across to a spine sibling, and on the spine it descends to the
+goal.  The routes toward one goal label form that label's in-tree
+(``HostLinks.in_tree``), built from the host's parent, chain and sibling
+links, so the load on every host edge is accumulated per subtree, one
+sweep per goal, instead of walking route by route.
 Wirelength comes out three ways that must agree: summing routed path
 lengths, summing cut congestions weighted by coverage, and (elsewhere)
 closed forms.
@@ -21,7 +24,7 @@ from treebed import formulas
 from treebed.errors import CoverageError, ConsistencyError
 from treebed.frozen import Frozen
 from treebed.graphs import Guest, induced_by_partite_counts
-from treebed.hosts import EdgeCut, HostTree, RoutingTables, cut_family
+from treebed.hosts import EdgeCut, HostLinks, HostTree, cut_family
 from treebed.isoperimetric import max_subgraph_edges_closed_form
 
 __all__ = [
@@ -182,18 +185,21 @@ def identity_embedding(guest: Guest, host: HostTree) -> Embedding:
 
 
 def route(host: HostTree, u: int, v: int) -> tuple[tuple[int, int], ...]:
-    """The canonical shortest path between labels ``u`` and ``v``.
+    """The shortest path between labels ``u`` and ``v``.
 
-    Walks from the smaller label toward the larger, always stepping to the
-    smallest-labeled neighbor that still shrinks the remaining distance
-    (``host.routing.next_hop``).  Returns the path's edges in walk order;
-    ``route(u, v) == route(v, u)``.
+    Walks from the smaller label toward the larger along the larger
+    label's in-tree (``HostLinks.in_tree``).  Shortest paths on these hosts
+    are unique, so this is also the walk that always steps to the
+    smallest-labeled neighbor still shrinking the remaining distance.
+    Returns the path's edges in walk order; ``route(u, v) == route(v, u)``.
+    Raises ``ValueError`` on a host whose edges are not exactly its parent,
+    chain and sibling links.
     """
     _check_labels(host.graph.vertex_count, u, v)
     if u == v:
         raise ValueError("route endpoints must differ")
     start, goal = (u, v) if u < v else (v, u)
-    hops = host.routing.next_hop[goal]
+    hops = host.links.in_tree(goal)[0]
     edges = []
     cur = start
     while cur != goal:
@@ -206,16 +212,14 @@ def route(host: HostTree, u: int, v: int) -> tuple[tuple[int, int], ...]:
 class _Tally:
     """Routed load on every host edge for one (guest, host, embedding).
 
-    ``load[i]`` counts the guest edges whose canonical route uses host edge
-    ``host.routing.edges[i]``; ``vertex_at[lab]`` is the guest vertex placed
+    ``load[i]`` counts the guest edges whose route uses host edge
+    ``host.links.edges[i]``; ``vertex_at[lab]`` is the guest vertex placed
     on label ``lab`` and ``partite_at[lab]`` its partite set.
     """
 
     __slots__ = ("guest", "embedding", "vertex_at", "partite_at", "load")
 
-    def __init__(
-        self, guest: Guest, routing: RoutingTables, embedding: Embedding
-    ) -> None:
+    def __init__(self, guest: Guest, links: HostLinks, embedding: Embedding) -> None:
         self.guest = guest
         self.embedding = embedding
         labels = embedding.assignment
@@ -226,16 +230,26 @@ class _Tally:
         self.partite_at = [0] + [guest.partite_of(m) for m in vertex_at[1:]]
         # Every guest edge is routed toward its larger label.  In the in-tree
         # of goal g, a host edge carries one route per source below it, so
-        # sweeping away from the leaves adds each subtree's count once.
-        load = [0] * len(routing.edges)
+        # sweeping away from the leaves adds each subtree's count once.  The
+        # spine steps down, against the deepest-first order: its labels
+        # spill during the sweep, and pass their counts down after it.
+        spill, up_edge, order = links.spill, links.up_edge, links.order
+        load = [0] * (spill + 1)
         for goal in range(2, len(labels) + 1):
             below = self.sources(goal)
-            hops, hop_edges = routing.next_hop[goal], routing.hop_edge[goal]
-            for t in routing.sweep[goal]:
+            hops, hop_edges, spine = links.in_tree(goal)
+            for t in spine:
+                hops[t], hop_edges[t] = 0, spill
+            for t in order:
                 c = below[t]
                 if c:
                     load[hop_edges[t]] += c
                     below[hops[t]] += c
+            carried = 0
+            for t, down in zip(spine, spine[1:]):
+                carried += below[t]
+                load[up_edge[down]] += carried
+        load.pop()
         self.load = load
 
     def sources(self, goal: int) -> list[int]:
@@ -252,10 +266,10 @@ def _tally(guest: Guest, host: HostTree, embedding: Embedding) -> _Tally:
     """The instance's tallies, from the host's memo when it already has them."""
     if len(embedding.assignment) != _vertex_count(guest, host):
         raise ValueError("embedding size does not match the instance")
-    routing = host.routing
-    memo = routing.memo
+    links = host.links
+    memo = links.memo
     if memo is None or memo.guest != guest or memo.embedding != embedding:
-        memo = routing.memo = _Tally(guest, routing, embedding)
+        memo = links.memo = _Tally(guest, links, embedding)
     return memo
 
 
@@ -272,7 +286,7 @@ def edge_congestion(
     edge = (a, b) if a < b else (b, a)
     if edge not in host.label_edges:
         raise ValueError(f"{host_edge} is not a host edge (in label space)")
-    return _tally(guest, host, embedding).load[host.routing.edge_index[edge]]
+    return _tally(guest, host, embedding).load[host.links.edge_index[edge]]
 
 
 def cut_congestion(
@@ -329,24 +343,21 @@ def _check_boundary(host: HostTree, cut: EdgeCut) -> None:
         )
 
 
-def _route_hits(
-    routing: RoutingTables, tally: _Tally, cut: EdgeCut
-) -> tuple[bool, bool]:
+def _route_hits(links: HostLinks, tally: _Tally, cut: EdgeCut) -> tuple[bool, bool]:
     """``(inside_avoids_cut, crossings_cross_once)`` by counting, for every
     route, the cut edges on it.
 
-    ``hits[t]`` is the number of cut edges on the in-tree path from ``t`` to
-    the goal, filled from the goal outward.
+    ``hits[t]`` is the number of cut edges on the route from ``t`` to the
+    goal.
     """
     lo, hi = cut.component_lo, cut.component_hi
-    on_cut = {routing.edge_index[e] for e in cut.cut_edges}
+    on_cut = [0] * (links.spill + 1)
+    for e in cut.cut_edges:
+        on_cut[links.edge_index[e]] = 1
     count = len(tally.vertex_at) - 1
     inside_ok = crossings_ok = True
     for goal in range(2, count + 1):
-        hops, hop_edges = routing.next_hop[goal], routing.hop_edge[goal]
-        hits = [0] * (count + 1)
-        for t in reversed(routing.sweep[goal]):
-            hits[t] = hits[hops[t]] + (hop_edges[t] in on_cut)
+        hits = links.route_sums(goal, on_cut)
         goal_inside = lo <= goal <= hi
         for src in compress(range(goal), tally.sources(goal)):
             if (lo <= src <= hi) == goal_inside:
@@ -360,8 +371,8 @@ def _cut_report(
     guest: Guest, host: HostTree, tally: _Tally, cut: EdgeCut
 ) -> CutConditionReport:
     _check_boundary(host, cut)
-    routing = host.routing
-    congestion = _cut_load(tally.load, routing.edge_index, cut)
+    links = host.links
+    congestion = _cut_load(tally.load, links.edge_index, cut)
     count = len(tally.vertex_at) - 1
     counts: Counter[int] = Counter()
     for run in _smaller_side(cut, count):
@@ -383,7 +394,7 @@ def _cut_report(
     if congestion == leaving:
         inside_ok = crossings_ok = True
     else:
-        inside_ok, crossings_ok = _route_hits(routing, tally, cut)
+        inside_ok, crossings_ok = _route_hits(links, tally, cut)
     return CutConditionReport(inside_ok, crossings_ok, optimal, leaving)
 
 
@@ -422,7 +433,7 @@ def wirelength_via_partition(
     if len(counts) != 1 or coverage.keys() != host.label_edges:
         raise CoverageError("cut family does not cover every host edge uniformly")
     k_mult = counts.pop()
-    load, index = _tally(guest, host, embedding).load, host.routing.edge_index
+    load, index = _tally(guest, host, embedding).load, host.links.edge_index
     total = sum(cut.multiplicity_share * _cut_load(load, index, cut) for cut in cuts)
     if total % k_mult:
         raise ConsistencyError(
@@ -441,7 +452,7 @@ def build_report(
     """Run every wirelength computation for one instance and bundle the results."""
     cuts = cut_family(host)
     tally = _tally(guest, host, embedding)
-    load, index = tally.load, host.routing.edge_index
+    load, index = tally.load, host.links.edge_index
     per_cut = tuple(
         CutReport(c.family, c.j, c.i, _cut_load(load, index, c)) for c in cuts
     )

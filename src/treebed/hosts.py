@@ -13,11 +13,20 @@ vertex id ``s * 2**n1 + h`` and the pendant gets ``(s + 1) * 2**n1``.  Vertex
 ids are fixed by construction; position labels (a bijection onto the same
 range) are assigned separately by a labeling function, and everything
 downstream of labeling works in label space.
+
+Without its sibling edges a host is a tree, and each sibling edge joins two
+children of one parent, so every two labels are joined by exactly one
+shortest path.  ``HostLinks`` keeps each label's parent (or chain) link and
+sibling link and builds the routes toward any goal from them: a label on
+the goal's spine (the goal and its ancestors) steps down toward the goal,
+the sibling of a spine label steps across to it, and every other label
+steps up.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 from treebed.errors import ConsistencyError, UnlabeledHostError
@@ -26,7 +35,7 @@ from treebed.graphs import Graph
 
 __all__ = [
     "HostTree",
-    "RoutingTables",
+    "HostLinks",
     "EdgeCut",
     "build_host",
     "check_host_shape",
@@ -114,72 +123,128 @@ class HostTree(Frozen):
         return {lab: tuple(sorted(ns)) for lab, ns in nbrs.items()}
 
     @cached_property
-    def routing(self) -> RoutingTables:
-        """Distances and canonical next-hop in-trees toward every label."""
-        return RoutingTables(self)
+    def links(self) -> HostLinks:
+        """Parent, chain and sibling links in label space; routes every goal."""
+        return HostLinks(self)
 
 
-class RoutingTables:
-    """Label distances and canonical shortest-path routes, as in-trees.
+class HostLinks:
+    """A labeled host's parent, chain and sibling links, in label space.
 
-    The canonical route from a label to a larger goal ``g`` always steps to
-    the smallest-labeled neighbor one step closer to ``g``.  Those steps
-    form an in-tree rooted at ``g``.  Per goal ``g``:
+    Dropping the sibling edges leaves a tree rooted at the first pendant:
+    every tree vertex hangs from its parent, every tree root from its
+    block's pendant, and every pendant from the previous one on the chain.
+    Each sibling edge joins two children of one parent.  So between any two
+    labels there is exactly one shortest path, and the canonical route (the
+    smallest-labeled neighbor one step closer to the goal, of which there is
+    only one) is that path.  Per label ``t``:
 
-    - ``distance[g][t]`` is the distance between labels ``g`` and ``t``;
-    - ``next_hop[g][t]`` is the label the route toward ``g`` steps to from
-      ``t``, and ``hop_edge[g][t]`` the index in ``edges`` of that step;
-    - ``sweep[g]`` lists every label but ``g`` in decreasing distance from
-      ``g``, so each label comes before its next hop.
+    - ``up[t]`` is the label ``t`` hangs from and ``up_edge[t]`` the index
+      in ``edges`` of that link (0 and ``spill`` at the top of the host);
+    - ``sib[t]`` is the sibling of ``t`` and ``sib_edge[t]`` the index of
+      their edge (0 and ``spill`` when ``t`` has none).
 
-    Per-goal lists are indexed by label; slot 0 and slot ``g`` of
-    ``next_hop[g]`` and ``hop_edge[g]`` are unused, as is goal 0.  ``memo``
-    holds results for the most recent (guest, embedding) routed over these
-    tables, so repeated queries on one instance share one pass and die
-    with the host.
+    ``order`` lists every label deepest first.  ``spill == len(edges)``
+    indexes no edge; it stands in where a label has no link.  ``memo``
+    holds the tallies for the most recent (guest, embedding) routed over
+    these links, so repeated queries on one instance share one pass and
+    die with the host.
     """
 
     __slots__ = (
-        "edges", "edge_index", "distance", "next_hop", "hop_edge", "sweep", "memo"
+        "edges", "edge_index", "spill", "up", "up_edge", "sib", "sib_edge",
+        "order", "memo",
     )
 
     def __init__(self, host: HostTree) -> None:
+        labels = host._require_labels()
         count = host.graph.vertex_count
-        self.edges = tuple(sorted(host.label_edges))
-        self.edge_index = {edge: idx for idx, edge in enumerate(self.edges)}
-        indexed = {
-            t: tuple((w, self.edge_index[(t, w) if t < w else (w, t)]) for w in ws)
-            for t, ws in host.label_adjacency.items()
-        }
-        self.distance: list[list[int]] = [[]]
-        self.next_hop: list[list[int]] = [[]]
-        self.hop_edge: list[list[int]] = [[]]
-        self.sweep: list[list[int]] = [[]]
+        pendants = host.root_chain
+        links = [(labels[v], labels[u]) for v, u in host.parent_of.items()]
+        links += [(labels[v], labels[u]) for u, v in zip(pendants, pendants[1:])]
+        pairs = [tuple(sorted((labels[a], labels[b]))) for a, b in host.sibling_pairs]
+        up = [0] * (count + 1)
+        sib = [0] * (count + 1)
+        for t, u in links:
+            up[t] = u
+        for a, b in pairs:
+            sib[a], sib[b] = b, a
+        edges = [(t, u) if t < u else (u, t) for t, u in links] + pairs
+        # Descend from the top a level at a time, then put deeper labels first.
+        children: list[list[int]] = [[] for _ in range(count + 1)]
+        for t in range(1, count + 1):
+            children[up[t]].append(t)
+        level = children[0]
+        order: list[int] = []
+        while level:
+            order.extend(level)
+            level = [c for t in level for c in children[t]]
+        order.reverse()
+        if (
+            len(children[0]) != 1
+            or len(order) != count
+            or len(links) != count - 1
+            or len(edges) != len(host.label_edges)
+            or set(edges) != host.label_edges
+            or any(sib[a] != b or sib[b] != a or up[a] != up[b] for a, b in pairs)
+        ):
+            raise ValueError(
+                "host edges are not exactly its parent, chain and sibling links"
+            )
+        self.edges = tuple(edges)
+        self.edge_index = {edge: idx for idx, edge in enumerate(edges)}
+        self.spill = spill = len(edges)
+        self.up = up
+        self.up_edge = [spill] * (count + 1)
+        for idx, (t, _) in enumerate(links):
+            self.up_edge[t] = idx
+        self.sib = sib
+        self.sib_edge = [spill] * (count + 1)
+        for idx, (a, b) in enumerate(pairs, start=len(links)):
+            self.sib_edge[a] = self.sib_edge[b] = idx
+        self.order = order
         self.memo = None
-        for goal in range(1, count + 1):
-            # Breadth-first from the goal: every label one step closer is
-            # scanned before the label, so the smallest one wins.
-            dist = [-1] * (count + 1)
-            dist[goal] = 0
-            hops = [0] * (count + 1)
-            hop_edges = [0] * (count + 1)
-            order = [goal]
-            for u in order:
-                du = dist[u] + 1
-                for w, edge in indexed[u]:
-                    dw = dist[w]
-                    if dw < 0:
-                        dist[w] = du
-                        hops[w], hop_edges[w] = u, edge
-                        order.append(w)
-                    elif dw == du and u < hops[w]:
-                        hops[w], hop_edges[w] = u, edge
-            self.distance.append(dist)
-            self.next_hop.append(hops)
-            self.hop_edge.append(hop_edges)
-            order.reverse()
-            order.pop()
-            self.sweep.append(order)
+
+    def in_tree(self, goal: int) -> tuple[list[int], list[int], list[int]]:
+        """Every label's route toward ``goal``, as an in-tree.
+
+        Returns ``(hops, hop_edges, spine)``: ``hops[t]`` is the label the
+        route from ``t`` steps to and ``hop_edges[t]`` the index of that
+        step's edge (0 and ``spill`` at the goal).  ``spine`` lists the
+        goal's ancestors from the top of the host down to the goal.  A label
+        off the spine steps up, unless its sibling is on the spine: then it
+        steps across to that sibling.  A spine label steps down toward the
+        goal.
+        """
+        up, up_edge, sib, sib_edge = self.up, self.up_edge, self.sib, self.sib_edge
+        hops = up[:]
+        hop_edges = up_edge[:]
+        hops[goal], hop_edges[goal] = 0, self.spill
+        spine = [goal]
+        t = goal
+        while True:
+            s = sib[t]
+            if s:
+                hops[s], hop_edges[s] = t, sib_edge[t]
+            u = up[t]
+            if not u:
+                break
+            hops[u], hop_edges[u] = t, up_edge[t]
+            spine.append(u)
+            t = u
+        spine.reverse()
+        return hops, hop_edges, spine
+
+    def route_sums(self, goal: int, weight: list[int]) -> list[int]:
+        """Per label, the total ``weight[e]`` over the edges ``e`` of its
+        route to ``goal`` (``weight[spill]`` must be 0)."""
+        hops, hop_edges, spine = self.in_tree(goal)
+        total = [0] * len(hops)
+        # The spine from the goal upward, then every label from the top
+        # down: each label comes after the label it steps to.
+        for t in chain(reversed(spine), reversed(self.order)):
+            total[t] = total[hops[t]] + weight[hop_edges[t]]
+        return total
 
 
 class EdgeCut(NamedTuple):
@@ -222,7 +287,8 @@ def build_host(n1: int, k: int, sibling: bool = False) -> HostTree:
     internal tree vertex (``2**(n1-1) - 1`` extra edges per block).
     """
     check_host_shape(n1, k)
-    if k * (1 << n1) > (1 << 20):
+    # Bound n1 first, so that an absurd n1 is refused before 2**n1 is built.
+    if n1 > 20 or k * (1 << n1) > (1 << 20):
         raise ValueError(f"host with k={k}, n1={n1} exceeds the supported 2**20 vertices")
 
     block = 1 << n1

@@ -9,7 +9,8 @@ unordered blocks of ``r`` labels, one block per partite set:
 
 The exhaustive search enumerates those partitions instead of bijections,
 and the local search prices a swap from per-block distance sums.  Both run
-in pure Python on the host's label distance table.  All randomness comes
+in pure Python on the host's label distance rows, which are built from the
+host's routing in-trees only when a search asks for them.  All randomness comes
 from a self-contained SplitMix64 generator, so results are reproducible
 across platforms and Python versions.
 """
@@ -76,14 +77,18 @@ class SearchResult(NamedTuple):
 
 
 def _instance_tables(guest: Guest, host: HostTree) -> tuple[int, list[list[int]]]:
-    """Vertex count and the 0-based label distance rows of the host."""
+    """Vertex count and the 0-based label distance rows of the host.
+
+    Row ``a`` counts the edges on every label's route to label ``a + 1``.
+    """
     count = guest.vertex_count
     if count != host.graph.vertex_count:
         raise ValueError(
             f"guest has {count} vertices but host has {host.graph.vertex_count}"
         )
-    table = host.routing.distance
-    return count, [table[a][1:] for a in range(1, count + 1)]
+    links = host.links
+    steps = [1] * links.spill + [0]
+    return count, [links.route_sums(a, steps)[1:] for a in range(1, count + 1)]
 
 
 def _partition_count(nv: int, parts: int) -> int:

@@ -59,6 +59,29 @@ def brute_force_max_induced(count, edges, k):
     return best
 
 
+def shortest_path_counts(count, edges):
+    """Number of shortest paths between every two vertices, as a dict of
+    dicts over vertices 1..count (1 from a vertex to itself)."""
+    table = bfs_distances(count, edges)
+    neighbors = {v: [] for v in range(1, count + 1)}
+    for a, b in edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    counts = {}
+    for source, dist in table.items():
+        paths = {source: 1}
+        for v in sorted(dist, key=dist.get)[1:]:
+            paths[v] = sum(paths[w] for w in neighbors[v] if dist[w] == dist[v] - 1)
+        counts[source] = paths
+    return counts
+
+
+def canonical_next_hop(table, neighbors, u, goal):
+    """The smallest neighbor of ``u`` that is one step closer to ``goal``."""
+    to_goal = table[goal]
+    return min(w for w in neighbors[u] if to_goal[w] == to_goal[u] - 1)
+
+
 def canonical_route(table, neighbors, u, v):
     """Edges of the canonical route between ``u`` and ``v``.
 
@@ -67,10 +90,9 @@ def canonical_route(table, neighbors, u, v):
     from ``bfs_distances``; ``neighbors`` maps each vertex to its neighbors.
     """
     cur, goal = min(u, v), max(u, v)
-    to_goal = table[goal]
     path = []
     while cur != goal:
-        nxt = min(w for w in neighbors[cur] if to_goal[w] == to_goal[cur] - 1)
+        nxt = canonical_next_hop(table, neighbors, cur, goal)
         path.append((min(cur, nxt), max(cur, nxt)))
         cur = nxt
     return path

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 from treebed import (
     LAYOUT_VARIANTS,
@@ -472,6 +473,22 @@ def test_export_dot_validation(capsys):
     # n1 is checked before the vertex cap computes 2**n1.
     code, out, err = run(capsys, "export-dot", "host", "--n1", "-1")
     assert (code, out, err) == (2, "", "error: n1 must be at least 1, got -1\n")
+
+
+def test_huge_n1_is_refused_before_sizing(capsys):
+    # n1 is bounded before 2**n1 is computed, so both refusals stay small.
+    tracemalloc.start()
+    try:
+        host = run(capsys, "host", "--n1", "400000000")
+        dot = run(capsys, "export-dot", "host", "--n1", "400000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert host == (
+        2, "", "error: host with k=1, n1=400000000 exceeds the supported 2**20 vertices\n"
+    )
+    assert dot == (2, "", "error: host export is capped at 1024 vertices\n")
+    assert peak < 1 << 20
 
 
 def test_usage_errors(capsys):
