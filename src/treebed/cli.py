@@ -24,6 +24,7 @@ from treebed.hosts import (
     HostTree,
     build_host,
     check_host_shape,
+    host_counts,
     inorder_labeling,
     sibling_layout_labeling,
 )
@@ -96,26 +97,21 @@ def cmd_guest(args) -> int:
 
 
 def cmd_host(args) -> int:
-    host = _build_labeled(args.n1, args.k, args.host, args.variant)
-    level_counts: dict[int, int] = {}
-    for level in host.level_of.values():
-        level_counts[level] = level_counts.get(level, 0) + 1
-    info = {
-        "schema": 1,
-        "n1": args.n1,
-        "k": args.k,
-        "kind": host.kind,
-        "vertex_count": host.graph.vertex_count,
-        "edge_count": host.graph.edge_count,
-        "sibling_edge_count": len(host.sibling_pairs),
-        "level_counts": {str(level): level_counts[level] for level in sorted(level_counts)},
-    }
-    if host.graph.vertex_count <= 256:
+    sibling = args.host == "sibling"
+    counts = host_counts(args.n1, args.k, sibling=sibling)
+    if not sibling and args.variant != 0:
+        raise ValueError("--variant applies to sibling hosts only")
+    info = {"schema": 1, "n1": args.n1, "k": args.k, "kind": args.host}
+    info.update(counts)
+    info["level_counts"] = {str(lvl): c for lvl, c in counts["level_counts"].items()}
+    # Larger hosts print only their counts, so only these are built.
+    if counts["vertex_count"] <= 256:
+        host = _build_labeled(args.n1, args.k, args.host, args.variant)
         info["label_of"] = {str(v): host.label_of[v] for v in sorted(host.label_of)}
     if args.output == "json":
         print(json.dumps(info, indent=2))
     else:
-        print(f"host: {host.kind}, {args.k} block(s) of height {args.n1}")
+        print(f"host: {args.host}, {args.k} block(s) of height {args.n1}")
         for key in ("vertex_count", "edge_count", "sibling_edge_count"):
             print(f"  {key} = {info[key]}")
     return 0

@@ -7,8 +7,9 @@ from a label off the goal's spine (the goal and its ancestors) it climbs,
 or steps across to a spine sibling, and on the spine it descends to the
 goal.  The routes toward one goal label form that label's in-tree
 (``HostLinks.in_tree``), built from the host's parent, chain and sibling
-links, so the load on every host edge is accumulated per subtree, one
-sweep per goal, instead of walking route by route.
+links, so the load on every host edge is accumulated per subtree instead
+of walking route by route.  One sweep over the labels serves 64 goals at
+once, each goal's counts in its own bit lane of a Python int (``_Tally``).
 Wirelength comes out three ways that must agree: summing routed path
 lengths, summing cut congestions weighted by coverage, and (elsewhere)
 closed forms.
@@ -209,47 +210,94 @@ def route(host: HostTree, u: int, v: int) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
+_LANES = 64  # goals packed into one int by the tally sweep
+
+
 class _Tally:
     """Routed load on every host edge for one (guest, host, embedding).
 
     ``load[i]`` counts the guest edges whose route uses host edge
-    ``host.links.edges[i]``; ``vertex_at[lab]`` is the guest vertex placed
-    on label ``lab`` and ``partite_at[lab]`` its partite set.
+    ``host.links.edges[i]``; ``partite_at[lab]`` is the partite set of the
+    guest vertex placed on label ``lab``.
+
+    Every guest edge is routed toward its larger label, so goal ``g``
+    collects one route from each label ``s < g`` outside its partite set,
+    along ``g``'s in-tree (``HostLinks.in_tree``).  One sweep serves up to
+    64 goals at once: lane ``g`` of a packed count, the ``width`` bits at
+    offset ``width * (g - first)``, is goal ``g``'s count.  ``inside[t]``
+    masks the lanes of the goals in ``t``'s subtree, whose spines run
+    through ``t``.  Deepest first, each label sends up its parent link the
+    lanes whose spine misses both it and its sibling, sends across its
+    sibling link the lanes on its sibling's spine, and holds the lanes on
+    its own spine.  Then, parents first, each label passes what it holds
+    and carries for the goals below it down its parent link.
+
+    A lane counts routes toward one goal from distinct sources, so it never
+    exceeds ``edge_count`` and, with ``2**width - 1 > edge_count``, never
+    carries into the next lane.  As ``2**width`` is 1 modulo
+    ``2**width - 1``, a packed edge total modulo ``2**width - 1`` is the sum
+    of its lanes; that sum is the edge's load from these goals, at most
+    ``edge_count``, so the remainder is the sum itself.
     """
 
-    __slots__ = ("guest", "embedding", "vertex_at", "partite_at", "load")
+    __slots__ = ("guest", "embedding", "partite_at", "load")
 
     def __init__(self, guest: Guest, links: HostLinks, embedding: Embedding) -> None:
         self.guest = guest
         self.embedding = embedding
         labels = embedding.assignment
-        vertex_at = [0] * (len(labels) + 1)
+        count = len(labels)
+        partite_at = [0] * (count + 1)
         for m, lab in enumerate(labels, start=1):
-            vertex_at[lab] = m
-        self.vertex_at = vertex_at
-        self.partite_at = [0] + [guest.partite_of(m) for m in vertex_at[1:]]
-        # Every guest edge is routed toward its larger label.  In the in-tree
-        # of goal g, a host edge carries one route per source below it, so
-        # sweeping away from the leaves adds each subtree's count once.  The
-        # spine steps down, against the deepest-first order: its labels
-        # spill during the sweep, and pass their counts down after it.
-        spill, up_edge, order = links.spill, links.up_edge, links.order
-        load = [0] * (spill + 1)
-        for goal in range(2, len(labels) + 1):
-            below = self.sources(goal)
-            hops, hop_edges, spine = links.in_tree(goal)
-            for t in spine:
-                hops[t], hop_edges[t] = 0, spill
+            partite_at[lab] = guest.partite_of(m)
+        self.partite_at = partite_at
+        up, up_edge, sib, sib_edge = links.up, links.up_edge, links.sib, links.sib_edge
+        order, spill = links.order, links.spill
+        width = (guest.edge_count + 1).bit_length()
+        fold = (1 << width) - 1
+        load = [0] * spill
+        for first in range(2, count + 1, _LANES):
+            goals = range(first, min(first + _LANES, count + 1))
+            inside = [0] * (count + 1)
+            in_part = [0] * (guest.part_count + 1)
+            for g in goals:
+                shift = width * (g - first)
+                inside[g] = fold << shift
+                in_part[partite_at[g]] |= 1 << shift
             for t in order:
-                c = below[t]
-                if c:
-                    load[hop_edges[t]] += c
-                    below[hops[t]] += c
-            carried = 0
-            for t, down in zip(spine, spine[1:]):
-                carried += below[t]
-                load[up_edge[down]] += carried
-        load.pop()
+                inside[up[t]] |= inside[t]
+            inside[0] = 0  # the mask of "no sibling"
+            # Each label starts with one route to every goal above it that
+            # lies outside its partite set.
+            every = sum(in_part)
+            lanes = [0] * (count + 1)
+            for s in range(1, goals.stop):
+                lanes[s] = every - in_part[partite_at[s]]
+                if s >= first:
+                    shift = width * (s - first + 1)
+                    lanes[s] = lanes[s] >> shift << shift
+            packed = [0] * (spill + 1)
+            for t in order:
+                x = lanes[t]
+                if x:
+                    own = x & inside[t]
+                    twin = sib[t]
+                    across = x & inside[twin]
+                    rise = x - own - across
+                    if rise:
+                        packed[up_edge[t]] += rise
+                        lanes[up[t]] += rise
+                    if across:
+                        packed[sib_edge[t]] += across
+                        lanes[twin] += across
+                    lanes[t] = own
+            for t in reversed(order):
+                down = lanes[up[t]] & inside[t]
+                if down:
+                    packed[up_edge[t]] += down
+                    lanes[t] += down
+            for e in range(spill):
+                load[e] += packed[e] % fold
         self.load = load
 
     def sources(self, goal: int) -> list[int]:
@@ -323,14 +371,15 @@ def _smaller_side(cut: EdgeCut, count: int) -> tuple[range, ...]:
     return (range(1, lo), range(hi + 1, count + 1))
 
 
-def _check_boundary(host: HostTree, cut: EdgeCut) -> None:
+def _check_boundary(
+    adjacency: Mapping[int, tuple[int, ...]], count: int, cut: EdgeCut
+) -> None:
     """Raise ``ValueError`` unless the cut edges are exactly the host edges
-    with one end in ``component_lo..component_hi``."""
+    with one end in ``component_lo..component_hi``; ``adjacency`` is the
+    host's ``label_adjacency`` and ``count`` its vertex count."""
     lo, hi = cut.component_lo, cut.component_hi
-    count = host.graph.vertex_count
     if not 1 <= lo <= hi <= count:
         raise ValueError(f"cut component {lo}..{hi} is not inside 1..{count}")
-    adjacency = host.label_adjacency
     boundary = {
         (a, b) if a < b else (b, a)
         for a in chain.from_iterable(_smaller_side(cut, count))
@@ -354,7 +403,7 @@ def _route_hits(links: HostLinks, tally: _Tally, cut: EdgeCut) -> tuple[bool, bo
     on_cut = [0] * (links.spill + 1)
     for e in cut.cut_edges:
         on_cut[links.edge_index[e]] = 1
-    count = len(tally.vertex_at) - 1
+    count = len(tally.partite_at) - 1
     inside_ok = crossings_ok = True
     for goal in range(2, count + 1):
         hits = links.route_sums(goal, on_cut)
@@ -367,35 +416,43 @@ def _route_hits(links: HostLinks, tally: _Tally, cut: EdgeCut) -> tuple[bool, bo
     return inside_ok, crossings_ok
 
 
-def _cut_report(
-    guest: Guest, host: HostTree, tally: _Tally, cut: EdgeCut
-) -> CutConditionReport:
-    _check_boundary(host, cut)
+def _cut_reports(
+    guest: Guest, host: HostTree, tally: _Tally, cuts: Iterable[EdgeCut]
+) -> tuple[CutConditionReport, ...]:
+    """The condition report of every cut, in order; see
+    ``verify_cut_conditions``."""
     links = host.links
-    congestion = _cut_load(tally.load, links.edge_index, cut)
-    count = len(tally.vertex_at) - 1
-    counts: Counter[int] = Counter()
-    for run in _smaller_side(cut, count):
-        counts.update(tally.partite_at[run.start:run.stop])
-    side = sum(counts.values())
-    induced = induced_by_partite_counts(counts.values())
-    leaving = side * guest.degree - 2 * induced
-    # Every guest edge lies inside one side or leaves both.
-    other = guest.edge_count - induced - leaving
+    load, index, partite_at = tally.load, links.edge_index, tally.partite_at
+    adjacency, count = host.label_adjacency, host.graph.vertex_count
+    degree, edge_count = guest.degree, guest.edge_count
     parts, size = guest.part_count, guest.part_size
-    optimal = (
-        induced == max_subgraph_edges_closed_form(parts, size, side)
-        and other == max_subgraph_edges_closed_form(parts, size, count - side)
-    )
-    # Each route crossing the cut uses an odd number of its edges and each
-    # other route an even number, so the congestion is at least the number
-    # of crossing guest edges, with equality exactly when both conditions
-    # hold.
-    if congestion == leaving:
-        inside_ok = crossings_ok = True
-    else:
-        inside_ok, crossings_ok = _route_hits(links, tally, cut)
-    return CutConditionReport(inside_ok, crossings_ok, optimal, leaving)
+    best: dict[int, int] = {}  # largest induced edge count by side size
+    reports = []
+    for cut in cuts:
+        _check_boundary(adjacency, count, cut)
+        congestion = _cut_load(load, index, cut)
+        counts: Counter[int] = Counter()
+        for run in _smaller_side(cut, count):
+            counts.update(partite_at[run.start:run.stop])
+        side = sum(counts.values())
+        induced = induced_by_partite_counts(counts.values())
+        leaving = side * degree - 2 * induced
+        # Every guest edge lies inside one side or leaves both.
+        other = edge_count - induced - leaving
+        for s in (side, count - side):
+            if s not in best:
+                best[s] = max_subgraph_edges_closed_form(parts, size, s)
+        optimal = induced == best[side] and other == best[count - side]
+        # Each route crossing the cut uses an odd number of its edges and
+        # each other route an even number, so the congestion is at least
+        # the number of crossing guest edges, with equality exactly when
+        # both conditions hold.
+        if congestion == leaving:
+            inside_ok = crossings_ok = True
+        else:
+            inside_ok, crossings_ok = _route_hits(links, tally, cut)
+        reports.append(CutConditionReport(inside_ok, crossings_ok, optimal, leaving))
+    return tuple(reports)
 
 
 def verify_cut_conditions(
@@ -406,7 +463,7 @@ def verify_cut_conditions(
     Raises ``ValueError`` when the cut edges are not exactly the host edges
     with one end in the cut's component interval.
     """
-    return _cut_report(guest, host, _tally(guest, host, embedding), cut)
+    return _cut_reports(guest, host, _tally(guest, host, embedding), (cut,))[0]
 
 
 def wirelength_via_partition(
@@ -456,7 +513,7 @@ def build_report(
     per_cut = tuple(
         CutReport(c.family, c.j, c.i, _cut_load(load, index, c)) for c in cuts
     )
-    conditions = tuple(_cut_report(guest, host, tally, c) for c in cuts)
+    conditions = _cut_reports(guest, host, tally, cuts)
     return WirelengthReport(
         n=guest.n,
         p=guest.p,

@@ -39,6 +39,7 @@ __all__ = [
     "EdgeCut",
     "build_host",
     "check_host_shape",
+    "host_counts",
     "inorder_labeling",
     "sibling_layout_labeling",
     "cut_family",
@@ -280,16 +281,41 @@ def check_host_shape(n1: int, k: int) -> None:
         raise ValueError(f"k must be at least 1, got {k}")
 
 
+def _check_host_size(n1: int, k: int) -> None:
+    """``check_host_shape``, then refuse hosts above 2**20 vertices."""
+    check_host_shape(n1, k)
+    # Bound n1 first, so that an absurd n1 is refused before 2**n1 is built.
+    if n1 > 20 or k * (1 << n1) > (1 << 20):
+        raise ValueError(f"host with k={k}, n1={n1} exceeds the supported 2**20 vertices")
+
+
+def host_counts(n1: int, k: int, sibling: bool = False) -> dict:
+    """The counts of ``build_host(n1, k, sibling)``, without building it.
+
+    Returns ``vertex_count``, ``edge_count``, ``sibling_edge_count`` and
+    ``level_counts`` (vertices per level, pendants at level 0), and
+    validates like ``build_host``.
+    """
+    _check_host_size(n1, k)
+    vertices = k << n1
+    siblings = k * ((1 << (n1 - 1)) - 1) if sibling else 0
+    levels = {0: k}
+    levels.update((level, k << (level - 1)) for level in range(1, n1 + 1))
+    return {
+        "vertex_count": vertices,
+        "edge_count": vertices - 1 + siblings,
+        "sibling_edge_count": siblings,
+        "level_counts": levels,
+    }
+
+
 def build_host(n1: int, k: int, sibling: bool = False) -> HostTree:
     """Assemble the host with ``k`` blocks of height ``n1``.
 
     ``sibling=True`` adds the edge between the two children of every
     internal tree vertex (``2**(n1-1) - 1`` extra edges per block).
     """
-    check_host_shape(n1, k)
-    # Bound n1 first, so that an absurd n1 is refused before 2**n1 is built.
-    if n1 > 20 or k * (1 << n1) > (1 << 20):
-        raise ValueError(f"host with k={k}, n1={n1} exceeds the supported 2**20 vertices")
+    _check_host_size(n1, k)
 
     block = 1 << n1
     top = block - 1  # largest heap index of a tree vertex
@@ -406,29 +432,6 @@ def sibling_layout_labeling(host: HostTree, variant: int = 0) -> HostTree:
     return _apply_block_order(host, _layout_heap((1 << host.n1) - 1, variant))
 
 
-def _subtree_heap(h: int, top: int) -> list[int]:
-    """Heap indices of the subtree rooted at ``h`` within ``1..top``."""
-    out: list[int] = []
-    frontier = [h]
-    while frontier:
-        out.extend(frontier)
-        frontier = [c for x in frontier for c in (2 * x, 2 * x + 1) if c <= top]
-    return out
-
-
-def _label_edge(labels: dict[int, int], u: int, v: int) -> tuple[int, int]:
-    a, b = labels[u], labels[v]
-    return (a, b) if a < b else (b, a)
-
-
-def _interval(labels: dict[int, int], ids: list[int]) -> tuple[int, int]:
-    got = sorted(labels[v] for v in ids)
-    lo, hi = got[0], got[-1]
-    if hi - lo + 1 != len(got):
-        raise ConsistencyError(f"cut component labels {got} do not form an interval")
-    return lo, hi
-
-
 def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
     """The host's standard edge-cut family, in deterministic order.
 
@@ -438,66 +441,86 @@ def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
     edge plus sibling edge), two-edge ``SS`` cuts around each sibling pair,
     a duplicate pendant cut (listed under ``SS`` at ``j = n1``), and chain
     cuts with ``multiplicity_share = 2``; every edge is covered exactly twice.
+
+    Cuts are read off the host's links: each cut edge is a label's parent
+    or sibling link, and each component is a union of subtrees whose label
+    range is taken bottom-up.  Raises ``ConsistencyError`` when a
+    component's labels are not an interval.
     """
     labels = host._require_labels()
-    n1, k = host.n1, host.k
+    links = host.links
+    up, edges, up_edge, sib_edge = links.up, links.edges, links.up_edge, links.sib_edge
+    # Lowest and highest label and label count of every label's subtree.
+    lo = list(range(host.graph.vertex_count + 1))
+    hi = lo[:]
+    size = [1] * len(lo)
+    for t in links.order:
+        u = up[t]
+        if lo[t] < lo[u]:
+            lo[u] = lo[t]
+        if hi[t] > hi[u]:
+            hi[u] = hi[t]
+        size[u] += size[t]
+
+    def interval(low: int, high: int, count: int) -> tuple[int, int]:
+        if high - low + 1 != count:
+            raise ConsistencyError(
+                f"cut component labels {low}..{high} hold {count} labels, "
+                "not an interval"
+            )
+        return low, high
+
+    n1, k, sibling = host.n1, host.k, host.sibling
     block = 1 << n1
-    top = block - 1
     cuts: list[EdgeCut] = []
-
-    def block_of(index: int, per_block: int) -> tuple[int, int]:
-        s, rem = divmod(index - 1, per_block)
-        return s, rem + 1
-
-    # Family S: one cut per tree vertex, indexed left-to-right at each depth.
-    # The cut isolates the subtree under heap vertex h; for sibling hosts the
-    # sibling edge at h leaves with the parent edge.
+    # Family S: one cut per tree vertex, indexed left-to-right at each depth
+    # across the blocks (heap index h of block s is vertex s * block + h).
+    # The cut isolates the subtree under the vertex; for sibling hosts the
+    # sibling edge leaves with the parent edge.
     for j in range(1, n1 + 1):
         per_block = 1 << (n1 - j)
-        for i in range(1, k * per_block + 1):
-            s, local = block_of(i, per_block)
-            base = s * block
-            h = per_block + local - 1
-            parent = host.parent_of[base + h]
-            cut_edges = {_label_edge(labels, base + h, parent)}
-            if host.sibling and h >= 2:
-                cut_edges.add(_label_edge(labels, base + h, base + (h ^ 1)))
-            lo, hi = _interval(labels, [base + x for x in _subtree_heap(h, top)])
-            cuts.append(EdgeCut("S", j, i, frozenset(cut_edges), lo, hi))
+        i = 0
+        for base in range(0, k * block, block):
+            for h in range(per_block, 2 * per_block):
+                i += 1
+                t = labels[base + h]
+                cut = {edges[up_edge[t]]}
+                if sibling and h >= 2:
+                    cut.add(edges[sib_edge[t]])
+                low, high = interval(lo[t], hi[t], size[t])
+                cuts.append(EdgeCut("S", j, i, frozenset(cut), low, high))
 
-    if host.sibling:
+    if sibling:
         # Family SS: both child edges of an internal vertex; the component is
         # the union of the two child subtrees.
         for j in range(1, n1):
             per_block = 1 << (n1 - j - 1)
-            for i in range(1, k * per_block + 1):
-                s, local = block_of(i, per_block)
-                base = s * block
-                q = per_block + local - 1
-                cut_edges = {
-                    _label_edge(labels, base + q, base + 2 * q),
-                    _label_edge(labels, base + q, base + 2 * q + 1),
-                }
-                ids = [
-                    base + x
-                    for child in (2 * q, 2 * q + 1)
-                    for x in _subtree_heap(child, top)
-                ]
-                lo, hi = _interval(labels, ids)
-                cuts.append(EdgeCut("SS", j, i, frozenset(cut_edges), lo, hi))
+            i = 0
+            for base in range(0, k * block, block):
+                for q in range(per_block, 2 * per_block):
+                    i += 1
+                    a, b = labels[base + 2 * q], labels[base + 2 * q + 1]
+                    cut = frozenset({edges[up_edge[a]], edges[up_edge[b]]})
+                    low, high = interval(
+                        min(lo[a], lo[b]), max(hi[a], hi[b]), size[a] + size[b]
+                    )
+                    cuts.append(EdgeCut("SS", j, i, cut, low, high))
         # Duplicate pendant cut, so pendant edges reach coverage 2 like the rest.
         for s in range(k):
-            base = s * block
-            cut_edges = {_label_edge(labels, base + 1, base + block)}
-            lo, hi = _interval(labels, [base + x for x in _subtree_heap(1, top)])
-            cuts.append(EdgeCut("SS", n1, s + 1, frozenset(cut_edges), lo, hi))
+            t = labels[s * block + 1]
+            low, high = interval(lo[t], hi[t], size[t])
+            cuts.append(EdgeCut("SS", n1, s + 1, frozenset({edges[up_edge[t]]}), low, high))
 
-    # Family ROOT: chain cuts; the component is the first i blocks.
-    share = 2 if host.sibling else 1
+    # Family ROOT: chain cuts; the component is the first i blocks, each
+    # block being its pendant and the subtree of its tree root.
+    share = 2 if sibling else 1
+    low, high, count = len(lo), 0, 0
     for i in range(1, k):
-        cut_edges = {_label_edge(labels, host.root_chain[i - 1], host.root_chain[i])}
-        ids = list(range(1, i * block + 1))
-        lo, hi = _interval(labels, ids)
-        cuts.append(EdgeCut("ROOT", None, i, frozenset(cut_edges), lo, hi, share))
+        pendant, t = labels[host.root_chain[i - 1]], labels[(i - 1) * block + 1]
+        low = min(low, pendant, lo[t])
+        high = max(high, pendant, hi[t])
+        count += 1 + size[t]
+        cut = frozenset({edges[up_edge[labels[host.root_chain[i]]]]})
+        cuts.append(EdgeCut("ROOT", None, i, cut, *interval(low, high, count), share))
 
     return tuple(cuts)

@@ -2,7 +2,10 @@
 
 Deliberately separate implementations: plain BFS over edge lists, raw
 itertools enumeration, and searches that ignore the guest's symmetry,
-sharing no code with the package.
+sharing no code with the package.  The host-side oracles take a package
+host or its links as plain input and redo the work the slow way: the
+per-goal tally sweeps one goal's in-tree at a time, and the cut family is
+built from vertex ids and heap indices.
 """
 
 from collections import deque
@@ -207,3 +210,108 @@ def local_search_by_neighbors(nv, dist, edge_u, edge_v, rng, iterations):
             best_value, best_perm = value, tuple(current)
         history.append((best_value, best_perm, explored))
     return history
+
+
+def per_goal_tally(links, assignment, part_count):
+    """Routed load per host edge, one in-tree sweep per goal label.
+
+    ``links`` is a host's ``HostLinks``; ``assignment[m]`` is the label of
+    guest vertex ``m + 1``, whose partite set is ``m % part_count``.  Every
+    guest edge is routed toward its larger label, so goal ``g`` collects one
+    route from each label ``s < g`` in another partite set.  In ``g``'s
+    in-tree a host edge carries one route per source below it, so sweeping
+    away from the leaves adds each subtree's count once; the spine steps
+    down, against the deepest-first order, so its labels hold their counts
+    during the sweep and pass them down after it.
+    """
+    count = len(assignment)
+    part_at = [None] * (count + 1)
+    for m, lab in enumerate(assignment):
+        part_at[lab] = m % part_count
+    spill, up_edge = links.spill, links.up_edge
+    load = [0] * (spill + 1)
+    for goal in range(2, count + 1):
+        below = [0] * (count + 1)
+        for s in range(1, goal):
+            if part_at[s] != part_at[goal]:
+                below[s] = 1
+        hops, hop_edges, spine = links.in_tree(goal)
+        for t in spine:
+            hops[t], hop_edges[t] = 0, spill
+        for t in links.order:
+            c = below[t]
+            if c:
+                load[hop_edges[t]] += c
+                below[hops[t]] += c
+        carried = 0
+        for t, down in zip(spine, spine[1:]):
+            carried += below[t]
+            load[up_edge[down]] += carried
+    load.pop()
+    return load
+
+
+def heap_cut_family(host):
+    """A labeled host's cut family built from vertex ids and heap indices.
+
+    Returns ``(family, j, i, cut_edges, lo, hi, share)`` tuples in the
+    package's order, or ``None`` when some cut component's labels are not
+    an interval.  Inside block ``s`` the tree vertex with heap index ``h``
+    is vertex ``s * 2**n1 + h``; the pendant is ``(s + 1) * 2**n1``.
+    """
+    labels = host.label_of
+    n1, k = host.n1, host.k
+    block = 1 << n1
+    top = block - 1
+    cuts = []
+
+    def subtree(h):
+        out, frontier = [], [h]
+        while frontier:
+            out.extend(frontier)
+            frontier = [c for x in frontier for c in (2 * x, 2 * x + 1) if c <= top]
+        return out
+
+    def edge(u, v):
+        return tuple(sorted((labels[u], labels[v])))
+
+    def interval(ids):
+        got = sorted(labels[v] for v in ids)
+        if got[-1] - got[0] + 1 != len(got):
+            raise LookupError
+        return got[0], got[-1]
+
+    try:
+        for j in range(1, n1 + 1):
+            per_block = 1 << (n1 - j)
+            for i in range(1, k * per_block + 1):
+                s, rem = divmod(i - 1, per_block)
+                base, h = s * block, per_block + rem
+                cut = {edge(base + h, host.parent_of[base + h])}
+                if host.sibling and h >= 2:
+                    cut.add(edge(base + h, base + (h ^ 1)))
+                lo, hi = interval([base + x for x in subtree(h)])
+                cuts.append(("S", j, i, frozenset(cut), lo, hi, 1))
+        if host.sibling:
+            for j in range(1, n1):
+                per_block = 1 << (n1 - j - 1)
+                for i in range(1, k * per_block + 1):
+                    s, rem = divmod(i - 1, per_block)
+                    base, q = s * block, per_block + rem
+                    cut = {edge(base + q, base + 2 * q), edge(base + q, base + 2 * q + 1)}
+                    ids = [base + x for c in (2 * q, 2 * q + 1) for x in subtree(c)]
+                    lo, hi = interval(ids)
+                    cuts.append(("SS", j, i, frozenset(cut), lo, hi, 1))
+            for s in range(k):
+                base = s * block
+                lo, hi = interval([base + x for x in subtree(1)])
+                cut = frozenset({edge(base + 1, base + block)})
+                cuts.append(("SS", n1, s + 1, cut, lo, hi, 1))
+        share = 2 if host.sibling else 1
+        for i in range(1, k):
+            cut = frozenset({edge(host.root_chain[i - 1], host.root_chain[i])})
+            lo, hi = interval(range(1, i * block + 1))
+            cuts.append(("ROOT", None, i, cut, lo, hi, share))
+    except LookupError:
+        return None
+    return cuts

@@ -343,6 +343,32 @@ def test_host_json(capsys):
     assert data["label_of"]["4"] == 4
 
 
+def test_large_host_prints_counts_without_building(capsys):
+    # Above 256 vertices only counts are printed, and they come from the
+    # shape: 2**20 vertices in well under a megabyte.
+    tracemalloc.start()
+    try:
+        code, data, err = run_json(capsys, "host", "--n1", "20")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert data == {
+        "schema": 1, "n1": 20, "k": 1, "kind": "binary",
+        "vertex_count": 1 << 20, "edge_count": (1 << 20) - 1, "sibling_edge_count": 0,
+        "level_counts": {"0": 1, **{str(lvl): 1 << (lvl - 1) for lvl in range(1, 21)}},
+    }
+    assert peak < 1 << 20
+    code, out, err = run(capsys, "host", "--n1", "19", "--k", "2", "--host", "sibling",
+                         "--output", "text")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "  vertex_count = 1048576", "  edge_count = 1572861", "  sibling_edge_count = 524286",
+    ]
+    code, out, err = run(capsys, "host", "--n1", "20", "--variant", "1")
+    assert (code, out, err) == (2, "", "error: --variant applies to sibling hosts only\n")
+
+
 def test_sweep_small_grid(capsys):
     code, out, _ = run(
         capsys, "sweep", "--n-min", "2", "--n-max", "3", "--exhaustive"

@@ -12,6 +12,7 @@ from treebed import (
     inorder_labeling,
     sibling_layout_labeling,
 )
+from treebed.hosts import host_counts
 
 
 def _cut_index(host):
@@ -61,6 +62,23 @@ def test_host_edge_and_level_counts():
                 assert levels[0] == k
                 for lvl in range(1, n1 + 1):
                     assert levels[lvl] == k * (1 << (lvl - 1))
+
+
+def test_host_counts_match_built_hosts():
+    for n1 in range(1, 9):
+        for k in range(1, 5):
+            for sibling in (False, True):
+                host = build_host(n1, k, sibling=sibling)
+                assert host_counts(n1, k, sibling) == {
+                    "vertex_count": host.graph.vertex_count,
+                    "edge_count": host.graph.edge_count,
+                    "sibling_edge_count": len(host.sibling_pairs),
+                    "level_counts": dict(Counter(host.level_of.values())),
+                }
+    with pytest.raises(ValueError, match="n1 must be at least 1"):
+        host_counts(0, 1)
+    with pytest.raises(ValueError, match="exceeds the supported 2\\*\\*20"):
+        host_counts(19, 4)
 
 
 def test_blocks_only_touch_through_the_chain():

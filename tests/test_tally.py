@@ -1,0 +1,90 @@
+"""The lane tally and the label-space cut family, against the slow oracles."""
+
+import random
+
+import pytest
+
+from oracles import heap_cut_family, per_goal_tally
+from treebed import (
+    LAYOUT_VARIANTS,
+    ConsistencyError,
+    Embedding,
+    build_guest,
+    build_host,
+    cut_family,
+    identity_embedding,
+    inorder_labeling,
+    sibling_layout_labeling,
+)
+from treebed.embedding import _Tally
+
+
+def _labeled_hosts(n1, k):
+    yield inorder_labeling(build_host(n1, k))
+    sibling = build_host(n1, k, sibling=True)
+    for variant in LAYOUT_VARIANTS:
+        yield sibling_layout_labeling(sibling, variant)
+
+
+def _random_embedding(count, rng):
+    labels = list(range(1, count + 1))
+    rng.shuffle(labels)
+    return Embedding(tuple(labels))
+
+
+def _check_tally(guest, host, embedding):
+    lanes = _Tally(guest, host.links, embedding).load
+    assert lanes == per_goal_tally(host.links, embedding.assignment, guest.part_count)
+
+
+def test_lane_tally_matches_per_goal_sweep():
+    # every shape with n <= 6, both kinds, all variants: up to 63 goals,
+    # one chunk of lanes
+    rng = random.Random(8)
+    seen = 0
+    for n in range(2, 7):
+        for p in range(2, n + 1):
+            guest = build_guest(n, p)
+            for n1 in range(1, n + 1):
+                for host in _labeled_hosts(n1, 1 << (n - n1)):
+                    _check_tally(guest, host, identity_embedding(guest, host))
+                    _check_tally(guest, host, _random_embedding(1 << n, rng))
+                    seen += 1
+    assert seen == 350
+
+
+@pytest.mark.parametrize(
+    "n, p, n1, kind",
+    [(7, 2, 3, "binary"), (7, 7, 7, "sibling"), (8, 3, 1, "sibling"), (8, 8, 5, "binary")],
+)
+def test_lane_tally_spans_several_chunks(n, p, n1, kind):
+    # 127 and 255 goals: two and four chunks of 64 lanes
+    guest = build_guest(n, p)
+    host = build_host(n1, 1 << (n - n1), sibling=kind == "sibling")
+    host = sibling_layout_labeling(host, 2) if kind == "sibling" else inorder_labeling(host)
+    _check_tally(guest, host, identity_embedding(guest, host))
+    _check_tally(guest, host, _random_embedding(1 << n, random.Random(n1)))
+
+
+def test_cut_family_matches_heap_construction():
+    seen = 0
+    for n1 in range(1, 7):
+        for k in range(1, 5):
+            for host in _labeled_hosts(n1, k):
+                expected = heap_cut_family(host)
+                assert expected is not None
+                assert [tuple(cut) for cut in cut_family(host)] == expected
+                seen += 1
+    assert seen == 120
+
+
+def test_cut_family_rejects_a_component_off_an_interval():
+    host = inorder_labeling(build_host(3, 1))
+    labels = dict(host.label_of)
+    # Heap vertex 4 is the leftmost leaf (label 1); trading labels with the
+    # pendant (label 8) puts 8 inside the subtree of heap vertex 2.
+    labels[4], labels[8] = labels[8], labels[4]
+    broken = host._replace(label_of=labels)
+    assert heap_cut_family(broken) is None
+    with pytest.raises(ConsistencyError, match="not an interval"):
+        cut_family(broken)
