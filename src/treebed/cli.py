@@ -48,10 +48,6 @@ def _build_labeled(n1: int, k: int, kind: str, variant: int) -> HostTree:
     return inorder_labeling(host)
 
 
-def _labeled_host(n: int, n1: int, kind: str, variant: int) -> HostTree:
-    return _build_labeled(n1, 1 << (n - n1), kind, variant)
-
-
 def _instance(args) -> tuple[Guest, HostTree]:
     n, p = args.n, args.p
     if n > ENGINE_MAX_N:
@@ -60,7 +56,7 @@ def _instance(args) -> tuple[Guest, HostTree]:
     n1 = args.n1 if args.n1 is not None else n
     if not 1 <= n1 <= n:
         raise ValueError(f"need 1 <= n1 <= n, got n1={n1}")
-    return guest, _labeled_host(n, n1, args.host, args.variant)
+    return guest, _build_labeled(n1, 1 << (n - n1), args.host, args.variant)
 
 
 def _apply_swaps(embedding, swaps):
@@ -240,7 +236,7 @@ def _sweep_rows(args):
                     )
                     row["closed_form"] = closed
                     if guest is not None:
-                        host = _labeled_host(n, n1, kind, 0)
+                        host = _build_labeled(n1, 1 << (n - n1), kind, 0)
                         embedding = identity_embedding(guest, host)
                         report = build_report(guest, host, embedding)
                         row["direct"] = report.direct
@@ -308,26 +304,22 @@ def cmd_sweep(args) -> int:
 
 
 def _host_dot(host: HostTree) -> str:
-    labels = host.label_of
-    sibling_edges = set()
-    for u, v in host.sibling_pairs:
-        a, b = labels[u], labels[v]
-        sibling_edges.add((a, b) if a < b else (b, a))
-    chain_edges = set()
-    for u, v in zip(host.root_chain, host.root_chain[1:]):
-        a, b = labels[u], labels[v]
-        chain_edges.add((a, b) if a < b else (b, a))
-    by_level: dict[int, list[int]] = {}
-    for vid, level in host.level_of.items():
-        by_level.setdefault(level, []).append(labels[vid])
+    block = 1 << host.n1
+    # Heap index h sits at level h.bit_length(), pendants at level 0.
+    by_level: list[list[int]] = [[] for _ in range(host.n1 + 1)]
+    for base in range(0, host.vertex_count, block):
+        for lab, h in enumerate(host.layout, start=base + 1):
+            by_level[h.bit_length()].append(lab)
+        by_level[0].append(base + block)
     lines = ["graph host {", "  node [shape=circle];"]
-    for level in sorted(by_level):
-        members = " ".join(f"{lab};" for lab in sorted(by_level[level]))
+    for level in by_level:
+        members = " ".join(f"{lab};" for lab in sorted(level))
         lines.append(f"  {{ rank=same; {members} }}")
+    sib = host.links.sib
     for a, b in sorted(host.label_edges):
-        if (a, b) in sibling_edges:
+        if sib[a] == b:
             lines.append(f"  {a} -- {b} [style=dashed];")
-        elif (a, b) in chain_edges:
+        elif not (a % block or b % block):  # chain links join two pendants
             lines.append(f"  {a} -- {b} [style=bold];")
         else:
             lines.append(f"  {a} -- {b};")

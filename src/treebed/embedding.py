@@ -173,9 +173,9 @@ class WirelengthReport(NamedTuple):
 def _vertex_count(guest: Guest, host: HostTree) -> int:
     """The instance's vertex count, once guest and host agree on it."""
     count = guest.vertex_count
-    if count != host.graph.vertex_count:
+    if count != host.vertex_count:
         raise ValueError(
-            f"guest has {count} vertices but host has {host.graph.vertex_count}"
+            f"guest has {count} vertices but host has {host.vertex_count}"
         )
     return count
 
@@ -193,10 +193,8 @@ def route(host: HostTree, u: int, v: int) -> tuple[tuple[int, int], ...]:
     are unique, so this is also the walk that always steps to the
     smallest-labeled neighbor still shrinking the remaining distance.
     Returns the path's edges in walk order; ``route(u, v) == route(v, u)``.
-    Raises ``ValueError`` on a host whose edges are not exactly its parent,
-    chain and sibling links.
     """
-    _check_labels(host.graph.vertex_count, u, v)
+    _check_labels(host.vertex_count, u, v)
     if u == v:
         raise ValueError("route endpoints must differ")
     start, goal = (u, v) if u < v else (v, u)
@@ -423,7 +421,7 @@ def _cut_reports(
     ``verify_cut_conditions``."""
     links = host.links
     load, index, partite_at = tally.load, links.edge_index, tally.partite_at
-    adjacency, count = host.label_adjacency, host.graph.vertex_count
+    adjacency, count = host.label_adjacency, host.vertex_count
     degree, edge_count = guest.degree, guest.edge_count
     parts, size = guest.part_count, guest.part_size
     best: dict[int, int] = {}  # largest induced edge count by side size

@@ -7,12 +7,15 @@ pendants are joined in a path, so the whole host has ``k * 2**n1`` vertices.
 Sibling hosts additionally connect the two children of every internal tree
 vertex.
 
-Construction uses heap indices: inside block ``s`` the tree vertex with heap
-index ``h`` (root ``1``, children of ``h`` at ``2h`` and ``2h+1``) gets the
-vertex id ``s * 2**n1 + h`` and the pendant gets ``(s + 1) * 2**n1``.  Vertex
-ids are fixed by construction; position labels (a bijection onto the same
-range) are assigned separately by a labeling function, and everything
-downstream of labeling works in label space.
+So a host is fixed by its shape ``(n1, k, sibling)`` and one block's layout:
+the tree vertices of a block are heap indices (root ``1``, children of ``h`` at
+``2h`` and ``2h+1``), and a labeling function lists them in label order.
+Heap index ``h`` of block ``s`` then gets label ``s * 2**n1 + pos[h]``, its
+place in the layout, and hangs from heap index ``h // 2`` (the tree root
+from the block's pendant); the pendant gets the block-last label
+``(s + 1) * 2**n1`` and hangs from the previous pendant.  Everything is
+built in label space from this arithmetic.  Vertex ids (``s * 2**n1 + h``,
+the pendant being ``h = 2**n1``) survive only as the keys of ``label_of``.
 
 Without its sibling edges a host is a tree, and each sibling edge joins two
 children of one parent, so every two labels are joined by exactly one
@@ -31,7 +34,6 @@ from typing import NamedTuple
 
 from treebed.errors import ConsistencyError, UnlabeledHostError
 from treebed.frozen import Frozen
-from treebed.graphs import Graph
 
 __all__ = [
     "HostTree",
@@ -52,71 +54,74 @@ LAYOUT_VARIANTS = (0, 1, 2, 3)
 
 
 class HostTree(Frozen):
-    """A built host; compared and hashed by identity.
+    """A host, fixed by its shape and the labeling of one block.
 
-    ``level_of`` maps vertex ids to levels: pendants sit at level 0, tree
-    roots at level 1, leaves at level ``n1``.  ``label_of`` is ``None`` until
-    a labeling function produces a labeled copy.
+    ``k`` blocks of height ``n1``, with sibling edges when ``sibling``.
+    ``layout`` lists a block's heap indices in label order: heap index
+    ``layout[i]`` of block ``s`` gets label ``s * 2**n1 + i + 1``, and the
+    block's pendant the block-last label ``(s + 1) * 2**n1``.  ``layout`` is
+    ``None`` until a labeling function produces a labeled copy.  Compared
+    and hashed by value.
     """
 
-    _fields = (
-        "graph", "n1", "k", "sibling", "level_of", "parent_of", "sibling_pairs",
-        "root_chain", "label_of",
-    )
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+    _fields = ("n1", "k", "sibling", "layout")
 
     def __init__(
-        self,
-        graph: Graph,
-        n1: int,
-        k: int,
-        sibling: bool,
-        level_of: dict[int, int],
-        parent_of: dict[int, int],
-        sibling_pairs: frozenset[tuple[int, int]],
-        root_chain: tuple[int, ...],
-        label_of: dict[int, int] | None = None,
+        self, n1: int, k: int, sibling: bool, layout: tuple[int, ...] | None = None
     ) -> None:
-        self._set(
-            graph=graph, n1=n1, k=k, sibling=sibling, level_of=level_of,
-            parent_of=parent_of, sibling_pairs=sibling_pairs,
-            root_chain=root_chain, label_of=label_of,
-        )
+        _check_host_size(n1, k)
+        if layout is not None:
+            layout = tuple(layout)
+            if sorted(layout) != list(range(1, 1 << n1)):
+                raise ValueError(
+                    f"layout must list each heap index 1..{(1 << n1) - 1} once"
+                )
+        self._set(n1=n1, k=k, sibling=sibling, layout=layout)
 
     @property
     def is_labeled(self) -> bool:
-        return self.label_of is not None
+        return self.layout is not None
 
     @property
     def kind(self) -> str:
         return "sibling" if self.sibling else "binary"
 
-    def _require_labels(self) -> dict[int, int]:
-        if self.label_of is None:
+    @property
+    def vertex_count(self) -> int:
+        return self.k << self.n1
+
+    def _positions(self) -> list[int]:
+        """Per heap index ``h``, the label of block 0's vertex ``h``; the
+        pendant is heap index ``2**n1`` and keeps its place."""
+        if self.layout is None:
             raise UnlabeledHostError("host has no position labels; apply a labeling first")
-        return self.label_of
+        pos = list(range((1 << self.n1) + 1))
+        for lab, h in enumerate(self.layout, start=1):
+            pos[h] = lab
+        return pos
 
     @cached_property
-    def vertex_of_label(self) -> dict[int, int]:
-        labels = self._require_labels()
-        return {lab: vid for vid, lab in labels.items()}
+    def label_of(self) -> dict[int, int]:
+        """Label of every vertex id: vertex ``s * 2**n1 + h`` is heap index
+        ``h`` of block ``s``, and ``h = 2**n1`` is the block's pendant."""
+        pos = self._positions()
+        block = 1 << self.n1
+        return {
+            base + h: base + pos[h]
+            for base in range(0, self.vertex_count, block)
+            for h in range(1, block + 1)
+        }
 
     @cached_property
     def label_edges(self) -> frozenset[tuple[int, int]]:
         """Host edges as normalized label pairs."""
-        labels = self._require_labels()
-        out = set()
-        for u, v in self.graph.edges:
-            a, b = labels[u], labels[v]
-            out.add((a, b) if a < b else (b, a))
-        return frozenset(out)
+        return frozenset(self.links.edges)
 
     @cached_property
     def label_adjacency(self) -> dict[int, tuple[int, ...]]:
         """Sorted neighbor labels keyed by label; drives deterministic routing."""
         nbrs: dict[int, list[int]] = {
-            lab: [] for lab in range(1, self.graph.vertex_count + 1)
+            lab: [] for lab in range(1, self.vertex_count + 1)
         }
         for a, b in self.label_edges:
             nbrs[a].append(b)
@@ -145,11 +150,11 @@ class HostLinks:
     - ``sib[t]`` is the sibling of ``t`` and ``sib_edge[t]`` the index of
       their edge (0 and ``spill`` when ``t`` has none).
 
-    ``order`` lists every label deepest first.  ``spill == len(edges)``
-    indexes no edge; it stands in where a label has no link.  ``memo``
-    holds the tallies for the most recent (guest, embedding) routed over
-    these links, so repeated queries on one instance share one pass and
-    die with the host.
+    ``order`` lists every label before the label it hangs from.  ``spill
+    == len(edges)`` indexes no edge; it stands in where a label has no
+    link.  ``memo`` holds the tallies for the most recent (guest,
+    embedding) routed over these links, so repeated queries on one
+    instance share one pass and die with the host.
     """
 
     __slots__ = (
@@ -158,40 +163,27 @@ class HostLinks:
     )
 
     def __init__(self, host: HostTree) -> None:
-        labels = host._require_labels()
-        count = host.graph.vertex_count
-        pendants = host.root_chain
-        links = [(labels[v], labels[u]) for v, u in host.parent_of.items()]
-        links += [(labels[v], labels[u]) for u, v in zip(pendants, pendants[1:])]
-        pairs = [tuple(sorted((labels[a], labels[b]))) for a, b in host.sibling_pairs]
+        pos = host._positions()
+        count = host.vertex_count
+        block = 1 << host.n1
         up = [0] * (count + 1)
         sib = [0] * (count + 1)
-        for t, u in links:
-            up[t] = u
-        for a, b in pairs:
-            sib[a], sib[b] = b, a
-        edges = [(t, u) if t < u else (u, t) for t, u in links] + pairs
-        # Descend from the top a level at a time, then put deeper labels first.
-        children: list[list[int]] = [[] for _ in range(count + 1)]
-        for t in range(1, count + 1):
-            children[up[t]].append(t)
-        level = children[0]
         order: list[int] = []
-        while level:
-            order.extend(level)
-            level = [c for t in level for c in children[t]]
-        order.reverse()
-        if (
-            len(children[0]) != 1
-            or len(order) != count
-            or len(links) != count - 1
-            or len(edges) != len(host.label_edges)
-            or set(edges) != host.label_edges
-            or any(sib[a] != b or sib[b] != a or up[a] != up[b] for a, b in pairs)
-        ):
-            raise ValueError(
-                "host edges are not exactly its parent, chain and sibling links"
-            )
+        # Blocks last to first, each from its leaves up to its pendant, which
+        # hangs from the previous block's pendant (label ``base``).
+        for base in range(count - block, -1, -block):
+            pendant = base + block
+            for h in range(block - 1, 0, -1):
+                t = base + pos[h]
+                up[t] = base + pos[h >> 1] if h > 1 else pendant
+                if host.sibling and h > 1:
+                    sib[t] = base + pos[h ^ 1]
+                order.append(t)
+            up[pendant] = base
+            order.append(pendant)
+        links = [(t, u) for t, u in enumerate(up) if u]
+        pairs = [(a, b) for a, b in enumerate(sib) if a < b]
+        edges = [(u, t) if u < t else (t, u) for t, u in links] + pairs
         self.edges = tuple(edges)
         self.edge_index = {edge: idx for idx, edge in enumerate(edges)}
         self.spill = spill = len(edges)
@@ -315,50 +307,7 @@ def build_host(n1: int, k: int, sibling: bool = False) -> HostTree:
     ``sibling=True`` adds the edge between the two children of every
     internal tree vertex (``2**(n1-1) - 1`` extra edges per block).
     """
-    _check_host_size(n1, k)
-
-    block = 1 << n1
-    top = block - 1  # largest heap index of a tree vertex
-    edges: set[tuple[int, int]] = set()
-    level_of: dict[int, int] = {}
-    parent_of: dict[int, int] = {}
-    sibling_pairs: set[tuple[int, int]] = set()
-    chain: list[int] = []
-
-    for s in range(k):
-        base = s * block
-        pendant = base + block
-        level_of[pendant] = 0
-        chain.append(pendant)
-        for h in range(1, top + 1):
-            vid = base + h
-            level_of[vid] = h.bit_length()
-            if h == 1:
-                parent_of[vid] = pendant
-                edges.add((vid, pendant))
-            else:
-                parent_of[vid] = base + h // 2
-                edges.add((base + h // 2, vid))
-        if sibling:
-            for h in range(1, top // 2 + 1):
-                pair = (base + 2 * h, base + 2 * h + 1)
-                sibling_pairs.add(pair)
-                edges.add(pair)
-
-    for left, right in zip(chain, chain[1:]):
-        edges.add((left, right))
-
-    graph = Graph.from_edges(k * block, edges)
-    return HostTree(
-        graph=graph,
-        n1=n1,
-        k=k,
-        sibling=sibling,
-        level_of=level_of,
-        parent_of=parent_of,
-        sibling_pairs=frozenset(sibling_pairs),
-        root_chain=tuple(chain),
-    )
+    return HostTree(n1, k, sibling)
 
 
 def _inorder_heap(top: int) -> list[int]:
@@ -395,18 +344,6 @@ def _layout_heap(top: int, variant: int) -> list[int]:
     return rec(1)
 
 
-def _apply_block_order(host: HostTree, order: list[int]) -> HostTree:
-    """Label every block by ``order`` (heap indices), pendant last."""
-    block = 1 << host.n1
-    label_of: dict[int, int] = {}
-    for s in range(host.k):
-        base = s * block
-        for idx, h in enumerate(order, start=1):
-            label_of[base + h] = base + idx
-        label_of[base + block] = base + block
-    return host._replace(label_of=label_of)
-
-
 def inorder_labeling(host: HostTree) -> HostTree:
     """Label each block by inorder tree traversal; pendants get block-last labels.
 
@@ -414,7 +351,7 @@ def inorder_labeling(host: HostTree) -> HostTree:
     """
     if host.sibling:
         raise ValueError("inorder labeling applies to plain binary hosts only")
-    return _apply_block_order(host, _inorder_heap((1 << host.n1) - 1))
+    return host._replace(layout=_inorder_heap((1 << host.n1) - 1))
 
 
 def sibling_layout_labeling(host: HostTree, variant: int = 0) -> HostTree:
@@ -429,7 +366,7 @@ def sibling_layout_labeling(host: HostTree, variant: int = 0) -> HostTree:
         raise ValueError("sibling layout applies to sibling hosts only")
     if variant not in LAYOUT_VARIANTS:
         raise ValueError(f"variant must be one of {LAYOUT_VARIANTS}, got {variant}")
-    return _apply_block_order(host, _layout_heap((1 << host.n1) - 1, variant))
+    return host._replace(layout=_layout_heap((1 << host.n1) - 1, variant))
 
 
 def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
@@ -447,11 +384,11 @@ def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
     range is taken bottom-up.  Raises ``ConsistencyError`` when a
     component's labels are not an interval.
     """
-    labels = host._require_labels()
+    pos = host._positions()
     links = host.links
     up, edges, up_edge, sib_edge = links.up, links.edges, links.up_edge, links.sib_edge
     # Lowest and highest label and label count of every label's subtree.
-    lo = list(range(host.graph.vertex_count + 1))
+    lo = list(range(host.vertex_count + 1))
     hi = lo[:]
     size = [1] * len(lo)
     for t in links.order:
@@ -474,7 +411,7 @@ def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
     block = 1 << n1
     cuts: list[EdgeCut] = []
     # Family S: one cut per tree vertex, indexed left-to-right at each depth
-    # across the blocks (heap index h of block s is vertex s * block + h).
+    # across the blocks (heap index h of block s has label s * block + pos[h]).
     # The cut isolates the subtree under the vertex; for sibling hosts the
     # sibling edge leaves with the parent edge.
     for j in range(1, n1 + 1):
@@ -483,7 +420,7 @@ def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
         for base in range(0, k * block, block):
             for h in range(per_block, 2 * per_block):
                 i += 1
-                t = labels[base + h]
+                t = base + pos[h]
                 cut = {edges[up_edge[t]]}
                 if sibling and h >= 2:
                     cut.add(edges[sib_edge[t]])
@@ -499,7 +436,7 @@ def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
             for base in range(0, k * block, block):
                 for q in range(per_block, 2 * per_block):
                     i += 1
-                    a, b = labels[base + 2 * q], labels[base + 2 * q + 1]
+                    a, b = base + pos[2 * q], base + pos[2 * q + 1]
                     cut = frozenset({edges[up_edge[a]], edges[up_edge[b]]})
                     low, high = interval(
                         min(lo[a], lo[b]), max(hi[a], hi[b]), size[a] + size[b]
@@ -507,7 +444,7 @@ def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
                     cuts.append(EdgeCut("SS", j, i, cut, low, high))
         # Duplicate pendant cut, so pendant edges reach coverage 2 like the rest.
         for s in range(k):
-            t = labels[s * block + 1]
+            t = s * block + pos[1]
             low, high = interval(lo[t], hi[t], size[t])
             cuts.append(EdgeCut("SS", n1, s + 1, frozenset({edges[up_edge[t]]}), low, high))
 
@@ -516,11 +453,11 @@ def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
     share = 2 if sibling else 1
     low, high, count = len(lo), 0, 0
     for i in range(1, k):
-        pendant, t = labels[host.root_chain[i - 1]], labels[(i - 1) * block + 1]
+        pendant, t = i * block, (i - 1) * block + pos[1]
         low = min(low, pendant, lo[t])
         high = max(high, pendant, hi[t])
         count += 1 + size[t]
-        cut = frozenset({edges[up_edge[labels[host.root_chain[i]]]]})
+        cut = frozenset({edges[up_edge[(i + 1) * block]]})
         cuts.append(EdgeCut("ROOT", None, i, cut, *interval(low, high, count), share))
 
     return tuple(cuts)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from treebed.embedding import Embedding
+from treebed.embedding import Embedding, _vertex_count
 from treebed.errors import BudgetExceededError
 from treebed.graphs import Guest
 from treebed.hosts import HostTree
@@ -81,11 +81,7 @@ def _instance_tables(guest: Guest, host: HostTree) -> tuple[int, list[list[int]]
 
     Row ``a`` counts the edges on every label's route to label ``a + 1``.
     """
-    count = guest.vertex_count
-    if count != host.graph.vertex_count:
-        raise ValueError(
-            f"guest has {count} vertices but host has {host.graph.vertex_count}"
-        )
+    count = _vertex_count(guest, host)
     links = host.links
     steps = [1] * links.spill + [0]
     return count, [links.route_sums(a, steps)[1:] for a in range(1, count + 1)]

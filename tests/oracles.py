@@ -4,8 +4,8 @@ Deliberately separate implementations: plain BFS over edge lists, raw
 itertools enumeration, and searches that ignore the guest's symmetry,
 sharing no code with the package.  The host-side oracles take a package
 host or its links as plain input and redo the work the slow way: the
-per-goal tally sweeps one goal's in-tree at a time, and the cut family is
-built from vertex ids and heap indices.
+per-goal tally sweeps one goal's in-tree at a time, and the host and its
+cut family are built from vertex ids and heap indices.
 """
 
 from collections import deque
@@ -251,16 +251,53 @@ def per_goal_tally(links, assignment, part_count):
     return load
 
 
+def heap_host(n1, k, sibling, layout):
+    """A host built from vertex ids, then relabeled by ``layout``.
+
+    Inside block ``s`` the tree vertex with heap index ``h`` is vertex
+    ``s * 2**n1 + h`` and hangs from vertex ``s * 2**n1 + h // 2``; the tree
+    root hangs from the pendant ``(s + 1) * 2**n1``, and each pendant from
+    the previous one.  Sibling hosts also join heap indices ``2h`` and
+    ``2h + 1``.  ``layout`` lists a block's heap indices in label order and
+    every pendant keeps its block-last label.  Returns ``(edges, label_of,
+    up, sib)``: the edges as sorted label pairs, the label of every vertex
+    id, and per label the label it hangs from and its sibling (0 for none).
+    """
+    block = 1 << n1
+    label_of, parent_of, pairs = {}, {}, []
+    for s in range(k):
+        base = s * block
+        pendant = base + block
+        for idx, h in enumerate(layout, start=1):
+            label_of[base + h] = base + idx
+        label_of[pendant] = pendant
+        for h in range(1, block):
+            parent_of[base + h] = base + h // 2 if h > 1 else pendant
+        if s:
+            parent_of[pendant] = base
+        if sibling:
+            pairs += [(base + 2 * h, base + 2 * h + 1) for h in range(1, block // 2)]
+    up = [0] * (k * block + 1)
+    sib = up[:]
+    edges = set()
+    for v, u in parent_of.items():
+        up[label_of[v]] = label_of[u]
+        edges.add(tuple(sorted((label_of[v], label_of[u]))))
+    for a, b in pairs:
+        sib[label_of[a]], sib[label_of[b]] = label_of[b], label_of[a]
+        edges.add(tuple(sorted((label_of[a], label_of[b]))))
+    return edges, label_of, up, sib
+
+
 def heap_cut_family(host):
     """A labeled host's cut family built from vertex ids and heap indices.
 
     Returns ``(family, j, i, cut_edges, lo, hi, share)`` tuples in the
     package's order, or ``None`` when some cut component's labels are not
-    an interval.  Inside block ``s`` the tree vertex with heap index ``h``
-    is vertex ``s * 2**n1 + h``; the pendant is ``(s + 1) * 2**n1``.
+    an interval.  Vertex ids, parents and labels are those of ``heap_host``.
     """
-    labels = host.label_of
     n1, k = host.n1, host.k
+    labels = heap_host(n1, k, host.sibling, host.layout)[1]
     block = 1 << n1
     top = block - 1
     cuts = []
@@ -287,7 +324,7 @@ def heap_cut_family(host):
             for i in range(1, k * per_block + 1):
                 s, rem = divmod(i - 1, per_block)
                 base, h = s * block, per_block + rem
-                cut = {edge(base + h, host.parent_of[base + h])}
+                cut = {edge(base + h, base + h // 2 if h > 1 else base + block)}
                 if host.sibling and h >= 2:
                     cut.add(edge(base + h, base + (h ^ 1)))
                 lo, hi = interval([base + x for x in subtree(h)])
@@ -309,7 +346,7 @@ def heap_cut_family(host):
                 cuts.append(("SS", n1, s + 1, cut, lo, hi, 1))
         share = 2 if host.sibling else 1
         for i in range(1, k):
-            cut = frozenset({edge(host.root_chain[i - 1], host.root_chain[i])})
+            cut = frozenset({edge(i * block, (i + 1) * block)})
             lo, hi = interval(range(1, i * block + 1))
             cuts.append(("ROOT", None, i, cut, lo, hi, share))
     except LookupError:

@@ -343,6 +343,39 @@ def test_host_json(capsys):
     assert data["label_of"]["4"] == 4
 
 
+def test_host_json_bytes(capsys):
+    code, out, err = run(
+        capsys, "host", "--n1", "2", "--k", "2", "--host", "sibling", "--variant", "3"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "{\n"
+        '  "schema": 1,\n'
+        '  "n1": 2,\n'
+        '  "k": 2,\n'
+        '  "kind": "sibling",\n'
+        '  "vertex_count": 8,\n'
+        '  "edge_count": 9,\n'
+        '  "sibling_edge_count": 2,\n'
+        '  "level_counts": {\n'
+        '    "0": 2,\n'
+        '    "1": 2,\n'
+        '    "2": 4\n'
+        "  },\n"
+        '  "label_of": {\n'
+        '    "1": 1,\n'
+        '    "2": 3,\n'
+        '    "3": 2,\n'
+        '    "4": 4,\n'
+        '    "5": 5,\n'
+        '    "6": 7,\n'
+        '    "7": 6,\n'
+        '    "8": 8\n'
+        "  }\n"
+        "}\n"
+    )
+
+
 def test_large_host_prints_counts_without_building(capsys):
     # Above 256 vertices only counts are printed, and they come from the
     # shape: 2**20 vertices in well under a megabyte.
@@ -469,6 +502,52 @@ def test_export_dot_chain_is_bold(capsys):
     assert code == 0
     assert out.count("[style=bold]") == 1
     assert "4 -- 8 [style=bold];" in out
+
+
+def test_export_dot_host_bytes(capsys):
+    code, out, err = run(capsys, "export-dot", "host", "--n1", "2", "--k", "2")
+    assert (code, err) == (0, "")
+    assert out == (
+        "graph host {\n"
+        "  node [shape=circle];\n"
+        "  { rank=same; 4; 8; }\n"
+        "  { rank=same; 2; 6; }\n"
+        "  { rank=same; 1; 3; 5; 7; }\n"
+        "  1 -- 2;\n"
+        "  2 -- 3;\n"
+        "  2 -- 4;\n"
+        "  4 -- 8 [style=bold];\n"
+        "  5 -- 6;\n"
+        "  6 -- 7;\n"
+        "  6 -- 8;\n"
+        "}\n"
+    )
+
+
+def test_export_dot_sibling_host_bytes(capsys):
+    code, out, err = run(
+        capsys, "export-dot", "host", "--n1", "3", "--host", "sibling", "--variant", "1"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "graph host {\n"
+        "  node [shape=circle];\n"
+        "  { rank=same; 8; }\n"
+        "  { rank=same; 7; }\n"
+        "  { rank=same; 3; 6; }\n"
+        "  { rank=same; 1; 2; 4; 5; }\n"
+        "  1 -- 2 [style=dashed];\n"
+        "  1 -- 3;\n"
+        "  2 -- 3;\n"
+        "  3 -- 6 [style=dashed];\n"
+        "  3 -- 7;\n"
+        "  4 -- 5 [style=dashed];\n"
+        "  4 -- 6;\n"
+        "  5 -- 6;\n"
+        "  6 -- 7;\n"
+        "  7 -- 8;\n"
+        "}\n"
+    )
 
 
 def test_export_dot_guest(capsys):

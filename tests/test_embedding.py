@@ -10,8 +10,6 @@ from treebed import (
     CoverageError,
     EdgeCut,
     Embedding,
-    Graph,
-    HostTree,
     UnlabeledHostError,
     build_guest,
     build_host,
@@ -79,7 +77,7 @@ def test_route_examples():
 
 def test_route_is_symmetric_and_validated():
     for host in (T31, ST31, T22):
-        count = host.graph.vertex_count
+        count = host.vertex_count
         for u in range(1, count + 1):
             for v in range(u + 1, count + 1):
                 assert route(host, u, v) == route(host, v, u)
@@ -91,7 +89,7 @@ def test_route_is_symmetric_and_validated():
 
 def test_route_lengths_match_bfs():
     for host in (T31, ST31, ST22):
-        count = host.graph.vertex_count
+        count = host.vertex_count
         table = bfs_distances(count, host.label_edges)
         for u in range(1, count + 1):
             for v in range(u + 1, count + 1):
@@ -104,19 +102,12 @@ def test_route_lengths_match_bfs():
 def test_route_breaks_ties_toward_smallest_label():
     # Two shortest paths join labels 1 and 7; breadth-first search from 7
     # reaches 1 through 3 before it reaches it through 2.  The oracle
-    # breaks the tie toward the smaller label.  A host with such a tie is
-    # not a tree with sibling edges, so the engine refuses to route on it.
+    # breaks the tie toward the smaller label.  No host has such a tie: a
+    # host is a tree with sibling edges, built from its shape.
     edges = [(1, 2), (1, 3), (2, 6), (3, 5), (5, 7), (6, 7), (4, 7)]
     table = bfs_distances(7, edges)
     neighbors = {v: [w for e in edges for w in e if v in e and w != v] for v in table}
     assert canonical_route(table, neighbors, 7, 1) == [(1, 2), (2, 6), (6, 7)]
-    host = HostTree(
-        graph=Graph.from_edges(7, edges), n1=1, k=1, sibling=False, level_of={},
-        parent_of={}, sibling_pairs=frozenset(), root_chain=(),
-        label_of={v: v for v in range(1, 8)},
-    )
-    with pytest.raises(ValueError, match="parent, chain and sibling links"):
-        route(host, 7, 1)
 
 
 def test_unlabeled_host_rejected():
@@ -251,7 +242,7 @@ def _labeled(n, n1, sibling, variant):
 
 
 def _check_against_route_oracle(guest, host, emb):
-    count = host.graph.vertex_count
+    count = host.vertex_count
     table = bfs_distances(count, host.label_edges)
     neighbors = {lab: [] for lab in range(1, count + 1)}
     for a, b in host.label_edges:

@@ -120,7 +120,7 @@ def test_complete_guest_gives_total_host_distance():
     for n, n1, sibling in cases:
         host = build_host(n1, 1 << (n - n1), sibling=sibling)
         host = sibling_layout_labeling(host) if sibling else inorder_labeling(host)
-        expected = pairwise_distance_sum(host.graph.vertex_count, host.label_edges)
+        expected = pairwise_distance_sum(host.vertex_count, host.label_edges)
         assert closed_form_wirelength(n, n, n1=n1, sibling=sibling) == expected
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from treebed import (
     LAYOUT_VARIANTS,
+    HostTree,
     UnlabeledHostError,
     build_host,
     cut_family,
@@ -19,25 +20,47 @@ def _cut_index(host):
     return {(c.family, c.j, c.i): c for c in cut_family(host)}
 
 
+def _labeled(host):
+    return sibling_layout_labeling(host) if host.sibling else inorder_labeling(host)
+
+
+def _level_counts(host):
+    """Labels per level, found by climbing the links: a pendant is a
+    block-last label at level 0, and every other label sits one level below
+    the label it hangs from."""
+    block = 1 << host.n1
+    up = host.links.up
+    levels = Counter()
+    for t in range(1, host.vertex_count + 1):
+        level = 0
+        while t % block:
+            t = up[t]
+            level += 1
+        levels[level] += 1
+    return dict(levels)
+
+
 def test_build_host_small_shapes():
     h = build_host(2, 1)
-    assert h.graph.vertex_count == 4
-    assert h.graph.edge_count == 3
+    assert h == HostTree(2, 1, False)
+    assert h.vertex_count == 4
     assert h.kind == "binary"
-    assert h.root_chain == (4,)
-    assert not h.is_labeled
+    assert not h.is_labeled and h.layout is None
+    assert len(inorder_labeling(h).label_edges) == 3
 
     h = build_host(4, 1)
-    assert h.graph.vertex_count == 16
-    assert h.graph.edge_count == 15
+    assert h.vertex_count == 16
+    assert len(inorder_labeling(h).label_edges) == 15
 
     h = build_host(2, 2, sibling=True)
-    assert h.graph.vertex_count == 8
-    # per block: 3 tree edges + 1 sibling edge; plus 1 chain edge
-    assert h.graph.edge_count == 9
+    assert h.vertex_count == 8
     assert h.kind == "sibling"
-    assert h.root_chain == (4, 8)
-    assert h.sibling_pairs == frozenset({(2, 3), (6, 7)})
+    links = sibling_layout_labeling(h).links
+    # per block: 3 tree edges + 1 sibling edge; plus 1 chain edge
+    assert len(links.edges) == 9
+    # the second pendant hangs from the first, which hangs from nothing
+    assert (links.up[8], links.up[4]) == (4, 0)
+    assert {(a, b) for a, b in enumerate(links.sib) if a < b} == {(1, 2), (5, 6)}
 
 
 def test_build_host_validation():
@@ -53,12 +76,12 @@ def test_host_edge_and_level_counts():
     for n1 in range(1, 6):
         for k in range(1, 5):
             for sibling in (False, True):
-                host = build_host(n1, k, sibling=sibling)
+                host = _labeled(build_host(n1, k, sibling=sibling))
                 block_edges = (1 << n1) - 1
                 if sibling:
                     block_edges += (1 << (n1 - 1)) - 1
-                assert host.graph.edge_count == k * block_edges + (k - 1)
-                levels = Counter(host.level_of.values())
+                assert len(host.label_edges) == k * block_edges + (k - 1)
+                levels = _level_counts(host)
                 assert levels[0] == k
                 for lvl in range(1, n1 + 1):
                     assert levels[lvl] == k * (1 << (lvl - 1))
@@ -68,12 +91,12 @@ def test_host_counts_match_built_hosts():
     for n1 in range(1, 9):
         for k in range(1, 5):
             for sibling in (False, True):
-                host = build_host(n1, k, sibling=sibling)
+                host = _labeled(build_host(n1, k, sibling=sibling))
                 assert host_counts(n1, k, sibling) == {
-                    "vertex_count": host.graph.vertex_count,
-                    "edge_count": host.graph.edge_count,
-                    "sibling_edge_count": len(host.sibling_pairs),
-                    "level_counts": dict(Counter(host.level_of.values())),
+                    "vertex_count": host.vertex_count,
+                    "edge_count": len(host.label_edges),
+                    "sibling_edge_count": sum(map(bool, host.links.sib)) // 2,
+                    "level_counts": _level_counts(host),
                 }
     with pytest.raises(ValueError, match="n1 must be at least 1"):
         host_counts(0, 1)
@@ -82,11 +105,13 @@ def test_host_counts_match_built_hosts():
 
 
 def test_blocks_only_touch_through_the_chain():
-    host = build_host(3, 3)
-    block = 1 << 3
-    for a, b in host.graph.edges:
-        if (a - 1) // block != (b - 1) // block:
-            assert a in host.root_chain and b in host.root_chain
+    for host in (inorder_labeling(build_host(3, 3)),
+                 sibling_layout_labeling(build_host(3, 3, sibling=True), 2)):
+        block = 1 << 3
+        for a, b in host.label_edges:
+            if (a - 1) // block != (b - 1) // block:
+                # only pendants, the block-last labels, join blocks
+                assert a % block == 0 and b % block == 0
 
 
 def test_inorder_labels_single_block():
@@ -94,7 +119,14 @@ def test_inorder_labels_single_block():
     # ids: root 1, leaves 2 and 3, pendant 4; inorder puts the root between
     # its leaves and the pendant last
     assert host.label_of == {2: 1, 1: 2, 3: 3, 4: 4}
-    assert host.vertex_of_label == {1: 2, 2: 1, 3: 3, 4: 4}
+    assert host.layout == (2, 1, 3)
+
+
+def test_host_tree_refuses_a_layout_that_is_no_permutation():
+    assert HostTree(3, 1, False, [4, 2, 5, 1, 6, 3, 7]).layout == (4, 2, 5, 1, 6, 3, 7)
+    for layout in ([4, 2, 5, 1, 6, 3, 3], [4, 2, 5, 1, 6, 3], [4, 2, 5, 1, 6, 3, 8]):
+        with pytest.raises(ValueError, match="each heap index 1..7 once"):
+            HostTree(3, 1, False, layout)
 
 
 def test_inorder_labels_second_block_mirrors_first():

@@ -13,6 +13,7 @@ from treebed import (
     Embedding,
     Graph,
     Guest,
+    HostTree,
     build_guest,
     build_host,
     build_report,
@@ -91,13 +92,16 @@ def test_value_records_compare_and_hash_by_value():
     assert repr(Guest(4, 2)) == "Guest(n=4, p=2)"
 
 
-def test_host_tree_compares_by_identity():
+def test_host_tree_compares_by_value():
     a, b = build_host(2, 2), build_host(2, 2)
-    assert a == a and a != b
-    assert len({a, b}) == 2
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
     labeled = inorder_labeling(a)
-    assert labeled != a and labeled.graph is a.graph
-    assert a.label_of is None and labeled.is_labeled
+    assert labeled != a and labeled == inorder_labeling(b)
+    assert labeled == HostTree(2, 2, False, (2, 1, 3))
+    assert labeled != HostTree(2, 2, True, (2, 1, 3))
+    assert a.layout is None and labeled.is_labeled
+    assert repr(labeled) == "HostTree(n1=2, k=2, sibling=False, layout=(2, 1, 3))"
 
 
 def test_cached_properties_live_in_the_instance_dict():

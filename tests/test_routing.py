@@ -12,7 +12,6 @@ from oracles import (
 )
 from treebed import (
     LAYOUT_VARIANTS,
-    Graph,
     build_guest,
     build_host,
     inorder_labeling,
@@ -34,7 +33,7 @@ def _standard_hosts(n_max):
 
 
 def _oracle(host):
-    count = host.graph.vertex_count
+    count = host.vertex_count
     table = bfs_distances(count, host.label_edges)
     neighbors = {lab: [] for lab in range(1, count + 1)}
     for a, b in host.label_edges:
@@ -68,7 +67,7 @@ def test_standard_hosts_have_unique_shortest_paths():
     # Why the spine rule is canonical: with one shortest path per pair, a
     # label has exactly one neighbor closer to any goal.
     for _, host in _standard_hosts(6):
-        count = host.graph.vertex_count
+        count = host.vertex_count
         counts = shortest_path_counts(count, host.label_edges)
         assert all(c == 1 for row in counts.values() for c in row.values())
     # the oracle itself sees a tie where there is one: a 4-cycle
@@ -94,22 +93,6 @@ def test_search_distance_rows_match_bfs():
         assert rows == [
             [table[a][b] for b in range(1, count + 1)] for a in range(1, count + 1)
         ]
-
-
-def test_links_refuse_other_edges():
-    host = inorder_labeling(build_host(3, 1))
-    assert len(host.links.edges) == 7  # a standard host is accepted
-    edges = set(host.graph.edges)
-    extra = host._replace(graph=Graph.from_edges(8, edges | {(4, 6)}))
-    missing = host._replace(graph=Graph.from_edges(8, edges - {(1, 2)}))
-    # Heap vertices 4 and 6 are cousins, not siblings.
-    cousins = extra._replace(sibling_pairs=frozenset({(4, 6)}))
-    no_chain = inorder_labeling(build_host(2, 2))._replace(root_chain=(4,))
-    for bad in (extra, missing, cousins, no_chain):
-        with pytest.raises(ValueError, match="parent, chain and sibling links"):
-            bad.links
-        with pytest.raises(ValueError):
-            route(bad, 1, 2)
 
 
 def test_build_host_bounds_n1_before_sizing():

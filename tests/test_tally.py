@@ -1,14 +1,15 @@
-"""The lane tally and the label-space cut family, against the slow oracles."""
+"""The lane tally and the label-space host and cut family, against the slow oracles."""
 
 import random
 
 import pytest
 
-from oracles import heap_cut_family, per_goal_tally
+from oracles import heap_cut_family, heap_host, per_goal_tally
 from treebed import (
     LAYOUT_VARIANTS,
     ConsistencyError,
     Embedding,
+    HostTree,
     build_guest,
     build_host,
     cut_family,
@@ -66,6 +67,19 @@ def test_lane_tally_spans_several_chunks(n, p, n1, kind):
     _check_tally(guest, host, _random_embedding(1 << n, random.Random(n1)))
 
 
+def test_links_match_heap_host():
+    seen = 0
+    for n1 in range(1, 7):
+        for k in range(1, 5):
+            for host in _labeled_hosts(n1, k):
+                edges, label_of, up, sib = heap_host(n1, k, host.sibling, host.layout)
+                assert host.label_edges == edges
+                assert host.links.up == up and host.links.sib == sib
+                assert host.label_of == label_of
+                seen += 1
+    assert seen == 120
+
+
 def test_cut_family_matches_heap_construction():
     seen = 0
     for n1 in range(1, 7):
@@ -79,12 +93,12 @@ def test_cut_family_matches_heap_construction():
 
 
 def test_cut_family_rejects_a_component_off_an_interval():
-    host = inorder_labeling(build_host(3, 1))
-    labels = dict(host.label_of)
-    # Heap vertex 4 is the leftmost leaf (label 1); trading labels with the
-    # pendant (label 8) puts 8 inside the subtree of heap vertex 2.
-    labels[4], labels[8] = labels[8], labels[4]
-    broken = host._replace(label_of=labels)
+    layout = list(inorder_labeling(build_host(3, 1)).layout)
+    assert layout == [4, 2, 5, 1, 6, 3, 7]
+    # Trading heap indices 4 and 7 puts the subtree of heap index 2
+    # (heap indices 2, 4 and 5) on labels 2, 3 and 7.
+    layout[0], layout[6] = 7, 4
+    broken = HostTree(3, 1, False, layout)
     assert heap_cut_family(broken) is None
     with pytest.raises(ConsistencyError, match="not an interval"):
         cut_family(broken)
