@@ -10,8 +10,6 @@ requests and exceeded budgets).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -289,17 +287,12 @@ def cmd_sweep(args) -> int:
         ]
         print(json.dumps(printable, indent=2))
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
+        # No field holds a comma, quote or newline: integers, host kinds,
+        # true/false or empty.
+        lines = [",".join(SWEEP_COLUMNS)]
         for row in rows:
-            writer.writerow(
-                [
-                    str(row[col]).lower() if isinstance(row[col], bool) else row[col]
-                    for col in SWEEP_COLUMNS
-                ]
-            )
-        sys.stdout.write(buf.getvalue())
+            lines.append(",".join(str(row[col]).lower() for col in SWEEP_COLUMNS))
+        sys.stdout.write("\n".join(lines) + "\n")
     return 1 if failed else 0
 
 

@@ -10,6 +10,10 @@ goal.  The routes toward one goal label form that label's in-tree
 links, so the load on every host edge is accumulated per subtree instead
 of walking route by route.  One sweep over the labels serves 64 goals at
 once, each goal's counts in its own bit lane of a Python int (``_Tally``).
+The congestion lemma's route conditions on a cut come from the same
+sweep: a cut's congestion minus the load of the routes between same-side
+labels counts the cut edges on the crossing routes, and that load itself
+counts the same-side routes' cut edges.
 Wirelength comes out three ways that must agree: summing routed path
 lengths, summing cut congestions weighted by coverage, and (elsewhere)
 closed forms.
@@ -18,7 +22,7 @@ closed forms.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, compress
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 from treebed import formulas
@@ -230,6 +234,12 @@ class _Tally:
     its own spine.  Then, parents first, each label passes what it holds
     and carries for the goals below it down its parent link.
 
+    ``side`` is a label interval ``lo..hi``; each source counts only the
+    goals on its own side of it, so ``load`` then counts only the guest
+    edges with both ends inside or both outside.  The default ``(0, 0)``
+    holds no label, which puts every label on one side and counts every
+    guest edge.
+
     A lane counts routes toward one goal from distinct sources, so it never
     exceeds ``edge_count`` and, with ``2**width - 1 > edge_count``, never
     carries into the next lane.  As ``2**width`` is 1 modulo
@@ -240,7 +250,13 @@ class _Tally:
 
     __slots__ = ("guest", "embedding", "partite_at", "load")
 
-    def __init__(self, guest: Guest, links: HostLinks, embedding: Embedding) -> None:
+    def __init__(
+        self,
+        guest: Guest,
+        links: HostLinks,
+        embedding: Embedding,
+        side: tuple[int, int] = (0, 0),
+    ) -> None:
         self.guest = guest
         self.embedding = embedding
         labels = embedding.assignment
@@ -251,6 +267,7 @@ class _Tally:
         self.partite_at = partite_at
         up, up_edge, sib, sib_edge = links.up, links.up_edge, links.sib, links.sib_edge
         order, spill = links.order, links.spill
+        lo, hi = side
         width = (guest.edge_count + 1).bit_length()
         fold = (1 << width) - 1
         load = [0] * spill
@@ -258,19 +275,23 @@ class _Tally:
             goals = range(first, min(first + _LANES, count + 1))
             inside = [0] * (count + 1)
             in_part = [0] * (guest.part_count + 1)
+            # by_side[True] holds the lanes of the goals in lo..hi,
+            # by_side[False] those of the others.
+            by_side = [0, 0]
             for g in goals:
                 shift = width * (g - first)
                 inside[g] = fold << shift
                 in_part[partite_at[g]] |= 1 << shift
+                by_side[lo <= g <= hi] |= 1 << shift
             for t in order:
                 inside[up[t]] |= inside[t]
             inside[0] = 0  # the mask of "no sibling"
             # Each label starts with one route to every goal above it that
-            # lies outside its partite set.
+            # lies outside its partite set and on its side.
             every = sum(in_part)
             lanes = [0] * (count + 1)
             for s in range(1, goals.stop):
-                lanes[s] = every - in_part[partite_at[s]]
+                lanes[s] = (every - in_part[partite_at[s]]) & by_side[lo <= s <= hi]
                 if s >= first:
                     shift = width * (s - first + 1)
                     lanes[s] = lanes[s] >> shift << shift
@@ -297,15 +318,6 @@ class _Tally:
             for e in range(spill):
                 load[e] += packed[e] % fold
         self.load = load
-
-    def sources(self, goal: int) -> list[int]:
-        """Per label, 1 when it is below ``goal`` and its guest vertex is
-        adjacent to the one on ``goal`` (lies in another partite set), else 0."""
-        labels = self.embedding.assignment
-        flags = [0] + [1] * (goal - 1) + [0] * (len(labels) + 1 - goal)
-        for w in self.guest.partites[self.partite_at[goal] - 1]:
-            flags[labels[w - 1]] = 0
-        return flags
 
 
 def _tally(guest: Guest, host: HostTree, embedding: Embedding) -> _Tally:
@@ -390,30 +402,6 @@ def _check_boundary(
         )
 
 
-def _route_hits(links: HostLinks, tally: _Tally, cut: EdgeCut) -> tuple[bool, bool]:
-    """``(inside_avoids_cut, crossings_cross_once)`` by counting, for every
-    route, the cut edges on it.
-
-    ``hits[t]`` is the number of cut edges on the route from ``t`` to the
-    goal.
-    """
-    lo, hi = cut.component_lo, cut.component_hi
-    on_cut = [0] * (links.spill + 1)
-    for e in cut.cut_edges:
-        on_cut[links.edge_index[e]] = 1
-    count = len(tally.partite_at) - 1
-    inside_ok = crossings_ok = True
-    for goal in range(2, count + 1):
-        hits = links.route_sums(goal, on_cut)
-        goal_inside = lo <= goal <= hi
-        for src in compress(range(goal), tally.sources(goal)):
-            if (lo <= src <= hi) == goal_inside:
-                inside_ok = inside_ok and hits[src] == 0
-            else:
-                crossings_ok = crossings_ok and hits[src] == 1
-    return inside_ok, crossings_ok
-
-
 def _cut_reports(
     guest: Guest, host: HostTree, tally: _Tally, cuts: Iterable[EdgeCut]
 ) -> tuple[CutConditionReport, ...]:
@@ -444,11 +432,14 @@ def _cut_reports(
         # Each route crossing the cut uses an odd number of its edges and
         # each other route an even number, so the congestion is at least
         # the number of crossing guest edges, with equality exactly when
-        # both conditions hold.
-        if congestion == leaving:
-            inside_ok = crossings_ok = True
-        else:
-            inside_ok, crossings_ok = _route_hits(links, tally, cut)
+        # both conditions hold.  Otherwise one sweep over the same-side
+        # routes tells them apart.
+        same = 0
+        if congestion != leaving:
+            interval = cut.component_lo, cut.component_hi
+            sided = _Tally(guest, links, tally.embedding, interval)
+            same = _cut_load(sided.load, index, cut)
+        inside_ok, crossings_ok = same == 0, congestion - same == leaving
         reports.append(CutConditionReport(inside_ok, crossings_ok, optimal, leaving))
     return tuple(reports)
 
@@ -457,6 +448,15 @@ def verify_cut_conditions(
     guest: Guest, host: HostTree, embedding: Embedding, cut: EdgeCut
 ) -> CutConditionReport:
     """Check the three congestion-lemma conditions for one cut.
+
+    The cut's edges are the edge boundary of its component interval, so a
+    route between the two sides uses an odd number of them and any other
+    route an even number.  With ``same`` the load the same-side routes put
+    on the cut (``_Tally`` with that interval as ``side``), no same-side
+    route touches the cut exactly when ``same == 0``, and every crossing
+    route uses one cut edge exactly when the congestion minus ``same``
+    equals the number of crossing guest edges.  When the congestion already
+    equals that number, both hold and no further sweep runs.
 
     Raises ``ValueError`` when the cut edges are not exactly the host edges
     with one end in the cut's component interval.

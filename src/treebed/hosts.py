@@ -119,7 +119,8 @@ class HostTree(Frozen):
 
     @cached_property
     def label_adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Sorted neighbor labels keyed by label; drives deterministic routing."""
+        """Sorted neighbor labels keyed by label; the edge boundary check of
+        ``verify_cut_conditions`` reads it."""
         nbrs: dict[int, list[int]] = {
             lab: [] for lab in range(1, self.vertex_count + 1)
         }

@@ -156,16 +156,18 @@ def exhaustive_min_wirelength(
     the same wirelength, so the search visits each split once
     (``explored`` counts them).  The witness comes from the first optimal
     split: its ``j``-th block (blocks ordered by smallest label) goes to
-    partite set ``j + 1``, in increasing label order.  Refuses to start if
-    the number of partitions exceeds ``budget``.
+    partite set ``j + 1``, in increasing label order.  Refuses to start,
+    before it builds the distance rows, if the number of partitions exceeds
+    ``budget``.
     """
-    count, rows = _instance_tables(guest, host)
+    count = _vertex_count(guest, host)
     parts = guest.part_count
     planned = _partition_count(count, parts)
     if planned > budget:
         raise BudgetExceededError(
             f"{planned} label partitions exceed the budget of {budget}"
         )
+    rows = _instance_tables(guest, host)[1]
     best, blocks, explored = _min_wirelength_partitions(count, rows, parts)
     # Partite set j + 1 holds the vertices j + 1, j + 1 + parts, ...
     assignment = [0] * count

@@ -212,13 +212,15 @@ def local_search_by_neighbors(nv, dist, edge_u, edge_v, rng, iterations):
     return history
 
 
-def per_goal_tally(links, assignment, part_count):
+def per_goal_tally(links, assignment, part_count, side=None):
     """Routed load per host edge, one in-tree sweep per goal label.
 
     ``links`` is a host's ``HostLinks``; ``assignment[m]`` is the label of
     guest vertex ``m + 1``, whose partite set is ``m % part_count``.  Every
     guest edge is routed toward its larger label, so goal ``g`` collects one
-    route from each label ``s < g`` in another partite set.  In ``g``'s
+    route from each label ``s < g`` in another partite set.  With ``side =
+    (lo, hi)`` it keeps only the sources on ``g``'s side of ``lo..hi``:
+    both inside or both outside.  In ``g``'s
     in-tree a host edge carries one route per source below it, so sweeping
     away from the leaves adds each subtree's count once; the spine steps
     down, against the deepest-first order, so its labels hold their counts
@@ -230,10 +232,12 @@ def per_goal_tally(links, assignment, part_count):
         part_at[lab] = m % part_count
     spill, up_edge = links.spill, links.up_edge
     load = [0] * (spill + 1)
+    lo, hi = side or (1, count)
     for goal in range(2, count + 1):
         below = [0] * (count + 1)
+        goal_inside = lo <= goal <= hi
         for s in range(1, goal):
-            if part_at[s] != part_at[goal]:
+            if part_at[s] != part_at[goal] and (lo <= s <= hi) == goal_inside:
                 below[s] = 1
         hops, hop_edges, spine = links.in_tree(goal)
         for t in spine:

@@ -241,8 +241,29 @@ def _labeled(n, n1, sibling, variant):
     return sibling_layout_labeling(host, variant) if sibling else inorder_labeling(host)
 
 
-def _check_against_route_oracle(guest, host, emb):
+def _interval_cuts(host, intervals):
+    """Each ``(lo, hi)`` of ``intervals`` as a cut: its label interval cut
+    out by its edge boundary."""
+    return tuple(
+        EdgeCut(
+            "X", None, 1,
+            frozenset((a, b) for a, b in host.label_edges
+                      if (lo <= a <= hi) != (lo <= b <= hi)),
+            lo, hi,
+        )
+        for lo, hi in intervals
+    )
+
+
+def _check_against_route_oracle(guest, host, emb, cuts=None):
+    """Congestions, and the flags and lemma value of each of ``cuts``
+    (default: the standard cuts and every label interval's boundary),
+    against hit counts on canonical routes.  Returns the
+    ``(inside_avoids_cut, crossings_cross_once)`` pairs seen."""
     count = host.vertex_count
+    if cuts is None:
+        every = [(lo, hi) for lo in range(1, count + 1) for hi in range(lo, count + 1)]
+        cuts = cut_family(host) + _interval_cuts(host, every)
     table = bfs_distances(count, host.label_edges)
     neighbors = {lab: [] for lab in range(1, count + 1)}
     for a, b in host.label_edges:
@@ -261,17 +282,8 @@ def _check_against_route_oracle(guest, host, emb):
         assert edge_congestion(guest, host, emb, edge) == expected, edge
     assert wirelength_direct(guest, host, emb) == sum(load.values())
 
-    intervals = [
-        EdgeCut(
-            "X", None, 1,
-            frozenset((a, b) for a, b in host.label_edges
-                      if (lo <= a <= hi) != (lo <= b <= hi)),
-            lo, hi,
-        )
-        for lo in range(1, count + 1)
-        for hi in range(lo, count + 1)
-    ]
-    for cut in cut_family(host) + tuple(intervals):
+    seen = set()
+    for cut in cuts:
         lo, hi = cut.component_lo, cut.component_hi
         inside_ok = crossings_ok = True
         crossing = 0
@@ -286,6 +298,8 @@ def _check_against_route_oracle(guest, host, emb):
         assert (
             report.inside_avoids_cut, report.crossings_cross_once, report.lemma_value
         ) == (inside_ok, crossings_ok, crossing), (cut.family, cut.j, cut.i, lo, hi)
+        seen.add((inside_ok, crossings_ok))
+    return seen
 
 
 def test_engine_matches_independent_route_oracle():
@@ -307,6 +321,28 @@ def test_engine_matches_independent_route_oracle():
                     for _ in range(3):
                         emb = emb.swapped(*rng.sample(range(1, count + 1), 2))
                     _check_against_route_oracle(guest, host, emb)
+
+
+@pytest.mark.parametrize(
+    "n, p, n1, sibling",
+    [(7, 3, 2, False), (7, 2, 4, True), (8, 2, 4, False), (8, 2, 3, True)],
+)
+def test_engine_matches_route_oracle_past_one_lane_chunk(n, p, n1, sibling):
+    # 128 and 256 labels: the tallies run two and four chunks of 64 lanes.
+    # A swapped embedding and 20 random label intervals, most of them not
+    # convex, so the flags come from the same-side sweep; the first half of
+    # the blocks, a chain cut's component, keeps both flags.
+    rng = random.Random(n * 10 + n1)
+    guest = build_guest(n, p)
+    host = _labeled(n, n1, sibling, rng.randrange(4) if sibling else 0)
+    count = host.vertex_count
+    emb = identity_embedding(guest, host)
+    for _ in range(3):
+        emb = emb.swapped(*rng.sample(range(1, count + 1), 2))
+    intervals = [tuple(sorted(rng.sample(range(1, count + 1), 2))) for _ in range(20)]
+    intervals.append((1, count // 2))
+    seen = _check_against_route_oracle(guest, host, emb, _interval_cuts(host, intervals))
+    assert (False, False) in seen and (True, True) in seen
 
 
 def test_build_report_leaves_no_instance_alive():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
@@ -66,6 +67,20 @@ def test_exhaustive_budget_guard():
     with pytest.raises(BudgetExceededError, match="105 label partitions"):
         exhaustive_min_wirelength(guest, T31, budget=104)
     assert exhaustive_min_wirelength(guest, T31, budget=105).explored == 105
+
+
+def test_exhaustive_budget_is_checked_before_the_distance_rows():
+    # 4096 labels: the distance rows alone would take over 100 MB.
+    guest = build_guest(12, 2)
+    host = inorder_labeling(build_host(12, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="exceed the budget of 100000000"):
+            exhaustive_min_wirelength(guest, host)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_exhaustive_size_mismatch():

@@ -33,23 +33,37 @@ def _random_embedding(count, rng):
     return Embedding(tuple(labels))
 
 
-def _check_tally(guest, host, embedding):
+def _check_tally(guest, host, embedding, sides=()):
+    """The lane tally against the oracle, over every label and then on
+    each ``(lo, hi)`` interval of ``sides``."""
     lanes = _Tally(guest, host.links, embedding).load
     assert lanes == per_goal_tally(host.links, embedding.assignment, guest.part_count)
+    for side in sides:
+        lanes = _Tally(guest, host.links, embedding, side).load
+        expected = per_goal_tally(
+            host.links, embedding.assignment, guest.part_count, side
+        )
+        assert lanes == expected, side
+
+
+def _random_sides(count, rng, how_many=3):
+    return [tuple(sorted(rng.sample(range(1, count + 1), 2))) for _ in range(how_many)]
 
 
 def test_lane_tally_matches_per_goal_sweep():
     # every shape with n <= 6, both kinds, all variants: up to 63 goals,
-    # one chunk of lanes
+    # one chunk of lanes; the sided sweeps on a few random intervals
     rng = random.Random(8)
+    side_rng = random.Random(9)
     seen = 0
     for n in range(2, 7):
         for p in range(2, n + 1):
             guest = build_guest(n, p)
             for n1 in range(1, n + 1):
                 for host in _labeled_hosts(n1, 1 << (n - n1)):
-                    _check_tally(guest, host, identity_embedding(guest, host))
-                    _check_tally(guest, host, _random_embedding(1 << n, rng))
+                    sides = _random_sides(1 << n, side_rng) + [(1, 1 << n)]
+                    _check_tally(guest, host, identity_embedding(guest, host), sides)
+                    _check_tally(guest, host, _random_embedding(1 << n, rng), sides)
                     seen += 1
     assert seen == 350
 
@@ -59,12 +73,19 @@ def test_lane_tally_matches_per_goal_sweep():
     [(7, 2, 3, "binary"), (7, 7, 7, "sibling"), (8, 3, 1, "sibling"), (8, 8, 5, "binary")],
 )
 def test_lane_tally_spans_several_chunks(n, p, n1, kind):
-    # 127 and 255 goals: two and four chunks of 64 lanes
+    # 127 and 255 goals: two and four chunks of 64 lanes (goals 2..65,
+    # 66..129, 130..193, 194..256); the sided sweeps on intervals that end
+    # inside the first, the second and the last chunk
     guest = build_guest(n, p)
+    count = 1 << n
     host = build_host(n1, 1 << (n - n1), sibling=kind == "sibling")
     host = sibling_layout_labeling(host, 2) if kind == "sibling" else inorder_labeling(host)
-    _check_tally(guest, host, identity_embedding(guest, host))
-    _check_tally(guest, host, _random_embedding(1 << n, random.Random(n1)))
+    rng = random.Random(n1)
+    shuffled = _random_embedding(count, rng)
+    sides = [(1, 40), (30, 100), (70, 90), (100, count - 3), (count - 20, count)]
+    sides += _random_sides(count, rng, 2)
+    _check_tally(guest, host, identity_embedding(guest, host), sides)
+    _check_tally(guest, host, shuffled, sides)
 
 
 def test_links_match_heap_host():
