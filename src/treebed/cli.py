@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations
 
 from treebed import formulas
 from treebed.embedding import build_report, identity_embedding
@@ -327,8 +328,10 @@ def _guest_dot(guest: Guest) -> str:
         lines.append(
             f'  subgraph cluster_{idx} {{ label="partite {idx}"; {members} }}'
         )
-    for u, v in sorted(guest.graph.edges):
-        lines.append(f"  {u} -- {v};")
+    parts = guest.part_count
+    # u and v share a partite set exactly when parts divides v - u.
+    pairs = combinations(range(1, guest.vertex_count + 1), 2)
+    lines.extend(f"  {u} -- {v};" for u, v in pairs if (v - u) % parts)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

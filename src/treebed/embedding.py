@@ -7,13 +7,14 @@ from a label off the goal's spine (the goal and its ancestors) it climbs,
 or steps across to a spine sibling, and on the spine it descends to the
 goal.  The routes toward one goal label form that label's in-tree
 (``HostLinks.in_tree``), built from the host's parent, chain and sibling
-links, so the load on every host edge is accumulated per subtree instead
-of walking route by route.  One sweep over the labels serves 64 goals at
-once, each goal's counts in its own bit lane of a Python int (``_Tally``).
-The congestion lemma's route conditions on a cut come from the same
-sweep: a cut's congestion minus the load of the routes between same-side
-labels counts the cut edges on the crossing routes, and that load itself
-counts the same-side routes' cut edges.
+links.  So a route leaves a label's subtree through that label, and the
+load on every host edge is a count of guest edges between subtrees, which
+one pass from the leaves up reads off each subtree's partite counts
+(``_Tally``) without walking a route.  The congestion lemma's route
+conditions on a cut come from the same pass run on the same-side guest
+edges alone: a cut's congestion minus their load counts the cut edges on
+the crossing routes, and that load itself counts the same-side routes'
+cut edges.
 Wirelength comes out three ways that must agree: summing routed path
 lengths, summing cut congestions weighted by coverage, and (elsewhere)
 closed forms.
@@ -212,9 +213,6 @@ def route(host: HostTree, u: int, v: int) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-_LANES = 64  # goals packed into one int by the tally sweep
-
-
 class _Tally:
     """Routed load on every host edge for one (guest, host, embedding).
 
@@ -222,30 +220,10 @@ class _Tally:
     ``host.links.edges[i]``; ``partite_at[lab]`` is the partite set of the
     guest vertex placed on label ``lab``.
 
-    Every guest edge is routed toward its larger label, so goal ``g``
-    collects one route from each label ``s < g`` outside its partite set,
-    along ``g``'s in-tree (``HostLinks.in_tree``).  One sweep serves up to
-    64 goals at once: lane ``g`` of a packed count, the ``width`` bits at
-    offset ``width * (g - first)``, is goal ``g``'s count.  ``inside[t]``
-    masks the lanes of the goals in ``t``'s subtree, whose spines run
-    through ``t``.  Deepest first, each label sends up its parent link the
-    lanes whose spine misses both it and its sibling, sends across its
-    sibling link the lanes on its sibling's spine, and holds the lanes on
-    its own spine.  Then, parents first, each label passes what it holds
-    and carries for the goals below it down its parent link.
-
-    ``side`` is a label interval ``lo..hi``; each source counts only the
-    goals on its own side of it, so ``load`` then counts only the guest
-    edges with both ends inside or both outside.  The default ``(0, 0)``
-    holds no label, which puts every label on one side and counts every
-    guest edge.
-
-    A lane counts routes toward one goal from distinct sources, so it never
-    exceeds ``edge_count`` and, with ``2**width - 1 > edge_count``, never
-    carries into the next lane.  As ``2**width`` is 1 modulo
-    ``2**width - 1``, a packed edge total modulo ``2**width - 1`` is the sum
-    of its lanes; that sum is the edge's load from these goals, at most
-    ``edge_count``, so the remainder is the sum itself.
+    ``side`` is a label interval ``lo..hi``; ``load`` then counts only the
+    guest edges with both ends inside it or both outside, one
+    ``_add_subtree_loads`` pass for each of the two label sets.  The
+    default ``(0, 0)`` holds no label and counts every guest edge.
     """
 
     __slots__ = ("guest", "embedding", "partite_at", "load")
@@ -265,59 +243,76 @@ class _Tally:
         for m, lab in enumerate(labels, start=1):
             partite_at[lab] = guest.partite_of(m)
         self.partite_at = partite_at
-        up, up_edge, sib, sib_edge = links.up, links.up_edge, links.sib, links.sib_edge
-        order, spill = links.order, links.spill
         lo, hi = side
-        width = (guest.edge_count + 1).bit_length()
-        fold = (1 << width) - 1
-        load = [0] * spill
-        for first in range(2, count + 1, _LANES):
-            goals = range(first, min(first + _LANES, count + 1))
-            inside = [0] * (count + 1)
-            in_part = [0] * (guest.part_count + 1)
-            # by_side[True] holds the lanes of the goals in lo..hi,
-            # by_side[False] those of the others.
-            by_side = [0, 0]
-            for g in goals:
-                shift = width * (g - first)
-                inside[g] = fold << shift
-                in_part[partite_at[g]] |= 1 << shift
-                by_side[lo <= g <= hi] |= 1 << shift
-            for t in order:
-                inside[up[t]] |= inside[t]
-            inside[0] = 0  # the mask of "no sibling"
-            # Each label starts with one route to every goal above it that
-            # lies outside its partite set and on its side.
-            every = sum(in_part)
-            lanes = [0] * (count + 1)
-            for s in range(1, goals.stop):
-                lanes[s] = (every - in_part[partite_at[s]]) & by_side[lo <= s <= hi]
-                if s >= first:
-                    shift = width * (s - first + 1)
-                    lanes[s] = lanes[s] >> shift << shift
-            packed = [0] * (spill + 1)
-            for t in order:
-                x = lanes[t]
-                if x:
-                    own = x & inside[t]
-                    twin = sib[t]
-                    across = x & inside[twin]
-                    rise = x - own - across
-                    if rise:
-                        packed[up_edge[t]] += rise
-                        lanes[up[t]] += rise
-                    if across:
-                        packed[sib_edge[t]] += across
-                        lanes[twin] += across
-                    lanes[t] = own
-            for t in reversed(order):
-                down = lanes[up[t]] & inside[t]
-                if down:
-                    packed[up_edge[t]] += down
-                    lanes[t] += down
-            for e in range(spill):
-                load[e] += packed[e] % fold
+        load = [0] * (links.spill + 1)
+        for inside in (True, False):
+            members = [s for s in range(1, count + 1) if (lo <= s <= hi) == inside]
+            _add_subtree_loads(links, partite_at, members, load)
+        load.pop()  # the ``spill`` slot, above the top of the host
         self.load = load
+
+
+def _add_subtree_loads(
+    links: HostLinks, partite_at: list[int], members: list[int], load: list[int]
+) -> None:
+    """Add to ``load`` each host edge's share of the guest edges among the
+    labels ``members``.
+
+    Call ``S_t`` the labels in the subtree of ``t``: ``t`` and everything
+    below it on the host's parent links.  A route with one end in ``S_t``
+    leaves it through ``t``: across the sibling link when its other end lies
+    in the sibling's subtree, else up the parent link.  So the sibling link
+    carries the guest edges between ``S_t`` and ``S_sib``, and the parent
+    link those leaving ``S_t`` minus those.  The guest joins every two
+    vertices in different partite sets, so between disjoint label sets
+    ``X`` and ``Y`` it has ``|X||Y| - sum_j c_j(X) c_j(Y)`` edges, with
+    ``c_j`` the number of labels holding partite set ``j``.  One pass from
+    the leaves up keeps each subtree's size, partite counts and number of
+    guest edges leaving it, merging the smaller count dict into the larger;
+    the first of two siblings waits for the second.
+    """
+    totals = Counter(partite_at[s] for s in members)
+    size = [0] * len(partite_at)
+    leaving = [0] * len(partite_at)
+    counts: list[dict[int, int]] = [{} for _ in partite_at]
+    for s in members:
+        size[s] = 1
+        leaving[s] = len(members) - totals[partite_at[s]]
+        counts[s] = {partite_at[s]: 1}
+
+    def join(a: int, b: int) -> int:
+        """Merge subtree record ``b`` into ``a``; return the guest edges
+        between the two."""
+        big, small = counts[a], counts[b]
+        if len(big) < len(small):
+            big, small = small, big
+            counts[a] = big
+        same = 0
+        for j, c in small.items():
+            had = big.get(j, 0)
+            same += had * c
+            big[j] = had + c
+        between = size[a] * size[b] - same
+        size[a] += size[b]
+        leaving[a] += leaving[b] - 2 * between
+        return between
+
+    up, up_edge, sib, sib_edge = links.up, links.up_edge, links.sib, links.sib_edge
+    done = [False] * len(partite_at)
+    for t in links.order:
+        # Every label below t came earlier in the order, so t's record is
+        # its whole subtree.
+        done[t] = True
+        load[up_edge[t]] += leaving[t]
+        twin = sib[t]
+        if not twin:
+            join(up[t], t)
+        elif done[twin]:
+            across = join(t, twin)
+            load[sib_edge[t]] += across
+            load[up_edge[t]] -= across
+            load[up_edge[twin]] -= across
+            join(up[t], t)
 
 
 def _tally(guest: Guest, host: HostTree, embedding: Embedding) -> _Tally:
@@ -432,8 +427,8 @@ def _cut_reports(
         # Each route crossing the cut uses an odd number of its edges and
         # each other route an even number, so the congestion is at least
         # the number of crossing guest edges, with equality exactly when
-        # both conditions hold.  Otherwise one sweep over the same-side
-        # routes tells them apart.
+        # both conditions hold.  Otherwise the load of the same-side guest
+        # edges on the cut tells them apart.
         same = 0
         if congestion != leaving:
             interval = cut.component_lo, cut.component_hi
@@ -452,11 +447,12 @@ def verify_cut_conditions(
     The cut's edges are the edge boundary of its component interval, so a
     route between the two sides uses an odd number of them and any other
     route an even number.  With ``same`` the load the same-side routes put
-    on the cut (``_Tally`` with that interval as ``side``), no same-side
+    on the cut (``_Tally`` with that interval as ``side``: the subtree pass
+    over the labels inside it plus the one over those outside), no same-side
     route touches the cut exactly when ``same == 0``, and every crossing
     route uses one cut edge exactly when the congestion minus ``same``
     equals the number of crossing guest edges.  When the congestion already
-    equals that number, both hold and no further sweep runs.
+    equals that number, both hold and no further pass runs.
 
     Raises ``ValueError`` when the cut edges are not exactly the host edges
     with one end in the cut's component interval.

@@ -150,7 +150,7 @@ class Guest(Frozen):
 
     @cached_property
     def graph(self) -> Graph:
-        """The edge set, built on first use; only drawings and tests need it."""
+        """The edge set, built on first use; only tests and ``perfbench`` read it."""
         parts = self.part_count
         pairs = combinations(range(1, self.vertex_count + 1), 2)
         # u and v share a partite set exactly when parts divides v - u.

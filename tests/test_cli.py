@@ -551,10 +551,43 @@ def test_export_dot_sibling_host_bytes(capsys):
 
 
 def test_export_dot_guest(capsys):
-    code, out, _ = run(capsys, "export-dot", "guest", "--n", "3", "--p", "2")
-    assert code == 0
+    code, out, err = run(capsys, "export-dot", "guest", "--n", "3", "--p", "2")
+    assert (code, err) == (0, "")
     assert out.count("subgraph cluster_") == 4
     assert sum(1 for line in out.split("\n") if " -- " in line) == 24
+    assert out == (
+        "graph guest {\n"
+        "  node [shape=circle];\n"
+        '  subgraph cluster_1 { label="partite 1"; 1; 5; }\n'
+        '  subgraph cluster_2 { label="partite 2"; 2; 6; }\n'
+        '  subgraph cluster_3 { label="partite 3"; 3; 7; }\n'
+        '  subgraph cluster_4 { label="partite 4"; 4; 8; }\n'
+        "  1 -- 2;\n"
+        "  1 -- 3;\n"
+        "  1 -- 4;\n"
+        "  1 -- 6;\n"
+        "  1 -- 7;\n"
+        "  1 -- 8;\n"
+        "  2 -- 3;\n"
+        "  2 -- 4;\n"
+        "  2 -- 5;\n"
+        "  2 -- 7;\n"
+        "  2 -- 8;\n"
+        "  3 -- 4;\n"
+        "  3 -- 5;\n"
+        "  3 -- 6;\n"
+        "  3 -- 8;\n"
+        "  4 -- 5;\n"
+        "  4 -- 6;\n"
+        "  4 -- 7;\n"
+        "  5 -- 6;\n"
+        "  5 -- 7;\n"
+        "  5 -- 8;\n"
+        "  6 -- 7;\n"
+        "  6 -- 8;\n"
+        "  7 -- 8;\n"
+        "}\n"
+    )
 
 
 def test_export_dot_to_file(tmp_path, capsys):

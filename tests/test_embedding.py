@@ -14,6 +14,7 @@ from treebed import (
     build_guest,
     build_host,
     build_report,
+    closed_form_wirelength,
     congestion_lemma_value,
     cut_congestion,
     cut_family,
@@ -327,11 +328,11 @@ def test_engine_matches_independent_route_oracle():
     "n, p, n1, sibling",
     [(7, 3, 2, False), (7, 2, 4, True), (8, 2, 4, False), (8, 2, 3, True)],
 )
-def test_engine_matches_route_oracle_past_one_lane_chunk(n, p, n1, sibling):
-    # 128 and 256 labels: the tallies run two and four chunks of 64 lanes.
-    # A swapped embedding and 20 random label intervals, most of them not
-    # convex, so the flags come from the same-side sweep; the first half of
-    # the blocks, a chain cut's component, keeps both flags.
+def test_engine_matches_route_oracle_at_n7_and_n8(n, p, n1, sibling):
+    # 128 and 256 labels.  A swapped embedding and 20 random label
+    # intervals, most of them not convex, so the flags come from the
+    # same-side tally; the first half of the blocks, a chain cut's
+    # component, keeps both flags.
     rng = random.Random(n * 10 + n1)
     guest = build_guest(n, p)
     host = _labeled(n, n1, sibling, rng.randrange(4) if sibling else 0)
@@ -343,6 +344,20 @@ def test_engine_matches_route_oracle_past_one_lane_chunk(n, p, n1, sibling):
     intervals.append((1, count // 2))
     seen = _check_against_route_oracle(guest, host, emb, _interval_cuts(host, intervals))
     assert (False, False) in seen and (True, True) in seen
+
+
+@pytest.mark.parametrize("n1, p", [(1, 2), (6, 4), (12, 6)])
+@pytest.mark.parametrize("sibling, variant", [(False, 0), (True, 0), (True, 3)])
+def test_engine_matches_closed_form_at_n12(n1, p, sibling, variant):
+    # 4096 labels, past the CLI's engine cap; labels 1 and 4095 hold guest
+    # vertices in different partite sets, so swapping them costs wirelength
+    guest = build_guest(12, p)
+    host = _labeled(12, n1, sibling, variant)
+    emb = identity_embedding(guest, host)
+    closed = closed_form_wirelength(12, p, n1=n1, sibling=sibling)
+    assert wirelength_direct(guest, host, emb) == closed
+    assert wirelength_via_partition(guest, host, emb) == closed
+    assert wirelength_direct(guest, host, emb.swapped(1, 4095)) > closed
 
 
 def test_build_report_leaves_no_instance_alive():

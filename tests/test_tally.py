@@ -1,4 +1,4 @@
-"""The lane tally and the label-space host and cut family, against the slow oracles."""
+"""The subtree tally and the label-space host and cut family, against the slow oracles."""
 
 import random
 
@@ -34,25 +34,25 @@ def _random_embedding(count, rng):
 
 
 def _check_tally(guest, host, embedding, sides=()):
-    """The lane tally against the oracle, over every label and then on
+    """The subtree tally against the oracle, over every label and then on
     each ``(lo, hi)`` interval of ``sides``."""
-    lanes = _Tally(guest, host.links, embedding).load
-    assert lanes == per_goal_tally(host.links, embedding.assignment, guest.part_count)
+    load = _Tally(guest, host.links, embedding).load
+    assert load == per_goal_tally(host.links, embedding.assignment, guest.part_count)
     for side in sides:
-        lanes = _Tally(guest, host.links, embedding, side).load
+        load = _Tally(guest, host.links, embedding, side).load
         expected = per_goal_tally(
             host.links, embedding.assignment, guest.part_count, side
         )
-        assert lanes == expected, side
+        assert load == expected, side
 
 
 def _random_sides(count, rng, how_many=3):
     return [tuple(sorted(rng.sample(range(1, count + 1), 2))) for _ in range(how_many)]
 
 
-def test_lane_tally_matches_per_goal_sweep():
-    # every shape with n <= 6, both kinds, all variants: up to 63 goals,
-    # one chunk of lanes; the sided sweeps on a few random intervals
+def test_subtree_tally_matches_per_goal_sweep():
+    # every shape with n <= 6, both kinds, all variants; the sided tallies
+    # on a few random intervals and on every label
     rng = random.Random(8)
     side_rng = random.Random(9)
     seen = 0
@@ -72,10 +72,9 @@ def test_lane_tally_matches_per_goal_sweep():
     "n, p, n1, kind",
     [(7, 2, 3, "binary"), (7, 7, 7, "sibling"), (8, 3, 1, "sibling"), (8, 8, 5, "binary")],
 )
-def test_lane_tally_spans_several_chunks(n, p, n1, kind):
-    # 127 and 255 goals: two and four chunks of 64 lanes (goals 2..65,
-    # 66..129, 130..193, 194..256); the sided sweeps on intervals that end
-    # inside the first, the second and the last chunk
+def test_subtree_tally_at_n7_and_n8(n, p, n1, kind):
+    # 128 and 256 labels; the sided tallies on five fixed intervals and two
+    # random ones
     guest = build_guest(n, p)
     count = 1 << n
     host = build_host(n1, 1 << (n - n1), sibling=kind == "sibling")
