@@ -10,7 +10,6 @@ requests and exceeded budgets).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import combinations
 
@@ -73,6 +72,45 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, for the values
+    reports hold: dicts with ``str`` keys, lists, ``int``, ``bool``,
+    ``None``, and strings of printable ASCII without ``"`` or ``\\``, which
+    JSON writes unescaped.  Raises ``TypeError`` on anything else.
+    ``indent`` is the line break and indentation before the value's closing
+    bracket.
+    """
+    kind = type(value)
+    if kind is int:
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is str:
+        return f'"{_unescaped(value)}"'
+    inner = indent + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        items = [_json(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        _unescaped("".join(value))  # every key at once; join raises on a non-str
+        items = [f'"{key}": {_json(item, inner)}' for key, item in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    raise TypeError(f"reports hold no {kind.__name__} value: {value!r}")
+
+
+def _unescaped(text: str) -> str:
+    """``text``, after checking that JSON writes it without escapes."""
+    if not (text.isascii() and text.isprintable()) or '"' in text or "\\" in text:
+        raise TypeError(f"report text {text!r} would need escaping")
+    return text
+
+
 GUEST_FIELDS = ("vertex_count", "edge_count", "part_count", "part_size", "degree")
 
 
@@ -83,7 +121,7 @@ def cmd_guest(args) -> int:
     if args.n <= ENGINE_MAX_N:
         info["partites"] = [sorted(part) for part in guest.partites]
     if args.output == "json":
-        print(json.dumps(info, indent=2))
+        print(_json(info))
     else:
         print(f"guest: 2^{args.n} vertices in 2^{args.p} partite sets")
         for key in GUEST_FIELDS:
@@ -104,7 +142,7 @@ def cmd_host(args) -> int:
         host = _build_labeled(args.n1, args.k, args.host, args.variant)
         info["label_of"] = {str(v): host.label_of[v] for v in sorted(host.label_of)}
     if args.output == "json":
-        print(json.dumps(info, indent=2))
+        print(_json(info))
     else:
         print(f"host: {args.host}, {args.k} block(s) of height {args.n1}")
         for key in ("vertex_count", "edge_count", "sibling_edge_count"):
@@ -137,7 +175,7 @@ def cmd_wirelength(args) -> int:
         local_search_min=heuristic,
     )
     if args.output == "json":
-        print(json.dumps(report.to_dict(), indent=2))
+        print(_json(report.to_dict()))
     else:
         print(f"direct        = {report.direct}")
         print(f"via_partition = {report.via_partition}")
@@ -184,7 +222,7 @@ def cmd_verify(args) -> int:
         "per_cut": rows,
     }
     if args.output == "json":
-        print(json.dumps(result, indent=2))
+        print(_json(result))
     else:
         for r in rows:
             j = "-" if r["j"] is None else r["j"]
@@ -286,7 +324,7 @@ def cmd_sweep(args) -> int:
             {col: (row[col] if row[col] != "" else None) for col in SWEEP_COLUMNS}
             for row in rows
         ]
-        print(json.dumps(printable, indent=2))
+        print(_json(printable))
     else:
         # No field holds a comma, quote or newline: integers, host kinds,
         # true/false or empty.

@@ -14,7 +14,11 @@ one pass from the leaves up reads off each subtree's partite counts
 conditions on a cut come from the same pass run on the same-side guest
 edges alone: a cut's congestion minus their load counts the cut edges on
 the crossing routes, and that load itself counts the same-side routes'
-cut edges.
+cut edges.  The pass also records the sum of squared partite counts of
+every subtree and sibling union that fills a label interval, from which a
+standard cut's induced and leaving guest edges follow in O(1).  Every
+cut's edges are checked against its interval's edge boundary, all cuts of
+a report in one batch (``_check_boundaries``).
 Wirelength comes out three ways that must agree: summing routed path
 lengths, summing cut congestions weighted by coverage, and (elsewhere)
 closed forms.
@@ -22,14 +26,14 @@ closed forms.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from itertools import chain
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from treebed import formulas
 from treebed.errors import CoverageError, ConsistencyError
 from treebed.frozen import Frozen
-from treebed.graphs import Guest, induced_by_partite_counts
+from treebed.graphs import Guest
 from treebed.hosts import EdgeCut, HostLinks, HostTree, cut_family
 from treebed.isoperimetric import max_subgraph_edges_closed_form
 
@@ -224,9 +228,14 @@ class _Tally:
     guest edges with both ends inside it or both outside, one
     ``_add_subtree_loads`` pass for each of the two label sets.  The
     default ``(0, 0)`` holds no label and counts every guest edge.
+
+    ``squares`` maps label intervals ``(lo, hi)`` to ``sum_j c_j**2``, with
+    ``c_j`` the number of labels in ``lo..hi`` holding partite set ``j``;
+    the passes record it for every subtree and sibling union whose labels
+    form an interval.
     """
 
-    __slots__ = ("guest", "embedding", "partite_at", "load")
+    __slots__ = ("guest", "embedding", "partite_at", "load", "squares")
 
     def __init__(
         self,
@@ -245,18 +254,24 @@ class _Tally:
         self.partite_at = partite_at
         lo, hi = side
         load = [0] * (links.spill + 1)
+        self.squares: dict[tuple[int, int], int] = {}
         for inside in (True, False):
             members = [s for s in range(1, count + 1) if (lo <= s <= hi) == inside]
-            _add_subtree_loads(links, partite_at, members, load)
+            _add_subtree_loads(links, partite_at, members, load, self.squares)
         load.pop()  # the ``spill`` slot, above the top of the host
         self.load = load
 
 
 def _add_subtree_loads(
-    links: HostLinks, partite_at: list[int], members: list[int], load: list[int]
+    links: HostLinks,
+    partite_at: list[int],
+    members: list[int],
+    load: list[int],
+    squares: dict[tuple[int, int], int],
 ) -> None:
     """Add to ``load`` each host edge's share of the guest edges among the
-    labels ``members``.
+    labels ``members``, and record in ``squares`` the interval records
+    described in ``_Tally``.
 
     Call ``S_t`` the labels in the subtree of ``t``: ``t`` and everything
     below it on the host's parent links.  A route with one end in ``S_t``
@@ -269,14 +284,21 @@ def _add_subtree_loads(
     ``c_j`` the number of labels holding partite set ``j``.  One pass from
     the leaves up keeps each subtree's size, partite counts and number of
     guest edges leaving it, merging the smaller count dict into the larger;
-    the first of two siblings waits for the second.
+    the first of two siblings waits for the second.  It also keeps each
+    record's lowest and highest label and ``sum_j c_j**2``, which a merge
+    raises by twice the same-partite pairs it counts anyway, and records
+    that sum for each subtree and sibling union that fills its label range.
     """
     totals = Counter(partite_at[s] for s in members)
     size = [0] * len(partite_at)
     leaving = [0] * len(partite_at)
+    square = [0] * len(partite_at)
+    low = [len(partite_at)] * len(partite_at)
+    high = [0] * len(partite_at)
     counts: list[dict[int, int]] = [{} for _ in partite_at]
     for s in members:
-        size[s] = 1
+        size[s] = square[s] = 1
+        low[s] = high[s] = s
         leaving[s] = len(members) - totals[partite_at[s]]
         counts[s] = {partite_at[s]: 1}
 
@@ -295,7 +317,16 @@ def _add_subtree_loads(
         between = size[a] * size[b] - same
         size[a] += size[b]
         leaving[a] += leaving[b] - 2 * between
+        square[a] += square[b] + 2 * same
+        if low[b] < low[a]:
+            low[a] = low[b]
+        if high[b] > high[a]:
+            high[a] = high[b]
         return between
+
+    def record(t: int) -> None:
+        if high[t] - low[t] + 1 == size[t]:
+            squares[low[t], high[t]] = square[t]
 
     up, up_edge, sib, sib_edge = links.up, links.up_edge, links.sib, links.sib_edge
     done = [False] * len(partite_at)
@@ -303,12 +334,14 @@ def _add_subtree_loads(
         # Every label below t came earlier in the order, so t's record is
         # its whole subtree.
         done[t] = True
+        record(t)
         load[up_edge[t]] += leaving[t]
         twin = sib[t]
         if not twin:
             join(up[t], t)
         elif done[twin]:
             across = join(t, twin)
+            record(t)
             load[sib_edge[t]] += across
             load[up_edge[t]] -= across
             load[up_edge[twin]] -= across
@@ -364,59 +397,104 @@ def congestion_lemma_value(guest: Guest, subset: Iterable[int]) -> int:
     return len(chosen) * guest.degree - 2 * guest.induced_edge_count(chosen)
 
 
-def _smaller_side(cut: EdgeCut, count: int) -> tuple[range, ...]:
-    """Label runs that make up the cut's smaller side.
+_NOT_BOUNDARY = "cut edges are not the edge boundary of labels {}..{}"
 
-    Both sides have the same edge boundary and the same guest edges leaving
-    them, so scanning the smaller one is enough.
+
+def _check_boundaries(links: HostLinks, count: int, cuts: Sequence[EdgeCut]) -> None:
+    """Raise ``ValueError`` at the first of ``cuts`` whose edges are not
+    exactly the host edges with one end in ``component_lo..component_hi``;
+    ``count`` is the host's vertex count.
+
+    Host edges that each have one end in ``lo..hi`` are the interval's
+    whole edge boundary exactly when there are ``deg(lo..hi) - 2 *
+    inner(lo..hi)`` of them, with ``deg`` the labels' degree total and
+    ``inner`` the host edges with both ends inside.  ``inner`` is counted
+    for every cut at once: by increasing ``hi``, the host edges whose larger
+    end is at most ``hi`` go into a Fenwick tree over their smaller end,
+    which counts those whose smaller end is at least ``lo``.  An edge whose
+    larger end is below every ``lo`` lies in no component and is skipped.
     """
-    lo, hi = cut.component_lo, cut.component_hi
-    if 2 * (hi - lo + 1) <= count:
-        return (range(lo, hi + 1),)
-    return (range(1, lo), range(hi + 1, count + 1))
+    index, degree_sums, by_high = links.edge_index, links.degree_sums, links.by_high
+    failures: list[tuple[int, str]] = []  # (place in cuts, message)
+    queries = []
+    for place, cut in enumerate(cuts):
+        lo, hi = cut.component_lo, cut.component_hi
+        if not 1 <= lo <= hi <= count:
+            message = f"cut component {lo}..{hi} is not inside 1..{count}"
+            failures.append((place, message))
+            continue
+        edges = cut.cut_edges
+        if all(e in index and (lo <= e[0] <= hi) != (lo <= e[1] <= hi) for e in edges):
+            # Twice the inner edge count this many cut edges call for.
+            twice_inner = degree_sums[hi] - degree_sums[lo - 1] - len(edges)
+            queries.append((hi, lo, place, twice_inner))
+        else:
+            failures.append((place, _NOT_BOUNDARY.format(lo, hi)))
+    queries.sort()
+    tree = [0] * (count + 1)
+    skipped = added = bisect_left(by_high, (min((q[1] for q in queries), default=1),))
+    for hi, lo, place, twice_inner in queries:
+        while added < len(by_high) and by_high[added][0] <= hi:
+            t = by_high[added][1]
+            while t <= count:
+                tree[t] += 1
+                t += t & -t
+            added += 1
+        inner, t = added - skipped, lo - 1
+        while t:
+            inner -= tree[t]
+            t &= t - 1
+        if 2 * inner != twice_inner:
+            failures.append((place, _NOT_BOUNDARY.format(lo, hi)))
+    if failures:
+        raise ValueError(min(failures)[1])
 
 
-def _check_boundary(
-    adjacency: Mapping[int, tuple[int, ...]], count: int, cut: EdgeCut
-) -> None:
-    """Raise ``ValueError`` unless the cut edges are exactly the host edges
-    with one end in ``component_lo..component_hi``; ``adjacency`` is the
-    host's ``label_adjacency`` and ``count`` its vertex count."""
-    lo, hi = cut.component_lo, cut.component_hi
-    if not 1 <= lo <= hi <= count:
-        raise ValueError(f"cut component {lo}..{hi} is not inside 1..{count}")
-    boundary = {
-        (a, b) if a < b else (b, a)
-        for a in chain.from_iterable(_smaller_side(cut, count))
-        for b in adjacency[a]
-        if (lo <= a <= hi) != (lo <= b <= hi)
-    }
-    if boundary != cut.cut_edges:
-        raise ValueError(
-            f"cut edges are not the edge boundary of labels {lo}..{hi}"
-        )
+def _side_squares(
+    tally: _Tally, count: int, guest: Guest, lo: int, hi: int
+) -> tuple[int, int]:
+    """Size and ``sum_j c_j**2`` of one side of the cut with component
+    ``lo..hi``, ``c_j`` being its labels holding partite set ``j``.
+
+    Read off the tally's interval records, for the component or for the
+    complement of a prefix or suffix: the complement's ``c'_j`` give
+    ``c_j = r - c'_j``, so ``sum_j c_j**2 = P r**2 - 2 r s' + sum_j
+    c'_j**2`` with ``P`` partite sets of ``r`` vertices and ``s'`` labels in
+    the complement.  Any other interval counts its smaller side.
+    """
+    squares, inside = tally.squares, hi - lo + 1
+    if (lo, hi) in squares:
+        return inside, squares[lo, hi]
+    rest = (hi + 1, count) if lo == 1 else (1, lo - 1) if hi == count else None
+    if rest in squares:
+        r, outside = guest.part_size, count - inside
+        return inside, guest.part_count * r * r - 2 * r * outside + squares[rest]
+    partite_at = tally.partite_at
+    if 2 * inside <= count:
+        labels = partite_at[lo:hi + 1]
+    else:
+        labels = partite_at[1:lo] + partite_at[hi + 1:]
+    counts = Counter(labels).values()
+    return len(labels), sum(c * c for c in counts)
 
 
 def _cut_reports(
-    guest: Guest, host: HostTree, tally: _Tally, cuts: Iterable[EdgeCut]
+    guest: Guest, host: HostTree, tally: _Tally, cuts: Sequence[EdgeCut]
 ) -> tuple[CutConditionReport, ...]:
     """The condition report of every cut, in order; see
     ``verify_cut_conditions``."""
-    links = host.links
-    load, index, partite_at = tally.load, links.edge_index, tally.partite_at
-    adjacency, count = host.label_adjacency, host.vertex_count
+    links, count = host.links, host.vertex_count
+    _check_boundaries(links, count, cuts)
+    load, index = tally.load, links.edge_index
     degree, edge_count = guest.degree, guest.edge_count
     parts, size = guest.part_count, guest.part_size
     best: dict[int, int] = {}  # largest induced edge count by side size
     reports = []
     for cut in cuts:
-        _check_boundary(adjacency, count, cut)
         congestion = _cut_load(load, index, cut)
-        counts: Counter[int] = Counter()
-        for run in _smaller_side(cut, count):
-            counts.update(partite_at[run.start:run.stop])
-        side = sum(counts.values())
-        induced = induced_by_partite_counts(counts.values())
+        lo, hi = cut.component_lo, cut.component_hi
+        side, square_sum = _side_squares(tally, count, guest, lo, hi)
+        induced = (side * side - square_sum) // 2
         leaving = side * degree - 2 * induced
         # Every guest edge lies inside one side or leaves both.
         other = edge_count - induced - leaving
@@ -431,8 +509,7 @@ def _cut_reports(
         # edges on the cut tells them apart.
         same = 0
         if congestion != leaving:
-            interval = cut.component_lo, cut.component_hi
-            sided = _Tally(guest, links, tally.embedding, interval)
+            sided = _Tally(guest, links, tally.embedding, (lo, hi))
             same = _cut_load(sided.load, index, cut)
         inside_ok, crossings_ok = same == 0, congestion - same == leaving
         reports.append(CutConditionReport(inside_ok, crossings_ok, optimal, leaving))
@@ -446,7 +523,11 @@ def verify_cut_conditions(
 
     The cut's edges are the edge boundary of its component interval, so a
     route between the two sides uses an odd number of them and any other
-    route an even number.  With ``same`` the load the same-side routes put
+    route an even number.  The preimage counts come from the subtree pass:
+    when the component, or the complement of a prefix or suffix
+    component, is a subtree or sibling union (every standard cut), the
+    pass recorded its size and sum of squared partite counts; any other
+    interval counts its smaller side.  With ``same`` the load the same-side routes put
     on the cut (``_Tally`` with that interval as ``side``: the subtree pass
     over the labels inside it plus the one over those outside), no same-side
     route touches the cut exactly when ``same == 0``, and every crossing
@@ -455,7 +536,11 @@ def verify_cut_conditions(
     equals that number, both hold and no further pass runs.
 
     Raises ``ValueError`` when the cut edges are not exactly the host edges
-    with one end in the cut's component interval.
+    with one end in the cut's component interval: each must be a host edge
+    with one end inside, and there must be as many as the interval's degree
+    total minus twice its inner host edges.  ``build_report`` checks all
+    its cuts this way in one batch, counting inner edges with a Fenwick
+    tree.
     """
     return _cut_reports(guest, host, _tally(guest, host, embedding), (cut,))[0]
 

@@ -29,7 +29,7 @@ steps up.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from treebed.errors import ConsistencyError, UnlabeledHostError
@@ -118,18 +118,6 @@ class HostTree(Frozen):
         return frozenset(self.links.edges)
 
     @cached_property
-    def label_adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Sorted neighbor labels keyed by label; the edge boundary check of
-        ``verify_cut_conditions`` reads it."""
-        nbrs: dict[int, list[int]] = {
-            lab: [] for lab in range(1, self.vertex_count + 1)
-        }
-        for a, b in self.label_edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        return {lab: tuple(sorted(ns)) for lab, ns in nbrs.items()}
-
-    @cached_property
     def links(self) -> HostLinks:
         """Parent, chain and sibling links in label space; routes every goal."""
         return HostLinks(self)
@@ -156,11 +144,15 @@ class HostLinks:
     link.  ``memo`` holds the tallies for the most recent (guest,
     embedding) routed over these links, so repeated queries on one
     instance share one pass and die with the host.
+
+    For the edge-boundary check of cuts: ``degree_sums[t]`` is the degree
+    total of labels ``1..t``, and ``by_high`` lists every edge as
+    ``(larger end, smaller end)`` in increasing order.
     """
 
     __slots__ = (
         "edges", "edge_index", "spill", "up", "up_edge", "sib", "sib_edge",
-        "order", "memo",
+        "order", "memo", "degree_sums", "by_high",
     )
 
     def __init__(self, host: HostTree) -> None:
@@ -198,6 +190,12 @@ class HostLinks:
             self.sib_edge[a] = self.sib_edge[b] = idx
         self.order = order
         self.memo = None
+        degree = [0] * (count + 1)
+        for a, b in edges:
+            degree[a] += 1
+            degree[b] += 1
+        self.degree_sums = list(accumulate(degree))
+        self.by_high = sorted((b, a) for a, b in edges)
 
     def in_tree(self, goal: int) -> tuple[list[int], list[int], list[int]]:
         """Every label's route toward ``goal``, as an in-tree.
@@ -247,10 +245,13 @@ class EdgeCut(NamedTuple):
     ``cut_edges`` are label pairs.  Removing them splits the host in two;
     the side designated as the component occupies exactly the labels
     ``component_lo..component_hi``, so the cut edges are exactly the host
-    edges with one end in that interval (``verify_cut_conditions`` rejects
-    a cut that breaks this rule).  ``multiplicity_share`` is how many
-    times this cut counts in the family's coverage of its edges (the chain
-    cuts of sibling hosts count double; everything else counts once).
+    edges with one end in that interval.  ``verify_cut_conditions`` and
+    ``build_report`` reject a cut that breaks this rule: every cut edge is
+    a host edge with one end inside, and there are as many as the
+    interval's degree total minus twice its inner host edges.
+    ``multiplicity_share`` is how many times this cut counts in the
+    family's coverage of its edges (the chain cuts of sibling hosts count
+    double; everything else counts once).
     """
 
     family: str

@@ -5,11 +5,14 @@ itertools enumeration, and searches that ignore the guest's symmetry,
 sharing no code with the package.  The host-side oracles take a package
 host or its links as plain input and redo the work the slow way: the
 per-goal tally sweeps one goal's in-tree at a time, and the host and its
-cut family are built from vertex ids and heap indices.
+cut family are built from vertex ids and heap indices.  A cut's report
+is checked by scanning its edge boundary and its smaller side label by
+label.
 """
 
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, permutations
+from math import comb
 
 
 def bfs_distances(count, edges):
@@ -356,3 +359,69 @@ def heap_cut_family(host):
     except LookupError:
         return None
     return cuts
+
+
+def check_boundary(label_edges, count, cut):
+    """Raise ``ValueError`` unless the cut edges are exactly the host edges
+    ``label_edges`` with one end in ``component_lo..component_hi``.
+
+    Builds the edge boundary as a set from the neighbours of the cut's
+    smaller side; the messages are the package's.
+    """
+    lo, hi = cut.component_lo, cut.component_hi
+    if not 1 <= lo <= hi <= count:
+        raise ValueError(f"cut component {lo}..{hi} is not inside 1..{count}")
+    adjacency = {lab: [] for lab in range(1, count + 1)}
+    for a, b in label_edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    boundary = {
+        (a, b) if a < b else (b, a)
+        for a in smaller_side(count, lo, hi)
+        for b in adjacency[a]
+        if (lo <= a <= hi) != (lo <= b <= hi)
+    }
+    if boundary != cut.cut_edges:
+        raise ValueError(f"cut edges are not the edge boundary of labels {lo}..{hi}")
+
+
+def smaller_side(count, lo, hi):
+    """The labels of the smaller side of the split of ``1..count`` into
+    ``lo..hi`` and the rest (the interval on a tie)."""
+    if 2 * (hi - lo + 1) <= count:
+        return list(range(lo, hi + 1))
+    return list(range(1, lo)) + list(range(hi + 1, count + 1))
+
+
+def cut_report(links, label_edges, assignment, part_count, cut, max_induced, load):
+    """A cut's ``(inside_avoids_cut, crossings_cross_once,
+    preimages_optimal, lemma_value)``, label by label.
+
+    ``links``, ``assignment`` and ``part_count`` are as in
+    ``per_goal_tally``, and ``load`` is that tally over every label.
+    ``max_induced(s)`` is the largest edge count a set of ``s`` guest
+    vertices induces.  Checks the boundary with ``check_boundary``, counts
+    the partite sets on the smaller side with a ``Counter``, and runs the
+    sided ``per_goal_tally`` when the congestion exceeds the crossing guest
+    edges.
+    """
+    count = len(assignment)
+    check_boundary(label_edges, count, cut)
+    lo, hi = cut.component_lo, cut.component_hi
+    part_at = [None] * (count + 1)
+    for m, lab in enumerate(assignment):
+        part_at[lab] = m % part_count
+    side = smaller_side(count, lo, hi)
+    counts = Counter(part_at[lab] for lab in side)
+    induced = comb(len(side), 2) - sum(comb(c, 2) for c in counts.values())
+    degree = count - count // part_count
+    leaving = len(side) * degree - 2 * induced
+    other = count * degree // 2 - induced - leaving
+    optimal = induced == max_induced(len(side)) and other == max_induced(count - len(side))
+    index = {edge: idx for idx, edge in enumerate(links.edges)}
+    congestion = sum(load[index[e]] for e in cut.cut_edges)
+    same = 0
+    if congestion != leaving:
+        sided = per_goal_tally(links, assignment, part_count, (lo, hi))
+        same = sum(sided[index[e]] for e in cut.cut_edges)
+    return same == 0, congestion - same == leaving, optimal, leaving

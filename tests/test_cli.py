@@ -1,5 +1,8 @@
+import hashlib
 import json
 import tracemalloc
+
+import pytest
 
 from treebed import (
     LAYOUT_VARIANTS,
@@ -374,6 +377,35 @@ def test_host_json_bytes(capsys):
         "  }\n"
         "}\n"
     )
+
+
+# SHA-256 of stdout, exit code and byte count for JSON outputs, so that
+# a whitespace or ordering change in the report writer fails here even
+# where the parsed fields stay equal.
+JSON_PINS = [
+    ("wirelength --n 4 --p 2", 0, 1350,
+     "513ac531b2da8584a207d549e5975e86e4982a57cc2824960261d6a74ca6c598"),
+    ("wirelength --n 3 --p 2 --exhaustive", 0, 750,
+     "a21999281691ac563996a4ed71f0dc60580af9d965f0b888ded047e7e2df97cc"),
+    ("wirelength --n 6 --p 2 --local-search 1 --seed 7", 0, 5137,
+     "73041f238930aba56afde04672d555aa3bf697f9e8e636ef5389730c81efd9c8"),
+    ("verify --n 5 --p 2 --n1 2 --host sibling --variant 1", 0, 10721,
+     "cd833c265561af31ef184e0b251dc1a0193eb99414d2259adb20fe1c3ca46571"),
+    ("verify --n 3 --p 2 --swap 1 7", 1, 1756,
+     "b0fdaa3ffdc0fe2501217e42f09d404e307821065199c36316064f86fd3001fb"),
+    ("guest --n 3 --p 2", 0, 271,
+     "3d4bfa0c4d2df6a683ed9bf7bd145c8ae3ec600bdc28f3adc8c71dad6286a4f1"),
+    ("sweep --n-min 2 --n-max 3 --output json", 0, 5157,
+     "c087ba21d1b1cba32ed2dca90640bf68bbd825ec274acec882851b253a26a5f7"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, size, digest", JSON_PINS)
+def test_json_output_bytes(capsys, argv, exit_code, size, digest):
+    code, out, err = run(capsys, *argv.split())
+    data = out.encode()
+    assert (code, err) == (exit_code, "")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 def test_large_host_prints_counts_without_building(capsys):

@@ -277,7 +277,10 @@ def test_every_cut_splits_host_in_two():
         sibling_layout_labeling(build_host(2, 3, sibling=True), variant=2),
     ]
     for host in hosts:
-        adjacency = {lab: set(ns) for lab, ns in host.label_adjacency.items()}
+        adjacency = {lab: set() for lab in range(1, host.vertex_count + 1)}
+        for a, b in host.label_edges:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
         for cut in cut_family(host):
             for a, b in cut.cut_edges:
                 adjacency[a].discard(b)
