@@ -33,19 +33,14 @@ from treebed.formulas import (
     chain_cut_congestion,
     closed_form_wirelength,
     interval_boundary_congestion,
+    max_subgraph_edges_closed_form,
     pair_cut_congestion,
     wl_binary,
     wl_binary_chain,
     wl_sibling,
     wl_sibling_chain,
 )
-from treebed.graphs import (
-    Graph,
-    Guest,
-    build_complete_multipartite,
-    build_guest,
-    induced_edge_count,
-)
+from treebed.graphs import Graph, Guest, build_guest
 from treebed.hosts import (
     LAYOUT_VARIANTS,
     EdgeCut,
@@ -54,12 +49,6 @@ from treebed.hosts import (
     cut_family,
     inorder_labeling,
     sibling_layout_labeling,
-)
-from treebed.isoperimetric import (
-    MspResult,
-    is_optimal_set,
-    max_subgraph_edges_bruteforce,
-    max_subgraph_edges_closed_form,
 )
 from treebed.search import (
     SearchResult,
@@ -81,12 +70,10 @@ __all__ = [
     "Guest",
     "HostTree",
     "LAYOUT_VARIANTS",
-    "MspResult",
     "SearchResult",
     "UnlabeledHostError",
     "WirelengthReport",
     "branch_cut_congestion",
-    "build_complete_multipartite",
     "build_guest",
     "build_host",
     "build_report",
@@ -98,12 +85,9 @@ __all__ = [
     "edge_congestion",
     "exhaustive_min_wirelength",
     "identity_embedding",
-    "induced_edge_count",
     "inorder_labeling",
     "interval_boundary_congestion",
-    "is_optimal_set",
     "local_search_min",
-    "max_subgraph_edges_bruteforce",
     "max_subgraph_edges_closed_form",
     "pair_cut_congestion",
     "route",

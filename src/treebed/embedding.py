@@ -35,7 +35,6 @@ from treebed.errors import CoverageError, ConsistencyError
 from treebed.frozen import Frozen
 from treebed.graphs import Guest
 from treebed.hosts import EdgeCut, HostLinks, HostTree, cut_family
-from treebed.isoperimetric import max_subgraph_edges_closed_form
 
 __all__ = [
     "Embedding",
@@ -224,10 +223,10 @@ class _Tally:
     ``host.links.edges[i]``; ``partite_at[lab]`` is the partite set of the
     guest vertex placed on label ``lab``.
 
-    ``side`` is a label interval ``lo..hi``; ``load`` then counts only the
-    guest edges with both ends inside it or both outside, one
-    ``_add_subtree_loads`` pass for each of the two label sets.  The
-    default ``(0, 0)`` holds no label and counts every guest edge.
+    With the default ``side=None`` one ``_add_subtree_loads`` pass over
+    every label counts every guest edge.  A label interval ``lo..hi`` as
+    ``side`` makes ``load`` count only the guest edges with both ends
+    inside it or both outside, one pass for each of the two label sets.
 
     ``squares`` maps label intervals ``(lo, hi)`` to ``sum_j c_j**2``, with
     ``c_j`` the number of labels in ``lo..hi`` holding partite set ``j``;
@@ -242,7 +241,7 @@ class _Tally:
         guest: Guest,
         links: HostLinks,
         embedding: Embedding,
-        side: tuple[int, int] = (0, 0),
+        side: tuple[int, int] | None = None,
     ) -> None:
         self.guest = guest
         self.embedding = embedding
@@ -252,11 +251,17 @@ class _Tally:
         for m, lab in enumerate(labels, start=1):
             partite_at[lab] = guest.partite_of(m)
         self.partite_at = partite_at
-        lo, hi = side
+        if side is None:
+            groups = [list(range(1, count + 1))]
+        else:
+            lo, hi = side
+            groups = [
+                [s for s in range(1, count + 1) if (lo <= s <= hi) == inside]
+                for inside in (True, False)
+            ]
         load = [0] * (links.spill + 1)
         self.squares: dict[tuple[int, int], int] = {}
-        for inside in (True, False):
-            members = [s for s in range(1, count + 1) if (lo <= s <= hi) == inside]
+        for members in groups:
             _add_subtree_loads(links, partite_at, members, load, self.squares)
         load.pop()  # the ``spill`` slot, above the top of the host
         self.load = load
@@ -500,7 +505,7 @@ def _cut_reports(
         other = edge_count - induced - leaving
         for s in (side, count - side):
             if s not in best:
-                best[s] = max_subgraph_edges_closed_form(parts, size, s)
+                best[s] = formulas.max_subgraph_edges_closed_form(parts, size, s)
         optimal = induced == best[side] and other == best[count - side]
         # Each route crossing the cut uses an odd number of its edges and
         # each other route an even number, so the congestion is at least

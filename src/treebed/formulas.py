@@ -9,16 +9,19 @@ Everything here is exact integer arithmetic on the parameters
 The minimum wirelength of an instance is the coverage-weighted sum of the
 minimum congestions of its cut family.  Each cut isolates a label interval;
 the interval's length determines its minimum congestion, which is what the
-helpers below compute.  Single-tree forms are the chain forms at n1 = n.
+helpers below compute.  They rest on the edge-isoperimetric profile of the
+guest, ``max_subgraph_edges_closed_form``, the largest edge count any
+vertex set of a given size induces.  Single-tree forms are the chain forms
+at n1 = n.
 """
 
 from __future__ import annotations
 
 from treebed.errors import ConsistencyError
 from treebed.graphs import MAX_N, check_guest_shape
-from treebed.isoperimetric import max_subgraph_edges_closed_form
 
 __all__ = [
+    "max_subgraph_edges_closed_form",
     "interval_boundary_congestion",
     "branch_cut_congestion",
     "pair_cut_congestion",
@@ -29,6 +32,29 @@ __all__ = [
     "wl_sibling_chain",
     "closed_form_wirelength",
 ]
+
+
+def max_subgraph_edges_closed_form(p_parts: int, r: int, k: int) -> int:
+    """Largest edge count induced by k vertices of ``K_{r,...,r}``.
+
+    ``p_parts`` is the number of partite sets, each of size ``r``.  Writing
+    ``k = q * p_parts + j`` with ``0 <= j < p_parts``, an optimal subset has
+    ``j`` partite sets contributing ``q + 1`` vertices and the rest ``q``:
+
+        q^2 * C(p_parts, 2) + j*q*(p_parts - 1) + C(j, 2)
+
+    The expression collapses to ``C(k, 2)`` while ``k < p_parts`` (no pair
+    shares a partite set yet) and to ``q^2 * C(p_parts, 2)`` at multiples.
+    """
+    if p_parts < 2:
+        raise ValueError(f"need at least two partite sets, got {p_parts}")
+    if r < 1:
+        raise ValueError(f"partite set size must be positive, got {r}")
+    if not 0 <= k <= p_parts * r:
+        raise ValueError(f"k={k} out of range 0..{p_parts * r}")
+    q, j = divmod(k, p_parts)
+    return q * q * p_parts * (p_parts - 1) // 2 + j * q * (p_parts - 1) + j * (j - 1) // 2
+
 
 def _check_chain(n: int, n1: int, p: int) -> None:
     check_guest_shape(n, p)

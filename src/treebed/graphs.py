@@ -1,7 +1,10 @@
-"""Undirected simple graphs and balanced complete multipartite guests.
+"""The balanced complete multipartite guest graph.
 
-Vertices are the integers ``1..vertex_count`` throughout.  Edges are stored
-as ``(min, max)`` tuples so every edge has exactly one representation.
+Vertices are the integers ``1..vertex_count`` throughout.  A guest is its
+shape ``(n, p)``: two vertices are adjacent exactly when their partite sets
+differ, so every count it answers comes from the partite map.  ``Graph``,
+a vertex count and a set of ``(min, max)`` edge tuples, is only the value
+of ``Guest.graph``, the edge set built on first use.
 """
 
 from __future__ import annotations
@@ -17,18 +20,12 @@ from treebed.frozen import Frozen
 __all__ = [
     "Graph",
     "Guest",
-    "build_complete_multipartite",
     "build_guest",
     "check_guest_shape",
     "induced_by_partite_counts",
-    "induced_edge_count",
 ]
 
 MAX_N = 20  # largest n of a guest; the closed forms share the cap
-
-
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 class Graph(Frozen):
@@ -55,35 +52,6 @@ class Graph(Frozen):
             if not (1 <= u < v <= vertex_count):
                 raise ValueError(f"edge ({u}, {v}) is out of range or not normalized")
         self._set(vertex_count=vertex_count, edges=edges)
-
-    @classmethod
-    def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
-        """Build a graph, normalizing edge orientation along the way."""
-        return cls(vertex_count, frozenset(_normalize_edge(u, v) for u, v in edges))
-
-    @cached_property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        """Neighbor sets keyed by vertex; includes isolated vertices."""
-        nbrs: dict[int, set[int]] = {v: set() for v in range(1, self.vertex_count + 1)}
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return {v: frozenset(s) for v, s in nbrs.items()}
-
-    @cached_property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Neighbor bitmasks: ``adjacency_masks[v - 1]`` has bit ``w - 1`` set
-        for every neighbor ``w`` of ``v``."""
-        return tuple(
-            sum(1 << (w - 1) for w in self.adjacency[v])
-            for v in range(1, self.vertex_count + 1)
-        )
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge(u, v) in self.edges
 
     @property
     def edge_count(self) -> int:
@@ -165,31 +133,6 @@ def induced_by_partite_counts(counts: Collection[int]) -> int:
     return comb(sum(counts), 2) - sum(comb(c, 2) for c in counts)
 
 
-def build_complete_multipartite(part_sizes: Iterable[int]) -> Graph:
-    """Complete multipartite graph with the given partite set sizes.
-
-    Vertices are numbered block by block: the first partite set gets
-    ``1..part_sizes[0]``, the second the next block, and so on.  Two
-    vertices are adjacent exactly when they lie in different blocks.
-    """
-    sizes = list(part_sizes)
-    if len(sizes) < 2:
-        raise ValueError("need at least two partite sets")
-    if any(s < 1 for s in sizes):
-        raise ValueError("partite set sizes must be positive")
-    block_of: list[int] = []
-    for b, size in enumerate(sizes):
-        block_of.extend([b] * size)
-    count = len(block_of)
-    edges = frozenset(
-        (u, v)
-        for u in range(1, count + 1)
-        for v in range(u + 1, count + 1)
-        if block_of[u - 1] != block_of[v - 1]
-    )
-    return Graph(count, edges)
-
-
 def check_guest_shape(n: int, p: int) -> None:
     """Raise ``ValueError`` unless ``2 <= p <= n <= MAX_N``."""
     if not 2 <= p <= n:
@@ -204,15 +147,3 @@ def build_guest(n: int, p: int) -> Guest:
     Requires ``2 <= p <= n <= MAX_N`` (see ``check_guest_shape``).
     """
     return Guest(n, p)
-
-
-def induced_edge_count(graph: Graph, subset: Iterable[int]) -> int:
-    """Number of edges with both endpoints in ``subset``."""
-    chosen = set(subset)
-    for v in chosen:
-        if not 1 <= v <= graph.vertex_count:
-            raise ValueError(f"vertex {v} out of range 1..{graph.vertex_count}")
-    mask = sum(1 << (v - 1) for v in chosen)
-    masks = graph.adjacency_masks
-    # Each induced edge is seen from both endpoints.
-    return sum((masks[v - 1] & mask).bit_count() for v in chosen) // 2

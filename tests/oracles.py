@@ -65,6 +65,19 @@ def brute_force_max_induced(count, edges, k):
     return best
 
 
+def multipartite_edges(sizes):
+    """Edge list of the complete multipartite graph with partite sets of the
+    given sizes, numbered block by block from vertex 1."""
+    block_of = [b for b, size in enumerate(sizes) for _ in range(size)]
+    count = len(block_of)
+    return [
+        (u, v)
+        for u in range(1, count + 1)
+        for v in range(u + 1, count + 1)
+        if block_of[u - 1] != block_of[v - 1]
+    ]
+
+
 def shortest_path_counts(count, edges):
     """Number of shortest paths between every two vertices, as a dict of
     dicts over vertices 1..count (1 from a vertex to itself)."""

@@ -22,9 +22,7 @@ from treebed import (
     exhaustive_min_wirelength,
     identity_embedding,
     inorder_labeling,
-    is_optimal_set,
     local_search_min,
-    max_subgraph_edges_closed_form,
     route,
     sibling_layout_labeling,
     verify_cut_conditions,
@@ -402,8 +400,7 @@ def test_partite_counts_match_the_edge_list(data):
     induced = sum(1 for u, v in guest.graph.edges if u in chosen and v in chosen)
     leaving = sum(1 for u, v in guest.graph.edges if (u in chosen) != (v in chosen))
     assert congestion_lemma_value(guest, chosen) == leaving
-    best = max_subgraph_edges_closed_form(guest.part_count, guest.part_size, len(chosen))
-    assert is_optimal_set(guest, chosen) == (induced == best)
+    assert guest.induced_edge_count(chosen) == induced
 
 
 def test_same_partite_swap_changes_nothing():

@@ -1,20 +1,9 @@
-from math import comb
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_max_induced
-from treebed import (
-    BudgetExceededError,
-    build_complete_multipartite,
-    build_guest,
-    induced_edge_count,
-    is_optimal_set,
-    max_subgraph_edges_bruteforce,
-    max_subgraph_edges_closed_form,
-)
-from treebed.isoperimetric import _max_induced_edges
+from oracles import brute_force_max_induced, multipartite_edges
+from treebed import build_guest, max_subgraph_edges_closed_form
 
 
 def test_closed_form_spot_values():
@@ -55,76 +44,29 @@ def test_bruteforce_matches_closed_form():
         for r in range(1, 4):
             if p_parts * r > 9:
                 continue
-            graph = build_complete_multipartite([r] * p_parts)
-            for k in range(p_parts * r + 1):
-                result = max_subgraph_edges_bruteforce(graph, k)
-                assert result.k == k
-                assert result.max_edges == max_subgraph_edges_closed_form(
-                    p_parts, r, k
-                )
-                assert induced_edge_count(graph, result.witness) == result.max_edges
+            count, edges = p_parts * r, multipartite_edges([r] * p_parts)
+            for k in range(count + 1):
+                closed = max_subgraph_edges_closed_form(p_parts, r, k)
+                assert brute_force_max_induced(count, edges, k) == closed
 
 
-def test_bruteforce_matches_independent_enumeration():
-    graph = build_complete_multipartite([1, 2, 3])
-    for k in range(graph.vertex_count + 1):
-        result = max_subgraph_edges_bruteforce(graph, k)
-        assert result.max_edges == brute_force_max_induced(
-            graph.vertex_count, graph.edges, k
-        )
-
-
-def test_bruteforce_witness_is_lexicographic():
-    graph = build_complete_multipartite([2, 2])
-    result = max_subgraph_edges_bruteforce(graph, 2)
-    assert result.max_edges == 1
-    # {1,2} induces nothing, so the first subset reaching 1 edge is {1,3}
-    assert result.witness == frozenset({1, 3})
-
-
-def test_bruteforce_budget():
-    graph = build_guest(3, 2).graph
-    with pytest.raises(BudgetExceededError, match="budget"):
-        max_subgraph_edges_bruteforce(graph, 4, budget=10)
-
-
-def test_max_induced_kernel():
-    # square 0-1-3-2-0 as bitmasks
-    masks = [0b0110, 0b1001, 0b1001, 0b0110]
-    best, witness, explored = _max_induced_edges(4, masks, 2)
-    assert best == 1
-    assert witness == (0, 1)
-    assert explored == comb(4, 2)
-    best, witness, explored = _max_induced_edges(4, masks, 3)
-    assert best == 2
-    assert witness == (0, 1, 2)
-    best, witness, explored = _max_induced_edges(4, masks, 0)
-    assert best == 0 and witness == () and explored == 1
-
-
-def test_max_induced_kernel_wide_masks():
-    # 70-vertex path; subsets wider than one machine word must still work
-    nv = 70
-    masks = [0] * nv
-    for v in range(nv - 1):
-        masks[v] |= 1 << (v + 1)
-        masks[v + 1] |= 1 << v
-    best, witness, explored = _max_induced_edges(nv, masks, 2)
-    assert best == 1
-    assert witness == (0, 1)
-    assert explored == comb(nv, 2)
+def _is_optimal(guest, subset):
+    chosen = set(subset)
+    return guest.induced_edge_count(chosen) == max_subgraph_edges_closed_form(
+        guest.part_count, guest.part_size, len(chosen)
+    )
 
 
 def test_is_optimal_set():
     guest = build_guest(3, 2)
-    assert is_optimal_set(guest, {1, 2, 3})
-    assert is_optimal_set(guest, {2, 3, 5})
-    assert not is_optimal_set(guest, {1, 5})
+    assert _is_optimal(guest, {1, 2, 3})
+    assert _is_optimal(guest, {2, 3, 5})
+    assert not _is_optimal(guest, {1, 5})
     # every label interval is balanced across partites, hence optimal
-    total = guest.graph.vertex_count
+    total = guest.vertex_count
     for lo in range(1, total + 1):
         for hi in range(lo, total + 1):
-            assert is_optimal_set(guest, range(lo, hi + 1))
+            assert _is_optimal(guest, range(lo, hi + 1))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
