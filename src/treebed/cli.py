@@ -9,9 +9,10 @@ requests and exceeded budgets).
 
 from __future__ import annotations
 
-import argparse
 import sys
 from itertools import combinations
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from treebed import formulas
 from treebed.embedding import build_report, identity_embedding
@@ -31,6 +32,9 @@ from treebed.search import (
     exhaustive_min_wirelength,
     local_search_min,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 ENGINE_MAX_N = 8       # routed-path engine: 2**8 = 256 vertices
 EXHAUSTIVE_MAX_N = 3   # label-partition enumeration: 2**n <= 8
@@ -83,10 +87,8 @@ def _json(value, indent: str = "\n") -> str:
     kind = type(value)
     if kind is int:
         return repr(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
+    if kind is bool or value is None:
+        return _JSON_CONSTANTS[value]
     if kind is str:
         return f'"{_unescaped(value)}"'
     inner = indent + "  "
@@ -99,9 +101,22 @@ def _json(value, indent: str = "\n") -> str:
         if not value:
             return "{}"
         _unescaped("".join(value))  # every key at once; join raises on a non-str
-        items = [f'"{key}": {_json(item, inner)}' for key, item in value.items()]
+        items = []
+        for key, item in value.items():
+            # Report rows are mostly ints, bools and None: write those here.
+            item_kind = type(item)
+            if item_kind is int:
+                text = repr(item)
+            elif item_kind is bool or item is None:
+                text = _JSON_CONSTANTS[item]
+            else:
+                text = _json(item, inner)
+            items.append(f'"{key}": {text}')
         return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
     raise TypeError(f"reports hold no {kind.__name__} value: {value!r}")
+
+
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
 def _unescaped(text: str) -> str:
@@ -392,101 +407,182 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+# Every subcommand, as (help line, command function, options), declared
+# once.  Each option maps its name to the keyword arguments ``build_parser``
+# hands ``add_argument``; ``_read_argv`` reads the same entries: ``type``
+# (``int``, else the text is the value), ``choices``, ``default``,
+# ``required``, the ``store_true`` flag and ``--swap``'s two appended
+# values.  The one positional is export-dot's ``target``.
+_OUTPUT_TEXT = {"choices": ["json", "text"], "default": "json"}
+_INSTANCE_OPTIONS = {
+    "--n": {"type": int, "required": True, "help": "guest has 2**n vertices"},
+    "--p": {"type": int, "required": True, "help": "2**p partite sets"},
+    "--n1": {"type": int, "default": None,
+             "help": "host block height (default: n, a single tree)"},
+    "--host": {"choices": ["binary", "sibling"], "default": "binary",
+               "help": "host kind (default: binary)"},
+    "--variant": {"type": int, "default": 0, "choices": LAYOUT_VARIANTS,
+                  "help": "sibling layout variant (default: 0)"},
+    "--swap": {"type": int, "nargs": 2, "action": "append", "metavar": ("A", "B"),
+               "help": "swap labels A and B in the embedding; repeatable"},
+}
+SUBCOMMANDS = {
+    "guest": ("describe a guest graph", cmd_guest, {
+        "--n": {"type": int, "required": True},
+        "--p": {"type": int, "required": True},
+        "--output": _OUTPUT_TEXT,
+    }),
+    "host": ("describe a labeled host tree", cmd_host, {
+        "--n1": {"type": int, "required": True, "help": "block height"},
+        "--k": {"type": int, "default": 1, "help": "number of blocks (default: 1)"},
+        "--host": {"choices": ["binary", "sibling"], "default": "binary"},
+        "--variant": {"type": int, "default": 0, "choices": LAYOUT_VARIANTS},
+        "--output": _OUTPUT_TEXT,
+    }),
+    "wirelength": ("compute and cross-check wirelengths", cmd_wirelength, {
+        **_INSTANCE_OPTIONS,
+        "--exhaustive": {"action": "store_true",
+                         "help": "also take the exact minimum over all embeddings "
+                         "(needs 2**n <= 8)"},
+        "--budget": {"type": int, "default": DEFAULT_PARTITION_BUDGET,
+                     "help": "bound on label partitions the exhaustive run may "
+                     "evaluate"},
+        "--local-search": {"type": int, "default": None, "metavar": "ITERS",
+                           "help": "also run 2-swap local search for ITERS restarts; "
+                           "reported as an upper bound and requires --seed"},
+        "--seed": {"type": int, "default": None,
+                   "help": "explicit seed for --local-search (no wall-clock seeding)"},
+        "--output": _OUTPUT_TEXT,
+    }),
+    "verify": ("check cut conditions cut by cut", cmd_verify, {
+        **_INSTANCE_OPTIONS,
+        "--output": _OUTPUT_TEXT,
+    }),
+    "sweep": ("tabulate instances as CSV or JSON", cmd_sweep, {
+        "--n-min": {"type": int, "required": True},
+        "--n-max": {"type": int, "required": True},
+        "--p": {"type": int, "default": None,
+                "help": "fix p (default: all 2..n per row)"},
+        "--n1": {"type": int, "default": None,
+                 "help": "fix n1 (default: all 1..n per row)"},
+        "--host": {"choices": ["binary", "sibling", "both"], "default": "both"},
+        "--engine": {"choices": ["auto", "on", "off"], "default": "auto",
+                     "help": "auto runs the engine when n <= 8 (default)"},
+        "--exhaustive": {"action": "store_true",
+                         "help": "add exhaustive minima (needs n-max <= 3 and the engine)"},
+        "--budget": {"type": int, "default": DEFAULT_PARTITION_BUDGET,
+                     "help": "bound on label partitions each exhaustive run "
+                     "may evaluate"},
+        "--output": {"choices": ["csv", "json"], "default": "csv"},
+    }),
+    "export-dot": ("emit a Graphviz drawing", cmd_export_dot, {
+        "target": {"choices": ["host", "guest"]},
+        "--n": {"type": int, "default": None},
+        "--p": {"type": int, "default": None},
+        "--n1": {"type": int, "default": None},
+        "--k": {"type": int, "default": 1},
+        "--host": {"choices": ["binary", "sibling"], "default": "binary"},
+        "--variant": {"type": int, "default": 0, "choices": LAYOUT_VARIANTS},
+        "--out": {"default": None, "help": "write to a file instead of stdout"},
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser for ``SUBCOMMANDS``; it writes every help text
+    and usage error."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="treebed",
         description="Wirelength laboratory: complete multipartite guests "
         "into chained binary and sibling trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_instance_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=int, required=True, help="guest has 2**n vertices")
-        p.add_argument("--p", type=int, required=True, help="2**p partite sets")
-        p.add_argument("--n1", type=int, default=None,
-                       help="host block height (default: n, a single tree)")
-        p.add_argument("--host", choices=["binary", "sibling"], default="binary",
-                       help="host kind (default: binary)")
-        p.add_argument("--variant", type=int, default=0, choices=LAYOUT_VARIANTS,
-                       help="sibling layout variant (default: 0)")
-        p.add_argument("--swap", type=int, nargs=2, action="append",
-                       metavar=("A", "B"),
-                       help="swap labels A and B in the embedding; repeatable")
-
-    p_guest = sub.add_parser("guest", help="describe a guest graph")
-    p_guest.add_argument("--n", type=int, required=True)
-    p_guest.add_argument("--p", type=int, required=True)
-    p_guest.add_argument("--output", choices=["json", "text"], default="json")
-    p_guest.set_defaults(func=cmd_guest)
-
-    p_host = sub.add_parser("host", help="describe a labeled host tree")
-    p_host.add_argument("--n1", type=int, required=True, help="block height")
-    p_host.add_argument("--k", type=int, default=1, help="number of blocks (default: 1)")
-    p_host.add_argument("--host", choices=["binary", "sibling"], default="binary")
-    p_host.add_argument("--variant", type=int, default=0, choices=LAYOUT_VARIANTS)
-    p_host.add_argument("--output", choices=["json", "text"], default="json")
-    p_host.set_defaults(func=cmd_host)
-
-    p_wl = sub.add_parser("wirelength", help="compute and cross-check wirelengths")
-    add_instance_flags(p_wl)
-    p_wl.add_argument("--exhaustive", action="store_true",
-                      help="also take the exact minimum over all embeddings "
-                      "(needs 2**n <= 8)")
-    p_wl.add_argument("--budget", type=int, default=DEFAULT_PARTITION_BUDGET,
-                      help="bound on label partitions the exhaustive run may "
-                      "evaluate")
-    p_wl.add_argument("--local-search", type=int, default=None, metavar="ITERS",
-                      help="also run 2-swap local search for ITERS restarts; "
-                      "reported as an upper bound and requires --seed")
-    p_wl.add_argument("--seed", type=int, default=None,
-                      help="explicit seed for --local-search (no wall-clock seeding)")
-    p_wl.add_argument("--output", choices=["json", "text"], default="json")
-    p_wl.set_defaults(func=cmd_wirelength)
-
-    p_verify = sub.add_parser("verify", help="check cut conditions cut by cut")
-    add_instance_flags(p_verify)
-    p_verify.add_argument("--output", choices=["json", "text"], default="json")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_sweep = sub.add_parser("sweep", help="tabulate instances as CSV")
-    p_sweep.add_argument("--n-min", type=int, required=True)
-    p_sweep.add_argument("--n-max", type=int, required=True)
-    p_sweep.add_argument("--p", type=int, default=None,
-                         help="fix p (default: all 2..n per row)")
-    p_sweep.add_argument("--n1", type=int, default=None,
-                         help="fix n1 (default: all 1..n per row)")
-    p_sweep.add_argument("--host", choices=["binary", "sibling", "both"],
-                         default="both")
-    p_sweep.add_argument("--engine", choices=["auto", "on", "off"], default="auto",
-                         help="auto runs the engine when n <= 8 (default)")
-    p_sweep.add_argument("--exhaustive", action="store_true",
-                         help="add exhaustive minima (needs n-max <= 3 and the engine)")
-    p_sweep.add_argument("--budget", type=int, default=DEFAULT_PARTITION_BUDGET,
-                         help="bound on label partitions each exhaustive run "
-                         "may evaluate")
-    p_sweep.add_argument("--output", choices=["csv", "json"], default="csv")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_dot = sub.add_parser("export-dot", help="emit a Graphviz drawing")
-    p_dot.add_argument("target", choices=["host", "guest"])
-    p_dot.add_argument("--n", type=int, default=None)
-    p_dot.add_argument("--p", type=int, default=None)
-    p_dot.add_argument("--n1", type=int, default=None)
-    p_dot.add_argument("--k", type=int, default=1)
-    p_dot.add_argument("--host", choices=["binary", "sibling"], default="binary")
-    p_dot.add_argument("--variant", type=int, default=0, choices=LAYOUT_VARIANTS)
-    p_dot.add_argument("--out", default=None, help="write to a file instead of stdout")
-    p_dot.set_defaults(func=cmd_export_dot)
-
+    for command, (summary, func, options) in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, spec in options.items():
+            p.add_argument(name, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
+def _read_argv(argv) -> SimpleNamespace | None:
+    """``argv`` read straight off ``SUBCOMMANDS`` when it is spelled the
+    canonical way, else ``None``.
+
+    The canonical way is the subcommand first, then ``--name value``
+    (``--swap A B``, a bare ``--exhaustive``) and export-dot's target, in any
+    order; a repeated option keeps its last value, as in argparse.  Values
+    are converted and checked against the table and missing options take
+    their defaults, so the result has the attributes, and the values,
+    ``build_parser().parse_args(argv)`` gives.  Anything else is ``None``
+    and left to argparse: help, ``--name=value``, abbreviations, unknown or
+    missing options, bad values, and values starting with ``-`` other than
+    negative decimal integers.
+    """
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    _, func, options = SUBCOMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("--") and token in options:
+            name, spec = token, options[token]
+            if spec.get("action") == "store_true":
+                given[name] = True
+                continue
+            texts = [next(tokens, None) for _ in range(spec.get("nargs", 1))]
+        elif "target" in options and "target" not in given:
+            name, spec, texts = "target", options["target"], [token]
+        else:
+            return None
+        values = [_read_value(spec, text) for text in texts]
+        if None in values:
+            return None
+        if spec.get("action") == "append":
+            given.setdefault(name, []).append(values)
+        else:
+            given[name] = values[0]
+    args = {"command": argv[0], "func": func}
+    for name, spec in options.items():
+        if name in given:
+            value = given[name]
+        elif spec.get("required") or not name.startswith("--"):
+            return None
+        elif spec.get("action") == "store_true":
+            value = False
+        else:
+            value = spec.get("default")
+        args[name.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(**args)
+
+
+def _read_value(spec: dict, text: str | None):
+    """``text`` converted and checked as argparse would, or ``None`` where
+    argparse would not read it as this value."""
+    if text is None:
+        return None
+    if text[:1] == "-" and not text[1:].isdecimal():
+        return None
+    kind = spec.get("type")
+    if kind is not None:
+        try:
+            text = kind(text)
+        except ValueError:
+            return None
+    choices = spec.get("choices")
+    return None if choices is not None and text not in choices else text
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
     except (ValueError, BudgetExceededError) as exc:

@@ -484,19 +484,25 @@ def _side_squares(
 
 
 def _cut_reports(
-    guest: Guest, host: HostTree, tally: _Tally, cuts: Sequence[EdgeCut]
+    guest: Guest,
+    host: HostTree,
+    tally: _Tally,
+    cuts: Sequence[EdgeCut],
+    congestions: Sequence[int] | None = None,
 ) -> tuple[CutConditionReport, ...]:
     """The condition report of every cut, in order; see
-    ``verify_cut_conditions``."""
+    ``verify_cut_conditions``.  ``congestions``, when given, holds each
+    cut's congestion."""
     links, count = host.links, host.vertex_count
     _check_boundaries(links, count, cuts)
-    load, index = tally.load, links.edge_index
+    index = links.edge_index
+    if congestions is None:
+        congestions = [_cut_load(tally.load, index, cut) for cut in cuts]
     degree, edge_count = guest.degree, guest.edge_count
     parts, size = guest.part_count, guest.part_size
     best: dict[int, int] = {}  # largest induced edge count by side size
     reports = []
-    for cut in cuts:
-        congestion = _cut_load(load, index, cut)
+    for cut, congestion in zip(cuts, congestions):
         lo, hi = cut.component_lo, cut.component_hi
         side, square_sum = _side_squares(tally, count, guest, lo, hi)
         induced = (side * side - square_sum) // 2
@@ -564,6 +570,15 @@ def wirelength_via_partition(
     """
     if cuts is None:
         cuts = cut_family(host)
+    load, index = _tally(guest, host, embedding).load, host.links.edge_index
+    return _partition_total(host, cuts, (_cut_load(load, index, c) for c in cuts))
+
+
+def _partition_total(
+    host: HostTree, cuts: Sequence[EdgeCut], congestions: Iterable[int]
+) -> int:
+    """``wirelength_via_partition`` from each cut's congestion, which is
+    read only once the cuts are known to cover the host's edges."""
     coverage: Counter[tuple[int, int]] = Counter()
     for cut in cuts:
         for edge in cut.cut_edges:
@@ -574,8 +589,7 @@ def wirelength_via_partition(
     if len(counts) != 1 or coverage.keys() != host.label_edges:
         raise CoverageError("cut family does not cover every host edge uniformly")
     k_mult = counts.pop()
-    load, index = _tally(guest, host, embedding).load, host.links.edge_index
-    total = sum(cut.multiplicity_share * _cut_load(load, index, cut) for cut in cuts)
+    total = sum(cut.multiplicity_share * c for cut, c in zip(cuts, congestions))
     if total % k_mult:
         raise ConsistencyError(
             f"weighted congestion {total} is not divisible by coverage {k_mult}"
@@ -594,10 +608,11 @@ def build_report(
     cuts = cut_family(host)
     tally = _tally(guest, host, embedding)
     load, index = tally.load, host.links.edge_index
+    congestions = [_cut_load(load, index, c) for c in cuts]
     per_cut = tuple(
-        CutReport(c.family, c.j, c.i, _cut_load(load, index, c)) for c in cuts
+        CutReport(c.family, c.j, c.i, ec) for c, ec in zip(cuts, congestions)
     )
-    conditions = _cut_reports(guest, host, tally, cuts)
+    conditions = _cut_reports(guest, host, tally, cuts, congestions)
     return WirelengthReport(
         n=guest.n,
         p=guest.p,
@@ -605,7 +620,7 @@ def build_report(
         k=host.k,
         host_kind=host.kind,
         direct=sum(load),
-        via_partition=wirelength_via_partition(guest, host, embedding, cuts),
+        via_partition=_partition_total(host, cuts, congestions),
         closed_form=formulas.closed_form_wirelength(
             guest.n, guest.p, n1=host.n1, sibling=host.sibling
         ),
