@@ -50,11 +50,6 @@ from treebed.hosts import (
     inorder_labeling,
     sibling_layout_labeling,
 )
-from treebed.search import (
-    SearchResult,
-    exhaustive_min_wirelength,
-    local_search_min,
-)
 
 __version__ = "0.1.0"
 
@@ -100,3 +95,19 @@ __all__ = [
     "wl_sibling",
     "wl_sibling_chain",
 ]
+
+# The search names load ``treebed.search`` on first use, so that importing
+# the package (or the CLI) for a plain wirelength check does not.
+_SEARCH_NAMES = ("SearchResult", "exhaustive_min_wirelength", "local_search_min")
+
+
+def __getattr__(name: str):
+    if name in _SEARCH_NAMES:
+        from treebed import search
+
+        return getattr(search, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SEARCH_NAMES})

@@ -9,6 +9,7 @@ requests and exceeded budgets).
 
 from __future__ import annotations
 
+import gc
 import sys
 from itertools import combinations
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from treebed import formulas
 from treebed.embedding import build_report, identity_embedding
-from treebed.errors import BudgetExceededError
+from treebed.errors import DEFAULT_PARTITION_BUDGET, BudgetExceededError
 from treebed.graphs import Guest, build_guest
 from treebed.hosts import (
     LAYOUT_VARIANTS,
@@ -26,11 +27,6 @@ from treebed.hosts import (
     host_counts,
     inorder_labeling,
     sibling_layout_labeling,
-)
-from treebed.search import (
-    DEFAULT_PARTITION_BUDGET,
-    exhaustive_min_wirelength,
-    local_search_min,
 )
 
 if TYPE_CHECKING:
@@ -174,6 +170,8 @@ def cmd_wirelength(args) -> int:
             raise ValueError(
                 f"exhaustive search is capped at 2**n <= {1 << EXHAUSTIVE_MAX_N}"
             )
+        from treebed.search import exhaustive_min_wirelength
+
         exhaustive_min = exhaustive_min_wirelength(
             guest, host, budget=args.budget
         ).best_value
@@ -181,6 +179,8 @@ def cmd_wirelength(args) -> int:
     if args.local_search is not None:
         if args.seed is None:
             raise ValueError("--local-search requires an explicit --seed")
+        from treebed.search import local_search_min
+
         heuristic = local_search_min(
             guest, host, seed=args.seed, iterations=args.local_search
         ).best_value
@@ -299,6 +299,8 @@ def _sweep_rows(args):
                         )
                         row["cut_conditions_ok"] = report.cut_conditions_ok
                         if args.exhaustive:
+                            from treebed.search import exhaustive_min_wirelength
+
                             best = exhaustive_min_wirelength(
                                 guest, host, budget=args.budget
                             ).best_value
@@ -592,6 +594,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+
+# Everything alive now (the interpreter's, ``site``'s and the package's
+# objects) outlives any request, so move it to the collector's permanent
+# generation: neither a request's collections nor the ones at interpreter
+# exit traverse it again.  Objects made later are collected as before.  Not
+# in ``main``, which would freeze each in-process call's leftovers.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

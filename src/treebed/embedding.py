@@ -19,6 +19,10 @@ every subtree and sibling union that fills a label interval, from which a
 standard cut's induced and leaving guest edges follow in O(1).  Every
 cut's edges are checked against its interval's edge boundary, all cuts of
 a report in one batch (``_check_boundaries``).
+Cut edges are handled as indices into the host's edge list: a report takes
+its cuts as index records straight from the host (``hosts._standard_cuts``),
+and the calls that take a caller's ``EdgeCut`` translate its label pairs
+once, then run the same code.
 Wirelength comes out three ways that must agree: summing routed path
 lengths, summing cut congestions weighted by coverage, and (elsewhere)
 closed forms.
@@ -34,7 +38,7 @@ from treebed import formulas
 from treebed.errors import CoverageError, ConsistencyError
 from treebed.frozen import Frozen
 from treebed.graphs import Guest
-from treebed.hosts import EdgeCut, HostLinks, HostTree, cut_family
+from treebed.hosts import EdgeCut, HostLinks, HostTree, _standard_cuts, cut_family
 
 __all__ = [
     "Embedding",
@@ -373,23 +377,42 @@ def edge_congestion(
     guest: Guest, host: HostTree, embedding: Embedding, host_edge: tuple[int, int]
 ) -> int:
     """Number of guest edges whose routed path uses ``host_edge``."""
-    a, b = host_edge
-    edge = (a, b) if a < b else (b, a)
-    if edge not in host.label_edges:
-        raise ValueError(f"{host_edge} is not a host edge (in label space)")
-    return _tally(guest, host, embedding).load[host.links.edge_index[edge]]
+    index = _host_edge_index(host.links, host_edge)
+    return _tally(guest, host, embedding).load[index]
 
 
 def cut_congestion(
     guest: Guest, host: HostTree, embedding: Embedding, cut: EdgeCut
 ) -> int:
     """Total congestion over a cut's edges."""
-    return sum(edge_congestion(guest, host, embedding, e) for e in cut.cut_edges)
+    indices = [_host_edge_index(host.links, e) for e in cut.cut_edges]
+    return _cut_load(_tally(guest, host, embedding).load, indices)
 
 
-def _cut_load(load: list[int], edge_index: dict, cut: EdgeCut) -> int:
-    """Total of ``load`` over the cut's edges, which must be host edges."""
-    return sum(load[edge_index[e]] for e in cut.cut_edges)
+def _host_edge_index(links: HostLinks, host_edge: tuple[int, int]) -> int:
+    """The index in ``links.edges`` of ``host_edge``, in either order."""
+    a, b = host_edge
+    index = links.edge_index.get((a, b) if a < b else (b, a))
+    if index is None:
+        raise ValueError(f"{host_edge} is not a host edge (in label space)")
+    return index
+
+
+def _cut_load(load: list[int], indices: Sequence[int]) -> int:
+    """Total of ``load`` over the edges with these indices."""
+    return sum([load[x] for x in indices])
+
+
+def _index_cuts(links: HostLinks, cuts: Iterable[EdgeCut]) -> list[tuple]:
+    """A caller's cuts as the records ``hosts._standard_cuts`` makes: each
+    edge translated once through ``links.edge_index``, with ``links.spill``
+    for a label pair that is no host edge (pairs are not reordered)."""
+    index, spill = links.edge_index, links.spill
+    return [
+        (c.family, c.j, c.i, [index.get(e, spill) for e in c.cut_edges],
+         c.component_lo, c.component_hi, c.multiplicity_share)
+        for c in cuts
+    ]
 
 
 def congestion_lemma_value(guest: Guest, subset: Iterable[int]) -> int:
@@ -405,10 +428,11 @@ def congestion_lemma_value(guest: Guest, subset: Iterable[int]) -> int:
 _NOT_BOUNDARY = "cut edges are not the edge boundary of labels {}..{}"
 
 
-def _check_boundaries(links: HostLinks, count: int, cuts: Sequence[EdgeCut]) -> None:
-    """Raise ``ValueError`` at the first of ``cuts`` whose edges are not
-    exactly the host edges with one end in ``component_lo..component_hi``;
-    ``count`` is the host's vertex count.
+def _check_boundaries(links: HostLinks, count: int, cuts: Sequence[tuple]) -> None:
+    """Raise ``ValueError`` at the first of the cut records ``cuts`` (see
+    ``hosts._standard_cuts``) whose edges are not exactly the host edges
+    with one end in its interval ``lo..hi``; ``count`` is the host's vertex
+    count, and an edge index of ``links.spill`` stands for no host edge.
 
     Host edges that each have one end in ``lo..hi`` are the interval's
     whole edge boundary exactly when there are ``deg(lo..hi) - 2 *
@@ -419,22 +443,28 @@ def _check_boundaries(links: HostLinks, count: int, cuts: Sequence[EdgeCut]) -> 
     which counts those whose smaller end is at least ``lo``.  An edge whose
     larger end is below every ``lo`` lies in no component and is skipped.
     """
-    index, degree_sums, by_high = links.edge_index, links.degree_sums, links.by_high
+    edges, spill = links.edges, links.spill
+    degree_sums, by_high = links.degree_sums, links.by_high
     failures: list[tuple[int, str]] = []  # (place in cuts, message)
     queries = []
-    for place, cut in enumerate(cuts):
-        lo, hi = cut.component_lo, cut.component_hi
+    for place, (_, _, _, indices, lo, hi, _) in enumerate(cuts):
         if not 1 <= lo <= hi <= count:
             message = f"cut component {lo}..{hi} is not inside 1..{count}"
             failures.append((place, message))
             continue
-        edges = cut.cut_edges
-        if all(e in index and (lo <= e[0] <= hi) != (lo <= e[1] <= hi) for e in edges):
-            # Twice the inner edge count this many cut edges call for.
-            twice_inner = degree_sums[hi] - degree_sums[lo - 1] - len(edges)
-            queries.append((hi, lo, place, twice_inner))
+        for x in indices:
+            if x == spill:
+                break
+            a, b = edges[x]
+            if (lo <= a <= hi) == (lo <= b <= hi):
+                break
         else:
-            failures.append((place, _NOT_BOUNDARY.format(lo, hi)))
+            # Every edge is a host edge with one end inside.  Twice the
+            # inner edge count this many cut edges call for:
+            twice_inner = degree_sums[hi] - degree_sums[lo - 1] - len(indices)
+            queries.append((hi, lo, place, twice_inner))
+            continue
+        failures.append((place, _NOT_BOUNDARY.format(lo, hi)))
     queries.sort()
     tree = [0] * (count + 1)
     skipped = added = bisect_left(by_high, (min((q[1] for q in queries), default=1),))
@@ -484,26 +514,31 @@ def _side_squares(
 
 
 def _cut_reports(
+    guest: Guest, host: HostTree, tally: _Tally, cuts: Sequence[EdgeCut]
+) -> tuple[CutConditionReport, ...]:
+    """The condition report of every cut, in order; see
+    ``verify_cut_conditions``."""
+    return _reports(guest, host, tally, _index_cuts(host.links, cuts))
+
+
+def _reports(
     guest: Guest,
     host: HostTree,
     tally: _Tally,
-    cuts: Sequence[EdgeCut],
+    cuts: Sequence[tuple],
     congestions: Sequence[int] | None = None,
 ) -> tuple[CutConditionReport, ...]:
-    """The condition report of every cut, in order; see
-    ``verify_cut_conditions``.  ``congestions``, when given, holds each
-    cut's congestion."""
+    """``_cut_reports`` on cut records (see ``hosts._standard_cuts``).
+    ``congestions``, when given, holds each cut's congestion."""
     links, count = host.links, host.vertex_count
     _check_boundaries(links, count, cuts)
-    index = links.edge_index
     if congestions is None:
-        congestions = [_cut_load(tally.load, index, cut) for cut in cuts]
+        congestions = [_cut_load(tally.load, cut[3]) for cut in cuts]
     degree, edge_count = guest.degree, guest.edge_count
     parts, size = guest.part_count, guest.part_size
     best: dict[int, int] = {}  # largest induced edge count by side size
     reports = []
-    for cut, congestion in zip(cuts, congestions):
-        lo, hi = cut.component_lo, cut.component_hi
+    for (_, _, _, indices, lo, hi, _), congestion in zip(cuts, congestions):
         side, square_sum = _side_squares(tally, count, guest, lo, hi)
         induced = (side * side - square_sum) // 2
         leaving = side * degree - 2 * induced
@@ -521,7 +556,7 @@ def _cut_reports(
         same = 0
         if congestion != leaving:
             sided = _Tally(guest, links, tally.embedding, (lo, hi))
-            same = _cut_load(sided.load, index, cut)
+            same = _cut_load(sided.load, indices)
         inside_ok, crossings_ok = same == 0, congestion - same == leaving
         reports.append(CutConditionReport(inside_ok, crossings_ok, optimal, leaving))
     return tuple(reports)
@@ -570,26 +605,31 @@ def wirelength_via_partition(
     """
     if cuts is None:
         cuts = cut_family(host)
-    load, index = _tally(guest, host, embedding).load, host.links.edge_index
-    return _partition_total(host, cuts, (_cut_load(load, index, c) for c in cuts))
+    load = _tally(guest, host, embedding).load
+    links = host.links
+    records = _index_cuts(links, cuts)
+    for cut, record in zip(cuts, records):
+        if links.spill in record[3]:
+            edge = next(e for e in cut.cut_edges if e not in links.edge_index)
+            raise ValueError(f"cut edge {edge} is not a host edge")
+    return _partition_total(links, records, [_cut_load(load, r[3]) for r in records])
 
 
 def _partition_total(
-    host: HostTree, cuts: Sequence[EdgeCut], congestions: Iterable[int]
+    links: HostLinks, cuts: Sequence[tuple], congestions: Sequence[int]
 ) -> int:
-    """``wirelength_via_partition`` from each cut's congestion, which is
-    read only once the cuts are known to cover the host's edges."""
-    coverage: Counter[tuple[int, int]] = Counter()
-    for cut in cuts:
-        for edge in cut.cut_edges:
-            if edge not in host.label_edges:
-                raise ValueError(f"cut edge {edge} is not a host edge")
-            coverage[edge] += cut.multiplicity_share
-    counts = set(coverage.values())
-    if len(counts) != 1 or coverage.keys() != host.label_edges:
-        raise CoverageError("cut family does not cover every host edge uniformly")
+    """``wirelength_via_partition`` from cut records of host edges (see
+    ``hosts._standard_cuts``) and each cut's congestion."""
+    coverage = [0] * links.spill
+    for _, _, _, indices, _, _, share in cuts:
+        for x in indices:
+            coverage[x] += share
+    counts = set(coverage)
     k_mult = counts.pop()
-    total = sum(cut.multiplicity_share * c for cut, c in zip(cuts, congestions))
+    # A count of 0 is an edge no cut covers.
+    if counts or not k_mult:
+        raise CoverageError("cut family does not cover every host edge uniformly")
+    total = sum(cut[6] * c for cut, c in zip(cuts, congestions))
     if total % k_mult:
         raise ConsistencyError(
             f"weighted congestion {total} is not divisible by coverage {k_mult}"
@@ -605,14 +645,12 @@ def build_report(
     local_search_min: int | None = None,
 ) -> WirelengthReport:
     """Run every wirelength computation for one instance and bundle the results."""
-    cuts = cut_family(host)
+    cuts = _standard_cuts(host)
     tally = _tally(guest, host, embedding)
-    load, index = tally.load, host.links.edge_index
-    congestions = [_cut_load(load, index, c) for c in cuts]
-    per_cut = tuple(
-        CutReport(c.family, c.j, c.i, ec) for c, ec in zip(cuts, congestions)
-    )
-    conditions = _cut_reports(guest, host, tally, cuts, congestions)
+    load = tally.load
+    congestions = [_cut_load(load, cut[3]) for cut in cuts]
+    per_cut = tuple(CutReport(*cut[:3], ec) for cut, ec in zip(cuts, congestions))
+    conditions = _reports(guest, host, tally, cuts, congestions)
     return WirelengthReport(
         n=guest.n,
         p=guest.p,
@@ -620,7 +658,7 @@ def build_report(
         k=host.k,
         host_kind=host.kind,
         direct=sum(load),
-        via_partition=_partition_total(host, cuts, congestions),
+        via_partition=_partition_total(host.links, cuts, congestions),
         closed_form=formulas.closed_form_wirelength(
             guest.n, guest.p, n1=host.n1, sibling=host.sibling
         ),

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default budget."""
+
+# Label partitions an exhaustive search may evaluate unless told otherwise.
+DEFAULT_PARTITION_BUDGET = 100_000_000
 
 
 class BudgetExceededError(RuntimeError):

@@ -386,9 +386,21 @@ def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
     range is taken bottom-up.  Raises ``ConsistencyError`` when a
     component's labels are not an interval.
     """
+    records = _standard_cuts(host)
+    edge = host.links.edges.__getitem__
+    return tuple(
+        EdgeCut(family, j, i, frozenset(map(edge, indices)), lo, hi, share)
+        for family, j, i, indices, lo, hi, share in records
+    )
+
+
+def _standard_cuts(host: HostTree) -> list[tuple]:
+    """``cut_family(host)`` with each cut's edges as indices into
+    ``host.links.edges``: one ``(family, j, i, indices, lo, hi, share)``
+    record per cut, in ``EdgeCut``'s field order."""
     pos = host._positions()
     links = host.links
-    up, edges, up_edge, sib_edge = links.up, links.edges, links.up_edge, links.sib_edge
+    up, up_edge, sib_edge = links.up, links.up_edge, links.sib_edge
     # Lowest and highest label and label count of every label's subtree.
     lo = list(range(host.vertex_count + 1))
     hi = lo[:]
@@ -411,7 +423,7 @@ def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
 
     n1, k, sibling = host.n1, host.k, host.sibling
     block = 1 << n1
-    cuts: list[EdgeCut] = []
+    cuts: list[tuple] = []
     # Family S: one cut per tree vertex, indexed left-to-right at each depth
     # across the blocks (heap index h of block s has label s * block + pos[h]).
     # The cut isolates the subtree under the vertex; for sibling hosts the
@@ -423,11 +435,9 @@ def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
             for h in range(per_block, 2 * per_block):
                 i += 1
                 t = base + pos[h]
-                cut = {edges[up_edge[t]]}
-                if sibling and h >= 2:
-                    cut.add(edges[sib_edge[t]])
-                low, high = interval(lo[t], hi[t], size[t])
-                cuts.append(EdgeCut("S", j, i, frozenset(cut), low, high))
+                edge = up_edge[t]
+                indices = (edge, sib_edge[t]) if sibling and h >= 2 else (edge,)
+                cuts.append(("S", j, i, indices, *interval(lo[t], hi[t], size[t]), 1))
 
     if sibling:
         # Family SS: both child edges of an internal vertex; the component is
@@ -439,16 +449,15 @@ def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
                 for q in range(per_block, 2 * per_block):
                     i += 1
                     a, b = base + pos[2 * q], base + pos[2 * q + 1]
-                    cut = frozenset({edges[up_edge[a]], edges[up_edge[b]]})
                     low, high = interval(
                         min(lo[a], lo[b]), max(hi[a], hi[b]), size[a] + size[b]
                     )
-                    cuts.append(EdgeCut("SS", j, i, cut, low, high))
+                    cuts.append(("SS", j, i, (up_edge[a], up_edge[b]), low, high, 1))
         # Duplicate pendant cut, so pendant edges reach coverage 2 like the rest.
         for s in range(k):
             t = s * block + pos[1]
             low, high = interval(lo[t], hi[t], size[t])
-            cuts.append(EdgeCut("SS", n1, s + 1, frozenset({edges[up_edge[t]]}), low, high))
+            cuts.append(("SS", n1, s + 1, (up_edge[t],), low, high, 1))
 
     # Family ROOT: chain cuts; the component is the first i blocks, each
     # block being its pendant and the subtree of its tree root.
@@ -459,7 +468,7 @@ def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
         low = min(low, pendant, lo[t])
         high = max(high, pendant, hi[t])
         count += 1 + size[t]
-        cut = frozenset({edges[up_edge[(i + 1) * block]]})
-        cuts.append(EdgeCut("ROOT", None, i, cut, *interval(low, high, count), share))
+        indices = (up_edge[(i + 1) * block],)
+        cuts.append(("ROOT", None, i, indices, *interval(low, high, count), share))
 
-    return tuple(cuts)
+    return cuts

@@ -21,7 +21,7 @@ from math import factorial
 from typing import NamedTuple
 
 from treebed.embedding import Embedding, _vertex_count
-from treebed.errors import BudgetExceededError
+from treebed.errors import DEFAULT_PARTITION_BUDGET, BudgetExceededError
 from treebed.graphs import Guest
 from treebed.hosts import HostTree
 
@@ -30,8 +30,6 @@ __all__ = [
     "exhaustive_min_wirelength",
     "local_search_min",
 ]
-
-DEFAULT_PARTITION_BUDGET = 100_000_000
 
 _MASK64 = (1 << 64) - 1
 # SplitMix64 reference constants.

@@ -181,3 +181,24 @@ def test_canonical_request_never_imports_argparse():
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_requests_without_search_never_import_it():
+    # wirelength and verify import treebed.search only for --exhaustive or
+    # --local-search; importing the CLI freezes what is alive by then
+    probe = (
+        "import gc, sys, treebed.cli\n"
+        "assert gc.get_freeze_count() > 0\n"
+        "for argv in (['wirelength', '--n', '3', '--p', '2'],"
+        " ['verify', '--n', '4', '--p', '2', '--n1', '2', '--host', 'sibling']):\n"
+        "    assert treebed.cli.main(argv) == 0, argv\n"
+        "assert 'treebed.search' not in sys.modules\n"
+        "assert treebed.cli.main(['wirelength', '--n', '3', '--p', '2', '--exhaustive']) == 0\n"
+        "assert 'treebed.search' in sys.modules\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr

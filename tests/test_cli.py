@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,8 @@ from treebed import (
     wirelength_via_partition,
 )
 from treebed.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -631,6 +637,31 @@ def test_export_dot_to_file(tmp_path, capsys):
     assert out == ""
     code, direct, _ = run(capsys, "export-dot", "host", "--n1", "2")
     assert target.read_text(encoding="utf-8") == direct
+
+
+def treebed_process(*argv):
+    """Run ``argv`` through ``treebed.cli.main`` in a fresh interpreter, as
+    the console script does, so it exits through a normal shutdown."""
+    entry = "import sys; from treebed.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", entry, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+    )
+
+
+def test_export_dot_out_in_a_fresh_process(tmp_path):
+    argv = ("export-dot", "host", "--n1", "3", "--host", "sibling", "--variant", "1")
+    shown = treebed_process(*argv)
+    assert (shown.returncode, shown.stderr) == (0, b"")
+    assert shown.stdout.startswith(b"graph host {")
+    target = tmp_path / "h.dot"
+    written = treebed_process(*argv, "--out", str(target))
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert target.read_bytes() == shown.stdout
+    missing = treebed_process(*argv, "--out", str(tmp_path / "missing" / "h.dot"))
+    assert (missing.returncode, missing.stdout) == (1, b"")
+    assert missing.stderr.startswith(b"error: ")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_export_dot_validation(capsys):

@@ -11,13 +11,16 @@ from treebed import (
     EdgeCut,
     build_guest,
     build_host,
+    CutReport,
     build_report,
+    cut_congestion,
     cut_family,
     identity_embedding,
     inorder_labeling,
     max_subgraph_edges_closed_form,
     sibling_layout_labeling,
     verify_cut_conditions,
+    wirelength_via_partition,
 )
 from treebed.embedding import _cut_reports, _tally
 
@@ -90,10 +93,26 @@ def _check_reports(guest, host, emb, cuts):
     return got
 
 
+def _check_build_report(guest, host, emb):
+    """``build_report`` against the public calls that take an ``EdgeCut``,
+    cut by cut over the standard family."""
+    report = build_report(guest, host, emb)
+    family = cut_family(host)
+    assert len(report.per_cut) == len(report.cut_conditions) == len(family)
+    for cut, per_cut, conditions in zip(family, report.per_cut, report.cut_conditions):
+        where = (host.kind, host.n1, cut.family, cut.j, cut.i)
+        ec = cut_congestion(guest, host, emb, cut)
+        assert per_cut == CutReport(cut.family, cut.j, cut.i, ec), where
+        assert conditions == verify_cut_conditions(guest, host, emb, cut), where
+    assert report.via_partition == wirelength_via_partition(guest, host, emb, family)
+
+
 def test_cut_reports_match_oracle_up_to_n6():
     # every n <= 6 shape for p = 2, and for p = n up to n = 5, both kinds,
     # every variant, identity and three swaps; the standard cuts, then every
-    # interval for n <= 3 and a sample of intervals above
+    # interval for n <= 3 and a sample of intervals above; and the report
+    # build_report makes from the standard cuts against the public per-cut
+    # calls
     rng = random.Random(12)
     seen = set()
     instances = 0
@@ -109,6 +128,7 @@ def test_cut_reports_match_oracle_up_to_n6():
                 )
                 for report in _check_reports(guest, host, emb, cuts):
                     seen.add(tuple(report)[:3])
+                _check_build_report(guest, host, emb)
                 instances += 1
     assert instances == 640
     # both route flags fail somewhere, and so does optimality
