@@ -29,16 +29,9 @@ from treebed.errors import (
     UnlabeledHostError,
 )
 from treebed.formulas import (
-    branch_cut_congestion,
-    chain_cut_congestion,
     closed_form_wirelength,
     interval_boundary_congestion,
     max_subgraph_edges_closed_form,
-    pair_cut_congestion,
-    wl_binary,
-    wl_binary_chain,
-    wl_sibling,
-    wl_sibling_chain,
 )
 from treebed.graphs import Graph, Guest, build_guest
 from treebed.hosts import (
@@ -68,11 +61,9 @@ __all__ = [
     "SearchResult",
     "UnlabeledHostError",
     "WirelengthReport",
-    "branch_cut_congestion",
     "build_guest",
     "build_host",
     "build_report",
-    "chain_cut_congestion",
     "closed_form_wirelength",
     "congestion_lemma_value",
     "cut_congestion",
@@ -84,16 +75,11 @@ __all__ = [
     "interval_boundary_congestion",
     "local_search_min",
     "max_subgraph_edges_closed_form",
-    "pair_cut_congestion",
     "route",
     "sibling_layout_labeling",
     "verify_cut_conditions",
     "wirelength_direct",
     "wirelength_via_partition",
-    "wl_binary",
-    "wl_binary_chain",
-    "wl_sibling",
-    "wl_sibling_chain",
 ]
 
 # The search names load ``treebed.search`` on first use, so that importing

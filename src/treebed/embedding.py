@@ -405,11 +405,13 @@ def _cut_load(load: list[int], indices: Sequence[int]) -> int:
 
 def _index_cuts(links: HostLinks, cuts: Iterable[EdgeCut]) -> list[tuple]:
     """A caller's cuts as the records ``hosts._standard_cuts`` makes: each
-    edge translated once through ``links.edge_index``, with ``links.spill``
-    for a label pair that is no host edge (pairs are not reordered)."""
+    edge translated once through ``links.edge_index``, in either order as
+    ``_host_edge_index`` takes it, with ``links.spill`` for a label pair
+    that is no host edge."""
     index, spill = links.edge_index, links.spill
     return [
-        (c.family, c.j, c.i, [index.get(e, spill) for e in c.cut_edges],
+        (c.family, c.j, c.i,
+         [index.get((a, b) if a < b else (b, a), spill) for a, b in c.cut_edges],
          c.component_lo, c.component_hi, c.multiplicity_share)
         for c in cuts
     ]
@@ -534,7 +536,7 @@ def _reports(
     _check_boundaries(links, count, cuts)
     if congestions is None:
         congestions = [_cut_load(tally.load, cut[3]) for cut in cuts]
-    degree, edge_count = guest.degree, guest.edge_count
+    degree = guest.degree
     parts, size = guest.part_count, guest.part_size
     best: dict[int, int] = {}  # largest induced edge count by side size
     reports = []
@@ -542,12 +544,11 @@ def _reports(
         side, square_sum = _side_squares(tally, count, guest, lo, hi)
         induced = (side * side - square_sum) // 2
         leaving = side * degree - 2 * induced
-        # Every guest edge lies inside one side or leaves both.
-        other = edge_count - induced - leaving
-        for s in (side, count - side):
-            if s not in best:
-                best[s] = formulas.max_subgraph_edges_closed_form(parts, size, s)
-        optimal = induced == best[side] and other == best[count - side]
+        if side not in best:
+            best[side] = formulas.max_subgraph_edges_closed_form(parts, size, side)
+        # The guest is regular, so the other side induces E - side*deg +
+        # induced edges, and it is densest exactly when this side is.
+        optimal = induced == best[side]
         # Each route crossing the cut uses an odd number of its edges and
         # each other route an even number, so the congestion is at least
         # the number of crossing guest edges, with equality exactly when
@@ -610,7 +611,7 @@ def wirelength_via_partition(
     records = _index_cuts(links, cuts)
     for cut, record in zip(cuts, records):
         if links.spill in record[3]:
-            edge = next(e for e in cut.cut_edges if e not in links.edge_index)
+            edge = next(e for e, x in zip(cut.cut_edges, record[3]) if x == links.spill)
             raise ValueError(f"cut edge {edge} is not a host edge")
     return _partition_total(links, records, [_cut_load(load, r[3]) for r in records])
 

@@ -1,4 +1,4 @@
-"""Closed-form minimum wirelengths and the cut congestions behind them.
+"""Closed-form minimum wirelengths.
 
 Everything here is exact integer arithmetic on the parameters
 
@@ -7,12 +7,11 @@ Everything here is exact integer arithmetic on the parameters
     n1 : block height of the host, so the host chains k = 2**(n - n1) blocks.
 
 The minimum wirelength of an instance is the coverage-weighted sum of the
-minimum congestions of its cut family.  Each cut isolates a label interval;
-the interval's length determines its minimum congestion, which is what the
-helpers below compute.  They rest on the edge-isoperimetric profile of the
-guest, ``max_subgraph_edges_closed_form``, the largest edge count any
-vertex set of a given size induces.  Single-tree forms are the chain forms
-at n1 = n.
+minimum congestions of its cut family.  Each cut isolates a label interval,
+and the interval's length alone gives its minimum congestion,
+``interval_boundary_congestion``.  That rests on the edge-isoperimetric
+profile of the guest, ``max_subgraph_edges_closed_form``, the largest edge
+count any vertex set of a given size induces.
 """
 
 from __future__ import annotations
@@ -23,13 +22,6 @@ from treebed.graphs import MAX_N, check_guest_shape
 __all__ = [
     "max_subgraph_edges_closed_form",
     "interval_boundary_congestion",
-    "branch_cut_congestion",
-    "pair_cut_congestion",
-    "chain_cut_congestion",
-    "wl_binary",
-    "wl_binary_chain",
-    "wl_sibling",
-    "wl_sibling_chain",
     "closed_form_wirelength",
 ]
 
@@ -56,12 +48,6 @@ def max_subgraph_edges_closed_form(p_parts: int, r: int, k: int) -> int:
     return q * q * p_parts * (p_parts - 1) // 2 + j * q * (p_parts - 1) + j * (j - 1) // 2
 
 
-def _check_chain(n: int, n1: int, p: int) -> None:
-    check_guest_shape(n, p)
-    if not 1 <= n1 <= n:
-        raise ValueError(f"need 1 <= n1 <= n, got n1={n1}, n={n}")
-
-
 def interval_boundary_congestion(size: int, n: int, p: int) -> int:
     """Guest edges leaving an optimal vertex set of the given size.
 
@@ -77,114 +63,65 @@ def interval_boundary_congestion(size: int, n: int, p: int) -> int:
     )
 
 
-def branch_cut_congestion(j: int, n: int, p: int) -> int:
-    """Minimum congestion of a cut isolating one height-j subtree (2**j - 1 labels).
+def _chain_sum(n: int, n1: int, p: int) -> int:
+    """``interval_boundary_congestion(i * 2**n1, n, p)`` summed over the
+    chain cuts ``i = 1..k-1``, in O(1) big-integer operations.
 
-    While the subtree is smaller than one partite set round (j <= p) every
-    pair inside it can be adjacent; past that the partite sets saturate and
-    the count grows linearly per level.
+    With ``P = 2**p`` partite sets and ``s = q*P + j``, ``0 <= j < P``, the
+    summand is ``s*(deg + 1 - s) + P*q*(q - 1) + 2*j*q``.  The first term is
+    a polynomial in ``i``.  When ``2**n1 >= P`` every ``s`` is a multiple of
+    ``P``, so ``j = 0`` and ``q = i * 2**n1 / P``.  Otherwise ``i = a*L + b``
+    with ``L = P / 2**n1`` and ``0 <= b < L``, so ``q = a`` and ``j = b *
+    2**n1``, and ``a`` and ``b`` run over full ranges (``L`` divides k).
     """
-    check_guest_shape(n, p)
-    if not 1 <= j <= n:
-        raise ValueError(f"need 1 <= j <= n, got j={j}")
-    if j <= p:
-        return ((1 << j) - 1) * ((1 << (n - p)) * ((1 << p) - 1) - ((1 << j) - 2))
-    return ((1 << p) - 1) * (
-        (1 << (n - p)) * ((1 << j) - 1) - (1 << (j - p)) * ((1 << j) - 2)
+    m, k, parts = 1 << n1, 1 << (n - n1), 1 << p
+    s1 = k * (k - 1) // 2  # sum of i, and of i**2 below, over i < k
+    s2 = s1 * (2 * k - 1) // 3
+    total = m * ((1 << n) - (1 << (n - p)) + 1) * s1 - m * m * s2
+    if m >= parts:
+        c = m // parts
+        return total + parts * (c * c * s2 - c * s1)
+    rounds, period = 1 << (n - p), parts // m  # the ranges of a and b
+    return (
+        total
+        + period * parts * rounds * (rounds - 1) * (rounds - 2) // 3
+        + m * rounds * (rounds - 1) * period * (period - 1) // 2
     )
-
-
-def pair_cut_congestion(j: int, n: int, p: int) -> int:
-    """Minimum congestion of a cut isolating two height-j subtrees together.
-
-    These are the cuts around a sibling pair; the component holds
-    ``2**(j+1) - 2`` labels.
-    """
-    check_guest_shape(n, p)
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"need 1 <= j <= n - 1, got j={j}")
-    if j + 1 <= p:
-        return ((1 << (j + 1)) - 2) * (
-            (1 << (n - p)) * ((1 << p) - 1) - ((1 << (j + 1)) - 3)
-        )
-    return ((1 << p) - 1) * (
-        (1 << (n - p)) * ((1 << (j + 1)) - 2) - (1 << (j - p + 2)) * ((1 << j) - 2)
-    ) - 2
-
-
-def chain_cut_congestion(i: int, n1: int, n: int, p: int) -> int:
-    """Minimum congestion of the chain cut after block ``i`` (labels 1..i * 2**n1).
-
-    This is the interval boundary at size ``i * 2**n1``; unlike the branch
-    and pair cases the interval need not line up with partite set rounds,
-    so no simpler split into cases covers every (i, n1, p).
-    """
-    _check_chain(n, n1, p)
-    k = 1 << (n - n1)
-    if not 1 <= i <= k - 1:
-        raise ValueError(f"need 1 <= i <= {k - 1}, got i={i}")
-    return interval_boundary_congestion(i << n1, n, p)
-
-
-def wl_binary(n: int, p: int) -> int:
-    """Minimum wirelength into the single plain binary host (k = 1)."""
-    return wl_binary_chain(n, n, p)
-
-
-def wl_binary_chain(n: int, n1: int, p: int) -> int:
-    """Minimum wirelength into the k-block plain binary host.
-
-    Each host edge lies in exactly one cut: 2**(n1 - j) branch cuts per
-    block at each height j, plus k - 1 chain cuts.
-    """
-    _check_chain(n, n1, p)
-    k = 1 << (n - n1)
-    per_block = sum(
-        (1 << (n1 - j)) * branch_cut_congestion(j, n, p) for j in range(1, n1 + 1)
-    )
-    chain = sum(chain_cut_congestion(i, n1, n, p) for i in range(1, k))
-    return k * per_block + chain
-
-
-def wl_sibling(n: int, p: int) -> int:
-    """Minimum wirelength into the single sibling host (k = 1)."""
-    return wl_sibling_chain(n, n, p)
-
-
-def wl_sibling_chain(n: int, n1: int, p: int) -> int:
-    """Minimum wirelength into the k-block sibling host.
-
-    The sibling cut family covers every host edge exactly twice: branch
-    cuts (now two edges each), pair cuts around each sibling pair, one
-    extra pendant cut per block, and doubled chain cuts.  Dividing the
-    congestion total by two must come out exact.
-    """
-    _check_chain(n, n1, p)
-    k = 1 << (n - n1)
-    per_block = (
-        sum((1 << (n1 - j)) * branch_cut_congestion(j, n, p) for j in range(1, n1 + 1))
-        + sum(
-            (1 << (n1 - j - 1)) * pair_cut_congestion(j, n, p)
-            for j in range(1, n1)
-        )
-        + branch_cut_congestion(n1, n, p)
-    )
-    chain = sum(chain_cut_congestion(i, n1, n, p) for i in range(1, k))
-    total = k * per_block + 2 * chain
-    if total % 2:
-        raise ConsistencyError(f"sibling congestion total {total} is odd")
-    return total // 2
 
 
 def closed_form_wirelength(
     n: int, p: int, n1: int | None = None, sibling: bool = False
 ) -> int:
-    """Dispatch to the closed form for the requested host shape.
+    """Minimum wirelength into the k-block binary or sibling host.
 
-    ``n1=None`` means the single-block host (n1 = n).
+    ``n1=None`` means the single-block host (n1 = n).  Each block has
+    ``2**(n1 - j)`` subtree cuts of ``2**j - 1`` labels per height j, and
+    the k - 1 chain cuts follow the blocks; on a plain host every edge lies
+    in exactly one cut.  A sibling host's family covers every edge twice:
+    its subtree cuts take the sibling edge too, and each block adds
+    ``2**(n1 - j - 1)`` cuts of ``2**(j + 1) - 2`` labels around its
+    sibling pairs of height j and one more pendant cut, with the chain cuts
+    counted twice.  Dividing the congestion total by the coverage must come
+    out exact.
     """
     if n1 is None:
         n1 = n
+    check_guest_shape(n, p)
+    if not 1 <= n1 <= n:
+        raise ValueError(f"need 1 <= n1 <= n, got n1={n1}, n={n}")
+    per_block = sum(
+        (1 << (n1 - j)) * interval_boundary_congestion((1 << j) - 1, n, p)
+        for j in range(1, n1 + 1)
+    )
+    coverage = 2 if sibling else 1
     if sibling:
-        return wl_sibling_chain(n, n1, p)
-    return wl_binary_chain(n, n1, p)
+        per_block += interval_boundary_congestion((1 << n1) - 1, n, p) + sum(
+            (1 << (n1 - j - 1)) * interval_boundary_congestion((2 << j) - 2, n, p)
+            for j in range(1, n1)
+        )
+    total = (1 << (n - n1)) * per_block + coverage * _chain_sum(n, n1, p)
+    if total % coverage:
+        raise ConsistencyError(
+            f"congestion total {total} is not divisible by coverage {coverage}"
+        )
+    return total // coverage

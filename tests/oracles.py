@@ -78,6 +78,59 @@ def multipartite_edges(sizes):
     ]
 
 
+def balanced_leaving(size, n, p):
+    """Guest edges leaving ``size`` vertices of the guest with ``2**n``
+    vertices in ``2**p`` partite sets, spread over the sets as evenly as
+    they go: ``j`` sets hold ``q + 1`` of them and the rest ``q``, with
+    ``size = q * 2**p + j``.  A vertex of a set holding ``c`` chosen ones
+    is adjacent to every vertex outside its set, ``2**(n - p) - c`` of
+    which are chosen ones' partite mates left out."""
+    parts, r = 1 << p, 1 << (n - p)
+    q, j = divmod(size, parts)
+    outside = (1 << n) - size
+    return (
+        j * (q + 1) * (outside - (r - q - 1)) + (parts - j) * q * (outside - (r - q))
+    )
+
+
+def chain_cut_sum(n, n1, p):
+    """Minimum congestions of the k - 1 chain cuts of the k-block host,
+    cut by cut: the cut after block ``i`` isolates ``i * 2**n1`` labels."""
+    return sum(balanced_leaving(i << n1, n, p) for i in range(1, 1 << (n - n1)))
+
+
+# The paper's case-split expressions for the minimum congestion of a cut
+# around one height-j subtree (2**j - 1 labels), and around a sibling pair
+# of them (2**(j+1) - 2 labels): one while the labels fit in a single round
+# of the 2**p partite sets, one past it.  Both apply at the boundary.
+
+
+def branch_cut_within_round(j, n, p):
+    """For ``1 <= j <= p``: every pair inside the subtree can be adjacent."""
+    return ((1 << j) - 1) * ((1 << (n - p)) * ((1 << p) - 1) - ((1 << j) - 2))
+
+
+def branch_cut_past_round(j, n, p):
+    """For ``p <= j <= n``: the partite sets saturate, growing linearly."""
+    return ((1 << p) - 1) * (
+        (1 << (n - p)) * ((1 << j) - 1) - (1 << (j - p)) * ((1 << j) - 2)
+    )
+
+
+def pair_cut_within_round(j, n, p):
+    """For ``1 <= j <= p - 1``."""
+    return ((1 << (j + 1)) - 2) * (
+        (1 << (n - p)) * ((1 << p) - 1) - ((1 << (j + 1)) - 3)
+    )
+
+
+def pair_cut_past_round(j, n, p):
+    """For ``p - 1 <= j <= n - 1``."""
+    return ((1 << p) - 1) * (
+        (1 << (n - p)) * ((1 << (j + 1)) - 2) - (1 << (j - p + 2)) * ((1 << j) - 2)
+    ) - 2
+
+
 def shortest_path_counts(count, edges):
     """Number of shortest paths between every two vertices, as a dict of
     dicts over vertices 1..count (1 from a vertex to itself)."""

@@ -26,6 +26,7 @@ from treebed import (
     build_guest,
     build_host,
     build_report,
+    closed_form_wirelength,
     congestion_lemma_value,
     cut_congestion,
     cut_family,
@@ -36,10 +37,6 @@ from treebed import (
     sibling_layout_labeling,
     verify_cut_conditions,
     wirelength_direct,
-    wl_binary,
-    wl_binary_chain,
-    wl_sibling,
-    wl_sibling_chain,
 )
 from treebed.cli import main as cli_main
 from treebed.embedding import WirelengthReport
@@ -156,10 +153,11 @@ def test_acceptance_03_partition_totals_match_direct_totals(grid):
 def test_acceptance_04_single_binary_closed_form(grid):
     for rec in grid["records"]:
         if not rec.sibling and rec.n1 == rec.n:
-            assert rec.report.direct == wl_binary(rec.n, rec.p), (rec.n, rec.p)
-    assert wl_binary(2, 2) == 9
-    assert wl_binary(3, 2) == 54
-    assert wl_binary(3, 3) == 65
+            expected = closed_form_wirelength(rec.n, rec.p)
+            assert rec.report.direct == expected, (rec.n, rec.p)
+    assert closed_form_wirelength(2, 2) == 9
+    assert closed_form_wirelength(3, 2) == 54
+    assert closed_form_wirelength(3, 3) == 65
     print(
         "ACCEPTANCE 04 PASS: single binary tree closed form matches the "
         "engine for all 2 <= p <= n <= 6; spot values 9, 54, 65"
@@ -169,11 +167,12 @@ def test_acceptance_04_single_binary_closed_form(grid):
 def test_acceptance_05_chained_binary_closed_form(grid):
     for rec in grid["records"]:
         if not rec.sibling:
-            assert rec.report.direct == wl_binary_chain(rec.n, rec.n1, rec.p)
-    assert wl_binary_chain(3, 2, 2) == 60
+            expected = closed_form_wirelength(rec.n, rec.p, n1=rec.n1)
+            assert rec.report.direct == expected
+    assert closed_form_wirelength(3, 2, n1=2) == 60
     for n in range(2, GRID_MAX_N + 1):
         for p in range(2, n + 1):
-            assert wl_binary_chain(n, n, p) == wl_binary(n, p)
+            assert closed_form_wirelength(n, p, n1=n) == closed_form_wirelength(n, p)
     print(
         "ACCEPTANCE 05 PASS: chained binary closed form matches the engine "
         "for every (n, p, n1) with n <= 6; spot value 60; single-block "
@@ -184,13 +183,14 @@ def test_acceptance_05_chained_binary_closed_form(grid):
 def test_acceptance_06_single_sibling_closed_form_all_variants(grid):
     for rec in grid["records"]:
         if rec.sibling and rec.n1 == rec.n:
-            assert rec.report.direct == wl_sibling(rec.n, rec.p), (rec.n, rec.p)
-    assert wl_sibling(3, 2) == 45
+            expected = closed_form_wirelength(rec.n, rec.p, sibling=True)
+            assert rec.report.direct == expected, (rec.n, rec.p)
+    assert closed_form_wirelength(3, 2, sibling=True) == 45
     variants_checked = 0
     for n in range(2, GRID_MAX_N + 1):
         for p in range(2, n + 1):
             guest = build_guest(n, p)
-            expected = wl_sibling(n, p)
+            expected = closed_form_wirelength(n, p, sibling=True)
             for variant in range(4):
                 host = sibling_layout_labeling(
                     build_host(n, 1, sibling=True), variant
@@ -213,8 +213,9 @@ def test_acceptance_06_single_sibling_closed_form_all_variants(grid):
 def test_acceptance_07_chained_sibling_closed_form(grid):
     for rec in grid["records"]:
         if rec.sibling:
-            assert rec.report.direct == wl_sibling_chain(rec.n, rec.n1, rec.p)
-    assert wl_sibling_chain(3, 2, 2) == 58
+            expected = closed_form_wirelength(rec.n, rec.p, n1=rec.n1, sibling=True)
+            assert rec.report.direct == expected
+    assert closed_form_wirelength(3, 2, n1=2, sibling=True) == 58
     print(
         "ACCEPTANCE 07 PASS: chained sibling closed form matches the engine "
         "for every (n, p, n1) with n <= 6; spot value 58"
@@ -280,7 +281,8 @@ def test_acceptance_09_sibling_edges_never_hurt(grid):
     for n in range(2, 11):
         for p in range(2, n + 1):
             for n1 in range(1, n + 1):
-                assert wl_sibling_chain(n, n1, p) <= wl_binary_chain(n, n1, p)
+                sibling = closed_form_wirelength(n, p, n1=n1, sibling=True)
+                assert sibling <= closed_form_wirelength(n, p, n1=n1)
     print(
         "ACCEPTANCE 09 PASS: sibling hosts never cost more than plain hosts, "
         "on the engine grid (n <= 6) and the formula grid (n <= 10)"

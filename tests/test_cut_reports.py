@@ -257,6 +257,43 @@ def test_a_batch_raises_for_its_first_broken_cut():
     assert all(r.ok for r in _cut_reports(guest, host, tally, cuts))
 
 
+def test_reversed_cut_edges_give_the_same_results():
+    # a cut edge may be written (b, a) for host edge (a, b), as
+    # cut_congestion already takes it
+    rng = random.Random(11)
+    for n, p, n1, kind, variant in [
+        (3, 2, 2, "binary", 0), (3, 2, 3, "sibling", 0),
+        (4, 2, 2, "sibling", 1), (4, 3, 1, "binary", 0), (5, 2, 3, "sibling", 3),
+    ]:
+        guest = build_guest(n, p)
+        host = _labeled(n, n1, kind, variant)
+        for emb in _embeddings(guest, host, rng):
+            cuts = cut_family(host)
+            flipped = [
+                c._replace(cut_edges=frozenset((b, a) for a, b in c.cut_edges))
+                for c in cuts
+            ]
+            for cut, rev in zip(cuts, flipped):
+                assert verify_cut_conditions(
+                    guest, host, emb, rev
+                ) == verify_cut_conditions(guest, host, emb, cut)
+                assert cut_congestion(guest, host, emb, rev) == cut_congestion(
+                    guest, host, emb, cut
+                )
+            assert wirelength_via_partition(
+                guest, host, emb, tuple(flipped)
+            ) == wirelength_via_partition(guest, host, emb, cuts)
+    # the error names the pair that is no host edge, not a reversed one
+    guest = build_guest(3, 2)
+    host = _labeled(3, 2, "binary")
+    emb = identity_embedding(guest, host)
+    cut = cut_family(host)[0]
+    for a, b in host.label_edges:
+        bad = cut._replace(cut_edges=frozenset({(b, a), (1, 8)}))
+        message = _message(wirelength_via_partition, guest, host, emb, (bad,))
+        assert message == "cut edge (1, 8) is not a host edge"
+
+
 @pytest.mark.parametrize("n1, p, kind", [(1, 2, "binary"), (14, 4, "sibling")])
 def test_build_report_at_n14(n1, p, kind):
     # 16384 labels, past the CLI's engine cap: a chain of 8192 one-level

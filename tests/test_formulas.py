@@ -1,49 +1,61 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import pairwise_distance_sum
+from oracles import (
+    balanced_leaving,
+    branch_cut_past_round,
+    branch_cut_within_round,
+    chain_cut_sum,
+    pair_cut_past_round,
+    pair_cut_within_round,
+    pairwise_distance_sum,
+)
+import treebed
 from treebed import (
-    branch_cut_congestion,
     build_host,
-    chain_cut_congestion,
     closed_form_wirelength,
+    cut_family,
+    formulas,
     inorder_labeling,
     interval_boundary_congestion,
-    pair_cut_congestion,
     sibling_layout_labeling,
-    wl_binary,
-    wl_binary_chain,
-    wl_sibling,
-    wl_sibling_chain,
 )
 
 
 def test_single_block_values():
-    assert wl_binary(2, 2) == 9
-    assert wl_binary(3, 2) == 54
-    assert wl_binary(3, 3) == 65
-    assert wl_binary(4, 2) == 324
-    assert wl_sibling(2, 2) == 8
-    assert wl_sibling(3, 2) == 45
-    assert wl_sibling(3, 3) == 54
+    assert closed_form_wirelength(2, 2) == 9
+    assert closed_form_wirelength(3, 2) == 54
+    assert closed_form_wirelength(3, 3) == 65
+    assert closed_form_wirelength(4, 2) == 324
+    assert closed_form_wirelength(2, 2, sibling=True) == 8
+    assert closed_form_wirelength(3, 2, sibling=True) == 45
+    assert closed_form_wirelength(3, 3, sibling=True) == 54
 
 
 def test_chain_values():
-    assert wl_binary_chain(2, 1, 2) == 10
-    assert wl_binary_chain(3, 2, 2) == 60
-    assert wl_binary_chain(3, 2, 3) == 74
-    assert wl_sibling_chain(3, 2, 2) == 58
-    assert wl_sibling_chain(3, 2, 3) == 72
+    assert closed_form_wirelength(2, 2, n1=1) == 10
+    assert closed_form_wirelength(3, 2, n1=2) == 60
+    assert closed_form_wirelength(3, 3, n1=2) == 74
+    assert closed_form_wirelength(3, 2, n1=2, sibling=True) == 58
+    assert closed_form_wirelength(3, 3, n1=2, sibling=True) == 72
     # height-1 blocks have no sibling pairs, so both hosts coincide
-    assert wl_binary_chain(3, 1, 2) == wl_sibling_chain(3, 1, 2) == 56
-    assert wl_binary_chain(3, 1, 3) == wl_sibling_chain(3, 1, 3) == 68
+    assert closed_form_wirelength(3, 2, n1=1) == 56
+    assert closed_form_wirelength(3, 2, n1=1, sibling=True) == 56
+    assert closed_form_wirelength(3, 3, n1=1) == 68
+    assert closed_form_wirelength(3, 3, n1=1, sibling=True) == 68
 
 
 def test_chain_forms_degenerate_to_single_block():
     for n in range(2, 9):
         for p in range(2, n + 1):
-            assert wl_binary_chain(n, n, p) == wl_binary(n, p)
-            assert wl_sibling_chain(n, n, p) == wl_sibling(n, p)
-            assert wl_binary_chain(n, 1, p) == wl_sibling_chain(n, 1, p)
+            for sibling in (False, True):
+                assert closed_form_wirelength(
+                    n, p, n1=n, sibling=sibling
+                ) == closed_form_wirelength(n, p, sibling=sibling)
+            assert closed_form_wirelength(n, p, n1=1) == closed_form_wirelength(
+                n, p, n1=1, sibling=True
+            )
 
 
 def test_closed_form_dispatch():
@@ -54,42 +66,77 @@ def test_closed_form_dispatch():
 
 
 def test_branch_cut_values():
-    assert branch_cut_congestion(1, 3, 2) == 6
-    assert branch_cut_congestion(2, 3, 2) == 12
-    assert branch_cut_congestion(3, 3, 2) == 6
-    assert pair_cut_congestion(1, 3, 2) == 10
-    assert pair_cut_congestion(2, 3, 2) == 10
-    assert chain_cut_congestion(1, 2, 3, 2) == 12
-    assert chain_cut_congestion(1, 1, 3, 2) == 10
-    assert chain_cut_congestion(2, 1, 3, 2) == 12
-    assert chain_cut_congestion(3, 1, 3, 2) == 10
+    # height-j subtree cuts isolate 2**j - 1 labels
+    assert interval_boundary_congestion(1, 3, 2) == branch_cut_within_round(1, 3, 2) == 6
+    assert interval_boundary_congestion(3, 3, 2) == branch_cut_within_round(2, 3, 2) == 12
+    assert interval_boundary_congestion(7, 3, 2) == branch_cut_past_round(3, 3, 2) == 6
+    # sibling pair cuts isolate 2**(j+1) - 2 labels
+    assert interval_boundary_congestion(2, 3, 2) == pair_cut_within_round(1, 3, 2) == 10
+    assert interval_boundary_congestion(6, 3, 2) == pair_cut_past_round(2, 3, 2) == 10
+    # the chain cut after block i isolates i * 2**n1 labels
+    assert interval_boundary_congestion(4, 3, 2) == 12  # i = 1, n1 = 2
+    assert [interval_boundary_congestion(i << 1, 3, 2) for i in (1, 2, 3)] == [
+        10, 12, 10
+    ]
+    assert formulas._chain_sum(3, 2, 2) == 12
+    assert formulas._chain_sum(3, 1, 2) == 32
 
 
-def test_cut_congestions_reduce_to_interval_boundaries():
+def test_case_split_forms_match_interval_boundaries():
+    # each of the paper's expressions on its whole range, so both branch
+    # and both pair expressions at the boundary between them
     for n in range(2, 11):
         for p in range(2, n + 1):
             for j in range(1, n + 1):
                 expected = interval_boundary_congestion((1 << j) - 1, n, p)
-                assert branch_cut_congestion(j, n, p) == expected
+                if j <= p:
+                    assert branch_cut_within_round(j, n, p) == expected
+                if j >= p:
+                    assert branch_cut_past_round(j, n, p) == expected
             for j in range(1, n):
                 expected = interval_boundary_congestion((1 << (j + 1)) - 2, n, p)
-                assert pair_cut_congestion(j, n, p) == expected
-            for n1 in range(1, n + 1):
-                for i in range(1, (1 << (n - n1))):
-                    expected = interval_boundary_congestion(i << n1, n, p)
-                    assert chain_cut_congestion(i, n1, n, p) == expected
+                if j + 1 <= p:
+                    assert pair_cut_within_round(j, n, p) == expected
+                if j + 1 >= p:
+                    assert pair_cut_past_round(j, n, p) == expected
+            for size in range((1 << n) + 1):
+                expected = interval_boundary_congestion(size, n, p)
+                assert balanced_leaving(size, n, p) == expected
 
 
-def test_branch_case_split_is_continuous():
-    # at j == p both branch expressions must agree
-    for p in range(2, 11):
-        n = p + 2
-        j = p
-        small = ((1 << j) - 1) * ((1 << (n - p)) * ((1 << p) - 1) - ((1 << j) - 2))
-        large = ((1 << p) - 1) * (
-            (1 << (n - p)) * ((1 << j) - 1) - (1 << (j - p)) * ((1 << j) - 2)
-        )
-        assert small == large == branch_cut_congestion(j, n, p)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_chain_sum_matches_the_per_cut_loop(data):
+    n = data.draw(st.integers(2, 16), label="n")
+    p = data.draw(st.integers(2, n), label="p")
+    n1 = data.draw(st.integers(1, n), label="n1")
+    assert formulas._chain_sum(n, n1, p) == chain_cut_sum(n, n1, p)
+
+
+def test_closed_form_sums_the_host_cut_family():
+    # the closed form's per-size cut counts are the host's own cuts
+    shapes = 0
+    for n in range(2, 11):
+        for n1 in range(1, n + 1):
+            for sibling in (False, True):
+                host = build_host(n1, 1 << (n - n1), sibling=sibling)
+                host = sibling_layout_labeling(host) if sibling else inorder_labeling(host)
+                sizes = [
+                    (c.multiplicity_share, c.component_hi - c.component_lo + 1)
+                    for c in cut_family(host)
+                ]
+                coverage = 2 if sibling else 1
+                for p in range(2, n + 1):
+                    total = sum(
+                        share * interval_boundary_congestion(size, n, p)
+                        for share, size in sizes
+                    )
+                    assert total % coverage == 0
+                    assert closed_form_wirelength(
+                        n, p, n1=n1, sibling=sibling
+                    ) == total // coverage, (n, p, n1, sibling)
+                    shapes += 1
+    assert shapes == 660
 
 
 def test_interval_boundary_edges():
@@ -128,31 +175,32 @@ def test_sibling_never_costs_more():
     for n in range(2, 11):
         for p in range(2, n + 1):
             for n1 in range(1, n + 1):
-                binary = wl_binary_chain(n, n1, p)
-                sib = wl_sibling_chain(n, n1, p)
+                binary = closed_form_wirelength(n, p, n1=n1)
+                sib = closed_form_wirelength(n, p, n1=n1, sibling=True)
                 assert sib <= binary
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        wl_binary(3, 1)
+        closed_form_wirelength(3, 1)
     with pytest.raises(ValueError):
-        wl_binary(3, 4)
+        closed_form_wirelength(3, 4)
     with pytest.raises(ValueError):
-        wl_binary(21, 2)
+        closed_form_wirelength(21, 2)
     with pytest.raises(ValueError):
-        wl_binary_chain(3, 0, 2)
-    with pytest.raises(ValueError):
-        wl_binary_chain(3, 4, 2)
-    with pytest.raises(ValueError):
-        branch_cut_congestion(0, 3, 2)
-    with pytest.raises(ValueError):
-        branch_cut_congestion(4, 3, 2)
-    with pytest.raises(ValueError):
-        pair_cut_congestion(3, 3, 2)
-    with pytest.raises(ValueError):
-        chain_cut_congestion(4, 1, 3, 2)
-    with pytest.raises(ValueError):
-        chain_cut_congestion(0, 1, 3, 2)
+        closed_form_wirelength(3, 2, n1=0)
+    with pytest.raises(ValueError, match="need 1 <= n1 <= n, got n1=4, n=3"):
+        closed_form_wirelength(3, 2, n1=4, sibling=True)
     with pytest.raises(ValueError):
         interval_boundary_congestion(9, 3, 2)
+    with pytest.raises(ValueError):
+        interval_boundary_congestion(-1, 3, 2)
+
+
+def test_public_names():
+    assert formulas.__all__ == [
+        "max_subgraph_edges_closed_form",
+        "interval_boundary_congestion",
+        "closed_form_wirelength",
+    ]
+    assert set(formulas.__all__) <= set(treebed.__all__)

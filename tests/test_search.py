@@ -16,14 +16,13 @@ from treebed import (
     Embedding,
     build_guest,
     build_host,
+    closed_form_wirelength,
     exhaustive_min_wirelength,
     identity_embedding,
     inorder_labeling,
     local_search_min,
     sibling_layout_labeling,
     wirelength_direct,
-    wl_binary,
-    wl_sibling,
 )
 from treebed.search import SearchResult, _SplitMix64, _min_wirelength_partitions
 
@@ -53,12 +52,12 @@ def test_exhaustive_complete_guest_is_flat():
 def test_exhaustive_single_blocks():
     guest = build_guest(3, 2)
     result = exhaustive_min_wirelength(guest, T31)
-    assert result.best_value == wl_binary(3, 2) == 54
+    assert result.best_value == closed_form_wirelength(3, 2) == 54
     assert result.explored == 105
     assert wirelength_direct(guest, T31, result.witness) == 54
 
     result = exhaustive_min_wirelength(guest, ST31)
-    assert result.best_value == wl_sibling(3, 2) == 45
+    assert result.best_value == closed_form_wirelength(3, 2, sibling=True) == 45
     assert wirelength_direct(guest, ST31, result.witness) == 45
 
 
@@ -256,7 +255,7 @@ def test_local_search_on_larger_host():
     host = inorder_labeling(build_host(4, 1))
     for seed in (0, 1, 2):
         result = local_search_min(guest, host, seed=seed, iterations=2)
-        assert result.best_value == wl_binary(4, 2) == 324
+        assert result.best_value == closed_form_wirelength(4, 2) == 324
 
 
 def test_local_search_zero_iterations_reports_seed_embedding():
@@ -264,7 +263,7 @@ def test_local_search_zero_iterations_reports_seed_embedding():
     result = local_search_min(guest, ST31, seed=42, iterations=0)
     assert result.explored == 1
     assert result.best_value == wirelength_direct(guest, ST31, result.witness)
-    assert result.best_value >= wl_sibling(3, 2)
+    assert result.best_value >= closed_form_wirelength(3, 2, sibling=True)
 
 
 def test_local_search_is_deterministic():
