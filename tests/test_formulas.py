@@ -82,9 +82,9 @@ def test_branch_cut_values():
     assert formulas._chain_sum(3, 1, 2) == 32
 
 
-def test_case_split_forms_match_interval_boundaries():
-    # each of the paper's expressions on its whole range, so both branch
-    # and both pair expressions at the boundary between them
+def test_cut_congestions_reduce_to_interval_boundaries():
+    # each of the paper's case-split expressions on its whole range, and
+    # every chain cut's minimum (i * 2**n1 labels) cut by cut
     for n in range(2, 11):
         for p in range(2, n + 1):
             for j in range(1, n + 1):
@@ -99,9 +99,28 @@ def test_case_split_forms_match_interval_boundaries():
                     assert pair_cut_within_round(j, n, p) == expected
                 if j + 1 >= p:
                     assert pair_cut_past_round(j, n, p) == expected
+            for n1 in range(1, n + 1):
+                for i in range(1, (1 << (n - n1))):
+                    expected = interval_boundary_congestion(i << n1, n, p)
+                    assert balanced_leaving(i << n1, n, p) == expected
             for size in range((1 << n) + 1):
                 expected = interval_boundary_congestion(size, n, p)
                 assert balanced_leaving(size, n, p) == expected
+
+
+def test_branch_case_split_is_continuous():
+    # at j == p both branch expressions must agree, and at j + 1 == p both
+    # pair expressions
+    for n in range(2, 11):
+        for p in range(2, n + 1):
+            j = p
+            expected = interval_boundary_congestion((1 << j) - 1, n, p)
+            assert branch_cut_within_round(j, n, p) == expected
+            assert branch_cut_past_round(j, n, p) == expected
+            j = p - 1
+            expected = interval_boundary_congestion((1 << (j + 1)) - 2, n, p)
+            assert pair_cut_within_round(j, n, p) == expected
+            assert pair_cut_past_round(j, n, p) == expected
 
 
 @settings(max_examples=150, deadline=None)
