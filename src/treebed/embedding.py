@@ -389,10 +389,15 @@ def cut_congestion(
     return _cut_load(_tally(guest, host, embedding).load, indices)
 
 
+def _edge_key(edge: tuple[int, int]) -> tuple[int, int]:
+    """``edge`` as ``links.edge_index`` keys it: smaller label first."""
+    a, b = edge
+    return (a, b) if a < b else (b, a)
+
+
 def _host_edge_index(links: HostLinks, host_edge: tuple[int, int]) -> int:
     """The index in ``links.edges`` of ``host_edge``, in either order."""
-    a, b = host_edge
-    index = links.edge_index.get((a, b) if a < b else (b, a))
+    index = links.edge_index.get(_edge_key(host_edge))
     if index is None:
         raise ValueError(f"{host_edge} is not a host edge (in label space)")
     return index
@@ -407,14 +412,19 @@ def _index_cuts(links: HostLinks, cuts: Iterable[EdgeCut]) -> list[tuple]:
     """A caller's cuts as the records ``hosts._standard_cuts`` makes: each
     edge translated once through ``links.edge_index``, in either order as
     ``_host_edge_index`` takes it, with ``links.spill`` for a label pair
-    that is no host edge."""
+    that is no host edge or names an edge its cut already has."""
     index, spill = links.edge_index, links.spill
-    return [
-        (c.family, c.j, c.i,
-         [index.get((a, b) if a < b else (b, a), spill) for a, b in c.cut_edges],
-         c.component_lo, c.component_hi, c.multiplicity_share)
-        for c in cuts
-    ]
+    records = []
+    for c in cuts:
+        indices: list[int] = []
+        seen: set[int] = set()
+        for e in c.cut_edges:
+            x = index.get(_edge_key(e), spill)
+            indices.append(spill if x in seen else x)
+            seen.add(x)
+        records.append((c.family, c.j, c.i, indices,
+                        c.component_lo, c.component_hi, c.multiplicity_share))
+    return records
 
 
 def congestion_lemma_value(guest: Guest, subset: Iterable[int]) -> int:
@@ -612,6 +622,8 @@ def wirelength_via_partition(
     for cut, record in zip(cuts, records):
         if links.spill in record[3]:
             edge = next(e for e, x in zip(cut.cut_edges, record[3]) if x == links.spill)
+            if _edge_key(edge) in links.edge_index:
+                raise ValueError(f"cut edge {edge} repeats an edge of its cut")
             raise ValueError(f"cut edge {edge} is not a host edge")
     return _partition_total(links, records, [_cut_load(load, r[3]) for r in records])
 

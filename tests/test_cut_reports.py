@@ -292,6 +292,21 @@ def test_reversed_cut_edges_give_the_same_results():
         bad = cut._replace(cut_edges=frozenset({(b, a), (1, 8)}))
         message = _message(wirelength_via_partition, guest, host, emb, (bad,))
         assert message == "cut edge (1, 8) is not a host edge"
+    # an edge listed twice, once reversed, stands in for no other boundary edge
+    host = _labeled(3, 3, "sibling")
+    emb = identity_embedding(guest, host)
+    cuts = cut_family(host)
+    for place, cut in enumerate(cuts):
+        if len(cut.cut_edges) != 2:
+            continue
+        for a, b in cut.cut_edges:
+            bad = cut._replace(cut_edges=frozenset({(a, b), (b, a)}))
+            message = _message(verify_cut_conditions, guest, host, emb, bad)
+            lo, hi = cut.component_lo, cut.component_hi
+            assert message == f"cut edges are not the edge boundary of labels {lo}..{hi}"
+            family = cuts[:place] + (bad,) + cuts[place + 1:]
+            message = _message(wirelength_via_partition, guest, host, emb, family)
+            assert message.endswith("repeats an edge of its cut")
 
 
 @pytest.mark.parametrize("n1, p, kind", [(1, 2, "binary"), (14, 4, "sibling")])

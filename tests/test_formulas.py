@@ -111,7 +111,7 @@ def test_cut_congestions_reduce_to_interval_boundaries():
 def test_branch_case_split_is_continuous():
     # at j == p both branch expressions must agree, and at j + 1 == p both
     # pair expressions
-    for n in range(2, 11):
+    for n in range(2, 13):
         for p in range(2, n + 1):
             j = p
             expected = interval_boundary_congestion((1 << j) - 1, n, p)
