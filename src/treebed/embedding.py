@@ -377,7 +377,9 @@ def edge_congestion(
     guest: Guest, host: HostTree, embedding: Embedding, host_edge: tuple[int, int]
 ) -> int:
     """Number of guest edges whose routed path uses ``host_edge``."""
-    index = _host_edge_index(host.links, host_edge)
+    index = _edge_index(host.links, host_edge)
+    if index == host.links.spill:
+        raise ValueError(f"{host_edge} is not a host edge (in label space)")
     return _tally(guest, host, embedding).load[index]
 
 
@@ -385,22 +387,15 @@ def cut_congestion(
     guest: Guest, host: HostTree, embedding: Embedding, cut: EdgeCut
 ) -> int:
     """Total congestion over a cut's edges."""
-    indices = [_host_edge_index(host.links, e) for e in cut.cut_edges]
+    indices = _checked_cuts(host.links, (cut,))[0][3]
     return _cut_load(_tally(guest, host, embedding).load, indices)
 
 
-def _edge_key(edge: tuple[int, int]) -> tuple[int, int]:
-    """``edge`` as ``links.edge_index`` keys it: smaller label first."""
+def _edge_index(links: HostLinks, edge: tuple[int, int]) -> int:
+    """The index in ``links.edges`` of the label pair ``edge``, in either
+    order, or ``links.spill`` when it is no host edge."""
     a, b = edge
-    return (a, b) if a < b else (b, a)
-
-
-def _host_edge_index(links: HostLinks, host_edge: tuple[int, int]) -> int:
-    """The index in ``links.edges`` of ``host_edge``, in either order."""
-    index = links.edge_index.get(_edge_key(host_edge))
-    if index is None:
-        raise ValueError(f"{host_edge} is not a host edge (in label space)")
-    return index
+    return links.edge_index.get((a, b) if a < b else (b, a), links.spill)
 
 
 def _cut_load(load: list[int], indices: Sequence[int]) -> int:
@@ -410,20 +405,31 @@ def _cut_load(load: list[int], indices: Sequence[int]) -> int:
 
 def _index_cuts(links: HostLinks, cuts: Iterable[EdgeCut]) -> list[tuple]:
     """A caller's cuts as the records ``hosts._standard_cuts`` makes: each
-    edge translated once through ``links.edge_index``, in either order as
-    ``_host_edge_index`` takes it, with ``links.spill`` for a label pair
-    that is no host edge or names an edge its cut already has."""
-    index, spill = links.edge_index, links.spill
+    label pair translated once by ``_edge_index``, with ``links.spill`` for
+    a pair that is no host edge or repeats an edge of its cut."""
+    spill = links.spill
     records = []
     for c in cuts:
         indices: list[int] = []
-        seen: set[int] = set()
         for e in c.cut_edges:
-            x = index.get(_edge_key(e), spill)
-            indices.append(spill if x in seen else x)
-            seen.add(x)
+            x = _edge_index(links, e)
+            indices.append(spill if x in indices else x)
         records.append((c.family, c.j, c.i, indices,
                         c.component_lo, c.component_hi, c.multiplicity_share))
+    return records
+
+
+def _checked_cuts(links: HostLinks, cuts: Sequence[EdgeCut]) -> list[tuple]:
+    """``_index_cuts``, refusing with ``ValueError`` the first label pair
+    that is no host edge or repeats an edge of its cut."""
+    records = _index_cuts(links, cuts)
+    spill = links.spill
+    for cut, record in zip(cuts, records):
+        for edge, x in zip(cut.cut_edges, record[3]):
+            if x == spill:
+                if _edge_index(links, edge) != spill:
+                    raise ValueError(f"cut edge {edge} repeats an edge of its cut")
+                raise ValueError(f"cut edge {edge} is not a host edge")
     return records
 
 
@@ -617,15 +623,8 @@ def wirelength_via_partition(
     if cuts is None:
         cuts = cut_family(host)
     load = _tally(guest, host, embedding).load
-    links = host.links
-    records = _index_cuts(links, cuts)
-    for cut, record in zip(cuts, records):
-        if links.spill in record[3]:
-            edge = next(e for e, x in zip(cut.cut_edges, record[3]) if x == links.spill)
-            if _edge_key(edge) in links.edge_index:
-                raise ValueError(f"cut edge {edge} repeats an edge of its cut")
-            raise ValueError(f"cut edge {edge} is not a host edge")
-    return _partition_total(links, records, [_cut_load(load, r[3]) for r in records])
+    records = _checked_cuts(host.links, cuts)
+    return _partition_total(host.links, records, [_cut_load(load, r[3]) for r in records])
 
 
 def _partition_total(

@@ -51,6 +51,7 @@ __all__ = [
 # Sibling layout variants: order of (left subtree, right subtree, parent)
 # within each block.  0 and 1 put children before the parent, 2 and 3 after.
 LAYOUT_VARIANTS = (0, 1, 2, 3)
+_SIBLING_ORDERS = ((0, 1, 2), (1, 0, 2), (2, 0, 1), (2, 1, 0))
 
 
 class HostTree(Frozen):
@@ -312,38 +313,20 @@ def build_host(n1: int, k: int, sibling: bool = False) -> HostTree:
     return HostTree(n1, k, sibling)
 
 
-def _inorder_heap(top: int) -> list[int]:
-    """Inorder traversal of the complete tree on heap indices ``1..top``."""
+def _heap_order(top: int, order: tuple[int, int, int]) -> list[int]:
+    """The heap indices ``1..top`` of a complete tree, every subtree listed
+    as its (left subtree, right subtree, root) taken in ``order``."""
+    first, second, third = order
     out: list[int] = []
-    stack: list[int] = []
-    cur = 1
-    while stack or cur <= top:
-        while cur <= top:
-            stack.append(cur)
-            cur = 2 * cur
-        cur = stack.pop()
-        out.append(cur)
-        cur = 2 * cur + 1
+    todo = [1]  # subtrees still to list, the next one last; -h is h alone
+    while todo:
+        h = todo.pop()
+        if h < 0 or 2 * h > top:
+            out.append(abs(h))
+        else:
+            parts = (2 * h, 2 * h + 1, -h)
+            todo += parts[third], parts[second], parts[first]
     return out
-
-
-def _layout_heap(top: int, variant: int) -> list[int]:
-    """Block layout order for sibling hosts; keeps sibling pairs adjacent."""
-
-    def rec(h: int) -> list[int]:
-        if 2 * h > top:
-            return [h]
-        left = rec(2 * h)
-        right = rec(2 * h + 1)
-        if variant == 0:
-            return left + right + [h]
-        if variant == 1:
-            return right + left + [h]
-        if variant == 2:
-            return [h] + left + right
-        return [h] + right + left
-
-    return rec(1)
 
 
 def inorder_labeling(host: HostTree) -> HostTree:
@@ -353,7 +336,7 @@ def inorder_labeling(host: HostTree) -> HostTree:
     """
     if host.sibling:
         raise ValueError("inorder labeling applies to plain binary hosts only")
-    return host._replace(layout=_inorder_heap((1 << host.n1) - 1))
+    return host._replace(layout=_heap_order((1 << host.n1) - 1, (0, 2, 1)))
 
 
 def sibling_layout_labeling(host: HostTree, variant: int = 0) -> HostTree:
@@ -368,7 +351,7 @@ def sibling_layout_labeling(host: HostTree, variant: int = 0) -> HostTree:
         raise ValueError("sibling layout applies to sibling hosts only")
     if variant not in LAYOUT_VARIANTS:
         raise ValueError(f"variant must be one of {LAYOUT_VARIANTS}, got {variant}")
-    return host._replace(layout=_layout_heap((1 << host.n1) - 1, variant))
+    return host._replace(layout=_heap_order((1 << host.n1) - 1, _SIBLING_ORDERS[variant]))
 
 
 def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:

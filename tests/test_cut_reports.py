@@ -292,7 +292,10 @@ def test_reversed_cut_edges_give_the_same_results():
         bad = cut._replace(cut_edges=frozenset({(b, a), (1, 8)}))
         message = _message(wirelength_via_partition, guest, host, emb, (bad,))
         assert message == "cut edge (1, 8) is not a host edge"
-    # an edge listed twice, once reversed, stands in for no other boundary edge
+        message = _message(cut_congestion, guest, host, emb, bad)
+        assert message == "cut edge (1, 8) is not a host edge"
+    # an edge listed twice, once reversed, stands in for no other boundary
+    # edge, nor is its load counted twice
     host = _labeled(3, 3, "sibling")
     emb = identity_embedding(guest, host)
     cuts = cut_family(host)
@@ -306,6 +309,8 @@ def test_reversed_cut_edges_give_the_same_results():
             assert message == f"cut edges are not the edge boundary of labels {lo}..{hi}"
             family = cuts[:place] + (bad,) + cuts[place + 1:]
             message = _message(wirelength_via_partition, guest, host, emb, family)
+            assert message.endswith("repeats an edge of its cut")
+            message = _message(cut_congestion, guest, host, emb, bad)
             assert message.endswith("repeats an edge of its cut")
 
 

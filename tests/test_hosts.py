@@ -120,6 +120,7 @@ def test_inorder_labels_single_block():
     # its leaves and the pendant last
     assert host.label_of == {2: 1, 1: 2, 3: 3, 4: 4}
     assert host.layout == (2, 1, 3)
+    assert inorder_labeling(build_host(3, 1)).layout == (4, 2, 5, 1, 6, 3, 7)
 
 
 def test_host_tree_refuses_a_layout_that_is_no_permutation():
@@ -163,6 +164,14 @@ def test_sibling_layout_canonical_labels():
 
     host = sibling_layout_labeling(build_host(3, 1, sibling=True))
     assert host.label_of == {4: 1, 5: 2, 2: 3, 6: 4, 7: 5, 3: 6, 1: 7, 8: 8}
+    # every variant's block layout
+    layouts = [sibling_layout_labeling(host, v).layout for v in LAYOUT_VARIANTS]
+    assert layouts == [
+        (4, 5, 2, 6, 7, 3, 1),
+        (7, 6, 3, 5, 4, 2, 1),
+        (1, 2, 4, 5, 3, 6, 7),
+        (1, 3, 7, 6, 2, 5, 4),
+    ]
 
 
 def test_sibling_layout_variants_relabel_but_keep_blocks():
