@@ -33,7 +33,7 @@ from treebed.formulas import (
     interval_boundary_congestion,
     max_subgraph_edges_closed_form,
 )
-from treebed.graphs import Graph, Guest, build_guest
+from treebed.graphs import Guest, build_guest
 from treebed.hosts import (
     LAYOUT_VARIANTS,
     EdgeCut,
@@ -54,7 +54,6 @@ __all__ = [
     "CutReport",
     "EdgeCut",
     "Embedding",
-    "Graph",
     "Guest",
     "HostTree",
     "LAYOUT_VARIANTS",

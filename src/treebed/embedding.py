@@ -294,20 +294,18 @@ def _add_subtree_loads(
     the leaves up keeps each subtree's size, partite counts and number of
     guest edges leaving it, merging the smaller count dict into the larger;
     the first of two siblings waits for the second.  It also keeps each
-    record's lowest and highest label and ``sum_j c_j**2``, which a merge
-    raises by twice the same-partite pairs it counts anyway, and records
-    that sum for each subtree and sibling union that fills its label range.
+    record's ``sum_j c_j**2``, which a merge raises by twice the
+    same-partite pairs it counts anyway, and records that sum for each
+    subtree and sibling union whose whole label range (``links.lo`` to
+    ``links.hi``) is members.
     """
     totals = Counter(partite_at[s] for s in members)
     size = [0] * len(partite_at)
     leaving = [0] * len(partite_at)
     square = [0] * len(partite_at)
-    low = [len(partite_at)] * len(partite_at)
-    high = [0] * len(partite_at)
     counts: list[dict[int, int]] = [{} for _ in partite_at]
     for s in members:
         size[s] = square[s] = 1
-        low[s] = high[s] = s
         leaving[s] = len(members) - totals[partite_at[s]]
         counts[s] = {partite_at[s]: 1}
 
@@ -327,30 +325,28 @@ def _add_subtree_loads(
         size[a] += size[b]
         leaving[a] += leaving[b] - 2 * between
         square[a] += square[b] + 2 * same
-        if low[b] < low[a]:
-            low[a] = low[b]
-        if high[b] > high[a]:
-            high[a] = high[b]
         return between
 
-    def record(t: int) -> None:
-        if high[t] - low[t] + 1 == size[t]:
-            squares[low[t], high[t]] = square[t]
+    def record(t: int, low: int, high: int) -> None:
+        # ``size[t]`` counts members only, so the range must be all members.
+        if high - low + 1 == size[t]:
+            squares[low, high] = square[t]
 
     up, up_edge, sib, sib_edge = links.up, links.up_edge, links.sib, links.sib_edge
+    lo, hi = links.lo, links.hi
     done = [False] * len(partite_at)
     for t in links.order:
         # Every label below t came earlier in the order, so t's record is
         # its whole subtree.
         done[t] = True
-        record(t)
+        record(t, lo[t], hi[t])
         load[up_edge[t]] += leaving[t]
         twin = sib[t]
         if not twin:
             join(up[t], t)
         elif done[twin]:
             across = join(t, twin)
-            record(t)
+            record(t, min(lo[t], lo[twin]), max(hi[t], hi[twin]))
             load[sib_edge[t]] += across
             load[up_edge[t]] -= across
             load[up_edge[twin]] -= across
@@ -419,9 +415,10 @@ def _index_cuts(links: HostLinks, cuts: Iterable[EdgeCut]) -> list[tuple]:
     return records
 
 
-def _checked_cuts(links: HostLinks, cuts: Sequence[EdgeCut]) -> list[tuple]:
+def _checked_cuts(links: HostLinks, cuts: Iterable[EdgeCut]) -> list[tuple]:
     """``_index_cuts``, refusing with ``ValueError`` the first label pair
     that is no host edge or repeats an edge of its cut."""
+    cuts = tuple(cuts)  # read twice, so an iterator must not run dry
     records = _index_cuts(links, cuts)
     spill = links.spill
     for cut, record in zip(cuts, records):
@@ -612,7 +609,7 @@ def wirelength_via_partition(
     guest: Guest,
     host: HostTree,
     embedding: Embedding,
-    cuts: tuple[EdgeCut, ...] | None = None,
+    cuts: Iterable[EdgeCut] | None = None,
 ) -> int:
     """Wirelength from cut congestions.
 

@@ -146,6 +146,10 @@ class HostLinks:
     embedding) routed over these links, so repeated queries on one
     instance share one pass and die with the host.
 
+    The subtree of ``t`` is ``t`` and every label below it on the ``up``
+    links; ``lo[t]``, ``hi[t]`` and ``size[t]`` are its lowest and highest
+    label and its label count.
+
     For the edge-boundary check of cuts: ``degree_sums[t]`` is the degree
     total of labels ``1..t``, and ``by_high`` lists every edge as
     ``(larger end, smaller end)`` in increasing order.
@@ -153,7 +157,7 @@ class HostLinks:
 
     __slots__ = (
         "edges", "edge_index", "spill", "up", "up_edge", "sib", "sib_edge",
-        "order", "memo", "degree_sums", "by_high",
+        "order", "lo", "hi", "size", "memo", "degree_sums", "by_high",
     )
 
     def __init__(self, host: HostTree) -> None:
@@ -190,6 +194,17 @@ class HostLinks:
         for idx, (a, b) in enumerate(pairs, start=len(links)):
             self.sib_edge[a] = self.sib_edge[b] = idx
         self.order = order
+        lo = list(range(count + 1))
+        hi = lo[:]
+        size = [1] * (count + 1)
+        for t in order:
+            u = up[t]
+            if lo[t] < lo[u]:
+                lo[u] = lo[t]
+            if hi[t] > hi[u]:
+                hi[u] = hi[t]
+            size[u] += size[t]
+        self.lo, self.hi, self.size = lo, hi, size
         self.memo = None
         degree = [0] * (count + 1)
         for a, b in edges:
@@ -383,18 +398,8 @@ def _standard_cuts(host: HostTree) -> list[tuple]:
     record per cut, in ``EdgeCut``'s field order."""
     pos = host._positions()
     links = host.links
-    up, up_edge, sib_edge = links.up, links.up_edge, links.sib_edge
-    # Lowest and highest label and label count of every label's subtree.
-    lo = list(range(host.vertex_count + 1))
-    hi = lo[:]
-    size = [1] * len(lo)
-    for t in links.order:
-        u = up[t]
-        if lo[t] < lo[u]:
-            lo[u] = lo[t]
-        if hi[t] > hi[u]:
-            hi[u] = hi[t]
-        size[u] += size[t]
+    up_edge, sib_edge = links.up_edge, links.sib_edge
+    lo, hi, size = links.lo, links.hi, links.size
 
     def interval(low: int, high: int, count: int) -> tuple[int, int]:
         if high - low + 1 != count:

@@ -78,6 +78,18 @@ def multipartite_edges(sizes):
     ]
 
 
+def guest_edges(guest):
+    """Edge list of the package guest ``(n, p)``, in increasing order: vertex
+    ``m`` of ``1..2**n`` lies in partite set ``(m - 1) mod 2**p``, and two
+    vertices are adjacent exactly when those differ."""
+    count, parts = 1 << guest.n, 1 << guest.p
+    return [
+        (u, v)
+        for u, v in combinations(range(1, count + 1), 2)
+        if (u - 1) % parts != (v - 1) % parts
+    ]
+
+
 def balanced_leaving(size, n, p):
     """Guest edges leaving ``size`` vertices of the guest with ``2**n``
     vertices in ``2**p`` partite sets, spread over the sets as evenly as

@@ -16,6 +16,7 @@ import pytest
 from oracles import (
     bfs_distances,
     brute_force_max_induced,
+    guest_edges,
     min_wirelength_bijections,
     multipartite_edges,
 )
@@ -107,7 +108,7 @@ def test_acceptance_02_every_cut_meets_its_lemma_bound(grid):
     started = time.perf_counter()
     cuts_checked = 0
     for rec in grid["records"]:
-        count = rec.guest.graph.vertex_count
+        count = rec.guest.vertex_count
         for cut in cut_family(rec.host):
             conditions = verify_cut_conditions(rec.guest, rec.host, rec.embedding, cut)
             assert conditions.inside_avoids_cut, (rec.n, rec.p, rec.n1, cut)
@@ -247,7 +248,7 @@ def test_acceptance_08_exhaustive_search_confirms_optimality():
         host = sibling_layout_labeling(host) if sibling else inorder_labeling(host)
         table = bfs_distances(8, host.label_edges)
         dist = [table[a][b] for a in range(1, 9) for b in range(1, 9)]
-        edges = sorted(guest.graph.edges)
+        edges = guest_edges(guest)
         best, _, explored = min_wirelength_bijections(
             8, dist, [u - 1 for u, _ in edges], [v - 1 for _, v in edges]
         )

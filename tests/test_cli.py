@@ -223,7 +223,7 @@ def _reference_verify(n, p, n1, kind, variant, swaps):
     embedding = identity_embedding(guest, host)
     for a, b in swaps:
         embedding = embedding.swapped(a, b)
-    count = guest.graph.vertex_count
+    count = guest.vertex_count
     rows = []
     for cut in cut_family(host):
         ec = cut_congestion(guest, host, embedding, cut)

@@ -292,6 +292,9 @@ def test_reversed_cut_edges_give_the_same_results():
         bad = cut._replace(cut_edges=frozenset({(b, a), (1, 8)}))
         message = _message(wirelength_via_partition, guest, host, emb, (bad,))
         assert message == "cut edge (1, 8) is not a host edge"
+        # an iterator of cuts is read once, and refused the same way
+        message = _message(wirelength_via_partition, guest, host, emb, iter((bad,)))
+        assert message == "cut edge (1, 8) is not a host edge"
         message = _message(cut_congestion, guest, host, emb, bad)
         assert message == "cut edge (1, 8) is not a host edge"
     # an edge listed twice, once reversed, stands in for no other boundary
@@ -310,6 +313,9 @@ def test_reversed_cut_edges_give_the_same_results():
             family = cuts[:place] + (bad,) + cuts[place + 1:]
             message = _message(wirelength_via_partition, guest, host, emb, family)
             assert message.endswith("repeats an edge of its cut")
+            assert message == _message(
+                wirelength_via_partition, guest, host, emb, iter(family)
+            )
             message = _message(cut_congestion, guest, host, emb, bad)
             assert message.endswith("repeats an edge of its cut")
 

@@ -4,21 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import multipartite_edges
-from treebed import Graph, build_guest
-
-
-def test_graph_normalizes_and_validates():
-    g = Graph(3, frozenset({(1, 2), (1, 3)}))
-    assert g.vertex_count == 3 and g.edge_count == 2
-    with pytest.raises(ValueError):
-        Graph(3, frozenset({(1, 1)}))
-    with pytest.raises(ValueError):
-        Graph(3, frozenset({(1, 4)}))
-    with pytest.raises(ValueError):
-        Graph(3, frozenset({(2, 1)}))
-    with pytest.raises(ValueError):
-        Graph(vertex_count=0, edges=frozenset())
+from oracles import guest_edges, multipartite_edges
+from treebed import build_guest
+from treebed.cli import main
 
 
 def test_guest_shape_and_partites():
@@ -26,8 +14,8 @@ def test_guest_shape_and_partites():
     assert guest.part_count == 4
     assert guest.part_size == 2
     assert guest.degree == 6
-    assert guest.graph.vertex_count == 8
-    assert guest.graph.edge_count == 24
+    assert guest.vertex_count == 8
+    assert guest.edge_count == 24
     assert guest.partites == (
         frozenset({1, 5}),
         frozenset({2, 6}),
@@ -53,11 +41,17 @@ def test_guest_validation():
         build_guest(21, 2)
 
 
-def test_guest_matches_blocked_multipartite():
-    # relabeling vertex m to its (partite, position) slot must give exactly
-    # the consecutive-blocks graph
+def test_guest_matches_blocked_multipartite(capsys):
+    # relabeling vertex m to its (partite, position) slot must turn the
+    # edges the package draws into exactly the consecutive-blocks graph
     for n, p in [(3, 2), (4, 2), (4, 3), (4, 4)]:
         guest = build_guest(n, p)
+        assert main(["export-dot", "guest", "--n", str(n), "--p", str(p)]) == 0
+        drawn = [
+            tuple(map(int, line.strip().rstrip(";").split(" -- ")))
+            for line in capsys.readouterr().out.splitlines()
+            if " -- " in line
+        ]
         part_count, part_size = guest.part_count, guest.part_size
         blocked = multipartite_edges([part_size] * part_count)
 
@@ -66,10 +60,8 @@ def test_guest_matches_blocked_multipartite():
             position = (m - 1) // part_count
             return block * part_size + position + 1
 
-        mapped = {
-            tuple(sorted((slot(a), slot(b)))) for a, b in guest.graph.edges
-        }
-        assert mapped == set(blocked)
+        mapped = sorted(tuple(sorted((slot(a), slot(b)))) for a, b in drawn)
+        assert mapped == blocked
 
 
 def test_guest_degrees_are_uniform():
@@ -78,13 +70,13 @@ def test_guest_degrees_are_uniform():
             guest = build_guest(n, p)
             expected = 2 ** (n - p) * (2**p - 1)
             assert guest.degree == expected
-            degrees = Counter(v for edge in guest.graph.edges for v in edge)
+            edges = guest_edges(guest)
+            degrees = Counter(v for edge in edges for v in edge)
             assert all(
-                degrees[v] == expected
-                for v in range(1, guest.graph.vertex_count + 1)
+                degrees[v] == expected for v in range(1, guest.vertex_count + 1)
             )
-            assert guest.vertex_count == guest.graph.vertex_count
-            assert guest.edge_count == guest.graph.edge_count
+            assert guest.vertex_count == 2**n
+            assert guest.edge_count == len(edges)
 
 
 def test_induced_edge_count_examples():
@@ -92,7 +84,7 @@ def test_induced_edge_count_examples():
 
     def listed(subset):
         chosen = set(subset)
-        return sum(1 for u, v in guest.graph.edges if u in chosen and v in chosen)
+        return sum(1 for u, v in guest_edges(guest) if u in chosen and v in chosen)
 
     # the edge-list count and the guest's partite count
     for count in (listed, guest.induced_edge_count):
@@ -112,7 +104,7 @@ def test_label_windows_stay_balanced(data):
     n = data.draw(st.integers(2, 6))
     p = data.draw(st.integers(2, n))
     guest = build_guest(n, p)
-    total = guest.graph.vertex_count
+    total = guest.vertex_count
     lo = data.draw(st.integers(1, total))
     hi = data.draw(st.integers(lo, total))
     counts = Counter(guest.partite_of(m) for m in range(lo, hi + 1))

@@ -1,12 +1,15 @@
-"""The package's public names, and the README example that uses them."""
+"""The package's public names, and the README examples that use them."""
 
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import treebed
+from treebed.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,3 +46,26 @@ def test_readme_library_example_runs():
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
     assert block, "the Library section has no python block"
     exec(compile(block.group(1), str(README), "exec"), {})
+
+
+def test_readme_common_runs(capsys):
+    # every line of the block runs as written, less its shell redirection;
+    # the line marked "exit 1" fails verification, and a comment ending in
+    # ": <int>" names the wirelength the line prints
+    section = README.read_text().split("\nCommon runs:\n", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL)
+    assert block, "the Common runs section has no code block"
+    lines = block.group(1).splitlines()
+    assert lines and all(line.startswith("treebed ") for line in lines)
+    for line in lines:
+        command, _, comment = line.partition("#")
+        command = re.sub(r"\s\d*>.*$", "", command)
+        argv = shlex.split(command)[1:]
+        want = 1 if "exit 1" in comment else 0
+        assert main(argv) == want, line
+        out = capsys.readouterr().out
+        value = re.search(r":\s*(\d+)\s*$", comment)
+        if value:
+            report = json.loads(out)
+            expected = int(value.group(1))
+            assert (report["direct"], report["closed_form"]) == (expected, expected), line

@@ -11,7 +11,6 @@ import pytest
 import treebed
 from treebed import (
     Embedding,
-    Graph,
     Guest,
     HostTree,
     build_guest,
@@ -51,7 +50,6 @@ def _samples():
     guest = build_guest(3, 2)
     host = inorder_labeling(build_host(2, 2))
     return {
-        "graph": Graph(3, frozenset({(1, 2), (2, 3)})),
         "guest": guest,
         "host": host,
         "embedding": identity_embedding(guest, host),
@@ -60,7 +58,7 @@ def _samples():
 
 @pytest.mark.parametrize(
     "kind, name",
-    [("graph", "edges"), ("guest", "n"), ("host", "label_of"), ("embedding", "assignment")],
+    [("guest", "n"), ("host", "label_of"), ("embedding", "assignment")],
 )
 def test_records_refuse_assignment(kind, name):
     record = _samples()[kind]
@@ -76,7 +74,6 @@ def test_records_refuse_assignment(kind, name):
 
 def test_value_records_compare_and_hash_by_value():
     pairs = [
-        (Graph(3, frozenset({(1, 2)})), Graph(3, frozenset({(1, 2)}))),
         (build_guest(4, 2), Guest(4, 2)),
         (Embedding((2, 1, 3)), Embedding.from_mapping({1: 2, 2: 1, 3: 3})),
     ]
@@ -84,7 +81,6 @@ def test_value_records_compare_and_hash_by_value():
         assert a is not b
         assert a == b and hash(a) == hash(b) and not a != b
         assert len({a, b}) == 1
-    assert Graph(3, frozenset({(1, 2)})) != Graph(3, frozenset({(1, 3)}))
     assert Guest(4, 2) != Guest(4, 3)
     assert Embedding((2, 1, 3)) != Embedding((1, 2, 3))
     # Same field values in another class are not equal.

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     bfs_distances,
+    guest_edges,
     local_search_by_neighbors,
     min_wirelength_bijections,
 )
@@ -44,7 +45,7 @@ def test_exhaustive_complete_guest_is_flat():
     table = bfs_distances(4, T21.label_edges)
     for perm in permutations(range(1, 5)):
         total = sum(
-            table[perm[u - 1]][perm[v - 1]] for u, v in guest.graph.edges
+            table[perm[u - 1]][perm[v - 1]] for u, v in guest_edges(guest)
         )
         assert total == 9
 
@@ -162,10 +163,10 @@ HOST_SHAPES = [("binary", 0)] + [("sibling", v) for v in LAYOUT_VARIANTS]
 
 def _oracle_tables(guest, host):
     """Flat 0-based distance table and guest edge arrays for the oracles."""
-    count = guest.graph.vertex_count
+    count = guest.vertex_count
     table = bfs_distances(count, host.label_edges)
     dist = [table[a][b] for a in range(1, count + 1) for b in range(1, count + 1)]
-    edges = sorted(guest.graph.edges)
+    edges = guest_edges(guest)
     return count, dist, [u - 1 for u, _ in edges], [v - 1 for _, v in edges]
 
 
