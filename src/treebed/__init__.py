@@ -26,7 +26,6 @@ from treebed.errors import (
     BudgetExceededError,
     ConsistencyError,
     CoverageError,
-    UnlabeledHostError,
 )
 from treebed.formulas import (
     closed_form_wirelength,
@@ -58,7 +57,6 @@ __all__ = [
     "HostTree",
     "LAYOUT_VARIANTS",
     "SearchResult",
-    "UnlabeledHostError",
     "WirelengthReport",
     "build_guest",
     "build_host",

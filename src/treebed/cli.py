@@ -22,11 +22,8 @@ from treebed.graphs import Guest, build_guest
 from treebed.hosts import (
     LAYOUT_VARIANTS,
     HostTree,
-    build_host,
     check_host_shape,
     host_counts,
-    inorder_labeling,
-    sibling_layout_labeling,
 )
 
 if TYPE_CHECKING:
@@ -38,12 +35,12 @@ FORMULA_MAX_N = formulas.MAX_N
 
 
 def _build_labeled(n1: int, k: int, kind: str, variant: int) -> HostTree:
-    host = build_host(n1, k, sibling=(kind == "sibling"))
     if kind == "sibling":
-        return sibling_layout_labeling(host, variant)
+        return HostTree(n1, k, True, variant)
+    host = HostTree(n1, k, False)
     if variant != 0:
         raise ValueError("--variant applies to sibling hosts only")
-    return inorder_labeling(host)
+    return host
 
 
 def _instance(args) -> tuple[Guest, HostTree]:
@@ -312,8 +309,6 @@ def _sweep_rows(args):
 def cmd_sweep(args) -> int:
     if args.n_max > FORMULA_MAX_N:
         raise ValueError(f"formula scale is capped at n <= {FORMULA_MAX_N}")
-    if args.engine == "on" and args.n_max > ENGINE_MAX_N:
-        raise ValueError(f"engine runs are capped at n <= {ENGINE_MAX_N}")
     if args.exhaustive and args.n_max > EXHAUSTIVE_MAX_N:
         raise ValueError(
             f"exhaustive search is capped at 2**n <= {1 << EXHAUSTIVE_MAX_N}"
@@ -468,7 +463,7 @@ SUBCOMMANDS = {
         "--n1": {"type": int, "default": None,
                  "help": "fix n1 (default: all 1..n per row)"},
         "--host": {"choices": ["binary", "sibling", "both"], "default": "both"},
-        "--engine": {"choices": ["auto", "on", "off"], "default": "auto",
+        "--engine": {"choices": ["auto", "off"], "default": "auto",
                      "help": "auto runs the engine when n <= 8 (default)"},
         "--exhaustive": {"action": "store_true",
                          "help": "add exhaustive minima (needs n-max <= 3 and the engine)"},

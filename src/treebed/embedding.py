@@ -66,21 +66,23 @@ def _check_labels(count: int, *labels: int) -> None:
 class Embedding(Frozen):
     """A bijection from guest vertices onto host labels.
 
-    ``assignment[m - 1]`` is the label of guest vertex ``m``.  Stored as a
-    tuple so embeddings hash and compare by value.
+    ``assignment[m - 1]`` is the label of guest vertex ``m``.  Any iterable
+    is taken, and stored as a tuple, so embeddings hash and compare by
+    value and cannot change after the bijection check.
     """
 
     _fields = ("assignment",)
     assignment: tuple[int, ...]
 
-    def __init__(self, assignment: tuple[int, ...]) -> None:
+    def __init__(self, assignment: Iterable[int]) -> None:
+        assignment = tuple(assignment)
         if sorted(assignment) != list(range(1, len(assignment) + 1)):
             raise ValueError("assignment is not a bijection onto 1..vertex_count")
         self._set(assignment=assignment)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, int]) -> Embedding:
-        return cls(tuple(mapping[m] for m in range(1, len(mapping) + 1)))
+        return cls(mapping[m] for m in range(1, len(mapping) + 1))
 
     def label_for(self, v: int) -> int:
         return self.assignment[v - 1]
@@ -94,7 +96,7 @@ class Embedding(Frozen):
         seq = list(self.assignment)
         ia, ib = seq.index(a), seq.index(b)
         seq[ia], seq[ib] = b, a
-        return Embedding(tuple(seq))
+        return Embedding(seq)
 
 
 class CutConditionReport(NamedTuple):
@@ -194,7 +196,7 @@ def _vertex_count(guest: Guest, host: HostTree) -> int:
 
 def identity_embedding(guest: Guest, host: HostTree) -> Embedding:
     """Map guest vertex ``m`` to host label ``m``."""
-    return Embedding(tuple(range(1, _vertex_count(guest, host) + 1)))
+    return Embedding(range(1, _vertex_count(guest, host) + 1))
 
 
 def route(host: HostTree, u: int, v: int) -> tuple[tuple[int, int], ...]:

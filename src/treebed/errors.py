@@ -8,10 +8,6 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would evaluate more candidates than the caller allowed."""
 
 
-class UnlabeledHostError(RuntimeError):
-    """An operation needed position labels but the host has none yet."""
-
-
 class CoverageError(RuntimeError):
     """A cut family does not cover every host edge the same number of times."""
 

@@ -7,15 +7,18 @@ pendants are joined in a path, so the whole host has ``k * 2**n1`` vertices.
 Sibling hosts additionally connect the two children of every internal tree
 vertex.
 
-So a host is fixed by its shape ``(n1, k, sibling)`` and one block's layout:
-the tree vertices of a block are heap indices (root ``1``, children of ``h`` at
-``2h`` and ``2h+1``), and a labeling function lists them in label order.
-Heap index ``h`` of block ``s`` then gets label ``s * 2**n1 + pos[h]``, its
-place in the layout, and hangs from heap index ``h // 2`` (the tree root
-from the block's pendant); the pendant gets the block-last label
-``(s + 1) * 2**n1`` and hangs from the previous pendant.  Everything is
-built in label space from this arithmetic.  Vertex ids (``s * 2**n1 + h``,
-the pendant being ``h = 2**n1``) survive only as the keys of ``label_of``.
+So a host is the value ``(n1, k, sibling, variant)``: its shape and the
+fixed labeling of its blocks, inorder for binary hosts (variant 0) and one
+of four sibling layouts for sibling hosts.  The tree vertices of a block are
+heap indices (root ``1``, children of ``h`` at ``2h`` and ``2h+1``), and the
+labeling lists them in label order.  Heap index ``h`` of block ``s`` then
+gets label ``s * 2**n1 + pos[h]``, its place in the layout, and hangs from
+heap index ``h // 2`` (the tree root from the block's pendant); the pendant
+gets the block-last label ``(s + 1) * 2**n1`` and hangs from the previous
+pendant.  Everything is built in label space from this arithmetic.  Vertex
+ids (``s * 2**n1 + h``, the pendant being ``h = 2**n1``) survive only as the
+keys of ``label_of``.  Every labeling keeps each subtree, and each sibling
+pair's union of subtrees, on a label interval.
 
 Without its sibling edges a host is a tree, and each sibling edge joins two
 children of one parent, so every two labels are joined by exactly one
@@ -32,7 +35,6 @@ from functools import cached_property
 from itertools import accumulate, chain
 from typing import NamedTuple
 
-from treebed.errors import ConsistencyError, UnlabeledHostError
 from treebed.frozen import Frozen
 
 __all__ = [
@@ -52,36 +54,27 @@ __all__ = [
 # within each block.  0 and 1 put children before the parent, 2 and 3 after.
 LAYOUT_VARIANTS = (0, 1, 2, 3)
 _SIBLING_ORDERS = ((0, 1, 2), (1, 0, 2), (2, 0, 1), (2, 1, 0))
+# Binary hosts list every subtree inorder: left subtree, parent, right subtree.
+_INORDER = (0, 2, 1)
 
 
 class HostTree(Frozen):
-    """A host, fixed by its shape and the labeling of one block.
+    """A host, fixed by its shape and the labeling variant of its blocks.
 
     ``k`` blocks of height ``n1``, with sibling edges when ``sibling``.
-    ``layout`` lists a block's heap indices in label order: heap index
-    ``layout[i]`` of block ``s`` gets label ``s * 2**n1 + i + 1``, and the
-    block's pendant the block-last label ``(s + 1) * 2**n1``.  ``layout`` is
-    ``None`` until a labeling function produces a labeled copy.  Compared
-    and hashed by value.
+    ``variant`` is 0 for binary hosts, labeled inorder, and one of
+    ``LAYOUT_VARIANTS`` for sibling hosts.  Compared and hashed by value.
     """
 
-    _fields = ("n1", "k", "sibling", "layout")
+    _fields = ("n1", "k", "sibling", "variant")
 
-    def __init__(
-        self, n1: int, k: int, sibling: bool, layout: tuple[int, ...] | None = None
-    ) -> None:
+    def __init__(self, n1: int, k: int, sibling: bool, variant: int = 0) -> None:
         _check_host_size(n1, k)
-        if layout is not None:
-            layout = tuple(layout)
-            if sorted(layout) != list(range(1, 1 << n1)):
-                raise ValueError(
-                    f"layout must list each heap index 1..{(1 << n1) - 1} once"
-                )
-        self._set(n1=n1, k=k, sibling=sibling, layout=layout)
-
-    @property
-    def is_labeled(self) -> bool:
-        return self.layout is not None
+        if sibling and variant not in LAYOUT_VARIANTS:
+            raise ValueError(f"variant must be one of {LAYOUT_VARIANTS}, got {variant}")
+        if not sibling and variant != 0:
+            raise ValueError(f"binary hosts have only variant 0, got {variant}")
+        self._set(n1=n1, k=k, sibling=sibling, variant=variant)
 
     @property
     def kind(self) -> str:
@@ -91,11 +84,16 @@ class HostTree(Frozen):
     def vertex_count(self) -> int:
         return self.k << self.n1
 
+    @cached_property
+    def layout(self) -> tuple[int, ...]:
+        """A block's heap indices in label order: heap index ``layout[i]``
+        of block ``s`` gets label ``s * 2**n1 + i + 1``."""
+        order = _SIBLING_ORDERS[self.variant] if self.sibling else _INORDER
+        return tuple(_heap_order((1 << self.n1) - 1, order))
+
     def _positions(self) -> list[int]:
         """Per heap index ``h``, the label of block 0's vertex ``h``; the
         pendant is heap index ``2**n1`` and keeps its place."""
-        if self.layout is None:
-            raise UnlabeledHostError("host has no position labels; apply a labeling first")
         pos = list(range((1 << self.n1) + 1))
         for lab, h in enumerate(self.layout, start=1):
             pos[h] = lab
@@ -125,7 +123,7 @@ class HostTree(Frozen):
 
 
 class HostLinks:
-    """A labeled host's parent, chain and sibling links, in label space.
+    """A host's parent, chain and sibling links, in label space.
 
     Dropping the sibling edges leaves a tree rooted at the first pendant:
     every tree vertex hangs from its parent, every tree root from its
@@ -147,8 +145,8 @@ class HostLinks:
     instance share one pass and die with the host.
 
     The subtree of ``t`` is ``t`` and every label below it on the ``up``
-    links; ``lo[t]``, ``hi[t]`` and ``size[t]`` are its lowest and highest
-    label and its label count.
+    links; ``lo[t]`` and ``hi[t]`` are its lowest and highest label, and
+    every labeling puts it on all of ``lo[t]..hi[t]``.
 
     For the edge-boundary check of cuts: ``degree_sums[t]`` is the degree
     total of labels ``1..t``, and ``by_high`` lists every edge as
@@ -157,7 +155,7 @@ class HostLinks:
 
     __slots__ = (
         "edges", "edge_index", "spill", "up", "up_edge", "sib", "sib_edge",
-        "order", "lo", "hi", "size", "memo", "degree_sums", "by_high",
+        "order", "lo", "hi", "memo", "degree_sums", "by_high",
     )
 
     def __init__(self, host: HostTree) -> None:
@@ -196,15 +194,13 @@ class HostLinks:
         self.order = order
         lo = list(range(count + 1))
         hi = lo[:]
-        size = [1] * (count + 1)
         for t in order:
             u = up[t]
             if lo[t] < lo[u]:
                 lo[u] = lo[t]
             if hi[t] > hi[u]:
                 hi[u] = hi[t]
-            size[u] += size[t]
-        self.lo, self.hi, self.size = lo, hi, size
+        self.lo, self.hi = lo, hi
         self.memo = None
         degree = [0] * (count + 1)
         for a, b in edges:
@@ -320,7 +316,7 @@ def host_counts(n1: int, k: int, sibling: bool = False) -> dict:
 
 
 def build_host(n1: int, k: int, sibling: bool = False) -> HostTree:
-    """Assemble the host with ``k`` blocks of height ``n1``.
+    """The host with ``k`` blocks of height ``n1``, in variant 0.
 
     ``sibling=True`` adds the edge between the two children of every
     internal tree vertex (``2**(n1-1) - 1`` extra edges per block).
@@ -345,28 +341,29 @@ def _heap_order(top: int, order: tuple[int, int, int]) -> list[int]:
 
 
 def inorder_labeling(host: HostTree) -> HostTree:
-    """Label each block by inorder tree traversal; pendants get block-last labels.
+    """``host``, which as a binary host is already labeled inorder: each
+    block by inorder tree traversal, its pendant last.
 
-    Only meaningful for plain binary hosts.  Returns a labeled copy.
+    Refuses sibling hosts.  It stays only because ``perfbench/traced.py``
+    calls it, and goes with the ``Guest.graph`` alias (ROADMAP item 5,
+    step 2).
     """
     if host.sibling:
         raise ValueError("inorder labeling applies to plain binary hosts only")
-    return host._replace(layout=_heap_order((1 << host.n1) - 1, (0, 2, 1)))
+    return host
 
 
 def sibling_layout_labeling(host: HostTree, variant: int = 0) -> HostTree:
-    """Label each block of a sibling host so sibling pairs stay adjacent.
+    """The sibling host ``host`` with its blocks in layout ``variant``.
 
     Variant 0 orders every subtree as (left, right, parent), variant 1
     mirrors the children, variants 2 and 3 put the parent first.  All four
     keep each subtree, and each sibling pair's union of subtrees, on a
-    consecutive label interval.  Returns a labeled copy.
+    consecutive label interval.
     """
     if not host.sibling:
         raise ValueError("sibling layout applies to sibling hosts only")
-    if variant not in LAYOUT_VARIANTS:
-        raise ValueError(f"variant must be one of {LAYOUT_VARIANTS}, got {variant}")
-    return host._replace(layout=_heap_order((1 << host.n1) - 1, _SIBLING_ORDERS[variant]))
+    return host._replace(variant=variant)
 
 
 def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
@@ -381,8 +378,7 @@ def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
 
     Cuts are read off the host's links: each cut edge is a label's parent
     or sibling link, and each component is a union of subtrees whose label
-    range is taken bottom-up.  Raises ``ConsistencyError`` when a
-    component's labels are not an interval.
+    range is taken bottom-up.
     """
     records = _standard_cuts(host)
     edge = host.links.edges.__getitem__
@@ -399,16 +395,7 @@ def _standard_cuts(host: HostTree) -> list[tuple]:
     pos = host._positions()
     links = host.links
     up_edge, sib_edge = links.up_edge, links.sib_edge
-    lo, hi, size = links.lo, links.hi, links.size
-
-    def interval(low: int, high: int, count: int) -> tuple[int, int]:
-        if high - low + 1 != count:
-            raise ConsistencyError(
-                f"cut component labels {low}..{high} hold {count} labels, "
-                "not an interval"
-            )
-        return low, high
-
+    lo, hi = links.lo, links.hi
     n1, k, sibling = host.n1, host.k, host.sibling
     block = 1 << n1
     cuts: list[tuple] = []
@@ -425,7 +412,7 @@ def _standard_cuts(host: HostTree) -> list[tuple]:
                 t = base + pos[h]
                 edge = up_edge[t]
                 indices = (edge, sib_edge[t]) if sibling and h >= 2 else (edge,)
-                cuts.append(("S", j, i, indices, *interval(lo[t], hi[t], size[t]), 1))
+                cuts.append(("S", j, i, indices, lo[t], hi[t], 1))
 
     if sibling:
         # Family SS: both child edges of an internal vertex; the component is
@@ -437,26 +424,18 @@ def _standard_cuts(host: HostTree) -> list[tuple]:
                 for q in range(per_block, 2 * per_block):
                     i += 1
                     a, b = base + pos[2 * q], base + pos[2 * q + 1]
-                    low, high = interval(
-                        min(lo[a], lo[b]), max(hi[a], hi[b]), size[a] + size[b]
-                    )
+                    low, high = min(lo[a], lo[b]), max(hi[a], hi[b])
                     cuts.append(("SS", j, i, (up_edge[a], up_edge[b]), low, high, 1))
         # Duplicate pendant cut, so pendant edges reach coverage 2 like the rest.
         for s in range(k):
             t = s * block + pos[1]
-            low, high = interval(lo[t], hi[t], size[t])
-            cuts.append(("SS", n1, s + 1, (up_edge[t],), low, high, 1))
+            cuts.append(("SS", n1, s + 1, (up_edge[t],), lo[t], hi[t], 1))
 
-    # Family ROOT: chain cuts; the component is the first i blocks, each
-    # block being its pendant and the subtree of its tree root.
+    # Family ROOT: chain cuts; the component is the first i blocks, labels
+    # 1..i * block, cut off by the chain link of the next pendant.
     share = 2 if sibling else 1
-    low, high, count = len(lo), 0, 0
     for i in range(1, k):
-        pendant, t = i * block, (i - 1) * block + pos[1]
-        low = min(low, pendant, lo[t])
-        high = max(high, pendant, hi[t])
-        count += 1 + size[t]
         indices = (up_edge[(i + 1) * block],)
-        cuts.append(("ROOT", None, i, indices, *interval(low, high, count), share))
+        cuts.append(("ROOT", None, i, indices, 1, i * block, share))
 
     return cuts

@@ -171,7 +171,7 @@ def exhaustive_min_wirelength(
     assignment = [0] * count
     for j, block in enumerate(blocks):
         assignment[j::parts] = [lab + 1 for lab in block]
-    return SearchResult(best, Embedding(tuple(assignment)), explored, exhaustive=True)
+    return SearchResult(best, Embedding(assignment), explored, exhaustive=True)
 
 
 def local_search_min(
@@ -268,5 +268,5 @@ def local_search_min(
         if value < best_value:
             best_value, best_perm = value, tuple(current)
 
-    witness = Embedding(tuple(lab + 1 for lab in best_perm))
+    witness = Embedding(lab + 1 for lab in best_perm)
     return SearchResult(best_value, witness, explored, exhaustive=False)

@@ -504,10 +504,11 @@ def test_sweep_formula_only_scales(capsys):
 def test_sweep_caps(capsys):
     code, _, err = run(capsys, "sweep", "--n-min", "2", "--n-max", "21")
     assert code == 2 and "capped" in err
+    # The engine runs when n <= 8 unless turned off; there is no "on".
     code, _, err = run(
         capsys, "sweep", "--n-min", "2", "--n-max", "9", "--engine", "on"
     )
-    assert code == 2 and "capped" in err
+    assert code == 2 and "invalid choice" in err
     code, _, err = run(
         capsys, "sweep", "--n-min", "2", "--n-max", "4", "--exhaustive"
     )

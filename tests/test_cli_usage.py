@@ -111,7 +111,7 @@ options:
 """,
     ("sweep",): """\
 usage: treebed sweep [-h] --n-min N_MIN --n-max N_MAX [--p P] [--n1 N1]
-                     [--host {binary,sibling,both}] [--engine {auto,on,off}]
+                     [--host {binary,sibling,both}] [--engine {auto,off}]
                      [--exhaustive] [--budget BUDGET] [--output {csv,json}]
 
 options:
@@ -121,8 +121,7 @@ options:
   --p P                 fix p (default: all 2..n per row)
   --n1 N1               fix n1 (default: all 1..n per row)
   --host {binary,sibling,both}
-  --engine {auto,on,off}
-                        auto runs the engine when n <= 8 (default)
+  --engine {auto,off}   auto runs the engine when n <= 8 (default)
   --exhaustive          add exhaustive minima (needs n-max <= 3 and the
                         engine)
   --budget BUDGET       bound on label partitions each exhaustive run may

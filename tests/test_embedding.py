@@ -10,7 +10,6 @@ from treebed import (
     CoverageError,
     EdgeCut,
     Embedding,
-    UnlabeledHostError,
     build_guest,
     build_host,
     build_report,
@@ -107,11 +106,6 @@ def test_route_breaks_ties_toward_smallest_label():
     table = bfs_distances(7, edges)
     neighbors = {v: [w for e in edges for w in e if v in e and w != v] for v in table}
     assert canonical_route(table, neighbors, 7, 1) == [(1, 2), (2, 6), (6, 7)]
-
-
-def test_unlabeled_host_rejected():
-    with pytest.raises(UnlabeledHostError):
-        route(build_host(2, 1), 1, 2)
 
 
 def test_wirelength_direct_examples():

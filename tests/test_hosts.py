@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from treebed import (
     LAYOUT_VARIANTS,
     HostTree,
-    UnlabeledHostError,
     build_host,
     cut_family,
     inorder_labeling,
     sibling_layout_labeling,
 )
-from treebed.hosts import host_counts
+from treebed.embedding import _check_boundaries
+from treebed.hosts import _standard_cuts, host_counts
 
 
 def _cut_index(host):
@@ -45,7 +45,6 @@ def test_build_host_small_shapes():
     assert h == HostTree(2, 1, False)
     assert h.vertex_count == 4
     assert h.kind == "binary"
-    assert not h.is_labeled and h.layout is None
     assert len(inorder_labeling(h).label_edges) == 3
 
     h = build_host(4, 1)
@@ -123,11 +122,15 @@ def test_inorder_labels_single_block():
     assert inorder_labeling(build_host(3, 1)).layout == (4, 2, 5, 1, 6, 3, 7)
 
 
-def test_host_tree_refuses_a_layout_that_is_no_permutation():
-    assert HostTree(3, 1, False, [4, 2, 5, 1, 6, 3, 7]).layout == (4, 2, 5, 1, 6, 3, 7)
-    for layout in ([4, 2, 5, 1, 6, 3, 3], [4, 2, 5, 1, 6, 3], [4, 2, 5, 1, 6, 3, 8]):
-        with pytest.raises(ValueError, match="each heap index 1..7 once"):
-            HostTree(3, 1, False, layout)
+def test_host_tree_refuses_a_variant_its_kind_lacks():
+    assert HostTree(3, 1, False, 0).layout == (4, 2, 5, 1, 6, 3, 7)
+    assert HostTree(3, 1, True, 3).layout == (1, 3, 7, 6, 2, 5, 4)
+    for variant in (1, 2, -1):
+        with pytest.raises(ValueError, match=f"binary hosts have only variant 0, got {variant}"):
+            HostTree(3, 1, False, variant)
+    for variant in (4, -1):
+        with pytest.raises(ValueError, match=rf"variant must be one of \(0, 1, 2, 3\), got {variant}"):
+            HostTree(3, 1, True, variant)
 
 
 def test_inorder_labels_second_block_mirrors_first():
@@ -187,13 +190,6 @@ def test_sibling_layout_variants_relabel_but_keep_blocks():
         assert host.label_of[block] == block
         seen.append(tuple(sorted(host.label_of.items())))
     assert len(set(seen)) == len(LAYOUT_VARIANTS)
-
-
-def test_cut_family_requires_labels():
-    with pytest.raises(UnlabeledHostError):
-        cut_family(build_host(2, 1))
-    with pytest.raises(UnlabeledHostError):
-        _ = build_host(2, 1).label_edges
 
 
 def test_cut_family_plain_single_block():
@@ -325,3 +321,13 @@ def test_labelings_are_block_bijections(n1, k, sibling, variant):
         ids = range(s * block + 1, (s + 1) * block + 1)
         assert sorted(host.label_of[v] for v in ids) == list(ids)
         assert host.label_of[(s + 1) * block] == (s + 1) * block
+
+
+def test_standard_cuts_are_interval_boundaries():
+    # Every cut's edges are the whole edge boundary of its label interval,
+    # for every labeling a host can have.
+    for n1 in range(1, 13):
+        for k in (1, 2, 3):
+            for sibling, variant in [(False, 0)] + [(True, v) for v in LAYOUT_VARIANTS]:
+                host = HostTree(n1, k, sibling, variant)
+                _check_boundaries(host.links, host.vertex_count, _standard_cuts(host))

@@ -19,6 +19,7 @@ from treebed import (
     cut_family,
     identity_embedding,
     inorder_labeling,
+    sibling_layout_labeling,
 )
 
 SRC = Path(treebed.__file__).resolve().parents[1]
@@ -83,6 +84,13 @@ def test_value_records_compare_and_hash_by_value():
         assert len({a, b}) == 1
     assert Guest(4, 2) != Guest(4, 3)
     assert Embedding((2, 1, 3)) != Embedding((1, 2, 3))
+    # Any sequence or iterable is stored as a tuple.
+    assert Embedding([2, 1]) == Embedding((2, 1)) == Embedding(iter([2, 1]))
+    assert hash(Embedding([2, 1])) == hash(Embedding((2, 1)))
+    listed = Embedding([2, 1])
+    with pytest.raises(TypeError):
+        listed.assignment[0] = 5
+    assert listed.assignment == (2, 1)
     # Same field values in another class are not equal.
     assert Guest(3, 2) != Embedding((3, 2, 1))
     assert repr(Guest(4, 2)) == "Guest(n=4, p=2)"
@@ -92,12 +100,13 @@ def test_host_tree_compares_by_value():
     a, b = build_host(2, 2), build_host(2, 2)
     assert a is not b and a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
-    labeled = inorder_labeling(a)
-    assert labeled != a and labeled == inorder_labeling(b)
-    assert labeled == HostTree(2, 2, False, (2, 1, 3))
-    assert labeled != HostTree(2, 2, True, (2, 1, 3))
-    assert a.layout is None and labeled.is_labeled
-    assert repr(labeled) == "HostTree(n1=2, k=2, sibling=False, layout=(2, 1, 3))"
+    # Every binary host is already labeled inorder.
+    assert a == inorder_labeling(b) == HostTree(2, 2, False, 0)
+    assert a != HostTree(2, 2, True, 0) and a != HostTree(2, 3, False, 0)
+    sibling = HostTree(2, 2, True, 1)
+    assert sibling == sibling_layout_labeling(build_host(2, 2, sibling=True), 1)
+    assert sibling != HostTree(2, 2, True, 0)
+    assert repr(a) == "HostTree(n1=2, k=2, sibling=False, variant=0)"
 
 
 def test_cached_properties_live_in_the_instance_dict():

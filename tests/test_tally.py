@@ -7,9 +7,7 @@ import pytest
 from oracles import heap_cut_family, heap_host, per_goal_tally
 from treebed import (
     LAYOUT_VARIANTS,
-    ConsistencyError,
     Embedding,
-    HostTree,
     build_guest,
     build_host,
     cut_family,
@@ -111,14 +109,3 @@ def test_cut_family_matches_heap_construction():
                 seen += 1
     assert seen == 120
 
-
-def test_cut_family_rejects_a_component_off_an_interval():
-    layout = list(inorder_labeling(build_host(3, 1)).layout)
-    assert layout == [4, 2, 5, 1, 6, 3, 7]
-    # Trading heap indices 4 and 7 puts the subtree of heap index 2
-    # (heap indices 2, 4 and 5) on labels 2, 3 and 7.
-    layout[0], layout[6] = 7, 4
-    broken = HostTree(3, 1, False, layout)
-    assert heap_cut_family(broken) is None
-    with pytest.raises(ConsistencyError, match="not an interval"):
-        cut_family(broken)
