@@ -38,6 +38,7 @@ from treebed.hosts import (
     EdgeCut,
     HostTree,
     build_host,
+    cut_edges,
     cut_family,
     inorder_labeling,
     sibling_layout_labeling,
@@ -64,6 +65,7 @@ __all__ = [
     "closed_form_wirelength",
     "congestion_lemma_value",
     "cut_congestion",
+    "cut_edges",
     "cut_family",
     "edge_congestion",
     "exhaustive_min_wirelength",

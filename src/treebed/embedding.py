@@ -16,13 +16,14 @@ edges alone: a cut's congestion minus their load counts the cut edges on
 the crossing routes, and that load itself counts the same-side routes'
 cut edges.  The pass also records the sum of squared partite counts of
 every subtree and sibling union that fills a label interval, from which a
-standard cut's induced and leaving guest edges follow in O(1).  Every
-cut's edges are checked against its interval's edge boundary, all cuts of
-a report in one batch (``_check_boundaries``).
-Cut edges are handled as indices into the host's edge list: a report takes
-its cuts as index records straight from the host (``hosts._standard_cuts``),
-and the calls that take a caller's ``EdgeCut`` translate its label pairs
-once, then run the same code.
+standard cut's induced and leaving guest edges follow in O(1).
+Cut edges are handled as indices into the host's edge list.  A cut is its
+component interval, so its edges are the interval's edge boundary: a
+report takes its cuts as index records straight from the host
+(``hosts._standard_cuts``) and cross-checks them against their intervals
+in one batch (``_check_boundaries``), and the calls that take a caller's
+``EdgeCut`` find its edges by one scan of the host's edges, then run the
+same code.
 Wirelength comes out three ways that must agree: summing routed path
 lengths, summing cut congestions weighted by coverage, and (elsewhere)
 closed forms.
@@ -38,7 +39,7 @@ from treebed import formulas
 from treebed.errors import CoverageError, ConsistencyError
 from treebed.frozen import Frozen
 from treebed.graphs import Guest
-from treebed.hosts import EdgeCut, HostLinks, HostTree, _standard_cuts, cut_family
+from treebed.hosts import EdgeCut, HostLinks, HostTree, _boundary, _standard_cuts
 
 __all__ = [
     "Embedding",
@@ -375,8 +376,9 @@ def edge_congestion(
     guest: Guest, host: HostTree, embedding: Embedding, host_edge: tuple[int, int]
 ) -> int:
     """Number of guest edges whose routed path uses ``host_edge``."""
-    index = _edge_index(host.links, host_edge)
-    if index == host.links.spill:
+    a, b = host_edge
+    index = host.links.edge_index.get((a, b) if a < b else (b, a))
+    if index is None:
         raise ValueError(f"{host_edge} is not a host edge (in label space)")
     return _tally(guest, host, embedding).load[index]
 
@@ -385,15 +387,8 @@ def cut_congestion(
     guest: Guest, host: HostTree, embedding: Embedding, cut: EdgeCut
 ) -> int:
     """Total congestion over a cut's edges."""
-    indices = _checked_cuts(host.links, (cut,))[0][3]
+    indices = _boundary(host, cut.component_lo, cut.component_hi)
     return _cut_load(_tally(guest, host, embedding).load, indices)
-
-
-def _edge_index(links: HostLinks, edge: tuple[int, int]) -> int:
-    """The index in ``links.edges`` of the label pair ``edge``, in either
-    order, or ``links.spill`` when it is no host edge."""
-    a, b = edge
-    return links.edge_index.get((a, b) if a < b else (b, a), links.spill)
 
 
 def _cut_load(load: list[int], indices: Sequence[int]) -> int:
@@ -401,35 +396,14 @@ def _cut_load(load: list[int], indices: Sequence[int]) -> int:
     return sum([load[x] for x in indices])
 
 
-def _index_cuts(links: HostLinks, cuts: Iterable[EdgeCut]) -> list[tuple]:
-    """A caller's cuts as the records ``hosts._standard_cuts`` makes: each
-    label pair translated once by ``_edge_index``, with ``links.spill`` for
-    a pair that is no host edge or repeats an edge of its cut."""
-    spill = links.spill
-    records = []
-    for c in cuts:
-        indices: list[int] = []
-        for e in c.cut_edges:
-            x = _edge_index(links, e)
-            indices.append(spill if x in indices else x)
-        records.append((c.family, c.j, c.i, indices,
-                        c.component_lo, c.component_hi, c.multiplicity_share))
-    return records
-
-
-def _checked_cuts(links: HostLinks, cuts: Iterable[EdgeCut]) -> list[tuple]:
-    """``_index_cuts``, refusing with ``ValueError`` the first label pair
-    that is no host edge or repeats an edge of its cut."""
-    cuts = tuple(cuts)  # read twice, so an iterator must not run dry
-    records = _index_cuts(links, cuts)
-    spill = links.spill
-    for cut, record in zip(cuts, records):
-        for edge, x in zip(cut.cut_edges, record[3]):
-            if x == spill:
-                if _edge_index(links, edge) != spill:
-                    raise ValueError(f"cut edge {edge} repeats an edge of its cut")
-                raise ValueError(f"cut edge {edge} is not a host edge")
-    return records
+def _records(host: HostTree, cuts: Iterable[EdgeCut]) -> list[tuple]:
+    """A caller's cuts as the records ``hosts._standard_cuts`` makes, each
+    cut's edges found by ``hosts._boundary``."""
+    return [
+        (c.family, c.j, c.i, _boundary(host, c.component_lo, c.component_hi),
+         c.component_lo, c.component_hi, c.multiplicity_share)
+        for c in cuts
+    ]
 
 
 def congestion_lemma_value(guest: Guest, subset: Iterable[int]) -> int:
@@ -450,6 +424,7 @@ def _check_boundaries(links: HostLinks, count: int, cuts: Sequence[tuple]) -> No
     ``hosts._standard_cuts``) whose edges are not exactly the host edges
     with one end in its interval ``lo..hi``; ``count`` is the host's vertex
     count, and an edge index of ``links.spill`` stands for no host edge.
+    ``build_report`` runs it on the standard family as a cross-check.
 
     Host edges that each have one end in ``lo..hi`` are the interval's
     whole edge boundary exactly when there are ``deg(lo..hi) - 2 *
@@ -535,7 +510,7 @@ def _cut_reports(
 ) -> tuple[CutConditionReport, ...]:
     """The condition report of every cut, in order; see
     ``verify_cut_conditions``."""
-    return _reports(guest, host, tally, _index_cuts(host.links, cuts))
+    return _reports(guest, host, tally, _records(host, cuts))
 
 
 def _reports(
@@ -548,7 +523,6 @@ def _reports(
     """``_cut_reports`` on cut records (see ``hosts._standard_cuts``).
     ``congestions``, when given, holds each cut's congestion."""
     links, count = host.links, host.vertex_count
-    _check_boundaries(links, count, cuts)
     if congestions is None:
         congestions = [_cut_load(tally.load, cut[3]) for cut in cuts]
     degree = guest.degree
@@ -583,26 +557,23 @@ def verify_cut_conditions(
 ) -> CutConditionReport:
     """Check the three congestion-lemma conditions for one cut.
 
-    The cut's edges are the edge boundary of its component interval, so a
-    route between the two sides uses an odd number of them and any other
-    route an even number.  The preimage counts come from the subtree pass:
-    when the component, or the complement of a prefix or suffix
-    component, is a subtree or sibling union (every standard cut), the
-    pass recorded its size and sum of squared partite counts; any other
-    interval counts its smaller side.  With ``same`` the load the same-side routes put
-    on the cut (``_Tally`` with that interval as ``side``: the subtree pass
-    over the labels inside it plus the one over those outside), no same-side
-    route touches the cut exactly when ``same == 0``, and every crossing
-    route uses one cut edge exactly when the congestion minus ``same``
-    equals the number of crossing guest edges.  When the congestion already
-    equals that number, both hold and no further pass runs.
+    The cut's edges are the edge boundary of its component interval, found
+    by one scan of the host's edges, so a route between the two sides uses
+    an odd number of them and any other route an even number.  The
+    preimage counts come from the subtree pass: when the component, or the
+    complement of a prefix or suffix component, is a subtree or sibling
+    union (every standard cut), the pass recorded its size and sum of
+    squared partite counts; any other interval counts its smaller side.
+    With ``same`` the load the same-side routes put on the cut (``_Tally``
+    with that interval as ``side``: the subtree pass over the labels inside
+    it plus the one over those outside), no same-side route touches the cut
+    exactly when ``same == 0``, and every crossing route uses one cut edge
+    exactly when the congestion minus ``same`` equals the number of
+    crossing guest edges.  When the congestion already equals that number,
+    both hold and no further pass runs.
 
-    Raises ``ValueError`` when the cut edges are not exactly the host edges
-    with one end in the cut's component interval: each must be a host edge
-    with one end inside, and there must be as many as the interval's degree
-    total minus twice its inner host edges.  ``build_report`` checks all
-    its cuts this way in one batch, counting inner edges with a Fenwick
-    tree.
+    Raises ``ValueError`` when the component interval is not inside the
+    host's labels.
     """
     return _cut_reports(guest, host, _tally(guest, host, embedding), (cut,))[0]
 
@@ -615,14 +586,13 @@ def wirelength_via_partition(
 ) -> int:
     """Wirelength from cut congestions.
 
-    The cut family must cover every host edge the same number of times;
-    the congestion total, weighted by each cut's multiplicity share, then
-    overcounts the wirelength by exactly that factor.
+    The cut family (default: the host's standard family) must cover every
+    host edge the same number of times; the congestion total, weighted by
+    each cut's multiplicity share, then overcounts the wirelength by
+    exactly that factor.
     """
-    if cuts is None:
-        cuts = cut_family(host)
+    records = _standard_cuts(host) if cuts is None else _records(host, cuts)
     load = _tally(guest, host, embedding).load
-    records = _checked_cuts(host.links, cuts)
     return _partition_total(host.links, records, [_cut_load(load, r[3]) for r in records])
 
 
@@ -661,6 +631,7 @@ def build_report(
     load = tally.load
     congestions = [_cut_load(load, cut[3]) for cut in cuts]
     per_cut = tuple(CutReport(*cut[:3], ec) for cut, ec in zip(cuts, congestions))
+    _check_boundaries(host.links, host.vertex_count, cuts)
     conditions = _reports(guest, host, tally, cuts, congestions)
     return WirelengthReport(
         n=guest.n,

@@ -46,6 +46,7 @@ __all__ = [
     "host_counts",
     "inorder_labeling",
     "sibling_layout_labeling",
+    "cut_edges",
     "cut_family",
     "LAYOUT_VARIANTS",
 ]
@@ -254,13 +255,10 @@ class HostLinks:
 class EdgeCut(NamedTuple):
     """One cut in a host's edge-cut family.
 
-    ``cut_edges`` are label pairs.  Removing them splits the host in two;
-    the side designated as the component occupies exactly the labels
-    ``component_lo..component_hi``, so the cut edges are exactly the host
-    edges with one end in that interval.  ``verify_cut_conditions`` and
-    ``build_report`` reject a cut that breaks this rule: every cut edge is
-    a host edge with one end inside, and there are as many as the
-    interval's degree total minus twice its inner host edges.
+    Removing the cut's edges splits the host in two; the side designated
+    as the component occupies exactly the labels
+    ``component_lo..component_hi``.  So the interval fixes the cut: its
+    edges are the host edges with exactly one end in it (``cut_edges``).
     ``multiplicity_share`` is how many times this cut counts in the
     family's coverage of its edges (the chain cuts of sibling hosts count
     double; everything else counts once).
@@ -269,7 +267,6 @@ class EdgeCut(NamedTuple):
     family: str
     j: int | None
     i: int
-    cut_edges: frozenset[tuple[int, int]]
     component_lo: int
     component_hi: int
     multiplicity_share: int = 1
@@ -277,6 +274,28 @@ class EdgeCut(NamedTuple):
     @property
     def component_labels(self) -> range:
         return range(self.component_lo, self.component_hi + 1)
+
+
+def cut_edges(host: HostTree, cut: EdgeCut) -> tuple[tuple[int, int], ...]:
+    """The edges of ``cut``: the host edges with exactly one end in its
+    component interval, as label pairs in ``host.links.edges`` order.
+
+    Raises ``ValueError`` when the interval is not inside the host's labels.
+    """
+    edges = host.links.edges
+    return tuple(edges[x] for x in _boundary(host, cut.component_lo, cut.component_hi))
+
+
+def _boundary(host: HostTree, lo: int, hi: int) -> list[int]:
+    """The indices into ``host.links.edges`` of the host edges with exactly
+    one end in ``lo..hi``, found by one scan of the edges."""
+    count = host.vertex_count
+    if not 1 <= lo <= hi <= count:
+        raise ValueError(f"cut component {lo}..{hi} is not inside 1..{count}")
+    return [
+        x for x, (a, b) in enumerate(host.links.edges)
+        if (lo <= a <= hi) != (lo <= b <= hi)
+    ]
 
 
 def check_host_shape(n1: int, k: int) -> None:
@@ -376,22 +395,19 @@ def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
     a duplicate pendant cut (listed under ``SS`` at ``j = n1``), and chain
     cuts with ``multiplicity_share = 2``; every edge is covered exactly twice.
 
-    Cuts are read off the host's links: each cut edge is a label's parent
-    or sibling link, and each component is a union of subtrees whose label
-    range is taken bottom-up.
+    Cuts are read off the host's links: each component is a union of
+    subtrees whose label range is taken bottom-up.
     """
-    records = _standard_cuts(host)
-    edge = host.links.edges.__getitem__
     return tuple(
-        EdgeCut(family, j, i, frozenset(map(edge, indices)), lo, hi, share)
-        for family, j, i, indices, lo, hi, share in records
+        EdgeCut(family, j, i, lo, hi, share)
+        for family, j, i, _, lo, hi, share in _standard_cuts(host)
     )
 
 
 def _standard_cuts(host: HostTree) -> list[tuple]:
     """``cut_family(host)`` with each cut's edges as indices into
-    ``host.links.edges``: one ``(family, j, i, indices, lo, hi, share)``
-    record per cut, in ``EdgeCut``'s field order."""
+    ``host.links.edges``, each a label's parent or sibling link read in
+    O(1): one ``(family, j, i, indices, lo, hi, share)`` record per cut."""
     pos = host._positions()
     links = host.links
     up_edge, sib_edge = links.up_edge, links.sib_edge

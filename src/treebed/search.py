@@ -189,7 +189,7 @@ def local_search_min(
     A table ``T[j][x]`` holds the distance from label ``x`` to the labels
     of partite set ``j``, so a swap's delta costs O(1) and applying it
     updates two rows.  Swaps inside one partite set change nothing; they
-    are counted but not priced.
+    are counted, and priced above zero so that none is chosen.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
@@ -197,11 +197,6 @@ def local_search_min(
     parts = guest.part_count
     total = sum(map(sum, rows)) // 2
     pairs_per_pass = count * (count - 1) // 2
-    # Later vertices in other partite sets, in scan order; never empty,
-    # since vertex a + 1 lies in the next set.
-    partners = [
-        [b for b in range(a + 1, count) if (b - a) % parts] for a in range(count - 1)
-    ]
 
     rng = _SplitMix64(seed)
     explored = 0
@@ -227,19 +222,21 @@ def local_search_min(
         while True:
             best_delta = 0
             swap = None
-            for a, others in enumerate(partners):
-                la = perm[a]
-                ta = own[a]
+            # Per vertex: its label, its own row's entry there, its own row.
+            # Pairs in one partite set stay in the scan: they share a row,
+            # so their delta is 2 * d(la, lb) > 0 and they are never chosen.
+            cells = [(lab, row[lab], row) for lab, row in zip(perm, own)]
+            for a in range(count - 1):
+                la, keep, ta = cells[a]
                 da = rows[la]
-                keep = ta[la]
+                # Each swap's delta, less ``keep``.
                 deltas = [
-                    keep - ta[lb] + tb[lb] - tb[la] + 2 * da[lb]
-                    for lb, tb in ((perm[b], own[b]) for b in others)
+                    ob - tb[la] + 2 * da[lb] - ta[lb] for lb, ob, tb in cells[a + 1:]
                 ]
                 low = min(deltas)
-                if low < best_delta:
-                    best_delta = low
-                    swap = (a, others[deltas.index(low)])
+                if low + keep < best_delta:
+                    best_delta = low + keep
+                    swap = (a, a + 1 + deltas.index(low))
             explored += pairs_per_pass
             if swap is None:
                 return value

@@ -439,12 +439,12 @@ def heap_cut_family(host):
     return cuts
 
 
-def check_boundary(label_edges, count, cut):
-    """Raise ``ValueError`` unless the cut edges are exactly the host edges
-    ``label_edges`` with one end in ``component_lo..component_hi``.
+def cut_boundary(label_edges, count, cut):
+    """The cut's edges: the host edges ``label_edges`` with one end in
+    ``component_lo..component_hi``, as a set of label pairs.
 
-    Builds the edge boundary as a set from the neighbours of the cut's
-    smaller side; the messages are the package's.
+    Built from the neighbours of the cut's smaller side.  Raises the
+    package's ``ValueError`` when the interval is not inside ``1..count``.
     """
     lo, hi = cut.component_lo, cut.component_hi
     if not 1 <= lo <= hi <= count:
@@ -453,14 +453,12 @@ def check_boundary(label_edges, count, cut):
     for a, b in label_edges:
         adjacency[a].append(b)
         adjacency[b].append(a)
-    boundary = {
+    return {
         (a, b) if a < b else (b, a)
         for a in smaller_side(count, lo, hi)
         for b in adjacency[a]
         if (lo <= a <= hi) != (lo <= b <= hi)
     }
-    if boundary != cut.cut_edges:
-        raise ValueError(f"cut edges are not the edge boundary of labels {lo}..{hi}")
 
 
 def smaller_side(count, lo, hi):
@@ -478,13 +476,13 @@ def cut_report(links, label_edges, assignment, part_count, cut, max_induced, loa
     ``links``, ``assignment`` and ``part_count`` are as in
     ``per_goal_tally``, and ``load`` is that tally over every label.
     ``max_induced(s)`` is the largest edge count a set of ``s`` guest
-    vertices induces.  Checks the boundary with ``check_boundary``, counts
+    vertices induces.  Finds the cut's edges with ``cut_boundary``, counts
     the partite sets on the smaller side with a ``Counter``, and runs the
     sided ``per_goal_tally`` when the congestion exceeds the crossing guest
     edges.
     """
     count = len(assignment)
-    check_boundary(label_edges, count, cut)
+    boundary = cut_boundary(label_edges, count, cut)
     lo, hi = cut.component_lo, cut.component_hi
     part_at = [None] * (count + 1)
     for m, lab in enumerate(assignment):
@@ -497,9 +495,9 @@ def cut_report(links, label_edges, assignment, part_count, cut, max_induced, loa
     other = count * degree // 2 - induced - leaving
     optimal = induced == max_induced(len(side)) and other == max_induced(count - len(side))
     index = {edge: idx for idx, edge in enumerate(links.edges)}
-    congestion = sum(load[index[e]] for e in cut.cut_edges)
+    congestion = sum(load[index[e]] for e in boundary)
     same = 0
     if congestion != leaving:
         sided = per_goal_tally(links, assignment, part_count, (lo, hi))
-        same = sum(sided[index[e]] for e in cut.cut_edges)
+        same = sum(sided[index[e]] for e in boundary)
     return same == 0, congestion - same == leaving, optimal, leaving

@@ -30,6 +30,7 @@ from treebed import (
     closed_form_wirelength,
     congestion_lemma_value,
     cut_congestion,
+    cut_edges,
     cut_family,
     exhaustive_min_wirelength,
     identity_embedding,
@@ -137,7 +138,7 @@ def test_acceptance_03_partition_totals_match_direct_totals(grid):
         assert rec.report.via_partition == rec.report.direct, (rec.n, rec.p, rec.n1)
         coverage = Counter()
         for cut in cut_family(rec.host):
-            for edge in cut.cut_edges:
+            for edge in cut_edges(rec.host, cut):
                 coverage[edge] += cut.multiplicity_share
         expected = 2 if rec.sibling else 1
         assert set(coverage) == set(rec.host.label_edges)

@@ -1,11 +1,11 @@
-"""Cut reports read off the subtree pass, and the batched edge-boundary
-check, against the label-by-label oracle."""
+"""Cut reports read off the subtree pass, against the label-by-label
+oracle."""
 
 import random
 
 import pytest
 
-from oracles import check_boundary, cut_report, per_goal_tally
+from oracles import cut_boundary, cut_report, per_goal_tally
 from treebed import (
     LAYOUT_VARIANTS,
     EdgeCut,
@@ -47,14 +47,6 @@ def _embeddings(guest, host, rng):
     for _ in range(3):
         emb = emb.swapped(*rng.sample(range(1, host.vertex_count + 1), 2))
         yield emb
-
-
-def _interval_cut(host, lo, hi):
-    """The label interval ``lo..hi`` cut out by its edge boundary."""
-    boundary = frozenset(
-        (a, b) for a, b in host.label_edges if (lo <= a <= hi) != (lo <= b <= hi)
-    )
-    return EdgeCut("X", None, 1, boundary, lo, hi)
 
 
 def _intervals(count, rng, every):
@@ -124,7 +116,7 @@ def test_cut_reports_match_oracle_up_to_n6():
             for emb in _embeddings(guest, host, rng):
                 intervals = _intervals(count, rng, every=n <= 3)
                 cuts = cut_family(host) + tuple(
-                    _interval_cut(host, lo, hi) for lo, hi in intervals
+                    EdgeCut("X", None, 1, lo, hi) for lo, hi in intervals
                 )
                 for report in _check_reports(guest, host, emb, cuts):
                     seen.add(tuple(report)[:3])
@@ -157,7 +149,7 @@ def test_cut_reports_match_oracle_at_n7_and_n8(n, p, n1, kind, variant):
     intervals = [(1, half), (half + 1, count), (half // 2 + 1, half // 2 + half),
                  (1, 3), (1, count - 5), (7, count), (count - 2, count)]
     intervals.append(tuple(sorted(rng.sample(range(1, count + 1), 2))))
-    cuts = cut_family(host) + tuple(_interval_cut(host, lo, hi) for lo, hi in intervals)
+    cuts = cut_family(host) + tuple(EdgeCut("X", None, 1, lo, hi) for lo, hi in intervals)
     for emb in _embeddings(guest, host, rng):
         _check_reports(guest, host, emb, cuts)
 
@@ -168,26 +160,11 @@ def _message(check, *args):
     return str(info.value)
 
 
-def _broken_cuts(host, cut, rng):
-    """The cut with an edge dropped, a host edge added, the label pair
-    ``(1, count)`` added (a host edge only on the smallest hosts), an edge
-    traded for a label pair across the interval that is no host edge, its
-    interval moved, and intervals out of range."""
+def _broken_cuts(host, cut):
+    """The cut with its interval moved, and with intervals out of range."""
     count = host.vertex_count
     lo, hi = cut.component_lo, cut.component_hi
-    edges = sorted(cut.cut_edges)
-    others = sorted(host.label_edges - cut.cut_edges)
-    across = [
-        (min(a, b), max(a, b))
-        for a in range(lo, hi + 1)
-        for b in (*range(1, lo), *range(hi + 1, count + 1))
-        if (min(a, b), max(a, b)) not in host.label_edges
-    ]
     bad = [
-        cut._replace(cut_edges=frozenset(edges[1:])),
-        cut._replace(cut_edges=cut.cut_edges | {rng.choice(others)}),
-        cut._replace(cut_edges=cut.cut_edges | {(1, count)}),
-        cut._replace(cut_edges=frozenset(edges[1:]) | {rng.choice(across)}),
         cut._replace(component_lo=lo + 1) if lo < hi else cut._replace(component_hi=hi + 1),
         cut._replace(component_lo=lo - 1) if lo > 1 else cut._replace(component_hi=hi - 1),
         cut._replace(component_lo=0),
@@ -207,13 +184,13 @@ def test_broken_cuts_raise_the_oracles_message():
             emb = identity_embedding(guest, host)
             count = host.vertex_count
             for cut in rng.sample(cut_family(host), min(4, len(cut_family(host)))):
-                for bad in _broken_cuts(host, cut, rng):
+                for bad in _broken_cuts(host, cut):
                     try:
-                        check_boundary(host.label_edges, count, bad)
+                        cut_boundary(host.label_edges, count, bad)
                     except ValueError as exc:
                         expected = str(exc)
                     else:
-                        # the moved interval happens to have the same boundary
+                        # a moved interval inside the host is a cut of its own
                         assert verify_cut_conditions(guest, host, emb, bad)
                         continue
                     got = _message(verify_cut_conditions, guest, host, emb, bad)
@@ -244,80 +221,32 @@ def test_a_batch_raises_for_its_first_broken_cut():
     host = _labeled(4, 2, "sibling", 1)
     tally = _tally(guest, host, identity_embedding(guest, host))
     cuts = cut_family(host)
-    dropped = cuts[3]._replace(cut_edges=frozenset(sorted(cuts[3].cut_edges)[1:]))
+    above = cuts[3]._replace(component_hi=17)
     outside = cuts[5]._replace(component_lo=0)
-    lo, hi = dropped.component_lo, dropped.component_hi
     for batch, message in (
-        ((cuts[0], dropped, cuts[1], outside),
-         f"cut edges are not the edge boundary of labels {lo}..{hi}"),
-        ((cuts[0], outside, cuts[1], dropped),
+        ((cuts[0], above, cuts[1], outside),
+         f"cut component {above.component_lo}..17 is not inside 1..16"),
+        ((cuts[0], outside, cuts[1], above),
          f"cut component 0..{outside.component_hi} is not inside 1..16"),
     ):
         assert _message(_cut_reports, guest, host, tally, batch) == message
     assert all(r.ok for r in _cut_reports(guest, host, tally, cuts))
 
 
-def test_reversed_cut_edges_give_the_same_results():
-    # a cut edge may be written (b, a) for host edge (a, b), as
-    # cut_congestion already takes it
-    rng = random.Random(11)
-    for n, p, n1, kind, variant in [
-        (3, 2, 2, "binary", 0), (3, 2, 3, "sibling", 0),
-        (4, 2, 2, "sibling", 1), (4, 3, 1, "binary", 0), (5, 2, 3, "sibling", 3),
-    ]:
-        guest = build_guest(n, p)
-        host = _labeled(n, n1, kind, variant)
-        for emb in _embeddings(guest, host, rng):
-            cuts = cut_family(host)
-            flipped = [
-                c._replace(cut_edges=frozenset((b, a) for a, b in c.cut_edges))
-                for c in cuts
-            ]
-            for cut, rev in zip(cuts, flipped):
-                assert verify_cut_conditions(
-                    guest, host, emb, rev
-                ) == verify_cut_conditions(guest, host, emb, cut)
-                assert cut_congestion(guest, host, emb, rev) == cut_congestion(
-                    guest, host, emb, cut
-                )
-            assert wirelength_via_partition(
-                guest, host, emb, tuple(flipped)
-            ) == wirelength_via_partition(guest, host, emb, cuts)
-    # the error names the pair that is no host edge, not a reversed one
+def test_an_iterator_of_cuts_is_read_once():
+    # a family given as an iterator gives the tuple's total, and an
+    # interval out of range in it raises the same message
     guest = build_guest(3, 2)
-    host = _labeled(3, 2, "binary")
-    emb = identity_embedding(guest, host)
-    cut = cut_family(host)[0]
-    for a, b in host.label_edges:
-        bad = cut._replace(cut_edges=frozenset({(b, a), (1, 8)}))
-        message = _message(wirelength_via_partition, guest, host, emb, (bad,))
-        assert message == "cut edge (1, 8) is not a host edge"
-        # an iterator of cuts is read once, and refused the same way
-        message = _message(wirelength_via_partition, guest, host, emb, iter((bad,)))
-        assert message == "cut edge (1, 8) is not a host edge"
-        message = _message(cut_congestion, guest, host, emb, bad)
-        assert message == "cut edge (1, 8) is not a host edge"
-    # an edge listed twice, once reversed, stands in for no other boundary
-    # edge, nor is its load counted twice
-    host = _labeled(3, 3, "sibling")
-    emb = identity_embedding(guest, host)
-    cuts = cut_family(host)
-    for place, cut in enumerate(cuts):
-        if len(cut.cut_edges) != 2:
-            continue
-        for a, b in cut.cut_edges:
-            bad = cut._replace(cut_edges=frozenset({(a, b), (b, a)}))
-            message = _message(verify_cut_conditions, guest, host, emb, bad)
-            lo, hi = cut.component_lo, cut.component_hi
-            assert message == f"cut edges are not the edge boundary of labels {lo}..{hi}"
-            family = cuts[:place] + (bad,) + cuts[place + 1:]
-            message = _message(wirelength_via_partition, guest, host, emb, family)
-            assert message.endswith("repeats an edge of its cut")
-            assert message == _message(
-                wirelength_via_partition, guest, host, emb, iter(family)
-            )
-            message = _message(cut_congestion, guest, host, emb, bad)
-            assert message.endswith("repeats an edge of its cut")
+    for host in (_labeled(3, 2, "binary"), _labeled(3, 3, "sibling")):
+        emb = identity_embedding(guest, host).swapped(1, 7)
+        cuts = cut_family(host)
+        total = wirelength_via_partition(guest, host, emb, cuts)
+        assert wirelength_via_partition(guest, host, emb, iter(cuts)) == total
+        assert total == wirelength_via_partition(guest, host, emb)
+        bad = cuts[:2] + (cuts[2]._replace(component_hi=9),) + cuts[3:]
+        message = _message(wirelength_via_partition, guest, host, emb, bad)
+        assert message == f"cut component {cuts[2].component_lo}..9 is not inside 1..8"
+        assert _message(wirelength_via_partition, guest, host, emb, iter(bad)) == message
 
 
 @pytest.mark.parametrize("n1, p, kind", [(1, 2, "binary"), (14, 4, "sibling")])

@@ -194,7 +194,7 @@ def test_cut_conditions_match_route_oracle():
                         (a, b) for a, b in host.label_edges
                         if (lo <= a <= hi) != (lo <= b <= hi)
                     )
-                    cut = EdgeCut("X", None, 1, boundary, lo, hi)
+                    cut = EdgeCut("X", None, 1, lo, hi)
                     inside_ok = crossings_ok = True
                     crossing = 0
                     for u, v in edges:
@@ -219,12 +219,12 @@ def test_verify_rejects_cut_that_is_not_an_interval_boundary():
     guest = build_guest(3, 2)
     emb = identity_embedding(guest, ST31)
     cut = _cut(ST31, ("S", 2, 1))
-    assert len(cut.cut_edges) == 2
-    partial = cut._replace(cut_edges=frozenset(sorted(cut.cut_edges)[:1]))
-    extra = cut._replace(cut_edges=cut.cut_edges | {(7, 8)})
-    outside = cut._replace(component_lo=0)
-    for bad in (partial, extra, outside):
-        with pytest.raises(ValueError):
+    lo, hi = cut.component_lo, cut.component_hi
+    for bad, message in (
+        (cut._replace(component_lo=0), f"cut component 0..{hi} is not inside 1..8"),
+        (cut._replace(component_hi=9), f"cut component {lo}..9 is not inside 1..8"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             verify_cut_conditions(guest, ST31, emb, bad)
     assert verify_cut_conditions(guest, ST31, emb, cut).ok
 
@@ -234,18 +234,10 @@ def _labeled(n, n1, sibling, variant):
     return sibling_layout_labeling(host, variant) if sibling else inorder_labeling(host)
 
 
-def _interval_cuts(host, intervals):
+def _interval_cuts(intervals):
     """Each ``(lo, hi)`` of ``intervals`` as a cut: its label interval cut
     out by its edge boundary."""
-    return tuple(
-        EdgeCut(
-            "X", None, 1,
-            frozenset((a, b) for a, b in host.label_edges
-                      if (lo <= a <= hi) != (lo <= b <= hi)),
-            lo, hi,
-        )
-        for lo, hi in intervals
-    )
+    return tuple(EdgeCut("X", None, 1, lo, hi) for lo, hi in intervals)
 
 
 def _check_against_route_oracle(guest, host, emb, cuts=None):
@@ -256,7 +248,7 @@ def _check_against_route_oracle(guest, host, emb, cuts=None):
     count = host.vertex_count
     if cuts is None:
         every = [(lo, hi) for lo in range(1, count + 1) for hi in range(lo, count + 1)]
-        cuts = cut_family(host) + _interval_cuts(host, every)
+        cuts = cut_family(host) + _interval_cuts(every)
     table = bfs_distances(count, host.label_edges)
     neighbors = {lab: [] for lab in range(1, count + 1)}
     for a, b in host.label_edges:
@@ -278,10 +270,13 @@ def _check_against_route_oracle(guest, host, emb, cuts=None):
     seen = set()
     for cut in cuts:
         lo, hi = cut.component_lo, cut.component_hi
+        boundary = {
+            (a, b) for a, b in host.label_edges if (lo <= a <= hi) != (lo <= b <= hi)
+        }
         inside_ok = crossings_ok = True
         crossing = 0
         for a, b, path in routes:
-            hits = len(cut.cut_edges.intersection(path))
+            hits = len(boundary.intersection(path))
             if (lo <= a <= hi) != (lo <= b <= hi):
                 crossing += 1
                 crossings_ok = crossings_ok and hits == 1
@@ -334,7 +329,7 @@ def test_engine_matches_route_oracle_at_n7_and_n8(n, p, n1, sibling):
         emb = emb.swapped(*rng.sample(range(1, count + 1), 2))
     intervals = [tuple(sorted(rng.sample(range(1, count + 1), 2))) for _ in range(20)]
     intervals.append((1, count // 2))
-    seen = _check_against_route_oracle(guest, host, emb, _interval_cuts(host, intervals))
+    seen = _check_against_route_oracle(guest, host, emb, _interval_cuts(intervals))
     assert (False, False) in seen and (True, True) in seen
 
 
@@ -371,11 +366,7 @@ def test_engine_never_materializes_the_guest():
             # per-route hit count.
             for lo in range(1, 9):
                 for hi in range(lo, 8):
-                    boundary = frozenset(
-                        (a, b) for a, b in host.label_edges
-                        if (lo <= a <= hi) != (lo <= b <= hi)
-                    )
-                    cut = EdgeCut("X", None, 1, boundary, lo, hi)
+                    cut = EdgeCut("X", None, 1, lo, hi)
                     verify_cut_conditions(guest, host, emb, cut)
         exhaustive_min_wirelength(guest, host)
         local_search_min(guest, host, seed=3, iterations=2)

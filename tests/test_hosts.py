@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from treebed import (
     LAYOUT_VARIANTS,
+    EdgeCut,
     HostTree,
     build_host,
+    cut_edges,
     cut_family,
     inorder_labeling,
     sibling_layout_labeling,
@@ -197,9 +199,9 @@ def test_cut_family_plain_single_block():
     cuts = cut_family(host)
     assert len(cuts) == 7
     assert all(c.family == "S" for c in cuts)
-    assert all(len(c.cut_edges) == 1 for c in cuts)
+    assert all(len(cut_edges(host, c)) == 1 for c in cuts)
     assert Counter(c.j for c in cuts) == {1: 4, 2: 2, 3: 1}
-    coverage = Counter(e for c in cuts for e in c.cut_edges)
+    coverage = Counter(e for c in cuts for e in cut_edges(host, c))
     assert set(coverage.values()) == {1}
     assert set(coverage) == set(host.label_edges)
 
@@ -221,13 +223,11 @@ def test_cut_family_sibling_single_block():
         (4, 6),
         (5, 5),
     ]
-    index = {(c.family, c.j, c.i): c for c in cuts}
-    assert index[("S", 2, 1)].cut_edges == frozenset({(3, 7), (3, 6)})
-    assert index[("SS", 2, 1)].cut_edges == frozenset({(3, 7), (6, 7)})
+    edges = {(c.family, c.j, c.i): set(cut_edges(host, c)) for c in cuts}
+    assert edges[("S", 2, 1)] == {(3, 7), (3, 6)}
+    assert edges[("SS", 2, 1)] == {(3, 7), (6, 7)}
     # pendant edge: once from the deepest S cut, once from its duplicate
-    assert index[("S", 3, 1)].cut_edges == index[("SS", 3, 1)].cut_edges == frozenset(
-        {(7, 8)}
-    )
+    assert edges[("S", 3, 1)] == edges[("SS", 3, 1)] == {(7, 8)}
 
 
 def test_cut_family_coverage_is_uniform():
@@ -240,7 +240,7 @@ def test_cut_family_coverage_is_uniform():
                 )
                 coverage = Counter()
                 for cut in cut_family(host):
-                    for edge in cut.cut_edges:
+                    for edge in cut_edges(host, cut):
                         coverage[edge] += cut.multiplicity_share
                 expected = 2 if sibling else 1
                 assert set(coverage) == set(host.label_edges)
@@ -266,7 +266,7 @@ def test_chain_cuts():
     host = inorder_labeling(build_host(2, 2))
     cuts = _cut_index(host)
     root = cuts[("ROOT", None, 1)]
-    assert root.cut_edges == frozenset({(4, 8)})
+    assert cut_edges(host, root) == ((4, 8),)
     assert root.component_labels == range(1, 5)
     assert root.multiplicity_share == 1
 
@@ -287,7 +287,8 @@ def test_every_cut_splits_host_in_two():
             adjacency[a].add(b)
             adjacency[b].add(a)
         for cut in cut_family(host):
-            for a, b in cut.cut_edges:
+            edges = cut_edges(host, cut)
+            for a, b in edges:
                 adjacency[a].discard(b)
                 adjacency[b].discard(a)
             component = set()
@@ -299,7 +300,7 @@ def test_every_cut_splits_host_in_two():
                 component.add(lab)
                 frontier.extend(adjacency[lab])
             assert component == set(cut.component_labels)
-            for a, b in cut.cut_edges:
+            for a, b in edges:
                 adjacency[a].add(b)
                 adjacency[b].add(a)
 
@@ -331,3 +332,30 @@ def test_standard_cuts_are_interval_boundaries():
             for sibling, variant in [(False, 0)] + [(True, v) for v in LAYOUT_VARIANTS]:
                 host = HostTree(n1, k, sibling, variant)
                 _check_boundaries(host.links, host.vertex_count, _standard_cuts(host))
+
+
+def test_cut_edges_are_the_interval_boundary():
+    # every interval of every host with n <= 5, both kinds and every
+    # variant, against the host edges with one end inside
+    seen = 0
+    for n in range(1, 6):
+        for n1 in range(1, n + 1):
+            for sibling, variant in [(False, 0)] + [(True, v) for v in LAYOUT_VARIANTS]:
+                host = HostTree(n1, 1 << (n - n1), sibling, variant)
+                count = host.vertex_count
+                for lo in range(1, count + 1):
+                    for hi in range(lo, count + 1):
+                        want = {
+                            (a, b) for a, b in host.label_edges
+                            if (lo <= a <= hi) != (lo <= b <= hi)
+                        }
+                        got = cut_edges(host, EdgeCut("X", None, 1, lo, hi))
+                        assert len(got) == len(want) and set(got) == want, (lo, hi)
+                        seen += 1
+                for lo, hi in [(0, 1), (1, count + 1), (2, 1), (0, 0), (count + 1, count + 1)]:
+                    with pytest.raises(ValueError) as info:
+                        cut_edges(host, EdgeCut("X", None, 1, lo, hi))
+                    assert str(info.value) == (
+                        f"cut component {lo}..{hi} is not inside 1..{count}"
+                    )
+    assert seen == 16_575

@@ -129,4 +129,4 @@ def test_plain_records_are_named_tuples():
     with pytest.raises(AttributeError):
         report.direct = 0
     with pytest.raises(AttributeError):
-        cut.cut_edges = frozenset()
+        cut.component_lo = 0

@@ -10,12 +10,14 @@ from treebed import (
     Embedding,
     build_guest,
     build_host,
+    cut_edges,
     cut_family,
     identity_embedding,
     inorder_labeling,
     sibling_layout_labeling,
 )
 from treebed.embedding import _Tally
+from treebed.hosts import _standard_cuts
 
 
 def _labeled_hosts(n1, k):
@@ -99,13 +101,26 @@ def test_links_match_heap_host():
 
 
 def test_cut_family_matches_heap_construction():
+    # each cut's interval, the edges cut_edges derives from it, and the
+    # edges the report records read off the links
     seen = 0
     for n1 in range(1, 7):
         for k in range(1, 5):
             for host in _labeled_hosts(n1, k):
                 expected = heap_cut_family(host)
                 assert expected is not None
-                assert [tuple(cut) for cut in cut_family(host)] == expected
+                got = [
+                    (c.family, c.j, c.i, frozenset(cut_edges(host, c)),
+                     c.component_lo, c.component_hi, c.multiplicity_share)
+                    for c in cut_family(host)
+                ]
+                assert got == expected
+                edges = host.links.edges
+                records = [
+                    (*r[:3], frozenset(edges[x] for x in r[3]), *r[4:])
+                    for r in _standard_cuts(host)
+                ]
+                assert records == expected
                 seen += 1
     assert seen == 120
 
