@@ -14,9 +14,9 @@ one pass from the leaves up reads off each subtree's partite counts
 conditions on a cut come from the same pass run on the same-side guest
 edges alone: a cut's congestion minus their load counts the cut edges on
 the crossing routes, and that load itself counts the same-side routes'
-cut edges.  The pass also records the sum of squared partite counts of
-every subtree and sibling union that fills a label interval, from which a
-standard cut's induced and leaving guest edges follow in O(1).
+cut edges.  The pass also records the guest edges leaving every subtree
+and sibling union, each of which fills a label interval, so a standard
+cut's leaving and induced guest edges follow in O(1).
 Cut edges are handled as indices into the host's edge list.  A cut is its
 component interval, so its edges are the interval's edge boundary: a
 report takes its cuts as index records straight from the host
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from treebed import formulas
@@ -235,13 +236,13 @@ class _Tally:
     ``side`` makes ``load`` count only the guest edges with both ends
     inside it or both outside, one pass for each of the two label sets.
 
-    ``squares`` maps label intervals ``(lo, hi)`` to ``sum_j c_j**2``, with
-    ``c_j`` the number of labels in ``lo..hi`` holding partite set ``j``;
-    the passes record it for every subtree and sibling union whose labels
-    form an interval.
+    ``leaving`` maps label intervals ``(lo, hi)`` to the number of guest
+    edges with one end placed in ``lo..hi`` and the other outside; the pass
+    over every label records it for every subtree and sibling union (each
+    fills an interval).  A sided tally keeps no records.
     """
 
-    __slots__ = ("guest", "embedding", "partite_at", "load", "squares")
+    __slots__ = ("guest", "embedding", "partite_at", "load", "leaving")
 
     def __init__(
         self,
@@ -267,9 +268,11 @@ class _Tally:
                 for inside in (True, False)
             ]
         load = [0] * (links.spill + 1)
-        self.squares: dict[tuple[int, int], int] = {}
+        self.leaving: dict[tuple[int, int], int] = {}
+        # A sided pass counts only the guest edges within its group.
+        records = self.leaving if side is None else {}
         for members in groups:
-            _add_subtree_loads(links, partite_at, members, load, self.squares)
+            _add_subtree_loads(links, partite_at, members, load, records)
         load.pop()  # the ``spill`` slot, above the top of the host
         self.load = load
 
@@ -279,11 +282,11 @@ def _add_subtree_loads(
     partite_at: list[int],
     members: list[int],
     load: list[int],
-    squares: dict[tuple[int, int], int],
+    records: dict[tuple[int, int], int],
 ) -> None:
     """Add to ``load`` each host edge's share of the guest edges among the
-    labels ``members``, and record in ``squares`` the interval records
-    described in ``_Tally``.
+    labels ``members``, and record in ``records``, by label interval, the
+    guest edges leaving each subtree and sibling union for other members.
 
     Call ``S_t`` the labels in the subtree of ``t``: ``t`` and everything
     below it on the host's parent links.  A route with one end in ``S_t``
@@ -296,19 +299,15 @@ def _add_subtree_loads(
     ``c_j`` the number of labels holding partite set ``j``.  One pass from
     the leaves up keeps each subtree's size, partite counts and number of
     guest edges leaving it, merging the smaller count dict into the larger;
-    the first of two siblings waits for the second.  It also keeps each
-    record's ``sum_j c_j**2``, which a merge raises by twice the
-    same-partite pairs it counts anyway, and records that sum for each
-    subtree and sibling union whose whole label range (``links.lo`` to
-    ``links.hi``) is members.
+    the first of two siblings waits for the second.  Each subtree's label
+    range is ``links.lo`` to ``links.hi``.
     """
     totals = Counter(partite_at[s] for s in members)
     size = [0] * len(partite_at)
     leaving = [0] * len(partite_at)
-    square = [0] * len(partite_at)
     counts: list[dict[int, int]] = [{} for _ in partite_at]
     for s in members:
-        size[s] = square[s] = 1
+        size[s] = 1
         leaving[s] = len(members) - totals[partite_at[s]]
         counts[s] = {partite_at[s]: 1}
 
@@ -327,13 +326,7 @@ def _add_subtree_loads(
         between = size[a] * size[b] - same
         size[a] += size[b]
         leaving[a] += leaving[b] - 2 * between
-        square[a] += square[b] + 2 * same
         return between
-
-    def record(t: int, low: int, high: int) -> None:
-        # ``size[t]`` counts members only, so the range must be all members.
-        if high - low + 1 == size[t]:
-            squares[low, high] = square[t]
 
     up, up_edge, sib, sib_edge = links.up, links.up_edge, links.sib, links.sib_edge
     lo, hi = links.lo, links.hi
@@ -342,14 +335,14 @@ def _add_subtree_loads(
         # Every label below t came earlier in the order, so t's record is
         # its whole subtree.
         done[t] = True
-        record(t, lo[t], hi[t])
+        records[lo[t], hi[t]] = leaving[t]
         load[up_edge[t]] += leaving[t]
         twin = sib[t]
         if not twin:
             join(up[t], t)
         elif done[twin]:
             across = join(t, twin)
-            record(t, min(lo[t], lo[twin]), max(hi[t], hi[twin]))
+            records[min(lo[t], lo[twin]), max(hi[t], hi[twin])] = leaving[t]
             load[sib_edge[t]] += across
             load[up_edge[t]] -= across
             load[up_edge[twin]] -= across
@@ -377,8 +370,17 @@ def edge_congestion(
 ) -> int:
     """Number of guest edges whose routed path uses ``host_edge``."""
     a, b = host_edge
-    index = host.links.edge_index.get((a, b) if a < b else (b, a))
-    if index is None:
+    links = host.links
+    index = links.spill
+    if 1 <= a <= host.vertex_count and 1 <= b <= host.vertex_count:
+        # One end hangs from the other, or the two are siblings.
+        if links.up[a] == b:
+            index = links.up_edge[a]
+        elif links.up[b] == a:
+            index = links.up_edge[b]
+        elif links.sib[a] == b:
+            index = links.sib_edge[a]
+    if index == links.spill:
         raise ValueError(f"{host_edge} is not a host edge (in label space)")
     return _tally(guest, host, embedding).load[index]
 
@@ -436,7 +438,12 @@ def _check_boundaries(links: HostLinks, count: int, cuts: Sequence[tuple]) -> No
     larger end is below every ``lo`` lies in no component and is skipped.
     """
     edges, spill = links.edges, links.spill
-    degree_sums, by_high = links.degree_sums, links.by_high
+    degree = [0] * (count + 1)
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    degree_sums = list(accumulate(degree))
+    by_high = sorted((b, a) for a, b in edges)  # (larger end, smaller end)
     failures: list[tuple[int, str]] = []  # (place in cuts, message)
     queries = []
     for place, (_, _, _, indices, lo, hi, _) in enumerate(cuts):
@@ -477,32 +484,28 @@ def _check_boundaries(links: HostLinks, count: int, cuts: Sequence[tuple]) -> No
         raise ValueError(min(failures)[1])
 
 
-def _side_squares(
-    tally: _Tally, count: int, guest: Guest, lo: int, hi: int
-) -> tuple[int, int]:
-    """Size and ``sum_j c_j**2`` of one side of the cut with component
-    ``lo..hi``, ``c_j`` being its labels holding partite set ``j``.
+def _side_leaving(tally: _Tally, count: int, guest: Guest, lo: int, hi: int) -> int:
+    """Guest edges with one end placed in ``lo..hi`` and one outside.
 
-    Read off the tally's interval records, for the component or for the
-    complement of a prefix or suffix: the complement's ``c'_j`` give
-    ``c_j = r - c'_j``, so ``sum_j c_j**2 = P r**2 - 2 r s' + sum_j
-    c'_j**2`` with ``P`` partite sets of ``r`` vertices and ``s'`` labels in
-    the complement.  Any other interval counts its smaller side.
+    Read off the tally's interval records, for the interval or for the
+    complement of a prefix or suffix, since both sides of a cut have the
+    same leaving edges.  Any other interval counts the partite sets of its
+    smaller side ``X``: ``|X| * degree - 2 * induced(X)``, with ``induced(X)
+    = (|X|**2 - sum_j c_j**2) / 2`` and ``c_j`` its labels holding partite
+    set ``j``.
     """
-    squares, inside = tally.squares, hi - lo + 1
-    if (lo, hi) in squares:
-        return inside, squares[lo, hi]
+    records = tally.leaving
     rest = (hi + 1, count) if lo == 1 else (1, lo - 1) if hi == count else None
-    if rest in squares:
-        r, outside = guest.part_size, count - inside
-        return inside, guest.part_count * r * r - 2 * r * outside + squares[rest]
+    for key in ((lo, hi), rest):
+        if key in records:
+            return records[key]
     partite_at = tally.partite_at
-    if 2 * inside <= count:
+    if 2 * (hi - lo + 1) <= count:
         labels = partite_at[lo:hi + 1]
     else:
         labels = partite_at[1:lo] + partite_at[hi + 1:]
-    counts = Counter(labels).values()
-    return len(labels), sum(c * c for c in counts)
+    side = len(labels)
+    return side * (guest.degree - side) + sum(c * c for c in Counter(labels).values())
 
 
 def _cut_reports(
@@ -530,9 +533,9 @@ def _reports(
     best: dict[int, int] = {}  # largest induced edge count by side size
     reports = []
     for (_, _, _, indices, lo, hi, _), congestion in zip(cuts, congestions):
-        side, square_sum = _side_squares(tally, count, guest, lo, hi)
-        induced = (side * side - square_sum) // 2
-        leaving = side * degree - 2 * induced
+        side = hi - lo + 1
+        leaving = _side_leaving(tally, count, guest, lo, hi)
+        induced = (side * degree - leaving) // 2
         if side not in best:
             best[side] = formulas.max_subgraph_edges_closed_form(parts, size, side)
         # The guest is regular, so the other side induces E - side*deg +
@@ -562,8 +565,8 @@ def verify_cut_conditions(
     an odd number of them and any other route an even number.  The
     preimage counts come from the subtree pass: when the component, or the
     complement of a prefix or suffix component, is a subtree or sibling
-    union (every standard cut), the pass recorded its size and sum of
-    squared partite counts; any other interval counts its smaller side.
+    union (every standard cut), the pass recorded the guest edges leaving
+    it; any other interval counts its smaller side.
     With ``same`` the load the same-side routes put on the cut (``_Tally``
     with that interval as ``side``: the subtree pass over the labels inside
     it plus the one over those outside), no same-side route touches the cut

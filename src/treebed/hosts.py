@@ -32,7 +32,7 @@ steps up.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from typing import NamedTuple
 
 from treebed.frozen import Frozen
@@ -149,14 +149,13 @@ class HostLinks:
     links; ``lo[t]`` and ``hi[t]`` are its lowest and highest label, and
     every labeling puts it on all of ``lo[t]..hi[t]``.
 
-    For the edge-boundary check of cuts: ``degree_sums[t]`` is the degree
-    total of labels ``1..t``, and ``by_high`` lists every edge as
-    ``(larger end, smaller end)`` in increasing order.
+    The links also index the edges: the edge between ``a`` and ``b`` is
+    ``up_edge[a]`` when ``a`` hangs from ``b``, ``up_edge[b]`` when ``b``
+    hangs from ``a``, and ``sib_edge[a]`` when the two are siblings.
     """
 
     __slots__ = (
-        "edges", "edge_index", "spill", "up", "up_edge", "sib", "sib_edge",
-        "order", "lo", "hi", "memo", "degree_sums", "by_high",
+        "edges", "spill", "up", "up_edge", "sib", "sib_edge", "order", "lo", "hi", "memo",
     )
 
     def __init__(self, host: HostTree) -> None:
@@ -182,7 +181,6 @@ class HostLinks:
         pairs = [(a, b) for a, b in enumerate(sib) if a < b]
         edges = [(u, t) if u < t else (t, u) for t, u in links] + pairs
         self.edges = tuple(edges)
-        self.edge_index = {edge: idx for idx, edge in enumerate(edges)}
         self.spill = spill = len(edges)
         self.up = up
         self.up_edge = [spill] * (count + 1)
@@ -203,12 +201,6 @@ class HostLinks:
                 hi[u] = hi[t]
         self.lo, self.hi = lo, hi
         self.memo = None
-        degree = [0] * (count + 1)
-        for a, b in edges:
-            degree[a] += 1
-            degree[b] += 1
-        self.degree_sums = list(accumulate(degree))
-        self.by_high = sorted((b, a) for a, b in edges)
 
     def in_tree(self, goal: int) -> tuple[list[int], list[int], list[int]]:
         """Every label's route toward ``goal``, as an in-tree.

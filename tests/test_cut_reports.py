@@ -13,6 +13,7 @@ from treebed import (
     build_host,
     CutReport,
     build_report,
+    congestion_lemma_value,
     cut_congestion,
     cut_family,
     identity_embedding,
@@ -22,7 +23,8 @@ from treebed import (
     verify_cut_conditions,
     wirelength_via_partition,
 )
-from treebed.embedding import _cut_reports, _tally
+from treebed import embedding
+from treebed.embedding import _Tally, _cut_reports, _side_leaving, _tally
 
 
 def _labeled(n, n1, kind, variant=0):
@@ -201,17 +203,20 @@ def test_broken_cuts_raise_the_oracles_message():
 
 def test_standard_cuts_are_read_off_the_pass():
     # every standard cut's component, or the complement of a prefix one, is
-    # a subtree or sibling union the pass recorded, so no cut scans labels
+    # a subtree or sibling union the pass recorded, so no cut scans labels:
+    # with the labels' partite sets taken away, each still gets its count
     seen = 0
     for n in range(2, 8):
         for _, n1, kind, variant in _shapes(n, [2]):
             guest = build_guest(n, 2)
             host = _labeled(n, n1, kind, variant)
-            squares = _tally(guest, host, identity_embedding(guest, host)).squares
+            tally = _Tally(guest, host.links, identity_embedding(guest, host))
+            tally.partite_at = None
             count = host.vertex_count
             for cut in cut_family(host):
                 lo, hi = cut.component_lo, cut.component_hi
-                assert (lo, hi) in squares or (lo == 1 and (hi + 1, count) in squares)
+                leaving = _side_leaving(tally, count, guest, lo, hi)
+                assert leaving == congestion_lemma_value(guest, range(lo, hi + 1))
                 seen += 1
     assert seen > 5000
 
@@ -231,6 +236,30 @@ def test_a_batch_raises_for_its_first_broken_cut():
     ):
         assert _message(_cut_reports, guest, host, tally, batch) == message
     assert all(r.ok for r in _cut_reports(guest, host, tally, cuts))
+
+
+def test_build_report_cross_checks_the_standard_family(monkeypatch):
+    # one standard cut record with a wrong edge: an edge with neither end
+    # in its interval instead of its first edge, or its last edge left out
+    guest = build_guest(4, 2)
+    standard_cuts = embedding._standard_cuts
+    for host in (_labeled(4, 2, "binary"), _labeled(4, 2, "sibling", 1)):
+        emb = identity_embedding(guest, host)
+        edges = host.links.edges
+        family, j, i, indices, lo, hi, share = standard_cuts(host)[3]
+        away = next(x for x, (a, b) in enumerate(edges) if not lo <= a <= hi and not lo <= b <= hi)
+        for wrong in ((away,) + indices[1:], indices[:-1]):
+            def broken(host, wrong=wrong):
+                cuts = standard_cuts(host)
+                cuts[3] = (family, j, i, wrong, lo, hi, share)
+                return cuts
+
+            monkeypatch.setattr(embedding, "_standard_cuts", broken)
+            with pytest.raises(ValueError) as err:
+                build_report(guest, host, emb)
+            assert str(err.value) == f"cut edges are not the edge boundary of labels {lo}..{hi}"
+        monkeypatch.undo()
+        assert build_report(guest, host, emb).consistent
 
 
 def test_an_iterator_of_cuts_is_read_once():

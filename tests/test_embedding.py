@@ -127,8 +127,18 @@ def test_edge_congestion_examples():
     emb = identity_embedding(guest, T31)
     # inorder puts the tree root at label 4, so the pendant edge is (4, 8)
     assert edge_congestion(guest, T31, emb, (4, 8)) == 6
-    with pytest.raises(ValueError):
-        edge_congestion(guest, T31, emb, (1, 8))
+    # labels outside 1..count, a label paired with itself and a pair of
+    # labels that are not adjacent are refused, each in both orders; a
+    # label -count would index the links like label 1 without the range check
+    for host in (T31, ST31, T22, ST22):
+        emb = identity_embedding(guest, host)
+        count = host.vertex_count
+        assert (1, count) not in host.label_edges
+        bad = [(0, 1), (count, count + 1), (3, 3), (1, count), (-count, host.links.up[1])]
+        for a, b in bad + [(b, a) for a, b in bad]:
+            with pytest.raises(ValueError) as err:
+                edge_congestion(guest, host, emb, (a, b))
+            assert str(err.value) == f"{(a, b)} is not a host edge (in label space)"
 
 
 def test_edge_congestion_sums_to_direct():

@@ -25,6 +25,7 @@ from treebed import (
     sibling_layout_labeling,
     wirelength_direct,
 )
+from treebed import search
 from treebed.search import SearchResult, _SplitMix64, _min_wirelength_partitions
 
 T21 = inorder_labeling(build_host(2, 1))
@@ -313,3 +314,29 @@ def test_local_search_matches_neighbor_descent():
                     )
                     result = local_search_min(guest, host, seed, iterations)
                     assert result == expect, (n, p, n1, kind, variant, seed, iterations)
+
+
+def test_local_search_takes_the_last_pair(monkeypatch):
+    # On the hosts' own distances no chosen swap has been seen to move one
+    # of the last 2**p guest vertices, since equal swap deltas are common
+    # there and the first pair wins.  So the descent runs on a random table,
+    # where a chosen best swap at seeds 14 and 22 is the last pair (14, 15).
+    guest = build_guest(4, 2)
+    rng = random.Random(1)
+    rows = [[0] * 16 for _ in range(16)]
+    for a in range(16):
+        for b in range(a + 1, 16):
+            rows[a][b] = rows[b][a] = rng.randint(1, 9)
+    monkeypatch.setattr(search, "_instance_tables", lambda guest, host: (16, rows))
+    dist = [d for row in rows for d in row]
+    edges = guest_edges(guest)
+    edge_u, edge_v = [u - 1 for u, _ in edges], [v - 1 for _, v in edges]
+    host = inorder_labeling(build_host(4, 1))
+    for seed in (14, 22):
+        best, perm, explored = local_search_by_neighbors(
+            16, dist, edge_u, edge_v, _SplitMix64(seed), 1
+        )[1]
+        expect = SearchResult(
+            best, Embedding(tuple(lab + 1 for lab in perm)), explored, exhaustive=False
+        )
+        assert local_search_min(guest, host, seed, 1) == expect, seed
