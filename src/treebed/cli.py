@@ -17,7 +17,9 @@ from typing import TYPE_CHECKING
 
 from treebed import formulas
 from treebed.embedding import build_report, identity_embedding
-from treebed.errors import DEFAULT_PARTITION_BUDGET, BudgetExceededError
+from treebed.errors import (
+    DEFAULT_PARTITION_BUDGET, BudgetExceededError, ConsistencyError, CoverageError,
+)
 from treebed.graphs import Guest, build_guest
 from treebed.hosts import (
     LAYOUT_VARIANTS,
@@ -585,7 +587,7 @@ def main(argv=None) -> int:
     except (ValueError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, ConsistencyError, CoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,8 +20,9 @@ cut's leaving and induced guest edges follow in O(1).
 Cut edges are handled as indices into the host's edge list.  A cut is its
 component interval, so its edges are the interval's edge boundary: a
 report takes its cuts as index records straight from the host
-(``hosts._standard_cuts``) and cross-checks them against their intervals
-in one batch (``_check_boundaries``), and the calls that take a caller's
+(``hosts._standard_cuts``) and compares each one's edge set with its
+interval's in one sweep over the gaps between labels
+(``hosts._check_boundaries``), and the calls that take a caller's
 ``EdgeCut`` find its edges by one scan of the host's edges, then run the
 same code.
 Wirelength comes out three ways that must agree: summing routed path
@@ -31,16 +32,16 @@ closed forms.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from treebed import formulas
 from treebed.errors import CoverageError, ConsistencyError
 from treebed.frozen import Frozen
 from treebed.graphs import Guest
-from treebed.hosts import EdgeCut, HostLinks, HostTree, _boundary, _standard_cuts
+from treebed.hosts import (
+    EdgeCut, HostLinks, HostTree, _boundary, _check_boundaries, _standard_cuts,
+)
 
 __all__ = [
     "Embedding",
@@ -418,72 +419,6 @@ def congestion_lemma_value(guest: Guest, subset: Iterable[int]) -> int:
     return len(chosen) * guest.degree - 2 * guest.induced_edge_count(chosen)
 
 
-_NOT_BOUNDARY = "cut edges are not the edge boundary of labels {}..{}"
-
-
-def _check_boundaries(links: HostLinks, count: int, cuts: Sequence[tuple]) -> None:
-    """Raise ``ValueError`` at the first of the cut records ``cuts`` (see
-    ``hosts._standard_cuts``) whose edges are not exactly the host edges
-    with one end in its interval ``lo..hi``; ``count`` is the host's vertex
-    count, and an edge index of ``links.spill`` stands for no host edge.
-    ``build_report`` runs it on the standard family as a cross-check.
-
-    Host edges that each have one end in ``lo..hi`` are the interval's
-    whole edge boundary exactly when there are ``deg(lo..hi) - 2 *
-    inner(lo..hi)`` of them, with ``deg`` the labels' degree total and
-    ``inner`` the host edges with both ends inside.  ``inner`` is counted
-    for every cut at once: by increasing ``hi``, the host edges whose larger
-    end is at most ``hi`` go into a Fenwick tree over their smaller end,
-    which counts those whose smaller end is at least ``lo``.  An edge whose
-    larger end is below every ``lo`` lies in no component and is skipped.
-    """
-    edges, spill = links.edges, links.spill
-    degree = [0] * (count + 1)
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    degree_sums = list(accumulate(degree))
-    by_high = sorted((b, a) for a, b in edges)  # (larger end, smaller end)
-    failures: list[tuple[int, str]] = []  # (place in cuts, message)
-    queries = []
-    for place, (_, _, _, indices, lo, hi, _) in enumerate(cuts):
-        if not 1 <= lo <= hi <= count:
-            message = f"cut component {lo}..{hi} is not inside 1..{count}"
-            failures.append((place, message))
-            continue
-        for x in indices:
-            if x == spill:
-                break
-            a, b = edges[x]
-            if (lo <= a <= hi) == (lo <= b <= hi):
-                break
-        else:
-            # Every edge is a host edge with one end inside.  Twice the
-            # inner edge count this many cut edges call for:
-            twice_inner = degree_sums[hi] - degree_sums[lo - 1] - len(indices)
-            queries.append((hi, lo, place, twice_inner))
-            continue
-        failures.append((place, _NOT_BOUNDARY.format(lo, hi)))
-    queries.sort()
-    tree = [0] * (count + 1)
-    skipped = added = bisect_left(by_high, (min((q[1] for q in queries), default=1),))
-    for hi, lo, place, twice_inner in queries:
-        while added < len(by_high) and by_high[added][0] <= hi:
-            t = by_high[added][1]
-            while t <= count:
-                tree[t] += 1
-                t += t & -t
-            added += 1
-        inner, t = added - skipped, lo - 1
-        while t:
-            inner -= tree[t]
-            t &= t - 1
-        if 2 * inner != twice_inner:
-            failures.append((place, _NOT_BOUNDARY.format(lo, hi)))
-    if failures:
-        raise ValueError(min(failures)[1])
-
-
 def _side_leaving(tally: _Tally, count: int, guest: Guest, lo: int, hi: int) -> int:
     """Guest edges with one end placed in ``lo..hi`` and one outside.
 
@@ -630,11 +565,11 @@ def build_report(
 ) -> WirelengthReport:
     """Run every wirelength computation for one instance and bundle the results."""
     cuts = _standard_cuts(host)
+    _check_boundaries(host.links, host.vertex_count, cuts)
     tally = _tally(guest, host, embedding)
     load = tally.load
     congestions = [_cut_load(load, cut[3]) for cut in cuts]
     per_cut = tuple(CutReport(*cut[:3], ec) for cut, ec in zip(cuts, congestions))
-    _check_boundaries(host.links, host.vertex_count, cuts)
     conditions = _reports(guest, host, tally, cuts, congestions)
     return WirelengthReport(
         n=guest.n,

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
+from treebed.errors import ConsistencyError
 from treebed.frozen import Frozen
 
 __all__ = [
@@ -288,6 +289,51 @@ def _boundary(host: HostTree, lo: int, hi: int) -> list[int]:
         x for x, (a, b) in enumerate(host.links.edges)
         if (lo <= a <= hi) != (lo <= b <= hi)
     ]
+
+
+_NOT_BOUNDARY = "cut edges are not the edge boundary of labels {}..{}"
+
+
+def _check_boundaries(links: HostLinks, count: int, cuts: Sequence[tuple]) -> None:
+    """Raise ``ConsistencyError`` at the first of the cut records ``cuts``
+    (see ``_standard_cuts``) whose edge indices are not the edge boundary
+    of its interval ``lo..hi`` (``_boundary``), each listed once; ``count``
+    is the host's vertex count.  ``build_report`` runs it on the standard
+    family as a cross-check.
+
+    Call gap ``g`` the place between labels ``g`` and ``g + 1``.  A host
+    edge ``(a, b)`` with ``a < b`` spans the gaps ``a..b-1``, so it has
+    exactly one end in ``lo..hi`` exactly when it spans one of the gaps
+    ``lo - 1`` and ``hi`` but not both: the interval's edge boundary is the
+    symmetric difference of the edges spanning its two end gaps.  One sweep
+    over the gaps keeps the set of edges spanning the current gap, toggling
+    each edge at both of its ends, keeps a copy of that set at every cut's
+    gap ``lo - 1``, and compares each cut's edges at its gap ``hi``.
+    """
+    failures: list[tuple[int, str]] = []  # (place in cuts, message)
+    ends: dict[int, list[tuple]] = {}  # gap hi -> (place, indices, lo) per cut
+    kept: dict[int, tuple[int, ...]] = {}  # lo -> the edges spanning gap lo - 1
+    for place, (_, _, _, indices, lo, hi, _) in enumerate(cuts):
+        if 1 <= lo <= hi <= count:
+            ends.setdefault(hi, []).append((place, indices, lo))
+            kept[lo] = ()
+        else:
+            failures.append((place, f"cut component {lo}..{hi} is not inside 1..{count}"))
+    changes: list[list[int]] = [[] for _ in range(count + 1)]
+    for x, (a, b) in enumerate(links.edges):
+        changes[a].append(x)
+        changes[b].append(x)
+    span: set[int] = set()
+    for g, toggled in enumerate(changes):
+        span.symmetric_difference_update(toggled)
+        if g + 1 in kept:
+            kept[g + 1] = tuple(span)
+        for place, indices, lo in ends.get(g, ()):
+            listed = set(indices)
+            if len(listed) != len(indices) or listed != span.symmetric_difference(kept[lo]):
+                failures.append((place, _NOT_BOUNDARY.format(lo, g)))
+    if failures:
+        raise ConsistencyError(min(failures)[1])
 
 
 def check_host_shape(n1: int, k: int) -> None:

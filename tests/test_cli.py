@@ -10,6 +10,7 @@ import pytest
 
 from treebed import (
     LAYOUT_VARIANTS,
+    HostTree,
     build_guest,
     build_host,
     congestion_lemma_value,
@@ -22,6 +23,7 @@ from treebed import (
     wirelength_direct,
     wirelength_via_partition,
 )
+from treebed import embedding
 from treebed.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -318,6 +320,37 @@ def test_swap_label_out_of_range(capsys):
             capsys, command, "--n", "3", "--p", "2", "--swap", "0", "2"
         )
         assert (code, err) == (2, "error: label 0 out of range 1..8\n")
+
+
+def test_broken_standard_family_exits_1(capsys, monkeypatch):
+    # a standard cut record that is not its interval's edge boundary, or a
+    # family that no longer covers every edge, is a failed cross-check
+    argv = ("verify", "--n", "4", "--p", "2", "--n1", "2", "--host", "sibling", "--variant", "1")
+    standard_cuts = embedding._standard_cuts
+    host = HostTree(2, 4, True, 1)
+    cuts = standard_cuts(host)
+    family, j, i, indices, lo, hi, share = cuts[3]
+    assert indices == (3, 16) and (lo, hi) == (5, 5)
+    boundary = f"error: cut edges are not the edge boundary of labels {lo}..{hi}\n"
+    cases = [
+        ((3, 0), boundary),  # edge 0 has neither end in 5..5
+        ((3, 16, 16), boundary),
+        ((3, host.links.spill + 3), boundary),
+        (None, "error: cut family does not cover every host edge uniformly\n"),
+    ]
+    for wrong, message in cases:
+        def broken(host, wrong=wrong):
+            cuts = standard_cuts(host)
+            if wrong is None:
+                del cuts[3]
+            else:
+                cuts[3] = (family, j, i, wrong, lo, hi, share)
+            return cuts
+
+        monkeypatch.setattr(embedding, "_standard_cuts", broken)
+        assert run(capsys, *argv) == (1, "", message)
+    monkeypatch.undo()
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_guest_json(capsys):

@@ -25,6 +25,7 @@ from treebed import (
 )
 from treebed import embedding
 from treebed.embedding import _Tally, _cut_reports, _side_leaving, _tally
+from treebed.errors import ConsistencyError
 
 
 def _labeled(n, n1, kind, variant=0):
@@ -240,22 +241,25 @@ def test_a_batch_raises_for_its_first_broken_cut():
 
 def test_build_report_cross_checks_the_standard_family(monkeypatch):
     # one standard cut record with a wrong edge: an edge with neither end
-    # in its interval instead of its first edge, or its last edge left out
+    # in its interval instead of its first edge, its last edge left out,
+    # its first edge listed twice in place of its edges (the sibling S
+    # record's two edges become one edge twice), or an index past spill
     guest = build_guest(4, 2)
     standard_cuts = embedding._standard_cuts
     for host in (_labeled(4, 2, "binary"), _labeled(4, 2, "sibling", 1)):
         emb = identity_embedding(guest, host)
-        edges = host.links.edges
+        edges, spill = host.links.edges, host.links.spill
         family, j, i, indices, lo, hi, share = standard_cuts(host)[3]
         away = next(x for x, (a, b) in enumerate(edges) if not lo <= a <= hi and not lo <= b <= hi)
-        for wrong in ((away,) + indices[1:], indices[:-1]):
+        twice = (indices[0], indices[0])
+        for wrong in ((away,) + indices[1:], indices[:-1], twice, indices[:-1] + (spill + 3,)):
             def broken(host, wrong=wrong):
                 cuts = standard_cuts(host)
                 cuts[3] = (family, j, i, wrong, lo, hi, share)
                 return cuts
 
             monkeypatch.setattr(embedding, "_standard_cuts", broken)
-            with pytest.raises(ValueError) as err:
+            with pytest.raises(ConsistencyError) as err:
                 build_report(guest, host, emb)
             assert str(err.value) == f"cut edges are not the edge boundary of labels {lo}..{hi}"
         monkeypatch.undo()

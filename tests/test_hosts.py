@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -14,8 +15,8 @@ from treebed import (
     inorder_labeling,
     sibling_layout_labeling,
 )
-from treebed.embedding import _check_boundaries
-from treebed.hosts import _standard_cuts, host_counts
+from treebed.errors import ConsistencyError
+from treebed.hosts import _boundary, _check_boundaries, _standard_cuts, host_counts
 
 
 def _cut_index(host):
@@ -332,6 +333,47 @@ def test_standard_cuts_are_interval_boundaries():
             for sibling, variant in [(False, 0)] + [(True, v) for v in LAYOUT_VARIANTS]:
                 host = HostTree(n1, k, sibling, variant)
                 _check_boundaries(host.links, host.vertex_count, _standard_cuts(host))
+
+
+def _mutated_records(rng, host):
+    """Every standard cut record of ``host``, then per cut: one edge
+    dropped, one edge listed twice, random indices up to ``spill``, and the
+    interval moved by one at either end."""
+    spill = host.links.spill
+    for record in _standard_cuts(host):
+        family, j, i, indices, lo, hi, share = record
+        yield record
+        yield family, j, i, indices[1:], lo, hi, share
+        yield family, j, i, indices + indices[-1:], lo, hi, share
+        for size in (1, 2, 3):
+            wild = tuple(rng.choices(range(spill + 1), k=size))
+            yield family, j, i, wild, lo, hi, share
+        for a, b in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            yield family, j, i, indices, lo + a, hi + b, share
+
+
+def test_check_boundaries_is_exact():
+    # a record passes exactly when it lists the interval's whole edge
+    # boundary, each edge once, on every host with n1 <= 4 and k <= 4
+    rng = random.Random(23)
+    for n1 in range(1, 5):
+        for k in range(1, 5):
+            for sibling, variant in [(False, 0)] + [(True, v) for v in LAYOUT_VARIANTS]:
+                host = HostTree(n1, k, sibling, variant)
+                links, count = host.links, host.vertex_count
+                for record in _mutated_records(rng, host):
+                    indices, lo, hi = record[3:6]
+                    try:
+                        exact = sorted(indices) == _boundary(host, lo, hi)
+                    except ValueError:
+                        exact = False
+                    try:
+                        _check_boundaries(links, count, [record])
+                    except ConsistencyError:
+                        passed = False
+                    else:
+                        passed = True
+                    assert passed == exact, (host, record)
 
 
 def test_cut_edges_are_the_interval_boundary():
