@@ -16,15 +16,18 @@ edges alone: a cut's congestion minus their load counts the cut edges on
 the crossing routes, and that load itself counts the same-side routes'
 cut edges.  The pass also records the guest edges leaving every subtree
 and sibling union, each of which fills a label interval, so a standard
-cut's leaving and induced guest edges follow in O(1).
+cut's leaving guest edges follow in O(1).  Its preimages are optimal
+exactly when those are the fewest a set of its size can have
+(``formulas.interval_boundary_congestion``, the same minimum the closed
+forms sum).
 Cut edges are handled as indices into the host's edge list.  A cut is its
 component interval, so its edges are the interval's edge boundary: a
-report takes its cuts as index records straight from the host
-(``hosts._standard_cuts``) and compares each one's edge set with its
-interval's in one sweep over the gaps between labels
-(``hosts._check_boundaries``), and the calls that take a caller's
-``EdgeCut`` find its edges by one scan of the host's edges, then run the
-same code.
+report takes its cuts as records straight from the host
+(``hosts._standard_cuts``: an ``EdgeCut``'s fields, then the edge
+indices) and compares each one's edge set with its interval's in one
+sweep over the gaps between labels (``hosts._check_boundaries``), and the
+calls that take a caller's ``EdgeCut`` find its edges by one scan of the
+host's edges, then run the same code.
 Wirelength comes out three ways that must agree: summing routed path
 lengths, summing cut congestions weighted by coverage, and (elsewhere)
 closed forms.
@@ -400,13 +403,9 @@ def _cut_load(load: list[int], indices: Sequence[int]) -> int:
 
 
 def _records(host: HostTree, cuts: Iterable[EdgeCut]) -> list[tuple]:
-    """A caller's cuts as the records ``hosts._standard_cuts`` makes, each
-    cut's edges found by ``hosts._boundary``."""
-    return [
-        (c.family, c.j, c.i, _boundary(host, c.component_lo, c.component_hi),
-         c.component_lo, c.component_hi, c.multiplicity_share)
-        for c in cuts
-    ]
+    """A caller's cuts as the records ``hosts._standard_cuts`` makes: each
+    ``EdgeCut``'s fields, then its edges found by ``hosts._boundary``."""
+    return [(*c, _boundary(host, c.component_lo, c.component_hi)) for c in cuts]
 
 
 def congestion_lemma_value(guest: Guest, subset: Iterable[int]) -> int:
@@ -443,14 +442,6 @@ def _side_leaving(tally: _Tally, count: int, guest: Guest, lo: int, hi: int) -> 
     return side * (guest.degree - side) + sum(c * c for c in Counter(labels).values())
 
 
-def _cut_reports(
-    guest: Guest, host: HostTree, tally: _Tally, cuts: Sequence[EdgeCut]
-) -> tuple[CutConditionReport, ...]:
-    """The condition report of every cut, in order; see
-    ``verify_cut_conditions``."""
-    return _reports(guest, host, tally, _records(host, cuts))
-
-
 def _reports(
     guest: Guest,
     host: HostTree,
@@ -458,24 +449,23 @@ def _reports(
     cuts: Sequence[tuple],
     congestions: Sequence[int] | None = None,
 ) -> tuple[CutConditionReport, ...]:
-    """``_cut_reports`` on cut records (see ``hosts._standard_cuts``).
+    """The condition report of every cut record (see
+    ``hosts._standard_cuts``), in order; see ``verify_cut_conditions``.
     ``congestions``, when given, holds each cut's congestion."""
     links, count = host.links, host.vertex_count
     if congestions is None:
-        congestions = [_cut_load(tally.load, cut[3]) for cut in cuts]
-    degree = guest.degree
-    parts, size = guest.part_count, guest.part_size
-    best: dict[int, int] = {}  # largest induced edge count by side size
+        congestions = [_cut_load(tally.load, cut[6]) for cut in cuts]
+    least: dict[int, int] = {}  # fewest guest edges leaving a set, by size
     reports = []
-    for (_, _, _, indices, lo, hi, _), congestion in zip(cuts, congestions):
+    for (_, _, _, lo, hi, _, indices), congestion in zip(cuts, congestions):
         side = hi - lo + 1
         leaving = _side_leaving(tally, count, guest, lo, hi)
-        induced = (side * degree - leaving) // 2
-        if side not in best:
-            best[side] = formulas.max_subgraph_edges_closed_form(parts, size, side)
-        # The guest is regular, so the other side induces E - side*deg +
-        # induced edges, and it is densest exactly when this side is.
-        optimal = induced == best[side]
+        if side not in least:
+            least[side] = formulas.interval_boundary_congestion(side, guest.n, guest.p)
+        # The guest is regular, so a set of s labels leaves s * degree -
+        # 2 * induced guest edges.  Both sides leave the same ones, so both
+        # are densest for their sizes exactly when those are the fewest.
+        optimal = leaving == least[side]
         # Each route crossing the cut uses an odd number of its edges and
         # each other route an even number, so the congestion is at least
         # the number of crossing guest edges, with equality exactly when
@@ -501,7 +491,9 @@ def verify_cut_conditions(
     preimage counts come from the subtree pass: when the component, or the
     complement of a prefix or suffix component, is a subtree or sibling
     union (every standard cut), the pass recorded the guest edges leaving
-    it; any other interval counts its smaller side.
+    it; any other interval counts its smaller side.  Both preimages are
+    optimal exactly when those edges are as few as any set of the
+    component's size can leave, ``formulas.interval_boundary_congestion``.
     With ``same`` the load the same-side routes put on the cut (``_Tally``
     with that interval as ``side``: the subtree pass over the labels inside
     it plus the one over those outside), no same-side route touches the cut
@@ -513,7 +505,7 @@ def verify_cut_conditions(
     Raises ``ValueError`` when the component interval is not inside the
     host's labels.
     """
-    return _cut_reports(guest, host, _tally(guest, host, embedding), (cut,))[0]
+    return _reports(guest, host, _tally(guest, host, embedding), _records(host, (cut,)))[0]
 
 
 def wirelength_via_partition(
@@ -531,7 +523,7 @@ def wirelength_via_partition(
     """
     records = _standard_cuts(host) if cuts is None else _records(host, cuts)
     load = _tally(guest, host, embedding).load
-    return _partition_total(host.links, records, [_cut_load(load, r[3]) for r in records])
+    return _partition_total(host.links, records, [_cut_load(load, r[6]) for r in records])
 
 
 def _partition_total(
@@ -540,15 +532,19 @@ def _partition_total(
     """``wirelength_via_partition`` from cut records of host edges (see
     ``hosts._standard_cuts``) and each cut's congestion."""
     coverage = [0] * links.spill
-    for _, _, _, indices, _, _, share in cuts:
+    for _, _, _, _, _, share, indices in cuts:
         for x in indices:
             coverage[x] += share
-    counts = set(coverage)
-    k_mult = counts.pop()
-    # A count of 0 is an edge no cut covers.
-    if counts or not k_mult:
-        raise CoverageError("cut family does not cover every host edge uniformly")
-    total = sum(cut[6] * c for cut, c in zip(cuts, congestions))
+    edges, k_mult = links.edges, coverage[0]
+    if coverage.count(k_mult) != len(coverage):
+        x = next(x for x, c in enumerate(coverage) if c != k_mult)
+        raise CoverageError(
+            "cut family does not cover every host edge uniformly: host edge"
+            f" {edges[x]} has coverage {coverage[x]} but host edge {edges[0]} has {k_mult}"
+        )
+    if not k_mult:
+        raise CoverageError("cut family covers no host edge")
+    total = sum(cut[5] * c for cut, c in zip(cuts, congestions))
     if total % k_mult:
         raise ConsistencyError(
             f"weighted congestion {total} is not divisible by coverage {k_mult}"
@@ -568,7 +564,7 @@ def build_report(
     _check_boundaries(host.links, host.vertex_count, cuts)
     tally = _tally(guest, host, embedding)
     load = tally.load
-    congestions = [_cut_load(load, cut[3]) for cut in cuts]
+    congestions = [_cut_load(load, cut[6]) for cut in cuts]
     per_cut = tuple(CutReport(*cut[:3], ec) for cut, ec in zip(cuts, congestions))
     conditions = _reports(guest, host, tally, cuts, congestions)
     return WirelengthReport(

@@ -313,7 +313,7 @@ def _check_boundaries(links: HostLinks, count: int, cuts: Sequence[tuple]) -> No
     failures: list[tuple[int, str]] = []  # (place in cuts, message)
     ends: dict[int, list[tuple]] = {}  # gap hi -> (place, indices, lo) per cut
     kept: dict[int, tuple[int, ...]] = {}  # lo -> the edges spanning gap lo - 1
-    for place, (_, _, _, indices, lo, hi, _) in enumerate(cuts):
+    for place, (_, _, _, lo, hi, _, indices) in enumerate(cuts):
         if 1 <= lo <= hi <= count:
             ends.setdefault(hi, []).append((place, indices, lo))
             kept[lo] = ()
@@ -436,16 +436,14 @@ def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
     Cuts are read off the host's links: each component is a union of
     subtrees whose label range is taken bottom-up.
     """
-    return tuple(
-        EdgeCut(family, j, i, lo, hi, share)
-        for family, j, i, _, lo, hi, share in _standard_cuts(host)
-    )
+    return tuple(EdgeCut(*cut[:6]) for cut in _standard_cuts(host))
 
 
 def _standard_cuts(host: HostTree) -> list[tuple]:
-    """``cut_family(host)`` with each cut's edges as indices into
-    ``host.links.edges``, each a label's parent or sibling link read in
-    O(1): one ``(family, j, i, indices, lo, hi, share)`` record per cut."""
+    """``cut_family(host)`` as records: each cut's ``EdgeCut`` fields, then
+    its edges as indices into ``host.links.edges``, each a label's parent
+    or sibling link read in O(1).  One flat ``(family, j, i, lo, hi, share,
+    indices)`` tuple per cut."""
     pos = host._positions()
     links = host.links
     up_edge, sib_edge = links.up_edge, links.sib_edge
@@ -466,7 +464,7 @@ def _standard_cuts(host: HostTree) -> list[tuple]:
                 t = base + pos[h]
                 edge = up_edge[t]
                 indices = (edge, sib_edge[t]) if sibling and h >= 2 else (edge,)
-                cuts.append(("S", j, i, indices, lo[t], hi[t], 1))
+                cuts.append(("S", j, i, lo[t], hi[t], 1, indices))
 
     if sibling:
         # Family SS: both child edges of an internal vertex; the component is
@@ -479,17 +477,17 @@ def _standard_cuts(host: HostTree) -> list[tuple]:
                     i += 1
                     a, b = base + pos[2 * q], base + pos[2 * q + 1]
                     low, high = min(lo[a], lo[b]), max(hi[a], hi[b])
-                    cuts.append(("SS", j, i, (up_edge[a], up_edge[b]), low, high, 1))
+                    cuts.append(("SS", j, i, low, high, 1, (up_edge[a], up_edge[b])))
         # Duplicate pendant cut, so pendant edges reach coverage 2 like the rest.
         for s in range(k):
             t = s * block + pos[1]
-            cuts.append(("SS", n1, s + 1, (up_edge[t],), lo[t], hi[t], 1))
+            cuts.append(("SS", n1, s + 1, lo[t], hi[t], 1, (up_edge[t],)))
 
     # Family ROOT: chain cuts; the component is the first i blocks, labels
     # 1..i * block, cut off by the chain link of the next pendant.
     share = 2 if sibling else 1
     for i in range(1, k):
         indices = (up_edge[(i + 1) * block],)
-        cuts.append(("ROOT", None, i, indices, 1, i * block, share))
+        cuts.append(("ROOT", None, i, 1, i * block, share, indices))
 
     return cuts

@@ -2,9 +2,10 @@
 
 Each row is ``(file, old text, new text, reason)``: replacing the old
 text, which occurs exactly once in the file (relative to the repository
-root), by the new text gives a program the tests should fail.  No runner
-applies the rows yet; ``test_mutants.py`` keeps the table in step with
-the code.
+root), by the new text gives a program the tests should fail.  Rows in
+``EQUIVALENT`` give programs that behave the same as the package, so no
+test can kill them; their reason is the argument.  No runner applies the
+rows yet; ``test_mutants.py`` keeps both tables in step with the code.
 """
 
 HOSTS = "src/treebed/hosts.py"
@@ -43,9 +44,37 @@ MUTANTS = (
         "build_report no longer cross-checks the standard family",
     ),
     (
+        EMBEDDING,
+        "interval_boundary_congestion(side, guest.n, guest.p)",
+        "interval_boundary_congestion(side + 1, guest.n, guest.p)",
+        "a cut's preimages are judged against the minimum for one more label",
+    ),
+    (
+        EMBEDDING,
+        "x = next(x for x, c in enumerate(coverage) if c != k_mult)",
+        "x = 0",
+        "the coverage error names the first host edge, not the first that differs",
+    ),
+    (
+        HOSTS,
+        "EdgeCut(*cut[:6])",
+        "EdgeCut(*cut[:5])",
+        "cut_family drops each cut's multiplicity share, so every share is 1",
+    ),
+    (
         CLI,
         "except (OSError, ConsistencyError, CoverageError) as exc:",
         "except OSError as exc:",
         "a failed internal cross-check escapes cli.main instead of exiting 1",
+    ),
+)
+
+EQUIVALENT = (
+    (
+        EMBEDDING,
+        "optimal = leaving == least[side]",
+        "optimal = leaving <= least[side]",
+        "no set of a size leaves fewer guest edges than the least for that size,"
+        " so leaving is never below least[side]",
     ),
 )

@@ -377,7 +377,7 @@ def heap_host(n1, k, sibling, layout):
 def heap_cut_family(host):
     """A labeled host's cut family built from vertex ids and heap indices.
 
-    Returns ``(family, j, i, cut_edges, lo, hi, share)`` tuples in the
+    Returns ``(family, j, i, lo, hi, share, cut_edges)`` tuples in the
     package's order, or ``None`` when some cut component's labels are not
     an interval.  Vertex ids, parents and labels are those of ``heap_host``.
     """
@@ -413,7 +413,7 @@ def heap_cut_family(host):
                 if host.sibling and h >= 2:
                     cut.add(edge(base + h, base + (h ^ 1)))
                 lo, hi = interval([base + x for x in subtree(h)])
-                cuts.append(("S", j, i, frozenset(cut), lo, hi, 1))
+                cuts.append(("S", j, i, lo, hi, 1, frozenset(cut)))
         if host.sibling:
             for j in range(1, n1):
                 per_block = 1 << (n1 - j - 1)
@@ -423,17 +423,17 @@ def heap_cut_family(host):
                     cut = {edge(base + q, base + 2 * q), edge(base + q, base + 2 * q + 1)}
                     ids = [base + x for c in (2 * q, 2 * q + 1) for x in subtree(c)]
                     lo, hi = interval(ids)
-                    cuts.append(("SS", j, i, frozenset(cut), lo, hi, 1))
+                    cuts.append(("SS", j, i, lo, hi, 1, frozenset(cut)))
             for s in range(k):
                 base = s * block
                 lo, hi = interval([base + x for x in subtree(1)])
                 cut = frozenset({edge(base + 1, base + block)})
-                cuts.append(("SS", n1, s + 1, cut, lo, hi, 1))
+                cuts.append(("SS", n1, s + 1, lo, hi, 1, cut))
         share = 2 if host.sibling else 1
         for i in range(1, k):
             cut = frozenset({edge(i * block, (i + 1) * block)})
             lo, hi = interval(range(1, i * block + 1))
-            cuts.append(("ROOT", None, i, cut, lo, hi, share))
+            cuts.append(("ROOT", None, i, lo, hi, share, cut))
     except LookupError:
         return None
     return cuts

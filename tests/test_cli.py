@@ -89,6 +89,37 @@ def test_wirelength_text_output(capsys):
     assert "cut_conditions_ok = true" in out
 
 
+def test_wirelength_search_text_bytes(capsys):
+    # the text report prints each search result on its own line
+    assert run(
+        capsys, "wirelength", "--n", "3", "--p", "2", "--exhaustive", "--output", "text"
+    ) == (0, (
+        "direct        = 54\n"
+        "via_partition = 54\n"
+        "closed_form   = 54\n"
+        "exhaustive    = 54\n"
+        "cut_conditions_ok = true\n"
+    ), "")
+    assert run(
+        capsys, "wirelength", "--n", "6", "--p", "2", "--local-search", "1", "--seed", "7",
+        "--output", "text",
+    ) == (0, (
+        "direct        = 9936\n"
+        "via_partition = 9936\n"
+        "closed_form   = 9936\n"
+        "local_search  = 9936\n"
+        "cut_conditions_ok = true\n"
+    ), "")
+
+
+def test_n1_outside_one_to_n_is_refused(capsys):
+    for command in ("wirelength", "verify"):
+        for n1 in ("0", "4"):
+            assert run(capsys, command, "--n", "3", "--p", "2", "--n1", n1) == (
+                2, "", f"error: need 1 <= n1 <= n, got n1={n1}\n"
+            )
+
+
 def test_wirelength_is_deterministic(capsys):
     first = run(capsys, "wirelength", "--n", "3", "--p", "2", "--host", "sibling")
     second = run(capsys, "wirelength", "--n", "3", "--p", "2", "--host", "sibling")
@@ -329,14 +360,16 @@ def test_broken_standard_family_exits_1(capsys, monkeypatch):
     standard_cuts = embedding._standard_cuts
     host = HostTree(2, 4, True, 1)
     cuts = standard_cuts(host)
-    family, j, i, indices, lo, hi, share = cuts[3]
+    family, j, i, lo, hi, share, indices = cuts[3]
     assert indices == (3, 16) and (lo, hi) == (5, 5)
     boundary = f"error: cut edges are not the edge boundary of labels {lo}..{hi}\n"
     cases = [
         ((3, 0), boundary),  # edge 0 has neither end in 5..5
         ((3, 16, 16), boundary),
         ((3, host.links.spill + 3), boundary),
-        (None, "error: cut family does not cover every host edge uniformly\n"),
+        # dropping the cut leaves its edge (5, 7) covered once, the rest twice
+        (None, "error: cut family does not cover every host edge uniformly: host"
+               " edge (5, 7) has coverage 1 but host edge (1, 3) has 2\n"),
     ]
     for wrong, message in cases:
         def broken(host, wrong=wrong):
@@ -344,7 +377,7 @@ def test_broken_standard_family_exits_1(capsys, monkeypatch):
             if wrong is None:
                 del cuts[3]
             else:
-                cuts[3] = (family, j, i, wrong, lo, hi, share)
+                cuts[3] = (family, j, i, lo, hi, share, wrong)
             return cuts
 
         monkeypatch.setattr(embedding, "_standard_cuts", broken)
@@ -360,6 +393,17 @@ def test_guest_json(capsys):
     assert data["edge_count"] == 24
     assert data["degree"] == 6
     assert data["partites"] == [[1, 5], [2, 6], [3, 7], [4, 8]]
+
+
+def test_guest_text_bytes(capsys):
+    assert run(capsys, "guest", "--n", "3", "--p", "2", "--output", "text") == (0, (
+        "guest: 2^3 vertices in 2^2 partite sets\n"
+        "  vertex_count = 8\n"
+        "  edge_count = 24\n"
+        "  part_count = 4\n"
+        "  part_size = 2\n"
+        "  degree = 6\n"
+    ), "")
 
 
 def test_guest_at_max_scale(capsys):
@@ -703,6 +747,7 @@ def test_export_dot_validation(capsys):
     assert code == 2 and "capped" in err
     code, _, err = run(capsys, "export-dot", "guest")
     assert code == 2
+    assert run(capsys, "export-dot", "host") == (2, "", "error: host export needs --n1\n")
     code, _, err = run(capsys, "export-dot", "host", "--n1", "11")
     assert code == 2 and "1024" in err
     # n1 is checked before the vertex cap computes 2**n1.

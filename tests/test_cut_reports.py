@@ -24,7 +24,7 @@ from treebed import (
     wirelength_via_partition,
 )
 from treebed import embedding
-from treebed.embedding import _Tally, _cut_reports, _side_leaving, _tally
+from treebed.embedding import _Tally, _records, _reports, _side_leaving, _tally
 from treebed.errors import ConsistencyError
 
 
@@ -66,16 +66,21 @@ def _intervals(count, rng, every):
     return spans
 
 
+def _batch(guest, host, tally, cuts):
+    """The condition reports of a batch of ``EdgeCut``s, in one call."""
+    return _reports(guest, host, tally, _records(host, cuts))
+
+
 def _check_reports(guest, host, emb, cuts):
-    """``_cut_reports`` on the batch, and ``verify_cut_conditions`` on each
-    cut alone, against the oracle."""
+    """The reports of the batch, and ``verify_cut_conditions`` on each cut
+    alone, against the oracle."""
     links = host.links
     load = per_goal_tally(links, emb.assignment, guest.part_count)
 
     def max_induced(s):
         return max_subgraph_edges_closed_form(guest.part_count, guest.part_size, s)
 
-    got = _cut_reports(guest, host, _tally(guest, host, emb), cuts)
+    got = _batch(guest, host, _tally(guest, host, emb), cuts)
     for cut, report in zip(cuts, got):
         expected = cut_report(
             links, host.label_edges, emb.assignment, guest.part_count, cut,
@@ -235,8 +240,8 @@ def test_a_batch_raises_for_its_first_broken_cut():
         ((cuts[0], outside, cuts[1], above),
          f"cut component 0..{outside.component_hi} is not inside 1..16"),
     ):
-        assert _message(_cut_reports, guest, host, tally, batch) == message
-    assert all(r.ok for r in _cut_reports(guest, host, tally, cuts))
+        assert _message(_batch, guest, host, tally, batch) == message
+    assert all(r.ok for r in _batch(guest, host, tally, cuts))
 
 
 def test_build_report_cross_checks_the_standard_family(monkeypatch):
@@ -249,13 +254,13 @@ def test_build_report_cross_checks_the_standard_family(monkeypatch):
     for host in (_labeled(4, 2, "binary"), _labeled(4, 2, "sibling", 1)):
         emb = identity_embedding(guest, host)
         edges, spill = host.links.edges, host.links.spill
-        family, j, i, indices, lo, hi, share = standard_cuts(host)[3]
+        family, j, i, lo, hi, share, indices = standard_cuts(host)[3]
         away = next(x for x, (a, b) in enumerate(edges) if not lo <= a <= hi and not lo <= b <= hi)
         twice = (indices[0], indices[0])
         for wrong in ((away,) + indices[1:], indices[:-1], twice, indices[:-1] + (spill + 3,)):
             def broken(host, wrong=wrong):
                 cuts = standard_cuts(host)
-                cuts[3] = (family, j, i, wrong, lo, hi, share)
+                cuts[3] = (family, j, i, lo, hi, share, wrong)
                 return cuts
 
             monkeypatch.setattr(embedding, "_standard_cuts", broken)

@@ -16,6 +16,7 @@ from treebed import (
     closed_form_wirelength,
     congestion_lemma_value,
     cut_congestion,
+    cut_edges,
     cut_family,
     edge_congestion,
     exhaustive_min_wirelength,
@@ -115,6 +116,9 @@ def test_wirelength_direct_examples():
     assert wirelength_direct(guest, ST31, identity_embedding(guest, ST31)) == 45
     assert wirelength_direct(guest, T22, identity_embedding(guest, T22)) == 60
     assert wirelength_direct(guest, ST22, identity_embedding(guest, ST22)) == 58
+    with pytest.raises(ValueError) as err:
+        wirelength_direct(guest, T31, Embedding(range(1, 5)))
+    assert str(err.value) == "embedding size does not match the instance"
 
 
 def test_edge_congestion_examples():
@@ -433,6 +437,32 @@ def test_partition_requires_full_coverage():
     cuts = cut_family(T31)
     with pytest.raises(CoverageError):
         wirelength_via_partition(guest, T31, emb, cuts[1:])
+
+
+def test_a_coverage_error_names_its_witness():
+    # the standard family with one cut dropped, or one cut given twice: the
+    # first host edge, in links.edges order, whose coverage differs from
+    # the first edge's, with both coverages
+    guest = build_guest(3, 2)
+    emb = identity_embedding(guest, ST31)
+    cuts = cut_family(ST31)
+    # every edge has coverage 2; the first two cuts hold the first two edges
+    assert ST31.links.edges[:2] == ((1, 3), (2, 3))
+    assert [cut_edges(ST31, c) for c in cuts[:2]] == [((1, 3), (1, 2)), ((2, 3), (1, 2))]
+    for family, witness in (
+        (cuts[1:], "(2, 3) has coverage 2 but host edge (1, 3) has 1"),
+        (cuts[:1] + cuts[2:], "(2, 3) has coverage 1 but host edge (1, 3) has 2"),
+        (cuts + cuts[:1], "(2, 3) has coverage 2 but host edge (1, 3) has 3"),
+        (cuts + cuts[1:2], "(2, 3) has coverage 3 but host edge (1, 3) has 2"),
+    ):
+        with pytest.raises(CoverageError) as err:
+            wirelength_via_partition(guest, ST31, emb, family)
+        assert str(err.value) == (
+            "cut family does not cover every host edge uniformly: host edge " + witness
+        )
+    with pytest.raises(CoverageError) as err:
+        wirelength_via_partition(guest, ST31, emb, ())
+    assert str(err.value) == "cut family covers no host edge"
 
 
 def test_partition_matches_direct_for_any_embedding():

@@ -341,15 +341,15 @@ def _mutated_records(rng, host):
     interval moved by one at either end."""
     spill = host.links.spill
     for record in _standard_cuts(host):
-        family, j, i, indices, lo, hi, share = record
+        family, j, i, lo, hi, share, indices = record
         yield record
-        yield family, j, i, indices[1:], lo, hi, share
-        yield family, j, i, indices + indices[-1:], lo, hi, share
+        yield family, j, i, lo, hi, share, indices[1:]
+        yield family, j, i, lo, hi, share, indices + indices[-1:]
         for size in (1, 2, 3):
             wild = tuple(rng.choices(range(spill + 1), k=size))
-            yield family, j, i, wild, lo, hi, share
+            yield family, j, i, lo, hi, share, wild
         for a, b in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            yield family, j, i, indices, lo + a, hi + b, share
+            yield family, j, i, lo + a, hi + b, share, indices
 
 
 def test_check_boundaries_is_exact():
@@ -362,7 +362,7 @@ def test_check_boundaries_is_exact():
                 host = HostTree(n1, k, sibling, variant)
                 links, count = host.links, host.vertex_count
                 for record in _mutated_records(rng, host):
-                    indices, lo, hi = record[3:6]
+                    lo, hi, _, indices = record[3:]
                     try:
                         exact = sorted(indices) == _boundary(host, lo, hi)
                     except ValueError:

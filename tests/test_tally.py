@@ -109,16 +109,11 @@ def test_cut_family_matches_heap_construction():
             for host in _labeled_hosts(n1, k):
                 expected = heap_cut_family(host)
                 assert expected is not None
-                got = [
-                    (c.family, c.j, c.i, frozenset(cut_edges(host, c)),
-                     c.component_lo, c.component_hi, c.multiplicity_share)
-                    for c in cut_family(host)
-                ]
+                got = [(*c, frozenset(cut_edges(host, c))) for c in cut_family(host)]
                 assert got == expected
                 edges = host.links.edges
                 records = [
-                    (*r[:3], frozenset(edges[x] for x in r[3]), *r[4:])
-                    for r in _standard_cuts(host)
+                    (*r[:6], frozenset(edges[x] for x in r[6])) for r in _standard_cuts(host)
                 ]
                 assert records == expected
                 seen += 1
