@@ -45,6 +45,11 @@ def _build_labeled(n1: int, k: int, kind: str, variant: int) -> HostTree:
     return host
 
 
+def _check_exhaustive_cap(n: int) -> None:
+    if n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive search is capped at 2**n <= {1 << EXHAUSTIVE_MAX_N}")
+
+
 def _instance(args) -> tuple[Guest, HostTree]:
     n, p = args.n, args.p
     if n > ENGINE_MAX_N:
@@ -140,16 +145,13 @@ def cmd_guest(args) -> int:
 
 
 def cmd_host(args) -> int:
-    sibling = args.host == "sibling"
-    counts = host_counts(args.n1, args.k, sibling=sibling)
-    if not sibling and args.variant != 0:
-        raise ValueError("--variant applies to sibling hosts only")
+    host = _build_labeled(args.n1, args.k, args.host, args.variant)
+    counts = host_counts(args.n1, args.k, sibling=host.sibling)
     info = {"schema": 1, "n1": args.n1, "k": args.k, "kind": args.host}
     info.update(counts)
     info["level_counts"] = {str(lvl): c for lvl, c in counts["level_counts"].items()}
-    # Larger hosts print only their counts, so only these are built.
+    # Larger hosts print only their counts, so their labels are never built.
     if counts["vertex_count"] <= 256:
-        host = _build_labeled(args.n1, args.k, args.host, args.variant)
         info["label_of"] = {str(v): host.label_of[v] for v in sorted(host.label_of)}
     if args.output == "json":
         print(_json(info))
@@ -165,10 +167,7 @@ def cmd_wirelength(args) -> int:
     embedding = _apply_swaps(identity_embedding(guest, host), args.swap)
     exhaustive_min = None
     if args.exhaustive:
-        if args.n > EXHAUSTIVE_MAX_N:
-            raise ValueError(
-                f"exhaustive search is capped at 2**n <= {1 << EXHAUSTIVE_MAX_N}"
-            )
+        _check_exhaustive_cap(args.n)
         from treebed.search import exhaustive_min_wirelength
 
         exhaustive_min = exhaustive_min_wirelength(
@@ -202,22 +201,19 @@ def cmd_wirelength(args) -> int:
     return 0 if report.consistent else 1
 
 
+VERIFY_COLUMNS = (
+    "family", "j", "i", "ec", "lemma_value", "inside_avoids_cut",
+    "crossings_cross_once", "preimages_optimal", "ok",
+)
+
+
 def cmd_verify(args) -> int:
     guest, host = _instance(args)
     embedding = _apply_swaps(identity_embedding(guest, host), args.swap)
     report = build_report(guest, host, embedding)
     rows = [
-        {
-            "family": cut.family,
-            "j": cut.j,
-            "i": cut.i,
-            "ec": cut.ec,
-            "lemma_value": cond.lemma_value,
-            "inside_avoids_cut": cond.inside_avoids_cut,
-            "crossings_cross_once": cond.crossings_cross_once,
-            "preimages_optimal": cond.preimages_optimal,
-            "ok": cond.ok,
-        }
+        (cut.family, cut.j, cut.i, cut.ec, cond.lemma_value, cond.inside_avoids_cut,
+         cond.crossings_cross_once, cond.preimages_optimal, cond.ok)
         for cut, cond in zip(report.per_cut, report.cut_conditions)
     ]
     direct, partition = report.direct, report.via_partition
@@ -233,23 +229,20 @@ def cmd_verify(args) -> int:
         "via_partition": partition,
         "partition_matches_direct": direct == partition,
         "cut_conditions_ok": report.cut_conditions_ok,
-        "per_cut": rows,
+        "per_cut": [dict(zip(VERIFY_COLUMNS, row)) for row in rows],
     }
     if args.output == "json":
         print(_json(result))
     else:
-        for r in rows:
-            j = "-" if r["j"] is None else r["j"]
-            status = "ok" if r["ok"] else "FAIL"
-            print(
-                f"{r['family']}(j={j}, i={r['i']}): ec={r['ec']} "
-                f"lemma={r['lemma_value']} {status}"
-            )
+        for family, j, i, ec, lemma, *_, ok in rows:
+            j = "-" if j is None else j
+            print(f"{family}(j={j}, i={i}): ec={ec} lemma={lemma} {'ok' if ok else 'FAIL'}")
         print(f"direct={direct} via_partition={partition} -> "
               f"{'ok' if all_ok else 'FAIL'}")
     return 0 if all_ok else 1
 
 
+# The last four columns are the checks, and the only ones holding booleans.
 SWEEP_COLUMNS = [
     "n",
     "p",
@@ -268,6 +261,8 @@ SWEEP_COLUMNS = [
 
 
 def _sweep_rows(args):
+    """One tuple per instance in ``SWEEP_COLUMNS`` order, with ``None`` for
+    each column the run does not compute."""
     kinds = ["binary", "sibling"] if args.host == "both" else [args.host]
     for n in range(args.n_min, args.n_max + 1):
         p_values = [args.p] if args.p is not None else list(range(2, n + 1))
@@ -279,42 +274,35 @@ def _sweep_rows(args):
             for n1 in n1_values:
                 if not 1 <= n1 <= n:
                     continue
+                k = 1 << (n - n1)
                 for kind in kinds:
-                    row = dict.fromkeys(SWEEP_COLUMNS, "")
-                    row.update(n=n, p=p, n1=n1, k=1 << (n - n1), host=kind)
                     closed = formulas.closed_form_wirelength(
                         n, p, n1=n1, sibling=(kind == "sibling")
                     )
-                    row["closed_form"] = closed
-                    if guest is not None:
-                        host = _build_labeled(n1, 1 << (n - n1), kind, 0)
-                        embedding = identity_embedding(guest, host)
-                        report = build_report(guest, host, embedding)
-                        row["direct"] = report.direct
-                        row["via_partition"] = report.via_partition
-                        row["formula_matches_direct"] = report.direct == closed
-                        row["partition_matches_direct"] = (
-                            report.via_partition == report.direct
-                        )
-                        row["cut_conditions_ok"] = report.cut_conditions_ok
-                        if args.exhaustive:
-                            from treebed.search import exhaustive_min_wirelength
+                    if guest is None:
+                        yield (n, p, n1, k, kind, closed, *[None] * 7)
+                        continue
+                    host = _build_labeled(n1, k, kind, 0)
+                    report = build_report(guest, host, identity_embedding(guest, host))
+                    direct, partition = report.direct, report.via_partition
+                    best = matches = None
+                    if args.exhaustive:
+                        from treebed.search import exhaustive_min_wirelength
 
-                            best = exhaustive_min_wirelength(
-                                guest, host, budget=args.budget
-                            ).best_value
-                            row["exhaustive_min"] = best
-                            row["exhaustive_matches_closed_form"] = best == closed
-                    yield row
+                        best = exhaustive_min_wirelength(
+                            guest, host, budget=args.budget
+                        ).best_value
+                        matches = best == closed
+                    yield (n, p, n1, k, kind, closed, direct, partition, best,
+                           direct == closed, partition == direct, matches,
+                           report.cut_conditions_ok)
 
 
 def cmd_sweep(args) -> int:
     if args.n_max > FORMULA_MAX_N:
         raise ValueError(f"formula scale is capped at n <= {FORMULA_MAX_N}")
-    if args.exhaustive and args.n_max > EXHAUSTIVE_MAX_N:
-        raise ValueError(
-            f"exhaustive search is capped at 2**n <= {1 << EXHAUSTIVE_MAX_N}"
-        )
+    if args.exhaustive:
+        _check_exhaustive_cap(args.n_max)
     if args.exhaustive and args.engine == "off":
         raise ValueError("--exhaustive needs the engine; drop --engine off")
     rows = list(_sweep_rows(args))
@@ -323,28 +311,17 @@ def cmd_sweep(args) -> int:
             "the sweep selects no instance: it needs some n in "
             f"{args.n_min}..{args.n_max} with 2 <= p <= n and 1 <= n1 <= n"
         )
-    failed = any(
-        row[col] is False
-        for row in rows
-        for col in (
-            "formula_matches_direct",
-            "partition_matches_direct",
-            "exhaustive_matches_closed_form",
-            "cut_conditions_ok",
-        )
-    )
+    failed = any(value is False for row in rows for value in row[9:])
     if args.output == "json":
-        printable = [
-            {col: (row[col] if row[col] != "" else None) for col in SWEEP_COLUMNS}
-            for row in rows
-        ]
-        print(_json(printable))
+        print(_json([dict(zip(SWEEP_COLUMNS, row)) for row in rows]))
     else:
         # No field holds a comma, quote or newline: integers, host kinds,
         # true/false or empty.
         lines = [",".join(SWEEP_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(str(row[col]).lower() for col in SWEEP_COLUMNS))
+        lines.extend(
+            ",".join("" if value is None else str(value).lower() for value in row)
+            for row in rows
+        )
         sys.stdout.write("\n".join(lines) + "\n")
     return 1 if failed else 0
 

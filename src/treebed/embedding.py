@@ -184,9 +184,7 @@ class WirelengthReport(NamedTuple):
         if self.local_search_min is not None:
             out["local_search_min"] = self.local_search_min
         out["cut_conditions_ok"] = self.cut_conditions_ok
-        out["per_cut"] = [
-            {"family": c.family, "j": c.j, "i": c.i, "ec": c.ec} for c in self.per_cut
-        ]
+        out["per_cut"] = [c._asdict() for c in self.per_cut]
         return out
 
 

@@ -4,8 +4,9 @@ Each row is ``(file, old text, new text, reason)``: replacing the old
 text, which occurs exactly once in the file (relative to the repository
 root), by the new text gives a program the tests should fail.  Rows in
 ``EQUIVALENT`` give programs that behave the same as the package, so no
-test can kill them; their reason is the argument.  No runner applies the
-rows yet; ``test_mutants.py`` keeps both tables in step with the code.
+test can kill them; their reason is the argument.  ``run_mutants.py``
+applies each row to a copy of the checkout and runs the tests there;
+``test_mutants.py`` keeps both tables in step with the code.
 """
 
 HOSTS = "src/treebed/hosts.py"
@@ -66,6 +67,18 @@ MUTANTS = (
         "except (OSError, ConsistencyError, CoverageError) as exc:",
         "except OSError as exc:",
         "a failed internal cross-check escapes cli.main instead of exiting 1",
+    ),
+    (
+        CLI,
+        "return 1 if failed else 0",
+        "return 0",
+        "sweep exits 0 even when a check column reads false",
+    ),
+    (
+        CLI,
+        '"-" if j is None else j',
+        "j",
+        "verify's text prints None for the j of a chain cut",
     ),
 )
 

@@ -341,6 +341,25 @@ def test_verify_text_bytes(capsys):
     )
 
 
+def test_verify_text_bytes_on_a_chained_host(capsys):
+    # The chain's ROOT cut has no j, which the text prints as "-".
+    code, out, err = run(
+        capsys, "verify", "--n", "3", "--p", "2", "--n1", "2", "--swap", "1", "7",
+        "--output", "text",
+    )
+    assert (code, err) == (1, "")
+    assert out == (
+        "S(j=1, i=1): ec=6 lemma=6 ok\n"
+        "S(j=1, i=2): ec=6 lemma=6 ok\n"
+        "S(j=1, i=3): ec=6 lemma=6 ok\n"
+        "S(j=1, i=4): ec=6 lemma=6 ok\n"
+        "S(j=2, i=1): ec=14 lemma=14 FAIL\n"
+        "S(j=2, i=2): ec=14 lemma=14 FAIL\n"
+        "ROOT(j=-, i=1): ec=14 lemma=14 FAIL\n"
+        "direct=66 via_partition=66 -> FAIL\n"
+    )
+
+
 def test_swap_label_out_of_range(capsys):
     for command in ("wirelength", "verify"):
         code, out, err = run(
@@ -601,6 +620,55 @@ def test_sweep_exhaustive_needs_engine(capsys):
     assert code == 2
     assert out == ""
     assert "--exhaustive needs the engine" in err
+
+
+SWEEP_HEADER = (
+    "n", "p", "n1", "k", "host", "closed_form", "direct", "via_partition",
+    "exhaustive_min", "formula_matches_direct", "partition_matches_direct",
+    "exhaustive_matches_closed_form", "cut_conditions_ok",
+)
+
+
+@pytest.mark.parametrize("target, change, line, row", [
+    ("report", {"direct": 11, "via_partition": 11},
+     "2,2,1,2,sibling,10,11,11,10,false,true,true,true",
+     (2, 2, 1, 2, "sibling", 10, 11, 11, 10, False, True, True, True)),
+    ("report", {"via_partition": 11},
+     "2,2,1,2,sibling,10,10,11,10,true,false,true,true",
+     (2, 2, 1, 2, "sibling", 10, 10, 11, 10, True, False, True, True)),
+    ("search", {"best_value": 9},
+     "2,2,1,2,sibling,10,10,10,9,true,true,false,true",
+     (2, 2, 1, 2, "sibling", 10, 10, 10, 9, True, True, False, True)),
+    ("report", {"cut_conditions_ok": False},
+     "2,2,1,2,sibling,10,10,10,10,true,true,true,false",
+     (2, 2, 1, 2, "sibling", 10, 10, 10, 10, True, True, True, False)),
+], ids=["formula", "partition", "exhaustive", "cut_conditions"])
+def test_sweep_exits_1_on_any_failed_check(capsys, monkeypatch, target, change, line, row):
+    # Each check column in turn reads false, for the sibling row alone.
+    from treebed import cli, search
+
+    module, name = (cli, "build_report") if target == "report" else (
+        search, "exhaustive_min_wirelength")
+    real = getattr(module, name)
+
+    def broken(guest, host, *args, **kwargs):
+        result = real(guest, host, *args, **kwargs)
+        return result._replace(**change) if host.sibling else result
+
+    monkeypatch.setattr(module, name, broken)
+    argv = ["sweep", "--n-min", "2", "--n-max", "2", "--p", "2", "--n1", "1", "--exhaustive"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out == (
+        ",".join(SWEEP_HEADER) + "\n"
+        "2,2,1,2,binary,10,10,10,10,true,true,true,true\n"
+        f"{line}\n"
+    )
+    code, out, err = run(capsys, *argv, "--output", "json")
+    assert (code, err) == (1, "")
+    good = (2, 2, 1, 2, "binary", 10, 10, 10, 10, True, True, True, True)
+    want = [dict(zip(SWEEP_HEADER, good)), dict(zip(SWEEP_HEADER, row))]
+    assert out == json.dumps(want, indent=2) + "\n"
 
 
 def test_export_dot_host(capsys):
