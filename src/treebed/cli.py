@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import gc
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -262,40 +262,40 @@ SWEEP_COLUMNS = [
 
 def _sweep_rows(args):
     """One tuple per instance in ``SWEEP_COLUMNS`` order, with ``None`` for
-    each column the run does not compute."""
+    each column the run does not compute.  The engine columns of each n are
+    computed host by host, every p on one host, so one host is alive at a
+    time; the rows then come out p-major."""
     kinds = ["binary", "sibling"] if args.host == "both" else [args.host]
     for n in range(args.n_min, args.n_max + 1):
-        p_values = [args.p] if args.p is not None else list(range(2, n + 1))
-        n1_values = [args.n1] if args.n1 is not None else list(range(1, n + 1))
-        for p in p_values:
-            if not 2 <= p <= n:
-                continue
-            guest = build_guest(n, p) if n <= ENGINE_MAX_N and args.engine != "off" else None
-            for n1 in n1_values:
-                if not 1 <= n1 <= n:
-                    continue
-                k = 1 << (n - n1)
-                for kind in kinds:
-                    closed = formulas.closed_form_wirelength(
-                        n, p, n1=n1, sibling=(kind == "sibling")
-                    )
-                    if guest is None:
-                        yield (n, p, n1, k, kind, closed, *[None] * 7)
-                        continue
-                    host = _build_labeled(n1, k, kind, 0)
-                    report = build_report(guest, host, identity_embedding(guest, host))
-                    direct, partition = report.direct, report.via_partition
-                    best = matches = None
-                    if args.exhaustive:
-                        from treebed.search import exhaustive_min_wirelength
+        p_values = [p for p in range(2, n + 1) if args.p is None or p == args.p]
+        n1_values = [n1 for n1 in range(1, n + 1) if args.n1 is None or n1 == args.n1]
+        engine = n <= ENGINE_MAX_N and args.engine != "off"
+        guests = [build_guest(n, p) for p in p_values] if engine else []
+        columns = {}  # (p, n1, kind) -> direct, via_partition, best, cut_conditions_ok
+        for n1, kind in product(n1_values, kinds) if guests else ():
+            host = _build_labeled(n1, 1 << (n - n1), kind, 0)
+            for guest in guests:
+                report = build_report(guest, host, identity_embedding(guest, host))
+                best = None
+                if args.exhaustive:
+                    from treebed.search import exhaustive_min_wirelength
 
-                        best = exhaustive_min_wirelength(
-                            guest, host, budget=args.budget
-                        ).best_value
-                        matches = best == closed
-                    yield (n, p, n1, k, kind, closed, direct, partition, best,
-                           direct == closed, partition == direct, matches,
-                           report.cut_conditions_ok)
+                    best = exhaustive_min_wirelength(
+                        guest, host, budget=args.budget
+                    ).best_value
+                columns[guest.p, n1, kind] = (
+                    report.direct, report.via_partition, best, report.cut_conditions_ok
+                )
+        for p, n1, kind in product(p_values, n1_values, kinds):
+            closed = formulas.closed_form_wirelength(n, p, n1=n1, sibling=(kind == "sibling"))
+            row = (n, p, n1, 1 << (n - n1), kind, closed)
+            if not engine:
+                yield (*row, *[None] * 7)
+                continue
+            direct, partition, best, cut_ok = columns[p, n1, kind]
+            matches = None if best is None else best == closed
+            yield (*row, direct, partition, best,
+                   direct == closed, partition == direct, matches, cut_ok)
 
 
 def cmd_sweep(args) -> int:

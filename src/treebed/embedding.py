@@ -21,13 +21,13 @@ exactly when those are the fewest a set of its size can have
 (``formulas.interval_boundary_congestion``, the same minimum the closed
 forms sum).
 Cut edges are handled as indices into the host's edge list.  A cut is its
-component interval, so its edges are the interval's edge boundary: a
-report takes its cuts as records straight from the host
-(``hosts._standard_cuts``: an ``EdgeCut``'s fields, then the edge
-indices) and compares each one's edge set with its interval's in one
-sweep over the gaps between labels (``hosts._check_boundaries``), and the
-calls that take a caller's ``EdgeCut`` find its edges by one scan of the
-host's edges, then run the same code.
+component interval, so its edges are the interval's edge boundary.  The
+host owns its standard family as records (``HostTree.cuts``: an
+``EdgeCut``'s fields, then the edge indices), checked against their
+intervals once, on first use; ``build_report``, ``cut_family`` and
+``wirelength_via_partition`` all read that checked family.  The calls that
+take a caller's ``EdgeCut`` find its edges by one scan of the host's edges,
+then run the same code.
 Wirelength comes out three ways that must agree: summing routed path
 lengths, summing cut congestions weighted by coverage, and (elsewhere)
 closed forms.
@@ -42,9 +42,7 @@ from treebed import formulas
 from treebed.errors import CoverageError, ConsistencyError
 from treebed.frozen import Frozen
 from treebed.graphs import Guest
-from treebed.hosts import (
-    EdgeCut, HostLinks, HostTree, _boundary, _check_boundaries, _standard_cuts,
-)
+from treebed.hosts import EdgeCut, HostLinks, HostTree, _boundary
 
 __all__ = [
     "Embedding",
@@ -233,26 +231,14 @@ class _Tally:
     ``host.links.edges[i]``; ``partite_at[lab]`` is the partite set of the
     guest vertex placed on label ``lab``.
 
-    With the default ``side=None`` one ``_add_subtree_loads`` pass over
-    every label counts every guest edge.  A label interval ``lo..hi`` as
-    ``side`` makes ``load`` count only the guest edges with both ends
-    inside it or both outside, one pass for each of the two label sets.
-
     ``leaving`` maps label intervals ``(lo, hi)`` to the number of guest
     edges with one end placed in ``lo..hi`` and the other outside; the pass
-    over every label records it for every subtree and sibling union (each
-    fills an interval).  A sided tally keeps no records.
+    records it for every subtree and sibling union (each fills an interval).
     """
 
     __slots__ = ("guest", "embedding", "partite_at", "load", "leaving")
 
-    def __init__(
-        self,
-        guest: Guest,
-        links: HostLinks,
-        embedding: Embedding,
-        side: tuple[int, int] | None = None,
-    ) -> None:
+    def __init__(self, guest: Guest, links: HostLinks, embedding: Embedding) -> None:
         self.guest = guest
         self.embedding = embedding
         labels = embedding.assignment
@@ -261,28 +247,30 @@ class _Tally:
         for m, lab in enumerate(labels, start=1):
             partite_at[lab] = guest.partite_of(m)
         self.partite_at = partite_at
-        if side is None:
-            groups = [list(range(1, count + 1))]
-        else:
-            lo, hi = side
-            groups = [
-                [s for s in range(1, count + 1) if (lo <= s <= hi) == inside]
-                for inside in (True, False)
-            ]
-        load = [0] * (links.spill + 1)
         self.leaving: dict[tuple[int, int], int] = {}
-        # A sided pass counts only the guest edges within its group.
-        records = self.leaving if side is None else {}
-        for members in groups:
-            _add_subtree_loads(links, partite_at, members, load, records)
-        load.pop()  # the ``spill`` slot, above the top of the host
-        self.load = load
+        self.load = _loads(links, partite_at, [range(1, count + 1)], self.leaving)
+
+
+def _loads(
+    links: HostLinks,
+    partite_at: list[int],
+    groups: Iterable[Sequence[int]],
+    records: dict[tuple[int, int], int],
+) -> list[int]:
+    """Each host edge's load from the guest edges with both ends in one
+    label group of ``groups``: one ``_add_subtree_loads`` pass per group,
+    each adding its leaving counts to ``records``."""
+    load = [0] * (links.spill + 1)
+    for members in groups:
+        _add_subtree_loads(links, partite_at, members, load, records)
+    load.pop()  # the ``spill`` slot, above the top of the host
+    return load
 
 
 def _add_subtree_loads(
     links: HostLinks,
     partite_at: list[int],
-    members: list[int],
+    members: Sequence[int],
     load: list[int],
     records: dict[tuple[int, int], int],
 ) -> None:
@@ -401,7 +389,7 @@ def _cut_load(load: list[int], indices: Sequence[int]) -> int:
 
 
 def _records(host: HostTree, cuts: Iterable[EdgeCut]) -> list[tuple]:
-    """A caller's cuts as the records ``hosts._standard_cuts`` makes: each
+    """A caller's cuts as the records ``HostTree.cuts`` holds: each
     ``EdgeCut``'s fields, then its edges found by ``hosts._boundary``."""
     return [(*c, _boundary(host, c.component_lo, c.component_hi)) for c in cuts]
 
@@ -448,7 +436,7 @@ def _reports(
     congestions: Sequence[int] | None = None,
 ) -> tuple[CutConditionReport, ...]:
     """The condition report of every cut record (see
-    ``hosts._standard_cuts``), in order; see ``verify_cut_conditions``.
+    ``HostTree.cuts``), in order; see ``verify_cut_conditions``.
     ``congestions``, when given, holds each cut's congestion."""
     links, count = host.links, host.vertex_count
     if congestions is None:
@@ -471,8 +459,8 @@ def _reports(
         # edges on the cut tells them apart.
         same = 0
         if congestion != leaving:
-            sided = _Tally(guest, links, tally.embedding, (lo, hi))
-            same = _cut_load(sided.load, indices)
+            groups = (range(lo, hi + 1), [*range(1, lo), *range(hi + 1, count + 1)])
+            same = _cut_load(_loads(links, tally.partite_at, groups, {}), indices)
         inside_ok, crossings_ok = same == 0, congestion - same == leaving
         reports.append(CutConditionReport(inside_ok, crossings_ok, optimal, leaving))
     return tuple(reports)
@@ -492,12 +480,11 @@ def verify_cut_conditions(
     it; any other interval counts its smaller side.  Both preimages are
     optimal exactly when those edges are as few as any set of the
     component's size can leave, ``formulas.interval_boundary_congestion``.
-    With ``same`` the load the same-side routes put on the cut (``_Tally``
-    with that interval as ``side``: the subtree pass over the labels inside
-    it plus the one over those outside), no same-side route touches the cut
-    exactly when ``same == 0``, and every crossing route uses one cut edge
-    exactly when the congestion minus ``same`` equals the number of
-    crossing guest edges.  When the congestion already equals that number,
+    With ``same`` the load the same-side routes put on the cut (``_loads``:
+    the subtree pass over the labels inside it plus the one over those
+    outside), no same-side route touches the cut exactly when ``same ==
+    0``, and every crossing route uses one cut edge exactly when the
+    congestion minus ``same`` equals the number of crossing guest edges.  When the congestion already equals that number,
     both hold and no further pass runs.
 
     Raises ``ValueError`` when the component interval is not inside the
@@ -514,12 +501,12 @@ def wirelength_via_partition(
 ) -> int:
     """Wirelength from cut congestions.
 
-    The cut family (default: the host's standard family) must cover every
-    host edge the same number of times; the congestion total, weighted by
-    each cut's multiplicity share, then overcounts the wirelength by
-    exactly that factor.
+    The cut family (default: ``host.cuts``, the host's checked standard
+    family) must cover every host edge the same number of times; the
+    congestion total, weighted by each cut's multiplicity share, then
+    overcounts the wirelength by exactly that factor.
     """
-    records = _standard_cuts(host) if cuts is None else _records(host, cuts)
+    records = host.cuts if cuts is None else _records(host, cuts)
     load = _tally(guest, host, embedding).load
     return _partition_total(host.links, records, [_cut_load(load, r[6]) for r in records])
 
@@ -528,7 +515,7 @@ def _partition_total(
     links: HostLinks, cuts: Sequence[tuple], congestions: Sequence[int]
 ) -> int:
     """``wirelength_via_partition`` from cut records of host edges (see
-    ``hosts._standard_cuts``) and each cut's congestion."""
+    ``HostTree.cuts``) and each cut's congestion."""
     coverage = [0] * links.spill
     for _, _, _, _, _, share, indices in cuts:
         for x in indices:
@@ -558,8 +545,7 @@ def build_report(
     local_search_min: int | None = None,
 ) -> WirelengthReport:
     """Run every wirelength computation for one instance and bundle the results."""
-    cuts = _standard_cuts(host)
-    _check_boundaries(host.links, host.vertex_count, cuts)
+    cuts = host.cuts
     tally = _tally(guest, host, embedding)
     load = tally.load
     congestions = [_cut_load(load, cut[6]) for cut in cuts]

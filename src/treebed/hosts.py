@@ -123,6 +123,16 @@ class HostTree(Frozen):
         """Parent, chain and sibling links in label space; routes every goal."""
         return HostLinks(self)
 
+    @cached_property
+    def cuts(self) -> tuple[tuple, ...]:
+        """The standard cut family as records (``_standard_cuts``), built and
+        checked against their intervals (``_check_boundaries``) on first
+        use.  A failed check raises ``ConsistencyError`` and caches nothing,
+        so every later use raises again."""
+        cuts = tuple(_standard_cuts(self))
+        _check_boundaries(self.links, self.vertex_count, cuts)
+        return cuts
+
 
 class HostLinks:
     """A host's parent, chain and sibling links, in label space.
@@ -298,8 +308,8 @@ def _check_boundaries(links: HostLinks, count: int, cuts: Sequence[tuple]) -> No
     """Raise ``ConsistencyError`` at the first of the cut records ``cuts``
     (see ``_standard_cuts``) whose edge indices are not the edge boundary
     of its interval ``lo..hi`` (``_boundary``), each listed once; ``count``
-    is the host's vertex count.  ``build_report`` runs it on the standard
-    family as a cross-check.
+    is the host's vertex count.  ``HostTree.cuts`` runs it once per host on
+    the standard family as a cross-check.
 
     Call gap ``g`` the place between labels ``g`` and ``g + 1``.  A host
     edge ``(a, b)`` with ``a < b`` spans the gaps ``a..b-1``, so it has
@@ -434,9 +444,10 @@ def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:
     cuts with ``multiplicity_share = 2``; every edge is covered exactly twice.
 
     Cuts are read off the host's links: each component is a union of
-    subtrees whose label range is taken bottom-up.
+    subtrees whose label range is taken bottom-up.  They are ``host.cuts``,
+    so a family that fails its check raises ``ConsistencyError``.
     """
-    return tuple(EdgeCut(*cut[:6]) for cut in _standard_cuts(host))
+    return tuple(EdgeCut(*cut[:6]) for cut in host.cuts)
 
 
 def _standard_cuts(host: HostTree) -> list[tuple]:

@@ -12,6 +12,7 @@ applies each row to a copy of the checkout and runs the tests there;
 HOSTS = "src/treebed/hosts.py"
 EMBEDDING = "src/treebed/embedding.py"
 CLI = "src/treebed/cli.py"
+SEARCH = "src/treebed/search.py"
 
 MUTANTS = (
     (
@@ -39,10 +40,16 @@ MUTANTS = (
         "the boundary check compares each cut at gap hi - 1, not hi",
     ),
     (
-        EMBEDDING,
-        "    _check_boundaries(host.links, host.vertex_count, cuts)\n",
+        HOSTS,
+        "        _check_boundaries(self.links, self.vertex_count, cuts)\n",
         "",
-        "build_report no longer cross-checks the standard family",
+        "the host no longer checks its standard family against the cut intervals",
+    ),
+    (
+        HOSTS,
+        "    @cached_property\n    def cuts(self)",
+        "    @property\n    def cuts(self)",
+        "each read of a host's cut family builds and checks it again",
     ),
     (
         EMBEDDING,
@@ -73,6 +80,19 @@ MUTANTS = (
         "return 1 if failed else 0",
         "return 0",
         "sweep exits 0 even when a check column reads false",
+    ),
+    (
+        CLI,
+        "            for guest in guests:\n",
+        "            for guest in guests:\n"
+        "                host = _build_labeled(n1, 1 << (n - n1), kind, 0)\n",
+        "sweep builds a host for every p, not one per block height and kind",
+    ),
+    (
+        SEARCH,
+        "range(len(seq) - 1, 0, -1)",
+        "range(len(seq) - 1, 1, -1)",
+        "the shuffle never swaps the first two places",
     ),
     (
         CLI,

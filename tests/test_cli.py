@@ -23,7 +23,7 @@ from treebed import (
     wirelength_direct,
     wirelength_via_partition,
 )
-from treebed import embedding
+from treebed import cli, hosts
 from treebed.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -376,7 +376,7 @@ def test_broken_standard_family_exits_1(capsys, monkeypatch):
     # a standard cut record that is not its interval's edge boundary, or a
     # family that no longer covers every edge, is a failed cross-check
     argv = ("verify", "--n", "4", "--p", "2", "--n1", "2", "--host", "sibling", "--variant", "1")
-    standard_cuts = embedding._standard_cuts
+    standard_cuts = hosts._standard_cuts
     host = HostTree(2, 4, True, 1)
     cuts = standard_cuts(host)
     family, j, i, lo, hi, share, indices = cuts[3]
@@ -399,7 +399,7 @@ def test_broken_standard_family_exits_1(capsys, monkeypatch):
                 cuts[3] = (family, j, i, lo, hi, share, wrong)
             return cuts
 
-        monkeypatch.setattr(embedding, "_standard_cuts", broken)
+        monkeypatch.setattr(hosts, "_standard_cuts", broken)
         assert run(capsys, *argv) == (1, "", message)
     monkeypatch.undo()
     assert run(capsys, *argv)[0] == 0
@@ -548,6 +548,43 @@ def test_sweep_small_grid(capsys):
     assert all(",false" not in line for line in lines[1:])
 
 
+# SHA-256 of stdout for whole sweeps: the three perfbench/reference.json
+# pins and the engine sweep up to n = 8, with their line counts.
+SWEEP_PINS = [
+    ("sweep --n-min 2 --n-max 6", 141,
+     "98538e52520139050b01352bc3386b5dc1341ed931b436a2cc932f407716b810"),
+    ("sweep --n-min 3 --n-max 3 --exhaustive", 13,
+     "0917bc8076191de76b4eade512120e5ba8edcdc2f28b90319122dafdd129f3ff"),
+    ("sweep --n-min 2 --n-max 16 --engine off", 2721,
+     "e350cf27ff84ea0ca9857142af86192b7167fec0359364e91a9732f465c3cda8"),
+    ("sweep --n-min 2 --n-max 8", 337,
+     "2ab3957a20ff26e6f28b27f2931f2fca35867ca85e9a634557d1d55efce700e9"),
+]
+
+
+@pytest.mark.parametrize("argv, lines, digest", SWEEP_PINS)
+def test_whole_sweep_bytes(capsys, argv, lines, digest):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sweep_builds_each_host_once(capsys, monkeypatch):
+    # every p of an n runs on one host: 2 + 3 + 4 block heights, two kinds
+    built = []
+    real = cli._build_labeled
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_build_labeled", counting)
+    code, out, err = run(capsys, "sweep", "--n-min", "2", "--n-max", "4")
+    assert (code, err, out.count("\n")) == (0, "", 1 + 40)
+    assert len(built) == len(set(built)) == 18
+
+
 def test_sweep_fixed_p_binary_only(capsys):
     code, out, _ = run(
         capsys, "sweep", "--n-min", "2", "--n-max", "4",
@@ -645,7 +682,7 @@ SWEEP_HEADER = (
 ], ids=["formula", "partition", "exhaustive", "cut_conditions"])
 def test_sweep_exits_1_on_any_failed_check(capsys, monkeypatch, target, change, line, row):
     # Each check column in turn reads false, for the sibling row alone.
-    from treebed import cli, search
+    from treebed import search
 
     module, name = (cli, "build_report") if target == "report" else (
         search, "exhaustive_min_wirelength")

@@ -23,7 +23,7 @@ from treebed import (
     verify_cut_conditions,
     wirelength_via_partition,
 )
-from treebed import embedding
+from treebed import hosts
 from treebed.embedding import _Tally, _records, _reports, _side_leaving, _tally
 from treebed.errors import ConsistencyError
 
@@ -250,7 +250,7 @@ def test_build_report_cross_checks_the_standard_family(monkeypatch):
     # its first edge listed twice in place of its edges (the sibling S
     # record's two edges become one edge twice), or an index past spill
     guest = build_guest(4, 2)
-    standard_cuts = embedding._standard_cuts
+    standard_cuts = hosts._standard_cuts
     for host in (_labeled(4, 2, "binary"), _labeled(4, 2, "sibling", 1)):
         emb = identity_embedding(guest, host)
         edges, spill = host.links.edges, host.links.spill
@@ -263,12 +263,50 @@ def test_build_report_cross_checks_the_standard_family(monkeypatch):
                 cuts[3] = (family, j, i, lo, hi, share, wrong)
                 return cuts
 
-            monkeypatch.setattr(embedding, "_standard_cuts", broken)
+            monkeypatch.setattr(hosts, "_standard_cuts", broken)
             with pytest.raises(ConsistencyError) as err:
                 build_report(guest, host, emb)
             assert str(err.value) == f"cut edges are not the edge boundary of labels {lo}..{hi}"
         monkeypatch.undo()
         assert build_report(guest, host, emb).consistent
+
+
+def _break_family(monkeypatch):
+    """Make ``hosts._standard_cuts`` leave out the last edge of its fourth
+    record; return the hosts it is then called on."""
+    real = hosts._standard_cuts
+    built = []
+
+    def broken(host):
+        built.append(host)
+        cuts = real(host)
+        family, j, i, lo, hi, share, indices = cuts[3]
+        cuts[3] = (family, j, i, lo, hi, share, indices[:-1])
+        return cuts
+
+    monkeypatch.setattr(hosts, "_standard_cuts", broken)
+    return built
+
+
+def test_each_host_checks_its_family_once(monkeypatch):
+    # two reports, the cut family and the default partition total on one
+    # host share one checked family
+    real = hosts._check_boundaries
+    checks = []
+
+    def counting(*args):
+        checks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hosts, "_check_boundaries", counting)
+    guest = build_guest(4, 2)
+    host = _labeled(4, 2, "sibling", 1)
+    emb = identity_embedding(guest, host)
+    report = build_report(guest, host, emb)
+    assert build_report(guest, host, emb.swapped(1, 16)).direct > report.direct
+    assert len(cut_family(host)) == len(report.per_cut)
+    assert wirelength_via_partition(guest, host, emb) == report.direct
+    assert len(checks) == 1
 
 
 def test_an_iterator_of_cuts_is_read_once():
@@ -296,3 +334,37 @@ def test_build_report_at_n14(n1, p, kind):
     report = build_report(guest, host, identity_embedding(guest, host))
     assert report.direct == report.via_partition == report.closed_form
     assert report.cut_conditions_ok
+
+
+def test_a_broken_family_fails_every_reader(monkeypatch):
+    # cut_family and the default family of wirelength_via_partition are
+    # the checked family build_report reads
+    guest = build_guest(4, 2)
+    for host in (_labeled(4, 2, "binary"), _labeled(4, 2, "sibling", 1)):
+        lo, hi = hosts._standard_cuts(host)[3][3:5]
+        message = f"cut edges are not the edge boundary of labels {lo}..{hi}"
+        emb = identity_embedding(guest, host)
+        with monkeypatch.context() as patch:
+            _break_family(patch)
+            for read, args in (
+                (cut_family, (host,)),
+                (wirelength_via_partition, (guest, host, emb)),
+                (build_report, (guest, host, emb)),
+            ):
+                with pytest.raises(ConsistencyError) as err:
+                    read(*args)
+                assert str(err.value) == message
+
+
+def test_a_failed_check_raises_again(monkeypatch):
+    # a failed check keeps nothing, so each use builds and checks the
+    # family again; a family that passes is kept
+    host = _labeled(4, 2, "sibling", 1)
+    built = _break_family(monkeypatch)
+    for uses in (1, 2, 3):
+        with pytest.raises(ConsistencyError):
+            host.cuts
+        assert len(built) == uses
+    monkeypatch.undo()
+    assert host.cuts == tuple(hosts._standard_cuts(host))
+    assert host.cuts is host.cuts

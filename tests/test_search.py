@@ -340,3 +340,22 @@ def test_local_search_takes_the_last_pair(monkeypatch):
             best, Embedding(tuple(lab + 1 for lab in perm)), explored, exhaustive=False
         )
         assert local_search_min(guest, host, seed, 1) == expect, seed
+
+
+def test_splitmix64_draws_and_shuffle():
+    # seed 0's first outputs are the published SplitMix64 values, and the
+    # shuffle is Fisher-Yates over the draws: each place from the last down
+    # to the second swaps with the place a draw picks at or below it
+    # (randrange rejects only a draw among the top 2**64 % (i + 1) values)
+    rng = _SplitMix64(0)
+    assert [rng.next_u64() for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+    ]
+    draws, expect = _SplitMix64(7), list(range(6))
+    for i in range(5, 0, -1):
+        j = draws.next_u64() % (i + 1)
+        expect[i], expect[j] = expect[j], expect[i]
+    assert expect == [1, 5, 0, 2, 4, 3]
+    seq = list(range(6))
+    _SplitMix64(7).shuffle(seq)
+    assert seq == expect

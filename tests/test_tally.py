@@ -16,7 +16,7 @@ from treebed import (
     inorder_labeling,
     sibling_layout_labeling,
 )
-from treebed.embedding import _Tally
+from treebed.embedding import _Tally, _loads
 from treebed.hosts import _standard_cuts
 
 
@@ -34,16 +34,19 @@ def _random_embedding(count, rng):
 
 
 def _check_tally(guest, host, embedding, sides=()):
-    """The subtree tally against the oracle, over every label and then on
-    each ``(lo, hi)`` interval of ``sides``."""
-    load = _Tally(guest, host.links, embedding).load
-    assert load == per_goal_tally(host.links, embedding.assignment, guest.part_count)
-    for side in sides:
-        load = _Tally(guest, host.links, embedding, side).load
+    """The subtree tally against the oracle, over every label, and then
+    ``_loads`` over the labels inside and outside each ``(lo, hi)``
+    interval of ``sides``."""
+    tally = _Tally(guest, host.links, embedding)
+    assert tally.load == per_goal_tally(host.links, embedding.assignment, guest.part_count)
+    count = host.vertex_count
+    for lo, hi in sides:
+        groups = (range(lo, hi + 1), [*range(1, lo), *range(hi + 1, count + 1)])
+        load = _loads(host.links, tally.partite_at, groups, {})
         expected = per_goal_tally(
-            host.links, embedding.assignment, guest.part_count, side
+            host.links, embedding.assignment, guest.part_count, (lo, hi)
         )
-        assert load == expected, side
+        assert load == expected, (lo, hi)
 
 
 def _random_sides(count, rng, how_many=3):
