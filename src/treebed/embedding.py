@@ -14,10 +14,12 @@ one pass from the leaves up reads off each subtree's partite counts
 conditions on a cut come from the same pass run on the same-side guest
 edges alone: a cut's congestion minus their load counts the cut edges on
 the crossing routes, and that load itself counts the same-side routes'
-cut edges.  The pass also records the guest edges leaving every subtree
-and sibling union, each of which fills a label interval, so a standard
-cut's leaving guest edges follow in O(1).  Its preimages are optimal
-exactly when those are the fewest a set of its size can have
+cut edges.  Apart from that load, ``_leaving`` counts the guest edges
+leaving each cut's component from its labels' partite sets.  The
+congestion lemma says the cut's congestion equals that count, so the
+route conditions, and the partition total that sums the counts, show a
+wrong load on the cut it touches.  A cut's preimages are optimal exactly
+when its count is the fewest a set of its size can have
 (``formulas.interval_boundary_congestion``, the same minimum the closed
 forms sum).
 Cut edges are handled as indices into the host's edge list.  A cut is its
@@ -29,8 +31,8 @@ intervals once, on first use; ``build_report``, ``cut_family`` and
 take a caller's ``EdgeCut`` find its edges by one scan of the host's edges,
 then run the same code.
 Wirelength comes out three ways that must agree: summing routed path
-lengths, summing cut congestions weighted by coverage, and (elsewhere)
-closed forms.
+lengths, summing the cuts' leaving guest edges weighted by coverage, and
+(elsewhere) closed forms.
 """
 
 from __future__ import annotations
@@ -230,13 +232,9 @@ class _Tally:
     ``load[i]`` counts the guest edges whose route uses host edge
     ``host.links.edges[i]``; ``partite_at[lab]`` is the partite set of the
     guest vertex placed on label ``lab``.
-
-    ``leaving`` maps label intervals ``(lo, hi)`` to the number of guest
-    edges with one end placed in ``lo..hi`` and the other outside; the pass
-    records it for every subtree and sibling union (each fills an interval).
     """
 
-    __slots__ = ("guest", "embedding", "partite_at", "load", "leaving")
+    __slots__ = ("guest", "embedding", "partite_at", "load")
 
     def __init__(self, guest: Guest, links: HostLinks, embedding: Embedding) -> None:
         self.guest = guest
@@ -247,36 +245,26 @@ class _Tally:
         for m, lab in enumerate(labels, start=1):
             partite_at[lab] = guest.partite_of(m)
         self.partite_at = partite_at
-        self.leaving: dict[tuple[int, int], int] = {}
-        self.load = _loads(links, partite_at, [range(1, count + 1)], self.leaving)
+        self.load = _loads(links, partite_at, [range(1, count + 1)])
 
 
 def _loads(
-    links: HostLinks,
-    partite_at: list[int],
-    groups: Iterable[Sequence[int]],
-    records: dict[tuple[int, int], int],
+    links: HostLinks, partite_at: list[int], groups: Iterable[Sequence[int]]
 ) -> list[int]:
     """Each host edge's load from the guest edges with both ends in one
-    label group of ``groups``: one ``_add_subtree_loads`` pass per group,
-    each adding its leaving counts to ``records``."""
+    label group of ``groups``: one ``_add_subtree_loads`` pass per group."""
     load = [0] * (links.spill + 1)
     for members in groups:
-        _add_subtree_loads(links, partite_at, members, load, records)
+        _add_subtree_loads(links, partite_at, members, load)
     load.pop()  # the ``spill`` slot, above the top of the host
     return load
 
 
 def _add_subtree_loads(
-    links: HostLinks,
-    partite_at: list[int],
-    members: Sequence[int],
-    load: list[int],
-    records: dict[tuple[int, int], int],
+    links: HostLinks, partite_at: list[int], members: Sequence[int], load: list[int]
 ) -> None:
     """Add to ``load`` each host edge's share of the guest edges among the
-    labels ``members``, and record in ``records``, by label interval, the
-    guest edges leaving each subtree and sibling union for other members.
+    labels ``members``.
 
     Call ``S_t`` the labels in the subtree of ``t``: ``t`` and everything
     below it on the host's parent links.  A route with one end in ``S_t``
@@ -289,8 +277,7 @@ def _add_subtree_loads(
     ``c_j`` the number of labels holding partite set ``j``.  One pass from
     the leaves up keeps each subtree's size, partite counts and number of
     guest edges leaving it, merging the smaller count dict into the larger;
-    the first of two siblings waits for the second.  Each subtree's label
-    range is ``links.lo`` to ``links.hi``.
+    the first of two siblings waits for the second.
     """
     totals = Counter(partite_at[s] for s in members)
     size = [0] * len(partite_at)
@@ -319,20 +306,17 @@ def _add_subtree_loads(
         return between
 
     up, up_edge, sib, sib_edge = links.up, links.up_edge, links.sib, links.sib_edge
-    lo, hi = links.lo, links.hi
     done = [False] * len(partite_at)
     for t in links.order:
         # Every label below t came earlier in the order, so t's record is
         # its whole subtree.
         done[t] = True
-        records[lo[t], hi[t]] = leaving[t]
         load[up_edge[t]] += leaving[t]
         twin = sib[t]
         if not twin:
             join(up[t], t)
         elif done[twin]:
             across = join(t, twin)
-            records[min(lo[t], lo[twin]), max(hi[t], hi[twin])] = leaving[t]
             load[sib_edge[t]] += across
             load[up_edge[t]] -= across
             load[up_edge[twin]] -= across
@@ -404,28 +388,31 @@ def congestion_lemma_value(guest: Guest, subset: Iterable[int]) -> int:
     return len(chosen) * guest.degree - 2 * guest.induced_edge_count(chosen)
 
 
-def _side_leaving(tally: _Tally, count: int, guest: Guest, lo: int, hi: int) -> int:
-    """Guest edges with one end placed in ``lo..hi`` and one outside.
+def _leaving(guest: Guest, partite_at: list[int], cuts: Sequence[tuple]) -> list[int]:
+    """Each cut record's guest edges with one end placed in its interval
+    ``lo..hi`` and one outside, counted from the labels' partite sets.
 
-    Read off the tally's interval records, for the interval or for the
-    complement of a prefix or suffix, since both sides of a cut have the
-    same leaving edges.  Any other interval counts the partite sets of its
-    smaller side ``X``: ``|X| * degree - 2 * induced(X)``, with ``induced(X)
-    = (|X|**2 - sum_j c_j**2) / 2`` and ``c_j`` its labels holding partite
-    set ``j``.
+    The guest is regular, so ``s`` labels leave ``s * degree - 2 *
+    induced`` guest edges, with ``induced = (s**2 - sum_j c_j**2) / 2`` and
+    ``c_j`` the labels holding partite set ``j``: ``s * (degree - s) +
+    sum_j c_j**2``.  The prefixes ``1..hi`` (every chain cut) take ``sum_j
+    c_j**2`` from one sweep over the labels with running counts; any other
+    interval counts its own labels.
     """
-    records = tally.leaving
-    rest = (hi + 1, count) if lo == 1 else (1, lo - 1) if hi == count else None
-    for key in ((lo, hi), rest):
-        if key in records:
-            return records[key]
-    partite_at = tally.partite_at
-    if 2 * (hi - lo + 1) <= count:
-        labels = partite_at[lo:hi + 1]
-    else:
-        labels = partite_at[1:lo] + partite_at[hi + 1:]
-    side = len(labels)
-    return side * (guest.degree - side) + sum(c * c for c in Counter(labels).values())
+    top = max((hi for _, _, _, lo, hi, _, _ in cuts if lo == 1), default=0)
+    squares, held = [0], [0] * (guest.part_count + 1)  # squares[hi]: prefix 1..hi
+    for j in partite_at[1:top + 1]:
+        squares.append(squares[-1] + 2 * held[j] + 1)  # (c + 1)**2 - c**2
+        held[j] += 1
+    degree, leaving = guest.degree, []
+    for _, _, _, lo, hi, _, _ in cuts:
+        side = hi - lo + 1
+        if lo == 1:
+            square = squares[hi]
+        else:
+            square = sum(c * c for c in Counter(partite_at[lo:hi + 1]).values())
+        leaving.append(side * (degree - side) + square)
+    return leaving
 
 
 def _reports(
@@ -437,20 +424,21 @@ def _reports(
 ) -> tuple[CutConditionReport, ...]:
     """The condition report of every cut record (see
     ``HostTree.cuts``), in order; see ``verify_cut_conditions``.
-    ``congestions``, when given, holds each cut's congestion."""
+    ``congestions``, when given, holds each cut's routed congestion.  Each
+    report's ``lemma_value`` is the cut's count from ``_leaving``."""
     links, count = host.links, host.vertex_count
     if congestions is None:
         congestions = [_cut_load(tally.load, cut[6]) for cut in cuts]
+    counted = _leaving(guest, tally.partite_at, cuts)
     least: dict[int, int] = {}  # fewest guest edges leaving a set, by size
     reports = []
-    for (_, _, _, lo, hi, _, indices), congestion in zip(cuts, congestions):
+    for (_, _, _, lo, hi, _, indices), congestion, leaving in zip(cuts, congestions, counted):
         side = hi - lo + 1
-        leaving = _side_leaving(tally, count, guest, lo, hi)
         if side not in least:
             least[side] = formulas.interval_boundary_congestion(side, guest.n, guest.p)
-        # The guest is regular, so a set of s labels leaves s * degree -
-        # 2 * induced guest edges.  Both sides leave the same ones, so both
-        # are densest for their sizes exactly when those are the fewest.
+        # Both sides leave the same guest edges, and a set of s labels
+        # leaves s * degree - 2 * induced of them, so both sides are densest
+        # for their sizes exactly when those are the fewest.
         optimal = leaving == least[side]
         # Each route crossing the cut uses an odd number of its edges and
         # each other route an even number, so the congestion is at least
@@ -460,7 +448,7 @@ def _reports(
         same = 0
         if congestion != leaving:
             groups = (range(lo, hi + 1), [*range(1, lo), *range(hi + 1, count + 1)])
-            same = _cut_load(_loads(links, tally.partite_at, groups, {}), indices)
+            same = _cut_load(_loads(links, tally.partite_at, groups), indices)
         inside_ok, crossings_ok = same == 0, congestion - same == leaving
         reports.append(CutConditionReport(inside_ok, crossings_ok, optimal, leaving))
     return tuple(reports)
@@ -473,19 +461,18 @@ def verify_cut_conditions(
 
     The cut's edges are the edge boundary of its component interval, found
     by one scan of the host's edges, so a route between the two sides uses
-    an odd number of them and any other route an even number.  The
-    preimage counts come from the subtree pass: when the component, or the
-    complement of a prefix or suffix component, is a subtree or sibling
-    union (every standard cut), the pass recorded the guest edges leaving
-    it; any other interval counts its smaller side.  Both preimages are
-    optimal exactly when those edges are as few as any set of the
-    component's size can leave, ``formulas.interval_boundary_congestion``.
-    With ``same`` the load the same-side routes put on the cut (``_loads``:
-    the subtree pass over the labels inside it plus the one over those
-    outside), no same-side route touches the cut exactly when ``same ==
-    0``, and every crossing route uses one cut edge exactly when the
-    congestion minus ``same`` equals the number of crossing guest edges.  When the congestion already equals that number,
-    both hold and no further pass runs.
+    an odd number of them and any other route an even number.  The guest
+    edges crossing the cut are counted from the partite sets of the labels
+    in the component (``_leaving``), apart from the routed load.  Both
+    preimages are optimal exactly when those edges are as few as any set
+    of the component's size can leave,
+    ``formulas.interval_boundary_congestion``.  With ``same`` the load the
+    same-side routes put on the cut (``_loads``: the subtree pass over the
+    labels inside it plus the one over those outside), no same-side route
+    touches the cut exactly when ``same == 0``, and every crossing route
+    uses one cut edge exactly when the congestion minus ``same`` equals the
+    number of crossing guest edges.  When the congestion already equals
+    that number, both hold and no further pass runs.
 
     Raises ``ValueError`` when the component interval is not inside the
     host's labels.
@@ -499,12 +486,15 @@ def wirelength_via_partition(
     embedding: Embedding,
     cuts: Iterable[EdgeCut] | None = None,
 ) -> int:
-    """Wirelength from cut congestions.
+    """Wirelength from routed cut congestions.
 
     The cut family (default: ``host.cuts``, the host's checked standard
     family) must cover every host edge the same number of times; the
     congestion total, weighted by each cut's multiplicity share, then
-    overcounts the wirelength by exactly that factor.
+    overcounts the wirelength by exactly that factor.  The congestions are
+    the routed loads on each cut's edges, not the leaving guest edges
+    ``build_report`` sums: on a caller's family the congestion lemma need
+    not hold, so the two can differ.
     """
     records = host.cuts if cuts is None else _records(host, cuts)
     load = _tally(guest, host, embedding).load
@@ -514,8 +504,10 @@ def wirelength_via_partition(
 def _partition_total(
     links: HostLinks, cuts: Sequence[tuple], congestions: Sequence[int]
 ) -> int:
-    """``wirelength_via_partition`` from cut records of host edges (see
-    ``HostTree.cuts``) and each cut's congestion."""
+    """The wirelength from cut records (see ``HostTree.cuts``) and one
+    value per cut, weighted by share, over the family's uniform coverage:
+    each cut's leaving guest edges from ``build_report``, its routed
+    congestion from ``wirelength_via_partition``."""
     coverage = [0] * links.spill
     for _, _, _, _, _, share, indices in cuts:
         for x in indices:
@@ -532,7 +524,7 @@ def _partition_total(
     total = sum(cut[5] * c for cut, c in zip(cuts, congestions))
     if total % k_mult:
         raise ConsistencyError(
-            f"weighted congestion {total} is not divisible by coverage {k_mult}"
+            f"weighted leaving guest edges {total} are not divisible by coverage {k_mult}"
         )
     return total // k_mult
 
@@ -551,6 +543,9 @@ def build_report(
     congestions = [_cut_load(load, cut[6]) for cut in cuts]
     per_cut = tuple(CutReport(*cut[:3], ec) for cut, ec in zip(cuts, congestions))
     conditions = _reports(guest, host, tally, cuts, congestions)
+    # ``ec`` is the routed load and ``lemma_value`` the count apart from
+    # it, so the partition total checks the routing cut by cut.
+    leaving = [c.lemma_value for c in conditions]
     return WirelengthReport(
         n=guest.n,
         p=guest.p,
@@ -558,7 +553,7 @@ def build_report(
         k=host.k,
         host_kind=host.kind,
         direct=sum(load),
-        via_partition=_partition_total(host.links, cuts, congestions),
+        via_partition=_partition_total(host.links, cuts, leaving),
         closed_form=formulas.closed_form_wirelength(
             guest.n, guest.p, n1=host.n1, sibling=host.sibling
         ),

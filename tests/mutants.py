@@ -13,6 +13,7 @@ HOSTS = "src/treebed/hosts.py"
 EMBEDDING = "src/treebed/embedding.py"
 CLI = "src/treebed/cli.py"
 SEARCH = "src/treebed/search.py"
+FORMULAS = "src/treebed/formulas.py"
 
 MUTANTS = (
     (
@@ -100,6 +101,12 @@ MUTANTS = (
         "j",
         "verify's text prints None for the j of a chain cut",
     ),
+    (
+        EMBEDDING,
+        "leaving[s] = len(members) - totals[partite_at[s]]",
+        "leaving[s] = len(members) - totals[partite_at[s]] + (s == 1)",
+        "the routed load adds one guest edge leaving label 1 on every link above it",
+    ),
 )
 
 EQUIVALENT = (
@@ -109,5 +116,12 @@ EQUIVALENT = (
         "optimal = leaving <= least[side]",
         "no set of a size leaves fewer guest edges than the least for that size,"
         " so leaving is never below least[side]",
+    ),
+    (
+        FORMULAS,
+        "if m >= parts:",
+        "if m > parts:",
+        "at m == parts both branches add parts * k * (k - 1) * (k - 2) / 3:"
+        " c = 1 gives parts * (s2 - s1), and rounds = k, period = 1 give the same",
     ),
 )

@@ -13,6 +13,7 @@ from treebed import (
     HostTree,
     build_guest,
     build_host,
+    build_report,
     congestion_lemma_value,
     cut_congestion,
     cut_family,
@@ -23,8 +24,9 @@ from treebed import (
     wirelength_direct,
     wirelength_via_partition,
 )
-from treebed import cli, hosts
+from treebed import cli, embedding, hosts
 from treebed.cli import main
+from treebed.errors import ConsistencyError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -401,6 +403,53 @@ def test_broken_standard_family_exits_1(capsys, monkeypatch):
 
         monkeypatch.setattr(hosts, "_standard_cuts", broken)
         assert run(capsys, *argv) == (1, "", message)
+    monkeypatch.undo()
+    assert run(capsys, *argv)[0] == 0
+
+
+def test_swapped_embeddings_pass_every_cross_check(capsys):
+    # by the star argument every standard cut's routed congestion is the
+    # count of guest edges leaving its preimage, for any embedding; so on
+    # an embedding that fails the lemma (labels 1 and 2**n swapped) the
+    # partition total still matches direct and both route flags hold
+    requests = 0
+    for n in range(2, 7):
+        for p in range(2, n + 1):
+            for n1 in range(1, n + 1):
+                for kind, variant in [("binary", 0)] + [("sibling", v) for v in LAYOUT_VARIANTS]:
+                    argv = ["verify", "--n", str(n), "--p", str(p), "--n1", str(n1),
+                            "--host", kind, "--variant", str(variant),
+                            "--swap", "1", str(1 << n)]
+                    code, data, _ = run_json(capsys, *argv)
+                    assert code in (0, 1) and data["partition_matches_direct"], argv
+                    for row in data["per_cut"]:
+                        assert row["inside_avoids_cut"] and row["crossings_cross_once"], argv
+                    requests += 1
+    assert requests == 350
+
+
+def test_an_uneven_leaving_total_exits_1(capsys, monkeypatch):
+    # one share-1 S cut's leaving count one too high makes the sibling
+    # host's weighted total odd, against its coverage of 2
+    argv = ("verify", "--n", "4", "--p", "2", "--n1", "2", "--host", "sibling", "--variant", "1")
+    host = HostTree(2, 4, True, 1)
+    guest = build_guest(4, 2)
+    report = build_report(guest, host, identity_embedding(guest, host))
+    assert host.cuts[3][0] == "S" and host.cuts[3][5] == 1
+    leaving = embedding._leaving
+
+    def one_more(guest, partite_at, cuts):
+        counts = leaving(guest, partite_at, cuts)
+        counts[3] += 1
+        return counts
+
+    monkeypatch.setattr(embedding, "_leaving", one_more)
+    message = (f"weighted leaving guest edges {2 * report.direct + 1} are not divisible"
+               " by coverage 2")
+    with pytest.raises(ConsistencyError) as err:
+        build_report(guest, host, identity_embedding(guest, host))
+    assert str(err.value) == message
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
     monkeypatch.undo()
     assert run(capsys, *argv)[0] == 0
 

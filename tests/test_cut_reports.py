@@ -24,7 +24,7 @@ from treebed import (
     wirelength_via_partition,
 )
 from treebed import hosts
-from treebed.embedding import _Tally, _records, _reports, _side_leaving, _tally
+from treebed.embedding import _leaving, _records, _reports, _tally
 from treebed.errors import ConsistencyError
 
 
@@ -207,24 +207,42 @@ def test_broken_cuts_raise_the_oracles_message():
     assert raised > 1000
 
 
-def test_standard_cuts_are_read_off_the_pass():
-    # every standard cut's component, or the complement of a prefix one, is
-    # a subtree or sibling union the pass recorded, so no cut scans labels:
-    # with the labels' partite sets taken away, each still gets its count
+def _caller_intervals(count, rng):
+    """``1..count``, then two random prefixes, suffixes and interior
+    intervals."""
+    spans = [(1, count)]
+    for _ in range(2):
+        x = rng.randrange(1, count)
+        spans += [(1, x), (x + 1, count)]
+        spans.append(tuple(sorted(rng.sample(range(2, count), 2))))
+    return spans
+
+
+def test_leaving_counts_each_preimage():
+    # every standard cut of every n <= 7 shape, kind and variant, and
+    # random caller intervals, on the identity and a random embedding:
+    # _leaving's count against the guest edges leaving the preimage
+    rng = random.Random(27)
     seen = 0
     for n in range(2, 8):
-        for _, n1, kind, variant in _shapes(n, [2]):
-            guest = build_guest(n, 2)
+        count = 1 << n
+        for p, n1, kind, variant in _shapes(n, range(2, n + 1)):
+            guest = build_guest(n, p)
             host = _labeled(n, n1, kind, variant)
-            tally = _Tally(guest, host.links, identity_embedding(guest, host))
-            tally.partite_at = None
-            count = host.vertex_count
-            for cut in cut_family(host):
-                lo, hi = cut.component_lo, cut.component_hi
-                leaving = _side_leaving(tally, count, guest, lo, hi)
-                assert leaving == congestion_lemma_value(guest, range(lo, hi + 1))
-                seen += 1
-    assert seen > 5000
+            spans = _caller_intervals(count, rng)
+            callers = _records(host, [EdgeCut("X", None, 1, lo, hi) for lo, hi in spans])
+            shuffled = list(range(1, count + 1))
+            rng.shuffle(shuffled)
+            for assignment in (range(1, count + 1), shuffled):
+                partite_at, vertex_at = [0] * (count + 1), [0] * (count + 1)
+                for m, lab in enumerate(assignment, start=1):
+                    partite_at[lab], vertex_at[lab] = guest.partite_of(m), m
+                cuts = host.cuts + tuple(callers)
+                for cut, got in zip(cuts, _leaving(guest, partite_at, cuts)):
+                    lo, hi = cut[3:5]
+                    assert got == congestion_lemma_value(guest, vertex_at[lo:hi + 1]), cut[:5]
+                    seen += 1
+    assert seen > 100000
 
 
 def test_a_batch_raises_for_its_first_broken_cut():

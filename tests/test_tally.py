@@ -42,7 +42,7 @@ def _check_tally(guest, host, embedding, sides=()):
     count = host.vertex_count
     for lo, hi in sides:
         groups = (range(lo, hi + 1), [*range(1, lo), *range(hi + 1, count + 1)])
-        load = _loads(host.links, tally.partite_at, groups, {})
+        load = _loads(host.links, tally.partite_at, groups)
         expected = per_goal_tally(
             host.links, embedding.assignment, guest.part_count, (lo, hi)
         )
