@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from treebed import formulas
-from treebed.embedding import build_report, identity_embedding
+from treebed.embedding import Embedding, build_report, identity_embedding
 from treebed.errors import (
     DEFAULT_PARTITION_BUDGET, BudgetExceededError, ConsistencyError, CoverageError,
 )
@@ -50,7 +50,8 @@ def _check_exhaustive_cap(n: int) -> None:
         raise ValueError(f"exhaustive search is capped at 2**n <= {1 << EXHAUSTIVE_MAX_N}")
 
 
-def _instance(args) -> tuple[Guest, HostTree]:
+def _instance(args) -> tuple[Guest, HostTree, Embedding]:
+    """The guest, the host, and the identity embedding after ``--swap``."""
     n, p = args.n, args.p
     if n > ENGINE_MAX_N:
         raise ValueError(f"engine runs are capped at n <= {ENGINE_MAX_N}")
@@ -58,13 +59,11 @@ def _instance(args) -> tuple[Guest, HostTree]:
     n1 = args.n1 if args.n1 is not None else n
     if not 1 <= n1 <= n:
         raise ValueError(f"need 1 <= n1 <= n, got n1={n1}")
-    return guest, _build_labeled(n1, 1 << (n - n1), args.host, args.variant)
-
-
-def _apply_swaps(embedding, swaps):
-    for a, b in swaps or ():
+    host = _build_labeled(n1, 1 << (n - n1), args.host, args.variant)
+    embedding = identity_embedding(guest, host)
+    for a, b in args.swap or ():
         embedding = embedding.swapped(a, b)
-    return embedding
+    return guest, host, embedding
 
 
 def _emit(args, text: str) -> None:
@@ -163,8 +162,7 @@ def cmd_host(args) -> int:
 
 
 def cmd_wirelength(args) -> int:
-    guest, host = _instance(args)
-    embedding = _apply_swaps(identity_embedding(guest, host), args.swap)
+    guest, host, embedding = _instance(args)
     exhaustive_min = None
     if args.exhaustive:
         _check_exhaustive_cap(args.n)
@@ -208,8 +206,7 @@ VERIFY_COLUMNS = (
 
 
 def cmd_verify(args) -> int:
-    guest, host = _instance(args)
-    embedding = _apply_swaps(identity_embedding(guest, host), args.swap)
+    guest, host, embedding = _instance(args)
     report = build_report(guest, host, embedding)
     rows = [
         (cut.family, cut.j, cut.i, cut.ec, cond.lemma_value, cond.inside_avoids_cut,

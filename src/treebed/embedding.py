@@ -10,16 +10,17 @@ goal.  The routes toward one goal label form that label's in-tree
 links.  So a route leaves a label's subtree through that label, and the
 load on every host edge is a count of guest edges between subtrees, which
 one pass from the leaves up reads off each subtree's partite counts
-(``_Tally``) without walking a route.  The congestion lemma's route
-conditions on a cut come from the same pass run on the same-side guest
-edges alone: a cut's congestion minus their load counts the cut edges on
-the crossing routes, and that load itself counts the same-side routes'
-cut edges.  Apart from that load, ``_leaving`` counts the guest edges
-leaving each cut's component from its labels' partite sets.  The
-congestion lemma says the cut's congestion equals that count, so the
-route conditions, and the partition total that sums the counts, show a
-wrong load on the cut it touches.  A cut's preimages are optimal exactly
-when its count is the fewest a set of its size can have
+(``_tally``, kept in the host's memo) without walking a route; one loop
+(``_reports``) reads each cut's congestion off it.  The congestion lemma's
+route conditions on a cut come from the same pass run on the same-side
+guest edges alone: a cut's congestion minus their load counts the cut
+edges on the crossing routes, and that load itself counts the same-side
+routes' cut edges.  Apart from that load, ``_leaving`` counts the guest
+edges leaving each cut's component from its labels' partite sets.  The
+congestion lemma says the cut's congestion equals that count, so the route
+conditions, and the partition total that sums the counts, show a wrong
+load on the cut it touches.  A cut's preimages are optimal exactly when
+its count is the fewest a set of its size can have
 (``formulas.interval_boundary_congestion``, the same minimum the closed
 forms sum).
 Cut edges are handled as indices into the host's edge list.  A cut is its
@@ -88,6 +89,8 @@ class Embedding(Frozen):
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, int]) -> Embedding:
+        if mapping.keys() != set(range(1, len(mapping) + 1)):
+            raise ValueError("mapping keys are not the guest vertices 1..vertex_count")
         return cls(mapping[m] for m in range(1, len(mapping) + 1))
 
     def label_for(self, v: int) -> int:
@@ -226,28 +229,6 @@ def route(host: HostTree, u: int, v: int) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-class _Tally:
-    """Routed load on every host edge for one (guest, host, embedding).
-
-    ``load[i]`` counts the guest edges whose route uses host edge
-    ``host.links.edges[i]``; ``partite_at[lab]`` is the partite set of the
-    guest vertex placed on label ``lab``.
-    """
-
-    __slots__ = ("guest", "embedding", "partite_at", "load")
-
-    def __init__(self, guest: Guest, links: HostLinks, embedding: Embedding) -> None:
-        self.guest = guest
-        self.embedding = embedding
-        labels = embedding.assignment
-        count = len(labels)
-        partite_at = [0] * (count + 1)
-        for m, lab in enumerate(labels, start=1):
-            partite_at[lab] = guest.partite_of(m)
-        self.partite_at = partite_at
-        self.load = _loads(links, partite_at, [range(1, count + 1)])
-
-
 def _loads(
     links: HostLinks, partite_at: list[int], groups: Iterable[Sequence[int]]
 ) -> list[int]:
@@ -323,20 +304,29 @@ def _add_subtree_loads(
             join(up[t], t)
 
 
-def _tally(guest: Guest, host: HostTree, embedding: Embedding) -> _Tally:
-    """The instance's tallies, from the host's memo when it already has them."""
-    if len(embedding.assignment) != _vertex_count(guest, host):
+def _tally(guest: Guest, host: HostTree, embedding: Embedding) -> tuple[list[int], list[int]]:
+    """``(partite_at, load)`` for one instance, from the host's memo when it
+    has them: ``partite_at[lab]`` is the partite set of the guest vertex on
+    label ``lab``, and ``load[i]`` counts the guest edges whose route uses
+    host edge ``host.links.edges[i]``."""
+    links, labels = host.links, embedding.assignment
+    count = _vertex_count(guest, host)
+    if len(labels) != count:
         raise ValueError("embedding size does not match the instance")
-    links = host.links
     memo = links.memo
-    if memo is None or memo.guest != guest or memo.embedding != embedding:
-        memo = links.memo = _Tally(guest, links, embedding)
-    return memo
+    if memo is None or memo[0] != guest or memo[1] != embedding:
+        partite_at = [0] * (count + 1)
+        for m, lab in enumerate(labels, start=1):
+            partite_at[lab] = guest.partite_of(m)
+        load = _loads(links, partite_at, [range(1, count + 1)])
+        memo = links.memo = (guest, embedding, partite_at, load)
+    return memo[2], memo[3]
 
 
 def wirelength_direct(guest: Guest, host: HostTree, embedding: Embedding) -> int:
     """Sum of routed path lengths over all guest edges."""
-    return sum(_tally(guest, host, embedding).load)
+    _, load = _tally(guest, host, embedding)
+    return sum(load)
 
 
 def edge_congestion(
@@ -356,15 +346,16 @@ def edge_congestion(
             index = links.sib_edge[a]
     if index == links.spill:
         raise ValueError(f"{host_edge} is not a host edge (in label space)")
-    return _tally(guest, host, embedding).load[index]
+    _, load = _tally(guest, host, embedding)
+    return load[index]
 
 
 def cut_congestion(
     guest: Guest, host: HostTree, embedding: Embedding, cut: EdgeCut
 ) -> int:
     """Total congestion over a cut's edges."""
-    indices = _boundary(host, cut.component_lo, cut.component_hi)
-    return _cut_load(_tally(guest, host, embedding).load, indices)
+    _, load = _tally(guest, host, embedding)
+    return _cut_load(load, _boundary(host, cut.component_lo, cut.component_hi))
 
 
 def _cut_load(load: list[int], indices: Sequence[int]) -> int:
@@ -416,23 +407,18 @@ def _leaving(guest: Guest, partite_at: list[int], cuts: Sequence[tuple]) -> list
 
 
 def _reports(
-    guest: Guest,
-    host: HostTree,
-    tally: _Tally,
-    cuts: Sequence[tuple],
-    congestions: Sequence[int] | None = None,
-) -> tuple[CutConditionReport, ...]:
-    """The condition report of every cut record (see
-    ``HostTree.cuts``), in order; see ``verify_cut_conditions``.
-    ``congestions``, when given, holds each cut's routed congestion.  Each
-    report's ``lemma_value`` is the cut's count from ``_leaving``."""
+    guest: Guest, host: HostTree, partite_at: list[int], load: list[int], cuts: Sequence[tuple]
+) -> tuple[tuple[CutReport, ...], tuple[CutConditionReport, ...]]:
+    """Every cut record's ``CutReport`` and condition report (see
+    ``HostTree.cuts`` and ``verify_cut_conditions``), in order.  A cut's
+    ``ec`` is its routed congestion, from ``load``, and its
+    ``lemma_value`` its count from ``_leaving``, apart from the routing."""
     links, count = host.links, host.vertex_count
-    if congestions is None:
-        congestions = [_cut_load(tally.load, cut[6]) for cut in cuts]
-    counted = _leaving(guest, tally.partite_at, cuts)
     least: dict[int, int] = {}  # fewest guest edges leaving a set, by size
-    reports = []
-    for (_, _, _, lo, hi, _, indices), congestion, leaving in zip(cuts, congestions, counted):
+    per_cut, conditions = [], []
+    counted = _leaving(guest, partite_at, cuts)
+    for (family, j, i, lo, hi, _, indices), leaving in zip(cuts, counted):
+        congestion = _cut_load(load, indices)
         side = hi - lo + 1
         if side not in least:
             least[side] = formulas.interval_boundary_congestion(side, guest.n, guest.p)
@@ -448,10 +434,11 @@ def _reports(
         same = 0
         if congestion != leaving:
             groups = (range(lo, hi + 1), [*range(1, lo), *range(hi + 1, count + 1)])
-            same = _cut_load(_loads(links, tally.partite_at, groups), indices)
+            same = _cut_load(_loads(links, partite_at, groups), indices)
         inside_ok, crossings_ok = same == 0, congestion - same == leaving
-        reports.append(CutConditionReport(inside_ok, crossings_ok, optimal, leaving))
-    return tuple(reports)
+        per_cut.append(CutReport(family, j, i, congestion))
+        conditions.append(CutConditionReport(inside_ok, crossings_ok, optimal, leaving))
+    return tuple(per_cut), tuple(conditions)
 
 
 def verify_cut_conditions(
@@ -461,23 +448,25 @@ def verify_cut_conditions(
 
     The cut's edges are the edge boundary of its component interval, found
     by one scan of the host's edges, so a route between the two sides uses
-    an odd number of them and any other route an even number.  The guest
-    edges crossing the cut are counted from the partite sets of the labels
-    in the component (``_leaving``), apart from the routed load.  Both
-    preimages are optimal exactly when those edges are as few as any set
-    of the component's size can leave,
-    ``formulas.interval_boundary_congestion``.  With ``same`` the load the
-    same-side routes put on the cut (``_loads``: the subtree pass over the
-    labels inside it plus the one over those outside), no same-side route
-    touches the cut exactly when ``same == 0``, and every crossing route
-    uses one cut edge exactly when the congestion minus ``same`` equals the
-    number of crossing guest edges.  When the congestion already equals
-    that number, both hold and no further pass runs.
+    an odd number of them and any other route an even number.  This is
+    ``build_report``'s per-cut loop (``_reports``) on one cut, over the load
+    in the host's memo, so calls on one instance share one subtree pass.
+    The crossing guest edges are counted from the partite sets of the
+    component's labels (``_leaving``), apart from the routed load.  Both
+    preimages are optimal exactly when those edges are as few as any set of
+    the component's size can leave (``formulas.interval_boundary_congestion``).
+    With ``same`` the load the same-side routes put on the cut (``_loads``
+    over the labels inside it and over those outside), no same-side route
+    touches the cut exactly when ``same == 0``, and every crossing route uses
+    one cut edge exactly when the congestion minus ``same`` equals the number
+    of crossing guest edges.  When the congestion already equals that
+    number, both hold and no further pass runs.
 
     Raises ``ValueError`` when the component interval is not inside the
     host's labels.
     """
-    return _reports(guest, host, _tally(guest, host, embedding), _records(host, (cut,)))[0]
+    partite_at, load = _tally(guest, host, embedding)
+    return _reports(guest, host, partite_at, load, _records(host, (cut,)))[1][0]
 
 
 def wirelength_via_partition(
@@ -497,7 +486,7 @@ def wirelength_via_partition(
     not hold, so the two can differ.
     """
     records = host.cuts if cuts is None else _records(host, cuts)
-    load = _tally(guest, host, embedding).load
+    _, load = _tally(guest, host, embedding)
     return _partition_total(host.links, records, [_cut_load(load, r[6]) for r in records])
 
 
@@ -538,11 +527,8 @@ def build_report(
 ) -> WirelengthReport:
     """Run every wirelength computation for one instance and bundle the results."""
     cuts = host.cuts
-    tally = _tally(guest, host, embedding)
-    load = tally.load
-    congestions = [_cut_load(load, cut[6]) for cut in cuts]
-    per_cut = tuple(CutReport(*cut[:3], ec) for cut, ec in zip(cuts, congestions))
-    conditions = _reports(guest, host, tally, cuts, congestions)
+    partite_at, load = _tally(guest, host, embedding)
+    per_cut, conditions = _reports(guest, host, partite_at, load, cuts)
     # ``ec`` is the routed load and ``lemma_value`` the count apart from
     # it, so the partition total checks the routing cut by cut.
     leaving = [c.lemma_value for c in conditions]

@@ -152,9 +152,10 @@ class HostLinks:
 
     ``order`` lists every label before the label it hangs from.  ``spill
     == len(edges)`` indexes no edge; it stands in where a label has no
-    link.  ``memo`` holds the tallies for the most recent (guest,
-    embedding) routed over these links, so repeated queries on one
-    instance share one pass and die with the host.
+    link.  ``memo`` holds ``(guest, embedding, partite_at, load)`` for the
+    most recent instance routed over these links (``embedding._tally``),
+    so repeated queries on one instance share one pass and die with the
+    host.
 
     The subtree of ``t`` is ``t`` and every label below it on the ``up``
     links; ``lo[t]`` and ``hi[t]`` are its lowest and highest label, and

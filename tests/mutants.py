@@ -107,6 +107,12 @@ MUTANTS = (
         "leaving[s] = len(members) - totals[partite_at[s]] + (s == 1)",
         "the routed load adds one guest edge leaving label 1 on every link above it",
     ),
+    (
+        EMBEDDING,
+        "CutReport(family, j, i, congestion)",
+        "CutReport(family, j, i, leaving)",
+        "each cut's ec is its counted leaving guest edges, not its routed congestion",
+    ),
 )
 
 EQUIVALENT = (

@@ -454,6 +454,42 @@ def test_an_uneven_leaving_total_exits_1(capsys, monkeypatch):
     assert run(capsys, *argv)[0] == 0
 
 
+def test_the_reported_ec_is_the_routed_load(capsys, monkeypatch):
+    # a leaving count two too high on one share-1 S cut of a binary host
+    # (coverage 1) moves that cut's lemma_value and the partition total,
+    # while its ec stays the routed congestion
+    argv = ("verify", "--n", "4", "--p", "2", "--n1", "2", "--output", "text")
+    host = HostTree(2, 4, False)
+    guest = build_guest(4, 2)
+    emb = identity_embedding(guest, host)
+    target = host.cuts[9]
+    assert target[0] == "S" and target[5] == 1
+    ec = cut_congestion(guest, host, emb, cut_family(host)[9])
+    direct = wirelength_direct(guest, host, emb)
+    code, clean, _ = run(capsys, *argv)
+    assert code == 0
+    leaving = embedding._leaving
+
+    def two_more(guest, partite_at, cuts):
+        counts = leaving(guest, partite_at, cuts)
+        for x, cut in enumerate(cuts):
+            if cut[:5] == target[:5]:
+                counts[x] += 2
+        return counts
+
+    monkeypatch.setattr(embedding, "_leaving", two_more)
+    report = build_report(guest, host, emb)
+    assert report.per_cut[9].ec == ec
+    conditions = report.cut_conditions[9]
+    assert conditions.lemma_value == ec + 2 and not conditions.crossings_cross_once
+    assert report.direct == direct and report.via_partition == direct + 2
+    expected = clean.replace(
+        f"S(j=2, i=2): ec={ec} lemma={ec} ok\n", f"S(j=2, i=2): ec={ec} lemma={ec + 2} FAIL\n"
+    ).replace(f"via_partition={direct} -> ok", f"via_partition={direct + 2} -> FAIL")
+    assert expected.count("FAIL") == 2
+    assert run(capsys, *argv) == (1, expected, "")
+
+
 def test_guest_json(capsys):
     code, data, _ = run_json(capsys, "guest", "--n", "3", "--p", "2")
     assert code == 0

@@ -67,8 +67,9 @@ def _intervals(count, rng, every):
 
 
 def _batch(guest, host, tally, cuts):
-    """The condition reports of a batch of ``EdgeCut``s, in one call."""
-    return _reports(guest, host, tally, _records(host, cuts))
+    """The condition reports of a batch of ``EdgeCut``s, in one call, from
+    ``tally``, the instance's ``(partite_at, load)``."""
+    return _reports(guest, host, *tally, _records(host, cuts))[1]
 
 
 def _check_reports(guest, host, emb, cuts):

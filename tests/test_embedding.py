@@ -47,6 +47,9 @@ def test_embedding_validation():
         Embedding((1, 1, 2))
     with pytest.raises(ValueError):
         Embedding((2, 3, 4))
+    for mapping in ({1: 1, 3: 2}, {0: 1}):
+        with pytest.raises(ValueError):
+            Embedding.from_mapping(mapping)
     emb = Embedding.from_mapping({1: 2, 2: 1, 3: 3})
     assert emb.assignment == (2, 1, 3)
     assert emb.label_for(1) == 2

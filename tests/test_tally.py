@@ -16,7 +16,7 @@ from treebed import (
     inorder_labeling,
     sibling_layout_labeling,
 )
-from treebed.embedding import _Tally, _loads
+from treebed.embedding import _loads, _tally
 from treebed.hosts import _standard_cuts
 
 
@@ -37,12 +37,12 @@ def _check_tally(guest, host, embedding, sides=()):
     """The subtree tally against the oracle, over every label, and then
     ``_loads`` over the labels inside and outside each ``(lo, hi)``
     interval of ``sides``."""
-    tally = _Tally(guest, host.links, embedding)
-    assert tally.load == per_goal_tally(host.links, embedding.assignment, guest.part_count)
+    partite_at, load = _tally(guest, host, embedding)
+    assert load == per_goal_tally(host.links, embedding.assignment, guest.part_count)
     count = host.vertex_count
     for lo, hi in sides:
         groups = (range(lo, hi + 1), [*range(1, lo), *range(hi + 1, count + 1)])
-        load = _loads(host.links, tally.partite_at, groups)
+        load = _loads(host.links, partite_at, groups)
         expected = per_goal_tally(
             host.links, embedding.assignment, guest.part_count, (lo, hi)
         )
