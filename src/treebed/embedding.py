@@ -26,11 +26,11 @@ forms sum).
 Cut edges are handled as indices into the host's edge list.  A cut is its
 component interval, so its edges are the interval's edge boundary.  The
 host owns its standard family as records (``HostTree.cuts``: an
-``EdgeCut``'s fields, then the edge indices), checked against their
-intervals once, on first use; ``build_report``, ``cut_family`` and
-``wirelength_via_partition`` all read that checked family.  The calls that
-take a caller's ``EdgeCut`` find its edges by one scan of the host's edges,
-then run the same code.
+``EdgeCut``'s fields, then the edge indices), checked once, on first use,
+against the edge boundaries the host's gap spans give (``HostLinks.spans``);
+``build_report``, ``cut_family`` and ``wirelength_via_partition`` all read
+that checked family.  The calls that take a caller's ``EdgeCut`` read its
+edges off the same spans (``hosts._boundary``), then run the same code.
 Wirelength comes out three ways that must agree: summing routed path
 lengths, summing the cuts' leaving guest edges weighted by coverage, and
 (elsewhere) closed forms.
@@ -83,6 +83,8 @@ class Embedding(Frozen):
 
     def __init__(self, assignment: Iterable[int]) -> None:
         assignment = tuple(assignment)
+        if not all(isinstance(lab, int) for lab in assignment):
+            raise ValueError("assignment labels must be integers")
         if sorted(assignment) != list(range(1, len(assignment) + 1)):
             raise ValueError("assignment is not a bijection onto 1..vertex_count")
         self._set(assignment=assignment)
@@ -446,9 +448,9 @@ def verify_cut_conditions(
 ) -> CutConditionReport:
     """Check the three congestion-lemma conditions for one cut.
 
-    The cut's edges are the edge boundary of its component interval, found
-    by one scan of the host's edges, so a route between the two sides uses
-    an odd number of them and any other route an even number.  This is
+    The cut's edges are the edge boundary of its component interval, read
+    off the host's gap spans, so a route between the two sides uses an odd
+    number of them and any other route an even number.  This is
     ``build_report``'s per-cut loop (``_reports``) on one cut, over the load
     in the host's memo, so calls on one instance share one subtree pass.
     The crossing guest edges are counted from the partite sets of the
@@ -477,13 +479,13 @@ def wirelength_via_partition(
 ) -> int:
     """Wirelength from routed cut congestions.
 
-    The cut family (default: ``host.cuts``, the host's checked standard
-    family) must cover every host edge the same number of times; the
-    congestion total, weighted by each cut's multiplicity share, then
-    overcounts the wirelength by exactly that factor.  The congestions are
-    the routed loads on each cut's edges, not the leaving guest edges
-    ``build_report`` sums: on a caller's family the congestion lemma need
-    not hold, so the two can differ.
+    The congestions are the routed loads on each cut's edges, not the
+    leaving guest edges ``build_report`` sums: on a caller's family the
+    congestion lemma need not hold.  A family (default: ``host.cuts``) that
+    covers every host edge ``c`` times, counting shares, has a weighted
+    congestion total of ``c`` times the total routed load, so the result
+    equals ``wirelength_direct`` for any routing.  This checks the family's
+    coverage (``CoverageError`` otherwise), not the routes.
     """
     records = host.cuts if cuts is None else _records(host, cuts)
     _, load = _tally(guest, host, embedding)

@@ -88,7 +88,9 @@ class Guest(Frozen):
 
 
 def check_guest_shape(n: int, p: int) -> None:
-    """Raise ``ValueError`` unless ``2 <= p <= n <= MAX_N``."""
+    """Raise ``ValueError`` unless ``n`` and ``p`` are integers with ``2 <= p <= n <= MAX_N``."""
+    if not (isinstance(n, int) and isinstance(p, int)):
+        raise ValueError(f"n and p must be integers, got n={n!r}, p={p!r}")
     if not 2 <= p <= n:
         raise ValueError(f"need 2 <= p <= n, got n={n}, p={p}")
     if n > MAX_N:

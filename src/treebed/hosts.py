@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from treebed.errors import ConsistencyError
 from treebed.frozen import Frozen
@@ -72,9 +72,9 @@ class HostTree(Frozen):
 
     def __init__(self, n1: int, k: int, sibling: bool, variant: int = 0) -> None:
         _check_host_size(n1, k)
-        if sibling and variant not in LAYOUT_VARIANTS:
+        if sibling and not (isinstance(variant, int) and variant in LAYOUT_VARIANTS):
             raise ValueError(f"variant must be one of {LAYOUT_VARIANTS}, got {variant}")
-        if not sibling and variant != 0:
+        if not sibling and (variant != 0 or not isinstance(variant, int)):
             raise ValueError(f"binary hosts have only variant 0, got {variant}")
         self._set(n1=n1, k=k, sibling=sibling, variant=variant)
 
@@ -126,11 +126,19 @@ class HostTree(Frozen):
     @cached_property
     def cuts(self) -> tuple[tuple, ...]:
         """The standard cut family as records (``_standard_cuts``), built and
-        checked against their intervals (``_check_boundaries``) on first
-        use.  A failed check raises ``ConsistencyError`` and caches nothing,
-        so every later use raises again."""
+        checked on first use: each record's interval lies inside the host and
+        its edges, each listed once, are the interval's edge boundary read
+        off ``links.spans``.  The first record that fails raises
+        ``ConsistencyError`` and nothing is cached, so every use raises."""
         cuts = tuple(_standard_cuts(self))
-        _check_boundaries(self.links, self.vertex_count, cuts)
+        count, spans = self.vertex_count, self.links.spans
+        for _, _, _, lo, hi, _, indices in cuts:
+            if not 1 <= lo <= hi <= count:
+                raise ConsistencyError(f"cut component {lo}..{hi} is not inside 1..{count}")
+            listed = set(indices)
+            boundary = set(spans[lo - 1]).symmetric_difference(spans[hi])
+            if len(listed) != len(indices) or listed != boundary:
+                raise ConsistencyError(f"cut edges are not the edge boundary of labels {lo}..{hi}")
         return cuts
 
 
@@ -164,10 +172,16 @@ class HostLinks:
     The links also index the edges: the edge between ``a`` and ``b`` is
     ``up_edge[a]`` when ``a`` hangs from ``b``, ``up_edge[b]`` when ``b``
     hangs from ``a``, and ``sib_edge[a]`` when the two are siblings.
+
+    ``spans[g]`` holds the indices of the edges spanning gap ``g``, the
+    place between labels ``g`` and ``g + 1`` (``0 <= g <= count``): edge
+    ``(a, b)`` with ``a < b`` spans the gaps ``a..b-1``.  So the edges with
+    exactly one end in ``lo..hi`` are those spanning exactly one of the
+    gaps ``lo - 1`` and ``hi``.
     """
 
     __slots__ = (
-        "edges", "spill", "up", "up_edge", "sib", "sib_edge", "order", "lo", "hi", "memo",
+        "edges", "spill", "up", "up_edge", "sib", "sib_edge", "order", "lo", "hi", "spans", "memo",
     )
 
     def __init__(self, host: HostTree) -> None:
@@ -212,6 +226,15 @@ class HostLinks:
             if hi[t] > hi[u]:
                 hi[u] = hi[t]
         self.lo, self.hi = lo, hi
+        changes: list[list[int]] = [[] for _ in range(count + 1)]
+        for x, (a, b) in enumerate(edges):
+            changes[a].append(x)
+            changes[b].append(x)
+        span: set[int] = set()
+        self.spans = spans = []
+        for toggled in changes:
+            span.symmetric_difference_update(toggled)
+            spans.append(tuple(span))
         self.memo = None
 
     def in_tree(self, goal: int) -> tuple[list[int], list[int], list[int]]:
@@ -282,7 +305,8 @@ class EdgeCut(NamedTuple):
 
 def cut_edges(host: HostTree, cut: EdgeCut) -> tuple[tuple[int, int], ...]:
     """The edges of ``cut``: the host edges with exactly one end in its
-    component interval, as label pairs in ``host.links.edges`` order.
+    component interval, read off ``host.links.spans``, as label pairs in
+    ``host.links.edges`` order.
 
     Raises ``ValueError`` when the interval is not inside the host's labels.
     """
@@ -292,63 +316,19 @@ def cut_edges(host: HostTree, cut: EdgeCut) -> tuple[tuple[int, int], ...]:
 
 def _boundary(host: HostTree, lo: int, hi: int) -> list[int]:
     """The indices into ``host.links.edges`` of the host edges with exactly
-    one end in ``lo..hi``, found by one scan of the edges."""
+    one end in ``lo..hi``, in order: those spanning one of the gaps ``lo -
+    1`` and ``hi`` but not both (``HostLinks.spans``)."""
     count = host.vertex_count
     if not 1 <= lo <= hi <= count:
         raise ValueError(f"cut component {lo}..{hi} is not inside 1..{count}")
-    return [
-        x for x, (a, b) in enumerate(host.links.edges)
-        if (lo <= a <= hi) != (lo <= b <= hi)
-    ]
-
-
-_NOT_BOUNDARY = "cut edges are not the edge boundary of labels {}..{}"
-
-
-def _check_boundaries(links: HostLinks, count: int, cuts: Sequence[tuple]) -> None:
-    """Raise ``ConsistencyError`` at the first of the cut records ``cuts``
-    (see ``_standard_cuts``) whose edge indices are not the edge boundary
-    of its interval ``lo..hi`` (``_boundary``), each listed once; ``count``
-    is the host's vertex count.  ``HostTree.cuts`` runs it once per host on
-    the standard family as a cross-check.
-
-    Call gap ``g`` the place between labels ``g`` and ``g + 1``.  A host
-    edge ``(a, b)`` with ``a < b`` spans the gaps ``a..b-1``, so it has
-    exactly one end in ``lo..hi`` exactly when it spans one of the gaps
-    ``lo - 1`` and ``hi`` but not both: the interval's edge boundary is the
-    symmetric difference of the edges spanning its two end gaps.  One sweep
-    over the gaps keeps the set of edges spanning the current gap, toggling
-    each edge at both of its ends, keeps a copy of that set at every cut's
-    gap ``lo - 1``, and compares each cut's edges at its gap ``hi``.
-    """
-    failures: list[tuple[int, str]] = []  # (place in cuts, message)
-    ends: dict[int, list[tuple]] = {}  # gap hi -> (place, indices, lo) per cut
-    kept: dict[int, tuple[int, ...]] = {}  # lo -> the edges spanning gap lo - 1
-    for place, (_, _, _, lo, hi, _, indices) in enumerate(cuts):
-        if 1 <= lo <= hi <= count:
-            ends.setdefault(hi, []).append((place, indices, lo))
-            kept[lo] = ()
-        else:
-            failures.append((place, f"cut component {lo}..{hi} is not inside 1..{count}"))
-    changes: list[list[int]] = [[] for _ in range(count + 1)]
-    for x, (a, b) in enumerate(links.edges):
-        changes[a].append(x)
-        changes[b].append(x)
-    span: set[int] = set()
-    for g, toggled in enumerate(changes):
-        span.symmetric_difference_update(toggled)
-        if g + 1 in kept:
-            kept[g + 1] = tuple(span)
-        for place, indices, lo in ends.get(g, ()):
-            listed = set(indices)
-            if len(listed) != len(indices) or listed != span.symmetric_difference(kept[lo]):
-                failures.append((place, _NOT_BOUNDARY.format(lo, g)))
-    if failures:
-        raise ConsistencyError(min(failures)[1])
+    spans = host.links.spans
+    return sorted(set(spans[lo - 1]).symmetric_difference(spans[hi]))
 
 
 def check_host_shape(n1: int, k: int) -> None:
-    """Raise ``ValueError`` unless ``n1 >= 1`` and ``k >= 1``."""
+    """Raise ``ValueError`` unless ``n1`` and ``k`` are integers, ``n1 >= 1`` and ``k >= 1``."""
+    if not (isinstance(n1, int) and isinstance(k, int)):
+        raise ValueError(f"n1 and k must be integers, got n1={n1!r}, k={k!r}")
     if n1 < 1:
         raise ValueError(f"n1 must be at least 1, got {n1}")
     if k < 1:

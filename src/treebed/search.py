@@ -259,8 +259,6 @@ def local_search_min(
             current = fresh()
             table, value = start(current)
             explored += 1
-            if value < best_value:
-                best_value, best_perm = value, tuple(current)
         value = descend(current, table, value)
         if value < best_value:
             best_value, best_perm = value, tuple(current)

@@ -20,30 +20,30 @@ MUTANTS = (
         HOSTS,
         "len(listed) != len(indices) or ",
         "",
-        "a record that lists one boundary edge twice passes the boundary check",
+        "a record that lists one boundary edge twice passes the host's cut check",
     ),
     (
         HOSTS,
-        "listed != span.symmetric_difference(kept[lo])",
-        "listed != span",
-        "the boundary check compares against the edges spanning gap hi alone",
+        "boundary = set(spans[lo - 1]).symmetric_difference(spans[hi])",
+        "boundary = set(spans[hi])",
+        "the host's cut check compares against the edges spanning gap hi alone",
     ),
     (
         HOSTS,
-        "if g + 1 in kept:\n            kept[g + 1] = tuple(span)",
-        "if g in kept:\n            kept[g] = tuple(span)",
-        "the boundary check keeps its left snapshot at gap lo, not lo - 1",
+        "boundary = set(spans[lo - 1])",
+        "boundary = set(spans[lo])",
+        "the host's cut check takes its left gap at lo, not lo - 1",
     ),
     (
         HOSTS,
-        "ends.setdefault(hi, [])",
-        "ends.setdefault(hi - 1, [])",
-        "the boundary check compares each cut at gap hi - 1, not hi",
+        ".symmetric_difference(spans[hi]))",
+        ".symmetric_difference(spans[hi - 1]))",
+        "a caller's cut reads its edges at gap hi - 1, not hi",
     ),
     (
         HOSTS,
-        "        _check_boundaries(self.links, self.vertex_count, cuts)\n",
-        "",
+        "for _, _, _, lo, hi, _, indices in cuts:",
+        "for _, _, _, lo, hi, _, indices in ():",
         "the host no longer checks its standard family against the cut intervals",
     ),
     (

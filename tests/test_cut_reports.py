@@ -310,14 +310,14 @@ def _break_family(monkeypatch):
 def test_each_host_checks_its_family_once(monkeypatch):
     # two reports, the cut family and the default partition total on one
     # host share one checked family
-    real = hosts._check_boundaries
+    real = hosts._standard_cuts
     checks = []
 
-    def counting(*args):
-        checks.append(args)
-        return real(*args)
+    def counting(host):
+        checks.append(host)
+        return real(host)
 
-    monkeypatch.setattr(hosts, "_check_boundaries", counting)
+    monkeypatch.setattr(hosts, "_standard_cuts", counting)
     guest = build_guest(4, 2)
     host = _labeled(4, 2, "sibling", 1)
     emb = identity_embedding(guest, host)

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from oracles import bfs_distances, canonical_route, guest_edges
 from treebed import (
+    LAYOUT_VARIANTS,
     CoverageError,
     EdgeCut,
     Embedding,
+    HostTree,
     build_guest,
     build_host,
     build_report,
@@ -47,9 +49,13 @@ def test_embedding_validation():
         Embedding((1, 1, 2))
     with pytest.raises(ValueError):
         Embedding((2, 3, 4))
-    for mapping in ({1: 1, 3: 2}, {0: 1}):
+    for mapping in ({1: 1, 3: 2}, {0: 1}, {1: 2.0, 2: 1.0}):
         with pytest.raises(ValueError):
             Embedding.from_mapping(mapping)
+    # float labels equal to 1..4 are refused, so they never reach the
+    # routing or the memo of an equal int embedding
+    with pytest.raises(ValueError, match="assignment labels must be integers"):
+        Embedding([1.0, 2.0, 3.0, 4.0])
     emb = Embedding.from_mapping({1: 2, 2: 1, 3: 3})
     assert emb.assignment == (2, 1, 3)
     assert emb.label_for(1) == 2
@@ -479,6 +485,25 @@ def test_partition_matches_direct_for_any_embedding():
             assert wirelength_via_partition(guest, host, emb) == wirelength_direct(
                 guest, host, emb
             )
+
+
+def test_partition_total_checks_coverage_not_routing():
+    # the singletons t..t cover every host edge twice, once from each end,
+    # and are no family of the paper's: the routed total still equals
+    # direct, since any uniformly covering family counts each load c times
+    rng = random.Random(29)
+    for n, p in ((3, 2), (4, 2), (5, 3)):
+        guest = build_guest(n, p)
+        for n1 in range(1, n + 1):
+            for sibling, variant in [(False, 0)] + [(True, v) for v in LAYOUT_VARIANTS]:
+                host = HostTree(n1, 1 << (n - n1), sibling, variant)
+                count = host.vertex_count
+                singletons = [EdgeCut("T", None, t, t, t) for t in range(1, count + 1)]
+                for _ in range(2):
+                    emb = Embedding(rng.sample(range(1, count + 1), count))
+                    assert wirelength_via_partition(guest, host, emb, singletons) == (
+                        wirelength_direct(guest, host, emb)
+                    )
 
 
 def test_within_partite_relabeling_keeps_wirelength():

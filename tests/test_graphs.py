@@ -39,6 +39,10 @@ def test_guest_validation():
         build_guest(3, 4)
     with pytest.raises(ValueError):
         build_guest(21, 2)
+    # a float shape is refused up front, not by a later shift
+    for n, p in ((3.0, 2), (3, 2.0)):
+        with pytest.raises(ValueError, match="n and p must be integers"):
+            build_guest(n, p)
 
 
 def test_guest_matches_blocked_multipartite(capsys):

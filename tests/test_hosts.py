@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cut_boundary
 from treebed import (
     LAYOUT_VARIANTS,
     EdgeCut,
@@ -15,8 +16,9 @@ from treebed import (
     inorder_labeling,
     sibling_layout_labeling,
 )
+from treebed import hosts
 from treebed.errors import ConsistencyError
-from treebed.hosts import _boundary, _check_boundaries, _standard_cuts, host_counts
+from treebed.hosts import _standard_cuts, host_counts
 
 
 def _cut_index(host):
@@ -72,6 +74,16 @@ def test_build_host_validation():
         build_host(2, 0)
     with pytest.raises(ValueError):
         build_host(19, 4)
+    # a float shape or variant is refused up front, not by a later shift
+    for n1, k in ((2, 1.0), (2.0, 1)):
+        with pytest.raises(ValueError, match="n1 and k must be integers"):
+            HostTree(n1, k, False)
+        with pytest.raises(ValueError, match="n1 and k must be integers"):
+            host_counts(n1, k)
+    with pytest.raises(ValueError, match="variant must be one of"):
+        HostTree(3, 1, True, 1.0)
+    with pytest.raises(ValueError, match="binary hosts have only variant 0"):
+        HostTree(3, 1, False, 0.0)
 
 
 def test_host_edge_and_level_counts():
@@ -331,8 +343,7 @@ def test_standard_cuts_are_interval_boundaries():
     for n1 in range(1, 13):
         for k in (1, 2, 3):
             for sibling, variant in [(False, 0)] + [(True, v) for v in LAYOUT_VARIANTS]:
-                host = HostTree(n1, k, sibling, variant)
-                _check_boundaries(host.links, host.vertex_count, _standard_cuts(host))
+                assert HostTree(n1, k, sibling, variant).cuts
 
 
 def _mutated_records(rng, host):
@@ -352,28 +363,49 @@ def _mutated_records(rng, host):
             yield family, j, i, lo + a, hi + b, share, indices
 
 
-def test_check_boundaries_is_exact():
-    # a record passes exactly when it lists the interval's whole edge
-    # boundary, each edge once, on every host with n1 <= 4 and k <= 4
+def test_cut_check_is_exact(monkeypatch):
+    # a host's family passes its check exactly when each record lists the
+    # interval's whole edge boundary (from the oracle), each edge once, on
+    # every host with n1 <= 4 and k <= 4
     rng = random.Random(23)
+    family = []
+    monkeypatch.setattr(hosts, "_standard_cuts", lambda host: family)
     for n1 in range(1, 5):
         for k in range(1, 5):
             for sibling, variant in [(False, 0)] + [(True, v) for v in LAYOUT_VARIANTS]:
                 host = HostTree(n1, k, sibling, variant)
-                links, count = host.links, host.vertex_count
+                count = host.vertex_count
+                index = {edge: x for x, edge in enumerate(host.links.edges)}
                 for record in _mutated_records(rng, host):
-                    lo, hi, _, indices = record[3:]
                     try:
-                        exact = sorted(indices) == _boundary(host, lo, hi)
+                        boundary = cut_boundary(host.label_edges, count, EdgeCut(*record[:6]))
                     except ValueError:
                         exact = False
+                    else:
+                        exact = sorted(record[6]) == sorted(index[e] for e in boundary)
+                    family[:] = [record]
+                    vars(host).pop("cuts", None)
                     try:
-                        _check_boundaries(links, count, [record])
+                        host.cuts
                     except ConsistencyError:
                         passed = False
                     else:
                         passed = True
                     assert passed == exact, (host, record)
+
+
+def test_spans_are_the_edges_over_each_gap():
+    # spans[g] lists each edge (a, b) with a <= g < b once, for every gap
+    # of every host with n <= 6, both kinds and every variant
+    for n in range(1, 7):
+        for n1 in range(1, n + 1):
+            for sibling, variant in [(False, 0)] + [(True, v) for v in LAYOUT_VARIANTS]:
+                links = HostTree(n1, 1 << (n - n1), sibling, variant).links
+                assert len(links.spans) == (1 << n) + 1
+                for g, span in enumerate(links.spans):
+                    assert type(span) is tuple
+                    want = [x for x, (a, b) in enumerate(links.edges) if a <= g < b]
+                    assert sorted(span) == want, (n, n1, sibling, variant, g)
 
 
 def test_cut_edges_are_the_interval_boundary():
