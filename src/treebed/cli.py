@@ -263,7 +263,7 @@ def _sweep_rows(args):
     computed host by host, every p on one host, so one host is alive at a
     time; the rows then come out p-major."""
     kinds = ["binary", "sibling"] if args.host == "both" else [args.host]
-    for n in range(args.n_min, args.n_max + 1):
+    for n in range(max(args.n_min, 2), args.n_max + 1):  # no guest has n < 2
         p_values = [p for p in range(2, n + 1) if args.p is None or p == args.p]
         n1_values = [n1 for n1 in range(1, n + 1) if args.n1 is None or n1 == args.n1]
         engine = n <= ENGINE_MAX_N and args.engine != "off"

@@ -5,22 +5,21 @@ Every guest edge is routed along its shortest host path.  The hosts are
 trees whose only other edges join two siblings, so that path is unique:
 from a label off the goal's spine (the goal and its ancestors) it climbs,
 or steps across to a spine sibling, and on the spine it descends to the
-goal.  The routes toward one goal label form that label's in-tree
-(``HostLinks.in_tree``), built from the host's parent, chain and sibling
-links.  So a route leaves a label's subtree through that label, and the
-load on every host edge is a count of guest edges between subtrees, which
-one pass from the leaves up reads off each subtree's partite counts
-(``_tally``, kept in the host's memo) without walking a route; one loop
-(``_reports``) reads each cut's congestion off it.  The congestion lemma's
-route conditions on a cut come from the same pass run on the same-side
-guest edges alone: a cut's congestion minus their load counts the cut
-edges on the crossing routes, and that load itself counts the same-side
-routes' cut edges.  Apart from that load, ``_leaving`` counts the guest
-edges leaving each cut's component from its labels' partite sets.  The
-congestion lemma says the cut's congestion equals that count, so the route
-conditions, and the partition total that sums the counts, show a wrong
-load on the cut it touches.  A cut's preimages are optimal exactly when
-its count is the fewest a set of its size can have
+goal (``route``), each step read off the host's parent, chain and sibling
+links (``HostLinks``).  So a route leaves a label's subtree through that
+label, and the load on every host edge is a count of guest edges between
+subtrees, which one pass from the leaves up reads off each subtree's
+partite counts (``_tally``, kept in the host's memo) without walking a
+route; one loop (``_reports``) reads each cut's congestion off it.  The
+congestion lemma's route conditions on a cut come from the same pass run
+on the same-side guest edges alone: a cut's congestion minus their load
+counts the cut edges on the crossing routes, and that load itself counts
+the same-side routes' cut edges.  Apart from that load, ``_leaving``
+counts the guest edges leaving each cut's component from its labels'
+partite sets.  The congestion lemma says the cut's congestion equals that
+count, so the route conditions, and the partition total that sums the
+counts, show a wrong load on the cut it touches.  A cut's preimages are
+optimal exactly when its count is the fewest a set of its size can have
 (``formulas.interval_boundary_congestion``, the same minimum the closed
 forms sum).
 Cut edges are handled as indices into the host's edge list.  A cut is its
@@ -66,7 +65,7 @@ __all__ = [
 
 def _check_labels(count: int, *labels: int) -> None:
     for lab in labels:
-        if not 1 <= lab <= count:
+        if not (isinstance(lab, int) and 1 <= lab <= count):
             raise ValueError(f"label {lab} out of range 1..{count}")
 
 
@@ -211,24 +210,29 @@ def identity_embedding(guest: Guest, host: HostTree) -> Embedding:
 def route(host: HostTree, u: int, v: int) -> tuple[tuple[int, int], ...]:
     """The shortest path between labels ``u`` and ``v``.
 
-    Walks from the smaller label toward the larger along the larger
-    label's in-tree (``HostLinks.in_tree``).  Shortest paths on these hosts
-    are unique, so this is also the walk that always steps to the
-    smallest-labeled neighbor still shrinking the remaining distance.
-    Returns the path's edges in walk order; ``route(u, v) == route(v, u)``.
+    Walks from the smaller label toward the larger, the goal: up the host's
+    links, or across to a sibling on the goal's spine (the goal and its
+    ancestors), until it reaches the spine, then down the spine to the goal.
+    Shortest paths on these hosts are unique, so this is also the walk that
+    always steps to the smallest-labeled neighbor still shrinking the
+    remaining distance.  Returns the path's edges in walk order;
+    ``route(u, v) == route(v, u)``.
     """
     _check_labels(host.vertex_count, u, v)
     if u == v:
         raise ValueError("route endpoints must differ")
     start, goal = (u, v) if u < v else (v, u)
-    hops = host.links.in_tree(goal)[0]
-    edges = []
-    cur = start
-    while cur != goal:
-        nxt = hops[cur]
-        edges.append((cur, nxt) if cur < nxt else (nxt, cur))
-        cur = nxt
-    return tuple(edges)
+    up, sib = host.links.up, host.links.sib
+    spine = [goal]  # from the goal upward
+    while up[spine[-1]]:
+        spine.append(up[spine[-1]])
+    height = {t: h for h, t in enumerate(spine)}
+    walk = [start]
+    while walk[-1] not in height:
+        t = walk[-1]
+        walk.append(sib[t] if sib[t] in height else up[t])
+    walk += reversed(spine[:height[walk[-1]]])
+    return tuple((a, b) if a < b else (b, a) for a, b in zip(walk, walk[1:]))
 
 
 def _loads(
@@ -338,7 +342,7 @@ def edge_congestion(
     a, b = host_edge
     links = host.links
     index = links.spill
-    if 1 <= a <= host.vertex_count and 1 <= b <= host.vertex_count:
+    if all(isinstance(x, int) and 1 <= x <= host.vertex_count for x in (a, b)):
         # One end hangs from the other, or the two are siblings.
         if links.up[a] == b:
             index = links.up_edge[a]

@@ -38,11 +38,11 @@ def max_subgraph_edges_closed_form(p_parts: int, r: int, k: int) -> int:
     The expression collapses to ``C(k, 2)`` while ``k < p_parts`` (no pair
     shares a partite set yet) and to ``q^2 * C(p_parts, 2)`` at multiples.
     """
-    if p_parts < 2:
+    if not (isinstance(p_parts, int) and p_parts >= 2):
         raise ValueError(f"need at least two partite sets, got {p_parts}")
-    if r < 1:
+    if not (isinstance(r, int) and r >= 1):
         raise ValueError(f"partite set size must be positive, got {r}")
-    if not 0 <= k <= p_parts * r:
+    if not (isinstance(k, int) and 0 <= k <= p_parts * r):
         raise ValueError(f"k={k} out of range 0..{p_parts * r}")
     q, j = divmod(k, p_parts)
     return q * q * p_parts * (p_parts - 1) // 2 + j * q * (p_parts - 1) + j * (j - 1) // 2
@@ -55,7 +55,7 @@ def interval_boundary_congestion(size: int, n: int, p: int) -> int:
     minimum congestion of a cut isolating ``size`` labels.
     """
     check_guest_shape(n, p)
-    if not 0 <= size <= 1 << n:
+    if not (isinstance(size, int) and 0 <= size <= 1 << n):
         raise ValueError(f"size={size} out of range 0..{1 << n}")
     degree = (1 << (n - p)) * ((1 << p) - 1)
     return size * degree - 2 * max_subgraph_edges_closed_form(
@@ -107,7 +107,7 @@ def closed_form_wirelength(
     if n1 is None:
         n1 = n
     check_guest_shape(n, p)
-    if not 1 <= n1 <= n:
+    if not (isinstance(n1, int) and 1 <= n1 <= n):
         raise ValueError(f"need 1 <= n1 <= n, got n1={n1}, n={n}")
     per_block = sum(
         (1 << (n1 - j)) * interval_boundary_congestion((1 << j) - 1, n, p)

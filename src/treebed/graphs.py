@@ -61,7 +61,7 @@ class Guest(Frozen):
         return self.vertex_count - self.part_size
 
     def partite_of(self, m: int) -> int:
-        if not 1 <= m <= self.vertex_count:
+        if not (isinstance(m, int) and 1 <= m <= self.vertex_count):
             raise ValueError(f"vertex {m} out of range 1..{self.vertex_count}")
         return ((m - 1) % self.part_count) + 1
 

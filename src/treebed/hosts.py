@@ -23,16 +23,15 @@ pair's union of subtrees, on a label interval.
 Without its sibling edges a host is a tree, and each sibling edge joins two
 children of one parent, so every two labels are joined by exactly one
 shortest path.  ``HostLinks`` keeps each label's parent (or chain) link and
-sibling link and builds the routes toward any goal from them: a label on
-the goal's spine (the goal and its ancestors) steps down toward the goal,
-the sibling of a spine label steps across to it, and every other label
-steps up.
+sibling link, and every route follows from them and the goal's spine (the
+goal and its ancestors): a spine label steps down toward the goal, the
+sibling of a spine label steps across to it, and every other label steps
+up.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 from treebed.errors import ConsistencyError
@@ -120,7 +119,7 @@ class HostTree(Frozen):
 
     @cached_property
     def links(self) -> HostLinks:
-        """Parent, chain and sibling links in label space; routes every goal."""
+        """Parent, chain and sibling links in label space; distances to any goal."""
         return HostLinks(self)
 
     @cached_property
@@ -237,46 +236,28 @@ class HostLinks:
             spans.append(tuple(span))
         self.memo = None
 
-    def in_tree(self, goal: int) -> tuple[list[int], list[int], list[int]]:
-        """Every label's route toward ``goal``, as an in-tree.
+    def distances(self, goal: int) -> list[int]:
+        """Per label, the number of edges on its route to ``goal`` (index 0
+        holds 0).
 
-        Returns ``(hops, hop_edges, spine)``: ``hops[t]`` is the label the
-        route from ``t`` steps to and ``hop_edges[t]`` the index of that
-        step's edge (0 and ``spill`` at the goal).  ``spine`` lists the
-        goal's ancestors from the top of the host down to the goal.  A label
-        off the spine steps up, unless its sibling is on the spine: then it
-        steps across to that sibling.  A spine label steps down toward the
-        goal.
+        Walking up from the goal, each ancestor is one step above the label
+        below it, and the sibling of the goal or of an ancestor one step
+        across from it.  Every other label steps up, so in the order from
+        the top of the host down it is one step past the label it hangs
+        from.
         """
-        up, up_edge, sib, sib_edge = self.up, self.up_edge, self.sib, self.sib_edge
-        hops = up[:]
-        hop_edges = up_edge[:]
-        hops[goal], hop_edges[goal] = 0, self.spill
-        spine = [goal]
+        up, sib = self.up, self.sib
+        dist = [0] * len(up)
         t = goal
-        while True:
-            s = sib[t]
-            if s:
-                hops[s], hop_edges[s] = t, sib_edge[t]
-            u = up[t]
-            if not u:
-                break
-            hops[u], hop_edges[u] = t, up_edge[t]
-            spine.append(u)
-            t = u
-        spine.reverse()
-        return hops, hop_edges, spine
-
-    def route_sums(self, goal: int, weight: list[int]) -> list[int]:
-        """Per label, the total ``weight[e]`` over the edges ``e`` of its
-        route to ``goal`` (``weight[spill]`` must be 0)."""
-        hops, hop_edges, spine = self.in_tree(goal)
-        total = [0] * len(hops)
-        # The spine from the goal upward, then every label from the top
-        # down: each label comes after the label it steps to.
-        for t in chain(reversed(spine), reversed(self.order)):
-            total[t] = total[hops[t]] + weight[hop_edges[t]]
-        return total
+        while up[t]:  # the top of the host, a pendant, has no sibling
+            if sib[t]:
+                dist[sib[t]] = dist[t] + 1
+            dist[up[t]] = dist[t] + 1
+            t = up[t]
+        for t in reversed(self.order):
+            if not dist[t] and t != goal:
+                dist[t] = dist[up[t]] + 1
+        return dist
 
 
 class EdgeCut(NamedTuple):
@@ -319,7 +300,7 @@ def _boundary(host: HostTree, lo: int, hi: int) -> list[int]:
     one end in ``lo..hi``, in order: those spanning one of the gaps ``lo -
     1`` and ``hi`` but not both (``HostLinks.spans``)."""
     count = host.vertex_count
-    if not 1 <= lo <= hi <= count:
+    if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi <= count):
         raise ValueError(f"cut component {lo}..{hi} is not inside 1..{count}")
     spans = host.links.spans
     return sorted(set(spans[lo - 1]).symmetric_difference(spans[hi]))

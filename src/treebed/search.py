@@ -9,10 +9,10 @@ unordered blocks of ``r`` labels, one block per partite set:
 
 The exhaustive search enumerates those partitions instead of bijections,
 and the local search prices a swap from per-block distance sums.  Both run
-in pure Python on the host's label distance rows, which are built from the
-host's routing in-trees only when a search asks for them.  All randomness comes
-from a self-contained SplitMix64 generator, so results are reproducible
-across platforms and Python versions.
+in pure Python on the host's label distance rows, which the host's links
+count (``HostLinks.distances``) only when a search asks for them.  All
+randomness comes from a self-contained SplitMix64 generator, so results
+are reproducible across platforms and Python versions.
 """
 
 from __future__ import annotations
@@ -80,9 +80,7 @@ def _instance_tables(guest: Guest, host: HostTree) -> tuple[int, list[list[int]]
     Row ``a`` counts the edges on every label's route to label ``a + 1``.
     """
     count = _vertex_count(guest, host)
-    links = host.links
-    steps = [1] * links.spill + [0]
-    return count, [links.route_sums(a, steps)[1:] for a in range(1, count + 1)]
+    return count, [host.links.distances(a)[1:] for a in range(1, count + 1)]
 
 
 def _partition_count(nv: int, parts: int) -> int:

@@ -113,6 +113,18 @@ MUTANTS = (
         "CutReport(family, j, i, leaving)",
         "each cut's ec is its counted leaving guest edges, not its routed congestion",
     ),
+    (
+        HOSTS,
+        "dist[sib[t]] = dist[t] + 1",
+        "dist[sib[t]] = dist[t] + 2",
+        "the distance rows count a spine label's sibling two steps from it, not one",
+    ),
+    (
+        EMBEDDING,
+        "sib[t] if sib[t] in height else up[t]",
+        "up[t]",
+        "a route never steps across to a sibling on the goal's spine",
+    ),
 )
 
 EQUIVALENT = (

@@ -4,13 +4,15 @@ Deliberately separate implementations: plain BFS over edge lists, raw
 itertools enumeration, and searches that ignore the guest's symmetry,
 sharing no code with the package.  The host-side oracles take a package
 host or its links as plain input and redo the work the slow way: the
-per-goal tally sweeps one goal's in-tree at a time, and the host and its
+per-goal tally routes by BFS canonical next hops, one goal at a time,
+reading nothing of the links but their edge list, and the host and its
 cut family are built from vertex ids and heap indices.  A cut's report
 is checked by scanning its edge boundary and its smaller side label by
 label.
 """
 
 from collections import Counter, deque
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 
@@ -40,17 +42,6 @@ def pairwise_distance_sum(count, edges):
     return sum(
         table[u][v] for u in range(1, count + 1) for v in range(u + 1, count + 1)
     )
-
-
-def brute_force_min_wirelength(guest_edges, host_count, host_edges):
-    """Minimum total distance over all bijections, by raw enumeration."""
-    table = bfs_distances(host_count, host_edges)
-    best = None
-    for perm in permutations(range(1, host_count + 1)):
-        total = sum(table[perm[u - 1]][perm[v - 1]] for u, v in guest_edges)
-        if best is None or total < best:
-            best = total
-    return best
 
 
 def brute_force_max_induced(count, edges, k):
@@ -293,26 +284,52 @@ def local_search_by_neighbors(nv, dist, edge_u, edge_v, rng, iterations):
     return history
 
 
-def per_goal_tally(links, assignment, part_count, side=None):
-    """Routed load per host edge, one in-tree sweep per goal label.
+@lru_cache(maxsize=4)
+def canonical_steps(edges, count):
+    """Per goal label, every other label's canonical step toward it.
 
-    ``links`` is a host's ``HostLinks``; ``assignment[m]`` is the label of
-    guest vertex ``m + 1``, whose partite set is ``m % part_count``.  Every
-    guest edge is routed toward its larger label, so goal ``g`` collects one
-    route from each label ``s < g`` in another partite set.  With ``side =
-    (lo, hi)`` it keeps only the sources on ``g``'s side of ``lo..hi``:
-    both inside or both outside.  In ``g``'s
-    in-tree a host edge carries one route per source below it, so sweeping
-    away from the leaves adds each subtree's count once; the spine steps
-    down, against the deepest-first order, so its labels hold their counts
-    during the sweep and pass them down after it.
+    ``edges`` is a tuple of sorted label pairs over labels ``1..count``.
+    Returns a dict whose entry for ``goal`` lists ``(t, hop, x)`` for every
+    label ``t`` other than the goal, farthest from the goal first: ``hop``
+    is ``canonical_next_hop`` from ``t`` and ``x`` the index in ``edges``
+    of the edge between them.  Cached for the last few edge lists, since a
+    test tallies one host many times.
+    """
+    table = bfs_distances(count, edges)
+    neighbors = {lab: [] for lab in range(1, count + 1)}
+    for a, b in edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    index = {edge: x for x, edge in enumerate(edges)}
+    steps = {}
+    for goal, dist in table.items():
+        farthest_first = sorted(dist, key=dist.get, reverse=True)[:-1]
+        hops = [canonical_next_hop(table, neighbors, t, goal) for t in farthest_first]
+        steps[goal] = [(t, hop, index[min(t, hop), max(t, hop)])
+                       for t, hop in zip(farthest_first, hops)]
+    return steps
+
+
+def per_goal_tally(links, assignment, part_count, side=None):
+    """Routed load per host edge, one sweep of canonical steps per goal label.
+
+    ``links`` is a host's ``HostLinks``, of which only ``edges`` is read;
+    ``assignment[m]`` is the label of guest vertex ``m + 1``, whose
+    partite set is ``m % part_count``.  Every guest edge is routed toward
+    its larger label, so goal ``g`` collects one route from each label
+    ``s < g`` in another partite set.  With ``side = (lo, hi)`` it keeps
+    only the sources on ``g``'s side of ``lo..hi``: both inside or both
+    outside.  Each label steps to its canonical next hop toward ``g``
+    (``canonical_steps``), so passing every label's count of routes on
+    to its next hop, farthest label first, adds each route to every edge
+    it uses.
     """
     count = len(assignment)
     part_at = [None] * (count + 1)
     for m, lab in enumerate(assignment):
         part_at[lab] = m % part_count
-    spill, up_edge = links.spill, links.up_edge
-    load = [0] * (spill + 1)
+    steps = canonical_steps(links.edges, count)
+    load = [0] * len(links.edges)
     lo, hi = side or (1, count)
     for goal in range(2, count + 1):
         below = [0] * (count + 1)
@@ -320,19 +337,11 @@ def per_goal_tally(links, assignment, part_count, side=None):
         for s in range(1, goal):
             if part_at[s] != part_at[goal] and (lo <= s <= hi) == goal_inside:
                 below[s] = 1
-        hops, hop_edges, spine = links.in_tree(goal)
-        for t in spine:
-            hops[t], hop_edges[t] = 0, spill
-        for t in links.order:
+        for t, hop, x in steps[goal]:
             c = below[t]
             if c:
-                load[hop_edges[t]] += c
-                below[hops[t]] += c
-        carried = 0
-        for t, down in zip(spine, spine[1:]):
-            carried += below[t]
-            load[up_edge[down]] += carried
-    load.pop()
+                load[x] += c
+                below[hop] += c
     return load
 
 

@@ -719,6 +719,16 @@ def test_sweep_formula_only_scales(capsys):
     assert row[6] == ""
 
 
+def test_sweep_starts_at_the_smallest_guest(capsys):
+    # no guest has n < 2, so an n-min far below 2 prints what n-min 2 does
+    # without counting up to it
+    want = run(capsys, "sweep", "--n-min", "2", "--n-max", "2", "--engine", "off")
+    got = run(
+        capsys, "sweep", "--n-min", "-1000000000000", "--n-max", "2", "--engine", "off"
+    )
+    assert got == want and want[0] == 0
+
+
 def test_sweep_caps(capsys):
     code, _, err = run(capsys, "sweep", "--n-min", "2", "--n-max", "21")
     assert code == 2 and "capped" in err

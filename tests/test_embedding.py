@@ -93,6 +93,12 @@ def test_route_is_symmetric_and_validated():
         route(T21, 1, 5)
     with pytest.raises(ValueError):
         route(T21, 2, 2)
+    # a float label equal to an integer one is refused too
+    for u, v in ((1.0, 3), (3, 1.0)):
+        with pytest.raises(ValueError, match="^label 1.0 out of range 1..4$"):
+            route(T21, u, v)
+    with pytest.raises(ValueError, match="^label 2.0 out of range 1..8$"):
+        Embedding(range(1, 9)).swapped(1, 2.0)
 
 
 def test_route_lengths_match_bfs():
@@ -147,7 +153,8 @@ def test_edge_congestion_examples():
         emb = identity_embedding(guest, host)
         count = host.vertex_count
         assert (1, count) not in host.label_edges
-        bad = [(0, 1), (count, count + 1), (3, 3), (1, count), (-count, host.links.up[1])]
+        bad = [(0, 1), (count, count + 1), (3, 3), (1, count), (-count, host.links.up[1]),
+               (1.0, host.links.up[1])]
         for a, b in bad + [(b, a) for a, b in bad]:
             with pytest.raises(ValueError) as err:
                 edge_congestion(guest, host, emb, (a, b))
@@ -246,6 +253,7 @@ def test_verify_rejects_cut_that_is_not_an_interval_boundary():
     for bad, message in (
         (cut._replace(component_lo=0), f"cut component 0..{hi} is not inside 1..8"),
         (cut._replace(component_hi=9), f"cut component {lo}..9 is not inside 1..8"),
+        (EdgeCut("X", None, 1, 1, 3.0), "cut component 1..3.0 is not inside 1..8"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             verify_cut_conditions(guest, ST31, emb, bad)

@@ -19,6 +19,7 @@ from treebed import (
     formulas,
     inorder_labeling,
     interval_boundary_congestion,
+    max_subgraph_edges_closed_form,
     sibling_layout_labeling,
 )
 
@@ -214,6 +215,14 @@ def test_validation():
         interval_boundary_congestion(9, 3, 2)
     with pytest.raises(ValueError):
         interval_boundary_congestion(-1, 3, 2)
+    # numbers of another type, even equal to an integer in range, are refused
+    with pytest.raises(ValueError, match="^need 1 <= n1 <= n, got n1=2.0, n=3$"):
+        closed_form_wirelength(3, 2, n1=2.0)
+    with pytest.raises(ValueError, match="^size=2.0 out of range 0..8$"):
+        interval_boundary_congestion(2.0, 3, 2)
+    for args in ((4, 2, 2.0), (4.0, 2, 2), (4, 2.0, 2)):
+        with pytest.raises(ValueError):
+            max_subgraph_edges_closed_form(*args)
 
 
 def test_public_names():

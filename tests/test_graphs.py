@@ -30,6 +30,8 @@ def test_guest_shape_and_partites():
         guest.partite_of(0)
     with pytest.raises(ValueError):
         guest.partite_of(9)
+    with pytest.raises(ValueError, match="^vertex 1.5 out of range 1..8$"):
+        guest.partite_of(1.5)
 
 
 def test_guest_validation():

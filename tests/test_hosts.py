@@ -426,7 +426,8 @@ def test_cut_edges_are_the_interval_boundary():
                         got = cut_edges(host, EdgeCut("X", None, 1, lo, hi))
                         assert len(got) == len(want) and set(got) == want, (lo, hi)
                         seen += 1
-                for lo, hi in [(0, 1), (1, count + 1), (2, 1), (0, 0), (count + 1, count + 1)]:
+                for lo, hi in [(0, 1), (1, count + 1), (2, 1), (0, 0), (count + 1, count + 1),
+                               (1.0, 2), (1, 2.0)]:
                     with pytest.raises(ValueError) as info:
                         cut_edges(host, EdgeCut("X", None, 1, lo, hi))
                     assert str(info.value) == (

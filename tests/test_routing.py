@@ -1,15 +1,10 @@
-"""The host links and their per-goal in-trees, against the BFS oracles."""
+"""Routes and distance rows read off the host links, against the BFS oracles."""
 
 import tracemalloc
 
 import pytest
 
-from oracles import (
-    bfs_distances,
-    canonical_next_hop,
-    canonical_route,
-    shortest_path_counts,
-)
+from oracles import bfs_distances, canonical_route, shortest_path_counts
 from treebed import (
     LAYOUT_VARIANTS,
     build_guest,
@@ -42,27 +37,6 @@ def _oracle(host):
     return count, table, neighbors
 
 
-def test_in_tree_matches_bfs_next_hops():
-    # every host with n <= 6: all n1, both kinds, all sibling variants
-    seen = 0
-    for _, host in _standard_hosts(6):
-        count, table, neighbors = _oracle(host)
-        links = host.links
-        for goal in range(1, count + 1):
-            hops, hop_edges, spine = links.in_tree(goal)
-            assert spine[-1] == goal and [table[goal][t] for t in spine] == list(
-                range(len(spine) - 1, -1, -1)
-            )
-            for t in range(1, count + 1):
-                if t == goal:
-                    continue
-                hop = canonical_next_hop(table, neighbors, t, goal)
-                assert hops[t] == hop, (host.n1, host.k, host.kind, goal, t)
-                assert links.edges[hop_edges[t]] == (min(t, hop), max(t, hop))
-        seen += 1
-    assert seen == 105
-
-
 def test_standard_hosts_have_unique_shortest_paths():
     # Why the spine rule is canonical: with one shortest path per pair, a
     # label has exactly one neighbor closer to any goal.
@@ -75,13 +49,17 @@ def test_standard_hosts_have_unique_shortest_paths():
 
 
 def test_route_matches_canonical_route():
-    for _, host in _standard_hosts(4):
+    # every pair of every host with n <= 6: all n1, both kinds, all variants
+    seen = 0
+    for _, host in _standard_hosts(6):
         count, table, neighbors = _oracle(host)
         for u in range(1, count + 1):
             for v in range(u + 1, count + 1):
                 expected = canonical_route(table, neighbors, u, v)
                 assert list(route(host, u, v)) == expected
                 assert list(route(host, v, u)) == expected
+                seen += 1
+    assert seen == 75_765
 
 
 def test_search_distance_rows_match_bfs():
@@ -90,6 +68,7 @@ def test_search_distance_rows_match_bfs():
             continue  # no guest has two vertices
         count, rows = _instance_tables(build_guest(n, 2), host)
         table = bfs_distances(count, host.label_edges)
+        assert all(host.links.distances(g)[0] == 0 for g in range(1, count + 1))
         assert rows == [
             [table[a][b] for b in range(1, count + 1)] for a in range(1, count + 1)
         ]
