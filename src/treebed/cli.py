@@ -20,7 +20,7 @@ from treebed.embedding import Embedding, build_report, identity_embedding
 from treebed.errors import (
     DEFAULT_PARTITION_BUDGET, BudgetExceededError, ConsistencyError, CoverageError,
 )
-from treebed.graphs import Guest, build_guest
+from treebed.graphs import Guest, build_guest, check_guest_shape
 from treebed.hosts import (
     LAYOUT_VARIANTS,
     HostTree,
@@ -31,9 +31,7 @@ from treebed.hosts import (
 if TYPE_CHECKING:
     import argparse
 
-ENGINE_MAX_N = 8       # routed-path engine: 2**8 = 256 vertices
-EXHAUSTIVE_MAX_N = 3   # label-partition enumeration: 2**n <= 8
-FORMULA_MAX_N = formulas.MAX_N
+ENGINE_MAX_N = 8  # routed-path engine: 2**8 = 256 vertices
 
 
 def _build_labeled(n1: int, k: int, kind: str, variant: int) -> HostTree:
@@ -43,11 +41,6 @@ def _build_labeled(n1: int, k: int, kind: str, variant: int) -> HostTree:
     if variant != 0:
         raise ValueError("--variant applies to sibling hosts only")
     return host
-
-
-def _check_exhaustive_cap(n: int) -> None:
-    if n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive search is capped at 2**n <= {1 << EXHAUSTIVE_MAX_N}")
 
 
 def _instance(args) -> tuple[Guest, HostTree, Embedding]:
@@ -64,15 +57,6 @@ def _instance(args) -> tuple[Guest, HostTree, Embedding]:
     for a, b in args.swap or ():
         embedding = embedding.swapped(a, b)
     return guest, host, embedding
-
-
-def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _json(value, indent: str = "\n") -> str:
@@ -164,13 +148,10 @@ def cmd_host(args) -> int:
 def cmd_wirelength(args) -> int:
     guest, host, embedding = _instance(args)
     exhaustive_min = None
-    if args.exhaustive:
-        _check_exhaustive_cap(args.n)
+    if args.exhaustive:  # refused on --budget before any distance row is built
         from treebed.search import exhaustive_min_wirelength
 
-        exhaustive_min = exhaustive_min_wirelength(
-            guest, host, budget=args.budget
-        ).best_value
+        exhaustive_min = exhaustive_min_wirelength(guest, host, budget=args.budget).best_value
     heuristic = None
     if args.local_search is not None:
         if args.seed is None:
@@ -257,15 +238,41 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_rows(args):
-    """One tuple per instance in ``SWEEP_COLUMNS`` order, with ``None`` for
-    each column the run does not compute.  The engine columns of each n are
-    computed host by host, every p on one host, so one host is alive at a
-    time; the rows then come out p-major."""
+def _sweep_selection(args) -> list[tuple[int, list[int], list[int]]]:
+    """``(n, p values, n1 values)`` for each n the sweep selects, once all of
+    it is checked: it is not empty, every (n, p) is a guest shape, and with
+    ``--exhaustive`` every n runs the engine and every (n, p) fits ``--budget``."""
+    # The selected n are one interval: each needs n >= p >= 2 and n >= n1 >= 1.
+    p_low = 2 if args.p is None else args.p
+    n1_low = 1 if args.n1 is None else args.n1
+    ns = range(max(args.n_min, p_low, n1_low), args.n_max + 1)
+    if not ns or p_low < 2 or n1_low < 1:
+        raise ValueError("the sweep selects no instance: it needs some n in "
+                         f"{args.n_min}..{args.n_max} with 2 <= p <= n and 1 <= n1 <= n")
+    # The guest check bounds n alone, and (largest n, p_low) is selected.
+    check_guest_shape(ns[-1], p_low)
+    selection = [(n, list(range(2, n + 1)) if args.p is None else [args.p],
+                  list(range(1, n + 1)) if args.n1 is None else [args.n1]) for n in ns]
+    if args.exhaustive:
+        if args.engine == "off" or ns[-1] > ENGINE_MAX_N:
+            raise ValueError(f"--exhaustive needs the engine (--engine auto, n <= {ENGINE_MAX_N})")
+        from treebed.search import _partition_count
+
+        for n, p_values, _ in selection:
+            for p in p_values:
+                if (planned := _partition_count(1 << n, 1 << p)) > args.budget:
+                    raise BudgetExceededError(f"n={n}, p={p}: {planned} label partitions "
+                                              f"exceed the budget of {args.budget}")
+    return selection
+
+
+def _sweep_rows(args, selection):
+    """One tuple per instance of ``selection`` in ``SWEEP_COLUMNS`` order,
+    with ``None`` for each column the run does not compute.  The engine
+    columns of each n are computed host by host, every p on one host, so
+    one host is alive at a time; the rows then come out p-major."""
     kinds = ["binary", "sibling"] if args.host == "both" else [args.host]
-    for n in range(max(args.n_min, 2), args.n_max + 1):  # no guest has n < 2
-        p_values = [p for p in range(2, n + 1) if args.p is None or p == args.p]
-        n1_values = [n1 for n1 in range(1, n + 1) if args.n1 is None or n1 == args.n1]
+    for n, p_values, n1_values in selection:
         engine = n <= ENGINE_MAX_N and args.engine != "off"
         guests = [build_guest(n, p) for p in p_values] if engine else []
         columns = {}  # (p, n1, kind) -> direct, via_partition, best, cut_conditions_ok
@@ -277,9 +284,7 @@ def _sweep_rows(args):
                 if args.exhaustive:
                     from treebed.search import exhaustive_min_wirelength
 
-                    best = exhaustive_min_wirelength(
-                        guest, host, budget=args.budget
-                    ).best_value
+                    best = exhaustive_min_wirelength(guest, host, budget=args.budget).best_value
                 columns[guest.p, n1, kind] = (
                     report.direct, report.via_partition, best, report.cut_conditions_ok
                 )
@@ -296,18 +301,7 @@ def _sweep_rows(args):
 
 
 def cmd_sweep(args) -> int:
-    if args.n_max > FORMULA_MAX_N:
-        raise ValueError(f"formula scale is capped at n <= {FORMULA_MAX_N}")
-    if args.exhaustive:
-        _check_exhaustive_cap(args.n_max)
-    if args.exhaustive and args.engine == "off":
-        raise ValueError("--exhaustive needs the engine; drop --engine off")
-    rows = list(_sweep_rows(args))
-    if not rows:
-        raise ValueError(
-            "the sweep selects no instance: it needs some n in "
-            f"{args.n_min}..{args.n_max} with 2 <= p <= n and 1 <= n1 <= n"
-        )
+    rows = list(_sweep_rows(args, _sweep_selection(args)))
     failed = any(value is False for row in rows for value in row[9:])
     if args.output == "json":
         print(_json([dict(zip(SWEEP_COLUMNS, row)) for row in rows]))
@@ -376,7 +370,11 @@ def cmd_export_dot(args) -> int:
         if args.n1 > 10 or args.k * (1 << args.n1) > 1024:
             raise ValueError("host export is capped at 1024 vertices")
         text = _host_dot(_build_labeled(args.n1, args.k, args.host, args.variant))
-    _emit(args, text)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -387,6 +385,9 @@ def cmd_export_dot(args) -> int:
 # ``required``, the ``store_true`` flag and ``--swap``'s two appended
 # values.  The one positional is export-dot's ``target``.
 _OUTPUT_TEXT = {"choices": ["json", "text"], "default": "json"}
+_BUDGET = {"type": int, "default": DEFAULT_PARTITION_BUDGET,
+           "help": "bound on label partitions each exhaustive run may evaluate "
+           f"(default: {DEFAULT_PARTITION_BUDGET}, about 6 s)"}
 _INSTANCE_OPTIONS = {
     "--n": {"type": int, "required": True, "help": "guest has 2**n vertices"},
     "--p": {"type": int, "required": True, "help": "2**p partite sets"},
@@ -416,10 +417,8 @@ SUBCOMMANDS = {
         **_INSTANCE_OPTIONS,
         "--exhaustive": {"action": "store_true",
                          "help": "also take the exact minimum over all embeddings "
-                         "(needs 2**n <= 8)"},
-        "--budget": {"type": int, "default": DEFAULT_PARTITION_BUDGET,
-                     "help": "bound on label partitions the exhaustive run may "
-                     "evaluate"},
+                         "(needs at most --budget label partitions)"},
+        "--budget": _BUDGET,
         "--local-search": {"type": int, "default": None, "metavar": "ITERS",
                            "help": "also run 2-swap local search for ITERS restarts; "
                            "reported as an upper bound and requires --seed"},
@@ -442,10 +441,9 @@ SUBCOMMANDS = {
         "--engine": {"choices": ["auto", "off"], "default": "auto",
                      "help": "auto runs the engine when n <= 8 (default)"},
         "--exhaustive": {"action": "store_true",
-                         "help": "add exhaustive minima (needs n-max <= 3 and the engine)"},
-        "--budget": {"type": int, "default": DEFAULT_PARTITION_BUDGET,
-                     "help": "bound on label partitions each exhaustive run "
-                     "may evaluate"},
+                         "help": "add exhaustive minima (needs the engine on every row, "
+                         "and at most --budget label partitions per shape)"},
+        "--budget": _BUDGET,
         "--output": {"choices": ["csv", "json"], "default": "csv"},
     }),
     "export-dot": ("emit a Graphviz drawing", cmd_export_dot, {

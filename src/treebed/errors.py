@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the default budget."""
 
-# Label partitions an exhaustive search may evaluate unless told otherwise.
-DEFAULT_PARTITION_BUDGET = 100_000_000
+# Label partitions an exhaustive search may evaluate unless told otherwise:
+# about 6 s at some 2 us a partition, enough for every n = 4 shape.
+DEFAULT_PARTITION_BUDGET = 3_000_000
 
 
 class BudgetExceededError(RuntimeError):

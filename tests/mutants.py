@@ -90,6 +90,36 @@ MUTANTS = (
         "sweep builds a host for every p, not one per block height and kind",
     ),
     (
+        CLI,
+        "_partition_count(1 << n, 1 << p)) > args.budget",
+        "_partition_count(1 << n, 1 << p)) < args.budget",
+        "sweep refuses the shapes within its budget and runs the ones over it",
+    ),
+    (
+        CLI,
+        "_partition_count(1 << n, 1 << p)) > args.budget",
+        "_partition_count(1 << n, 1 << p)) >= args.budget",
+        "sweep refuses a shape whose partition count equals its budget",
+    ),
+    (
+        CLI,
+        'args.engine == "off" or ns[-1] > ENGINE_MAX_N',
+        'args.engine == "off"',
+        "an exhaustive sweep past the engine runs, its rows carrying no exhaustive value",
+    ),
+    (
+        CLI,
+        "check_guest_shape(ns[-1], p_low)",
+        "check_guest_shape(ns[0], p_low)",
+        "sweep checks only its smallest guest shape, so it builds rows past graphs.MAX_N",
+    ),
+    (
+        CLI,
+        "if not ns or p_low < 2 or n1_low < 1:",
+        "if not ns:",
+        "a fixed p below 2 or n1 below 1 is not taken for an empty selection",
+    ),
+    (
         SEARCH,
         "range(len(seq) - 1, 0, -1)",
         "range(len(seq) - 1, 1, -1)",

@@ -314,3 +314,26 @@ def test_acceptance_10_cli_workflows(capsys):
             "\nACCEPTANCE 10 PASS: CLI reports 54/45/60 with exit 0; "
             "corrupted labeling is flagged with exit 1"
         )
+
+
+@pytest.mark.parametrize("n1, sibling, expected", [(4, False, 324), (2, True, 332)],
+                         ids=["binary", "sibling"])
+def test_acceptance_11_exhaustive_search_confirms_optimality_at_n4(n1, sibling, expected):
+    # 16 labels in 4 blocks of 4: 16!/((4!)^4 4!) label partitions, about
+    # 5 s each on a 2-vCPU VM, within the default budget.
+    started = time.perf_counter()
+    guest = build_guest(4, 2)
+    host = build_host(n1, 1 << (4 - n1), sibling=sibling)
+    host = sibling_layout_labeling(host) if sibling else inorder_labeling(host)
+    result = exhaustive_min_wirelength(guest, host)
+    assert result.exhaustive and result.explored == 2627625
+    assert result.best_value == expected
+    assert wirelength_direct(guest, host, result.witness) == expected
+    assert closed_form_wirelength(4, 2, n1=n1, sibling=sibling) == expected
+    assert wirelength_direct(guest, host, identity_embedding(guest, host)) == expected
+    elapsed = time.perf_counter() - started
+    print(
+        f"ACCEPTANCE 11 PASS: n = 4 exhaustive search over {result.explored} "
+        f"label partitions matches the closed form and the canonical "
+        f"embedding ({expected}) in {elapsed:.1f}s"
+    )

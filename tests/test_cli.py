@@ -24,7 +24,7 @@ from treebed import (
     wirelength_direct,
     wirelength_via_partition,
 )
-from treebed import cli, embedding, hosts
+from treebed import cli, embedding, formulas, hosts
 from treebed.cli import main
 from treebed.errors import ConsistencyError
 
@@ -138,13 +138,27 @@ def test_wirelength_exhaustive(capsys):
     assert list(data)[9] == "exhaustive_min"
 
 
-def test_wirelength_exhaustive_cap(capsys):
+def test_wirelength_exhaustive_cap(capsys, monkeypatch):
+    # 32 labels in 4 blocks: 4148378852099625 partitions, refused before
+    # any distance row is built.
+    def unreachable(self, goal):
+        pytest.fail("a distance row was built")
+
+    monkeypatch.setattr(hosts.HostLinks, "distances", unreachable)
     code, out, err = run(
-        capsys, "wirelength", "--n", "4", "--p", "2", "--exhaustive"
+        capsys, "wirelength", "--n", "5", "--p", "2", "--exhaustive"
     )
-    assert code == 2
-    assert out == ""
-    assert "exhaustive search is capped" in err
+    assert (code, out) == (2, "")
+    assert err == "error: 4148378852099625 label partitions exceed the budget of 3000000\n"
+
+
+def test_wirelength_exhaustive_with_one_partition(capsys):
+    # p = n puts one label in each block: one partition at any n.
+    code, data, err = run_json(
+        capsys, "wirelength", "--n", "4", "--p", "4", "--exhaustive"
+    )
+    assert (code, err) == (0, "")
+    assert data["exhaustive_min"] == data["closed_form"] == data["direct"] == 417
 
 
 def test_wirelength_budget(capsys):
@@ -688,6 +702,9 @@ def test_sweep_empty_range(capsys):
         ("--n-min", "2", "--n-max", "3", "--p", "9"),
         ("--n-min", "0", "--n-max", "1"),
         ("--n-min", "2", "--n-max", "3", "--n1", "4", "--output", "json"),
+        ("--n-min", "2", "--n-max", "3", "--p", "1"),
+        ("--n-min", "2", "--n-max", "3", "--n1", "0"),
+        ("--n-min", "2", "--n-max", "1000000000000", "--p", "1", "--engine", "off"),
     ):
         code, out, err = run(capsys, "sweep", *bounds)
         assert (code, out) == (2, ""), bounds
@@ -729,18 +746,52 @@ def test_sweep_starts_at_the_smallest_guest(capsys):
     assert got == want and want[0] == 0
 
 
-def test_sweep_caps(capsys):
-    code, _, err = run(capsys, "sweep", "--n-min", "2", "--n-max", "21")
-    assert code == 2 and "capped" in err
+def test_sweep_caps(capsys, monkeypatch):
+    # The guest check refuses the whole selection before any row is built.
+    monkeypatch.setattr(formulas, "closed_form_wirelength", _unreachable)
+    for argv in (("--n-max", "21"), ("--n-max", "21", "--engine", "off"),
+                 ("--n-max", "1000000000000", "--engine", "off")):
+        code, out, err = run(capsys, "sweep", "--n-min", "2", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: n={argv[1]} exceeds the supported maximum of 20\n", argv
     # The engine runs when n <= 8 unless turned off; there is no "on".
     code, _, err = run(
         capsys, "sweep", "--n-min", "2", "--n-max", "9", "--engine", "on"
     )
     assert code == 2 and "invalid choice" in err
-    code, _, err = run(
-        capsys, "sweep", "--n-min", "2", "--n-max", "4", "--exhaustive"
+
+
+def _unreachable(*args, **kwargs):
+    pytest.fail("the sweep built a row before checking its whole selection")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # n = 5, p = 2 alone is over the default budget: without the check up
+    # front the n = 4 rows before it would take about 70 s.
+    (("--n-min", "2", "--n-max", "5"),
+     "n=5, p=2: 4148378852099625 label partitions exceed the budget of 3000000"),
+    (("--n-min", "4", "--n-max", "4", "--budget", "2627624"),
+     "n=4, p=2: 2627625 label partitions exceed the budget of 2627624"),
+    # Every shape up to n = 9 fits this budget, but n = 9 is past the
+    # engine, so its rows would carry no exhaustive value.
+    (("--n-min", "2", "--n-max", "9", "--budget", "1" + "0" * 1200),
+     "--exhaustive needs the engine (--engine auto, n <= 8)"),
+], ids=["budget", "budget-by-one", "engine-reach"])
+def test_sweep_checks_its_whole_selection_first(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "build_report", _unreachable)
+    monkeypatch.setattr(formulas, "closed_form_wirelength", _unreachable)
+    code, out, err = run(capsys, "sweep", *argv, "--exhaustive")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_sweep_budget_admits_its_own_count(capsys):
+    # n = 3, p = 2 has exactly 105 label partitions.
+    code, out, err = run(
+        capsys, "sweep", "--n-min", "3", "--n-max", "3", "--p", "2", "--n1", "3",
+        "--host", "binary", "--exhaustive", "--budget", "105",
     )
-    assert code == 2 and "capped" in err
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "3,2,3,1,binary,54,54,54,54,true,true,true,true"
 
 
 def test_sweep_exhaustive_needs_engine(capsys):

@@ -90,9 +90,9 @@ options:
   -h, --help            show this help message and exit
 """ + INSTANCE_HELP + """\
   --exhaustive          also take the exact minimum over all embeddings (needs
-                        2**n <= 8)
-  --budget BUDGET       bound on label partitions the exhaustive run may
-                        evaluate
+                        at most --budget label partitions)
+  --budget BUDGET       bound on label partitions each exhaustive run may
+                        evaluate (default: 3000000, about 6 s)
   --local-search ITERS  also run 2-swap local search for ITERS restarts;
                         reported as an upper bound and requires --seed
   --seed SEED           explicit seed for --local-search (no wall-clock
@@ -122,10 +122,10 @@ options:
   --n1 N1               fix n1 (default: all 1..n per row)
   --host {binary,sibling,both}
   --engine {auto,off}   auto runs the engine when n <= 8 (default)
-  --exhaustive          add exhaustive minima (needs n-max <= 3 and the
-                        engine)
+  --exhaustive          add exhaustive minima (needs the engine on every row,
+                        and at most --budget label partitions per shape)
   --budget BUDGET       bound on label partitions each exhaustive run may
-                        evaluate
+                        evaluate (default: 3000000, about 6 s)
   --output {csv,json}
 """,
     ("export-dot",): """\

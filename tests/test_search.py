@@ -76,7 +76,7 @@ def test_exhaustive_budget_is_checked_before_the_distance_rows():
     host = inorder_labeling(build_host(12, 1))
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="exceed the budget of 100000000"):
+        with pytest.raises(BudgetExceededError, match="exceed the budget of 3000000"):
             exhaustive_min_wirelength(guest, host)
         _, peak = tracemalloc.get_traced_memory()
     finally:
