@@ -256,13 +256,11 @@ def _sweep_selection(args) -> list[tuple[int, list[int], list[int]]]:
     if args.exhaustive:
         if args.engine == "off" or ns[-1] > ENGINE_MAX_N:
             raise ValueError(f"--exhaustive needs the engine (--engine auto, n <= {ENGINE_MAX_N})")
-        from treebed.search import _partition_count
+        from treebed.search import _check_budget
 
         for n, p_values, _ in selection:
             for p in p_values:
-                if (planned := _partition_count(1 << n, 1 << p)) > args.budget:
-                    raise BudgetExceededError(f"n={n}, p={p}: {planned} label partitions "
-                                              f"exceed the budget of {args.budget}")
+                _check_budget(1 << n, 1 << p, args.budget, prefix=f"n={n}, p={p}: ")
     return selection
 
 
@@ -330,7 +328,7 @@ def _host_dot(host: HostTree) -> str:
         members = " ".join(f"{lab};" for lab in sorted(level))
         lines.append(f"  {{ rank=same; {members} }}")
     sib = host.links.sib
-    for a, b in sorted(host.label_edges):
+    for a, b in sorted(host.links.edges):
         if sib[a] == b:
             lines.append(f"  {a} -- {b} [style=dashed];")
         elif not (a % block or b % block):  # chain links join two pendants

@@ -23,13 +23,12 @@ optimal exactly when its count is the fewest a set of its size can have
 (``formulas.interval_boundary_congestion``, the same minimum the closed
 forms sum).
 Cut edges are handled as indices into the host's edge list.  A cut is its
-component interval, so its edges are the interval's edge boundary.  The
-host owns its standard family as records (``HostTree.cuts``: an
-``EdgeCut``'s fields, then the edge indices), checked once, on first use,
-against the edge boundaries the host's gap spans give (``HostLinks.spans``);
-``build_report``, ``cut_family`` and ``wirelength_via_partition`` all read
-that checked family.  The calls that take a caller's ``EdgeCut`` read its
-edges off the same spans (``hosts._boundary``), then run the same code.
+component interval, so its edges are the interval's edge boundary
+(``hosts._boundary``).  The host owns its standard family as records
+(``HostTree.cuts``: an ``EdgeCut``'s fields, then the edge indices),
+checked once, on first use, against those boundaries; ``build_report``,
+``cut_family`` and ``wirelength_via_partition`` all read that family.  The
+calls that take a caller's ``EdgeCut`` read its boundary, then run the same code.
 Wirelength comes out three ways that must agree: summing routed path
 lengths, summing the cuts' leaving guest edges weighted by coverage, and
 (elsewhere) closed forms.
@@ -38,7 +37,7 @@ lengths, summing the cuts' leaving guest edges weighted by coverage, and
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from treebed import formulas
 from treebed.errors import CoverageError, ConsistencyError
@@ -88,17 +87,8 @@ class Embedding(Frozen):
             raise ValueError("assignment is not a bijection onto 1..vertex_count")
         self._set(assignment=assignment)
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, int]) -> Embedding:
-        if mapping.keys() != set(range(1, len(mapping) + 1)):
-            raise ValueError("mapping keys are not the guest vertices 1..vertex_count")
-        return cls(mapping[m] for m in range(1, len(mapping) + 1))
-
     def label_for(self, v: int) -> int:
         return self.assignment[v - 1]
-
-    def as_mapping(self) -> dict[int, int]:
-        return {m: lab for m, lab in enumerate(self.assignment, start=1)}
 
     def swapped(self, a: int, b: int) -> Embedding:
         """Copy with labels ``a`` and ``b`` exchanged between their vertices."""

@@ -28,12 +28,6 @@ class Frozen:
     def _set(self, **values) -> None:
         vars(self).update(values)
 
-    def _replace(self, **changes) -> Frozen:
-        """A new instance, built through ``__init__``, with some fields changed."""
-        values = {name: getattr(self, name) for name in self._fields}
-        values.update(changes)
-        return type(self)(**values)
-
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 

@@ -20,13 +20,8 @@ ids (``s * 2**n1 + h``, the pendant being ``h = 2**n1``) survive only as the
 keys of ``label_of``.  Every labeling keeps each subtree, and each sibling
 pair's union of subtrees, on a label interval.
 
-Without its sibling edges a host is a tree, and each sibling edge joins two
-children of one parent, so every two labels are joined by exactly one
-shortest path.  ``HostLinks`` keeps each label's parent (or chain) link and
-sibling link, and every route follows from them and the goal's spine (the
-goal and its ancestors): a spine label steps down toward the goal, the
-sibling of a spine label steps across to it, and every other label steps
-up.
+``HostLinks`` keeps each label's parent (or chain) link and sibling link,
+from which every route, distance and cut boundary is read.
 """
 
 from __future__ import annotations
@@ -113,11 +108,6 @@ class HostTree(Frozen):
         }
 
     @cached_property
-    def label_edges(self) -> frozenset[tuple[int, int]]:
-        """Host edges as normalized label pairs."""
-        return frozenset(self.links.edges)
-
-    @cached_property
     def links(self) -> HostLinks:
         """Parent, chain and sibling links in label space; distances to any goal."""
         return HostLinks(self)
@@ -126,17 +116,15 @@ class HostTree(Frozen):
     def cuts(self) -> tuple[tuple, ...]:
         """The standard cut family as records (``_standard_cuts``), built and
         checked on first use: each record's interval lies inside the host and
-        its edges, each listed once, are the interval's edge boundary read
-        off ``links.spans``.  The first record that fails raises
+        its edges, each listed once, are the interval's edge boundary
+        (``_boundary``).  The first record that fails raises
         ``ConsistencyError`` and nothing is cached, so every use raises."""
         cuts = tuple(_standard_cuts(self))
-        count, spans = self.vertex_count, self.links.spans
+        count = self.vertex_count
         for _, _, _, lo, hi, _, indices in cuts:
             if not 1 <= lo <= hi <= count:
                 raise ConsistencyError(f"cut component {lo}..{hi} is not inside 1..{count}")
-            listed = set(indices)
-            boundary = set(spans[lo - 1]).symmetric_difference(spans[hi])
-            if len(listed) != len(indices) or listed != boundary:
+            if sorted(indices) != _boundary(self, lo, hi):
                 raise ConsistencyError(f"cut edges are not the edge boundary of labels {lo}..{hi}")
         return cuts
 
@@ -172,11 +160,10 @@ class HostLinks:
     ``up_edge[a]`` when ``a`` hangs from ``b``, ``up_edge[b]`` when ``b``
     hangs from ``a``, and ``sib_edge[a]`` when the two are siblings.
 
-    ``spans[g]`` holds the indices of the edges spanning gap ``g``, the
-    place between labels ``g`` and ``g + 1`` (``0 <= g <= count``): edge
-    ``(a, b)`` with ``a < b`` spans the gaps ``a..b-1``.  So the edges with
-    exactly one end in ``lo..hi`` are those spanning exactly one of the
-    gaps ``lo - 1`` and ``hi``.
+    ``spans`` holds, per gap ``g``, the place between labels ``g`` and
+    ``g + 1`` (``0 <= g <= count``), the indices of the edges spanning it:
+    edge ``(a, b)`` with ``a < b`` spans the gaps ``a..b-1``.  Its one
+    reader is ``_boundary``.
     """
 
     __slots__ = (
@@ -279,14 +266,10 @@ class EdgeCut(NamedTuple):
     component_hi: int
     multiplicity_share: int = 1
 
-    @property
-    def component_labels(self) -> range:
-        return range(self.component_lo, self.component_hi + 1)
-
 
 def cut_edges(host: HostTree, cut: EdgeCut) -> tuple[tuple[int, int], ...]:
     """The edges of ``cut``: the host edges with exactly one end in its
-    component interval, read off ``host.links.spans``, as label pairs in
+    component interval (``_boundary``), as label pairs in
     ``host.links.edges`` order.
 
     Raises ``ValueError`` when the interval is not inside the host's labels.
@@ -298,7 +281,8 @@ def cut_edges(host: HostTree, cut: EdgeCut) -> tuple[tuple[int, int], ...]:
 def _boundary(host: HostTree, lo: int, hi: int) -> list[int]:
     """The indices into ``host.links.edges`` of the host edges with exactly
     one end in ``lo..hi``, in order: those spanning one of the gaps ``lo -
-    1`` and ``hi`` but not both (``HostLinks.spans``)."""
+    1`` and ``hi`` but not both (``HostLinks.spans``).  The host's check of
+    its own family and every caller's cut read their edges here alone."""
     count = host.vertex_count
     if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi <= count):
         raise ValueError(f"cut component {lo}..{hi} is not inside 1..{count}")
@@ -392,7 +376,7 @@ def sibling_layout_labeling(host: HostTree, variant: int = 0) -> HostTree:
     """
     if not host.sibling:
         raise ValueError("sibling layout applies to sibling hosts only")
-    return host._replace(variant=variant)
+    return HostTree(host.n1, host.k, True, variant)
 
 
 def cut_family(host: HostTree) -> tuple[EdgeCut, ...]:

@@ -17,7 +17,7 @@ are reproducible across platforms and Python versions.
 
 from __future__ import annotations
 
-from math import factorial
+from math import lgamma, log
 from typing import NamedTuple
 
 from treebed.embedding import Embedding, _vertex_count
@@ -31,6 +31,10 @@ __all__ = [
     "local_search_min",
 ]
 
+# Refusals up to this many labels (n <= 8) print the exact partition count.
+# Beyond, the count can take seconds to build and have more digits than
+# Python prints, so they print its order of magnitude.
+_EXACT_LABELS = 256
 _MASK64 = (1 << 64) - 1
 # SplitMix64 reference constants.
 _GAMMA = 0x9E3779B97F4A7C15
@@ -83,10 +87,34 @@ def _instance_tables(guest: Guest, host: HostTree) -> tuple[int, list[list[int]]
     return count, [host.links.distances(a)[1:] for a in range(1, count + 1)]
 
 
-def _partition_count(nv: int, parts: int) -> int:
-    """Number of ways to split ``nv`` labels into ``parts`` unordered equal blocks."""
+def _check_budget(nv: int, parts: int, budget: int, prefix: str = "") -> None:
+    """Raise ``BudgetExceededError``, its message after ``prefix``, when
+    ``nv`` labels split into ``parts`` unordered equal blocks more than
+    ``budget`` ways.
+
+    The block of the smallest label left takes ``size - 1`` of the ``left``
+    labels after it, ``C(left, size - 1)`` ways.  The count multiplies those
+    in one factor ``(left - size + 1 + i) / i`` at a time, so each partial
+    product is a whole number no smaller than the last.  Up to
+    ``_EXACT_LABELS`` labels the message holds the exact count; beyond, the
+    count stops as soon as it passes the budget, and the message holds its
+    order of magnitude.
+    """
+    if not isinstance(budget, int):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     size = nv // parts
-    return factorial(nv) // (factorial(size) ** parts * factorial(parts))
+    steps = ((left - size + 1 + i, i) for left in range(nv - 1, 0, -size) for i in range(1, size))
+    count = 1
+    for num, den in steps:
+        count = count * num // den
+        if count > budget and nv > _EXACT_LABELS:
+            break
+    if count > budget:
+        amount = count
+        if nv > _EXACT_LABELS:  # log10(nv! / (size!**parts * parts!))
+            digits = (lgamma(nv + 1) - parts * lgamma(size + 1) - lgamma(parts + 1)) / log(10)
+            amount = f"about 10**{round(digits)}"
+        raise BudgetExceededError(f"{prefix}{amount} label partitions exceed the budget of {budget}")
 
 
 def _min_wirelength_partitions(nv, rows, parts):
@@ -154,15 +182,11 @@ def exhaustive_min_wirelength(
     split: its ``j``-th block (blocks ordered by smallest label) goes to
     partite set ``j + 1``, in increasing label order.  Refuses to start,
     before it builds the distance rows, if the number of partitions exceeds
-    ``budget``.
+    ``budget`` (``_check_budget``).
     """
     count = _vertex_count(guest, host)
     parts = guest.part_count
-    planned = _partition_count(count, parts)
-    if planned > budget:
-        raise BudgetExceededError(
-            f"{planned} label partitions exceed the budget of {budget}"
-        )
+    _check_budget(count, parts, budget)
     rows = _instance_tables(guest, host)[1]
     best, blocks, explored = _min_wirelength_partitions(count, rows, parts)
     # Partite set j + 1 holds the vertices j + 1, j + 1 + parts, ...
@@ -189,6 +213,9 @@ def local_search_min(
     updates two rows.  Swaps inside one partite set change nothing; they
     are counted, and priced above zero so that none is chosen.
     """
+    if not (isinstance(seed, int) and isinstance(iterations, int)):
+        raise ValueError(f"seed and iterations must be integers, got seed={seed!r}, "
+                         f"iterations={iterations!r}")
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
     count, rows = _instance_tables(guest, host)

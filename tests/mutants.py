@@ -18,27 +18,28 @@ FORMULAS = "src/treebed/formulas.py"
 MUTANTS = (
     (
         HOSTS,
-        "len(listed) != len(indices) or ",
-        "",
-        "a record that lists one boundary edge twice passes the host's cut check",
+        "sorted(indices) != _boundary(self, lo, hi)",
+        "set(indices) != set(_boundary(self, lo, hi))",
+        "the host's cut check compares edge sets, so a record that lists one"
+        " boundary edge twice passes",
     ),
     (
         HOSTS,
-        "boundary = set(spans[lo - 1]).symmetric_difference(spans[hi])",
-        "boundary = set(spans[hi])",
-        "the host's cut check compares against the edges spanning gap hi alone",
+        "set(spans[lo - 1]).symmetric_difference(spans[hi])",
+        "set(spans[hi])",
+        "the boundary reader takes the edges spanning gap hi alone",
     ),
     (
         HOSTS,
-        "boundary = set(spans[lo - 1])",
-        "boundary = set(spans[lo])",
-        "the host's cut check takes its left gap at lo, not lo - 1",
+        "set(spans[lo - 1])",
+        "set(spans[lo])",
+        "the boundary reader takes its left gap at lo, not lo - 1",
     ),
     (
         HOSTS,
         ".symmetric_difference(spans[hi]))",
         ".symmetric_difference(spans[hi - 1]))",
-        "a caller's cut reads its edges at gap hi - 1, not hi",
+        "the boundary reader takes its right gap at hi - 1, not hi",
     ),
     (
         HOSTS,
@@ -90,16 +91,34 @@ MUTANTS = (
         "sweep builds a host for every p, not one per block height and kind",
     ),
     (
-        CLI,
-        "_partition_count(1 << n, 1 << p)) > args.budget",
-        "_partition_count(1 << n, 1 << p)) < args.budget",
-        "sweep refuses the shapes within its budget and runs the ones over it",
+        SEARCH,
+        "if count > budget:",
+        "if count < budget:",
+        "the budget refuses the shapes within it and runs the ones over it",
     ),
     (
-        CLI,
-        "_partition_count(1 << n, 1 << p)) > args.budget",
-        "_partition_count(1 << n, 1 << p)) >= args.budget",
-        "sweep refuses a shape whose partition count equals its budget",
+        SEARCH,
+        "if count > budget:",
+        "if count >= budget:",
+        "the budget refuses a shape whose partition count equals it",
+    ),
+    (
+        SEARCH,
+        "            break\n",
+        "            pass\n",
+        "a count past 256 labels runs to its end after it passes the budget",
+    ),
+    (
+        SEARCH,
+        "if nv > _EXACT_LABELS:  #",
+        "if nv >= _EXACT_LABELS:  #",
+        "a refusal at 256 labels prints the order of magnitude, not the exact count",
+    ),
+    (
+        SEARCH,
+        "steps = ((left - size + 1 + i, i)",
+        "steps = ((left - size + i, i)",
+        "the partition count's factors start one label low",
     ),
     (
         CLI,

@@ -448,8 +448,8 @@ def heap_cut_family(host):
     return cuts
 
 
-def cut_boundary(label_edges, count, cut):
-    """The cut's edges: the host edges ``label_edges`` with one end in
+def cut_boundary(host_edges, count, cut):
+    """The cut's edges: the host edges ``host_edges`` with one end in
     ``component_lo..component_hi``, as a set of label pairs.
 
     Built from the neighbours of the cut's smaller side.  Raises the
@@ -459,7 +459,7 @@ def cut_boundary(label_edges, count, cut):
     if not 1 <= lo <= hi <= count:
         raise ValueError(f"cut component {lo}..{hi} is not inside 1..{count}")
     adjacency = {lab: [] for lab in range(1, count + 1)}
-    for a, b in label_edges:
+    for a, b in host_edges:
         adjacency[a].append(b)
         adjacency[b].append(a)
     return {
@@ -478,7 +478,7 @@ def smaller_side(count, lo, hi):
     return list(range(1, lo)) + list(range(hi + 1, count + 1))
 
 
-def cut_report(links, label_edges, assignment, part_count, cut, max_induced, load):
+def cut_report(links, host_edges, assignment, part_count, cut, max_induced, load):
     """A cut's ``(inside_avoids_cut, crossings_cross_once,
     preimages_optimal, lemma_value)``, label by label.
 
@@ -491,7 +491,7 @@ def cut_report(links, label_edges, assignment, part_count, cut, max_induced, loa
     edges.
     """
     count = len(assignment)
-    boundary = cut_boundary(label_edges, count, cut)
+    boundary = cut_boundary(host_edges, count, cut)
     lo, hi = cut.component_lo, cut.component_hi
     part_at = [None] * (count + 1)
     for m, lab in enumerate(assignment):

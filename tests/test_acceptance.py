@@ -141,7 +141,7 @@ def test_acceptance_03_partition_totals_match_direct_totals(grid):
             for edge in cut_edges(rec.host, cut):
                 coverage[edge] += cut.multiplicity_share
         expected = 2 if rec.sibling else 1
-        assert set(coverage) == set(rec.host.label_edges)
+        assert set(coverage) == set(rec.host.links.edges)
         assert set(coverage.values()) == {expected}, (rec.n, rec.n1, rec.sibling)
     elapsed = grid["build_seconds"] + (time.perf_counter() - started)
     assert elapsed < 120
@@ -247,7 +247,7 @@ def test_acceptance_08_exhaustive_search_confirms_optimality():
         guest = build_guest(3, p)
         host = build_host(n1, 1 << (3 - n1), sibling=sibling)
         host = sibling_layout_labeling(host) if sibling else inorder_labeling(host)
-        table = bfs_distances(8, host.label_edges)
+        table = bfs_distances(8, host.links.edges)
         dist = [table[a][b] for a in range(1, 9) for b in range(1, 9)]
         edges = guest_edges(guest)
         best, _, explored = min_wirelength_bijections(

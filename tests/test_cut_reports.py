@@ -84,7 +84,7 @@ def _check_reports(guest, host, emb, cuts):
     got = _batch(guest, host, _tally(guest, host, emb), cuts)
     for cut, report in zip(cuts, got):
         expected = cut_report(
-            links, host.label_edges, emb.assignment, guest.part_count, cut,
+            links, host.links.edges, emb.assignment, guest.part_count, cut,
             max_induced, load,
         )
         where = (host.kind, host.n1, cut.family, cut.j, cut.i, cut.component_lo,
@@ -195,7 +195,7 @@ def test_broken_cuts_raise_the_oracles_message():
             for cut in rng.sample(cut_family(host), min(4, len(cut_family(host)))):
                 for bad in _broken_cuts(host, cut):
                     try:
-                        cut_boundary(host.label_edges, count, bad)
+                        cut_boundary(host.links.edges, count, bad)
                     except ValueError as exc:
                         expected = str(exc)
                     else:

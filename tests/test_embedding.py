@@ -49,17 +49,13 @@ def test_embedding_validation():
         Embedding((1, 1, 2))
     with pytest.raises(ValueError):
         Embedding((2, 3, 4))
-    for mapping in ({1: 1, 3: 2}, {0: 1}, {1: 2.0, 2: 1.0}):
-        with pytest.raises(ValueError):
-            Embedding.from_mapping(mapping)
     # float labels equal to 1..4 are refused, so they never reach the
     # routing or the memo of an equal int embedding
     with pytest.raises(ValueError, match="assignment labels must be integers"):
         Embedding([1.0, 2.0, 3.0, 4.0])
-    emb = Embedding.from_mapping({1: 2, 2: 1, 3: 3})
+    emb = Embedding([2, 1, 3])
     assert emb.assignment == (2, 1, 3)
     assert emb.label_for(1) == 2
-    assert emb.as_mapping() == {1: 2, 2: 1, 3: 3}
 
 
 def test_embedding_swapped():
@@ -104,7 +100,7 @@ def test_route_is_symmetric_and_validated():
 def test_route_lengths_match_bfs():
     for host in (T31, ST31, ST22):
         count = host.vertex_count
-        table = bfs_distances(count, host.label_edges)
+        table = bfs_distances(count, host.links.edges)
         for u in range(1, count + 1):
             for v in range(u + 1, count + 1):
                 path = route(host, u, v)
@@ -152,7 +148,7 @@ def test_edge_congestion_examples():
     for host in (T31, ST31, T22, ST22):
         emb = identity_embedding(guest, host)
         count = host.vertex_count
-        assert (1, count) not in host.label_edges
+        assert (1, count) not in host.links.edges
         bad = [(0, 1), (count, count + 1), (3, 3), (1, count), (-count, host.links.up[1]),
                (1.0, host.links.up[1])]
         for a, b in bad + [(b, a) for a, b in bad]:
@@ -170,7 +166,7 @@ def test_edge_congestion_sums_to_direct():
             Embedding((5, 3, 8, 1, 7, 2, 4, 6)),
         ):
             total = sum(
-                edge_congestion(guest, host, emb, e) for e in host.label_edges
+                edge_congestion(guest, host, emb, e) for e in host.links.edges
             )
             assert total == wirelength_direct(guest, host, emb)
 
@@ -221,7 +217,7 @@ def test_cut_conditions_match_route_oracle():
             for lo in range(1, 9):
                 for hi in range(lo, 8):
                     boundary = frozenset(
-                        (a, b) for a, b in host.label_edges
+                        (a, b) for a, b in host.links.edges
                         if (lo <= a <= hi) != (lo <= b <= hi)
                     )
                     cut = EdgeCut("X", None, 1, lo, hi)
@@ -280,9 +276,9 @@ def _check_against_route_oracle(guest, host, emb, cuts=None):
     if cuts is None:
         every = [(lo, hi) for lo in range(1, count + 1) for hi in range(lo, count + 1)]
         cuts = cut_family(host) + _interval_cuts(every)
-    table = bfs_distances(count, host.label_edges)
+    table = bfs_distances(count, host.links.edges)
     neighbors = {lab: [] for lab in range(1, count + 1)}
-    for a, b in host.label_edges:
+    for a, b in host.links.edges:
         neighbors[a].append(b)
         neighbors[b].append(a)
     routes = [
@@ -290,7 +286,7 @@ def _check_against_route_oracle(guest, host, emb, cuts=None):
          canonical_route(table, neighbors, emb.label_for(u), emb.label_for(v)))
         for u, v in guest_edges(guest)
     ]
-    load = {edge: 0 for edge in host.label_edges}
+    load = {edge: 0 for edge in host.links.edges}
     for _, _, path in routes:
         for edge in path:
             load[edge] += 1
@@ -302,7 +298,7 @@ def _check_against_route_oracle(guest, host, emb, cuts=None):
     for cut in cuts:
         lo, hi = cut.component_lo, cut.component_hi
         boundary = {
-            (a, b) for a, b in host.label_edges if (lo <= a <= hi) != (lo <= b <= hi)
+            (a, b) for a, b in host.links.edges if (lo <= a <= hi) != (lo <= b <= hi)
         }
         inside_ok = crossings_ok = True
         crossing = 0

@@ -187,7 +187,7 @@ def test_complete_guest_gives_total_host_distance():
     for n, n1, sibling in cases:
         host = build_host(n1, 1 << (n - n1), sibling=sibling)
         host = sibling_layout_labeling(host) if sibling else inorder_labeling(host)
-        expected = pairwise_distance_sum(host.vertex_count, host.label_edges)
+        expected = pairwise_distance_sum(host.vertex_count, host.links.edges)
         assert closed_form_wirelength(n, n, n1=n1, sibling=sibling) == expected
 
 

@@ -50,11 +50,11 @@ def test_build_host_small_shapes():
     assert h == HostTree(2, 1, False)
     assert h.vertex_count == 4
     assert h.kind == "binary"
-    assert len(inorder_labeling(h).label_edges) == 3
+    assert len(inorder_labeling(h).links.edges) == 3
 
     h = build_host(4, 1)
     assert h.vertex_count == 16
-    assert len(inorder_labeling(h).label_edges) == 15
+    assert len(inorder_labeling(h).links.edges) == 15
 
     h = build_host(2, 2, sibling=True)
     assert h.vertex_count == 8
@@ -94,7 +94,7 @@ def test_host_edge_and_level_counts():
                 block_edges = (1 << n1) - 1
                 if sibling:
                     block_edges += (1 << (n1 - 1)) - 1
-                assert len(host.label_edges) == k * block_edges + (k - 1)
+                assert len(host.links.edges) == k * block_edges + (k - 1)
                 levels = _level_counts(host)
                 assert levels[0] == k
                 for lvl in range(1, n1 + 1):
@@ -108,7 +108,7 @@ def test_host_counts_match_built_hosts():
                 host = _labeled(build_host(n1, k, sibling=sibling))
                 assert host_counts(n1, k, sibling) == {
                     "vertex_count": host.vertex_count,
-                    "edge_count": len(host.label_edges),
+                    "edge_count": len(host.links.edges),
                     "sibling_edge_count": sum(map(bool, host.links.sib)) // 2,
                     "level_counts": _level_counts(host),
                 }
@@ -122,7 +122,7 @@ def test_blocks_only_touch_through_the_chain():
     for host in (inorder_labeling(build_host(3, 3)),
                  sibling_layout_labeling(build_host(3, 3, sibling=True), 2)):
         block = 1 << 3
-        for a, b in host.label_edges:
+        for a, b in host.links.edges:
             if (a - 1) // block != (b - 1) // block:
                 # only pendants, the block-last labels, join blocks
                 assert a % block == 0 and b % block == 0
@@ -158,7 +158,8 @@ def test_inorder_labels_second_block_mirrors_first():
 def test_inorder_subtree_intervals():
     host = inorder_labeling(build_host(4, 1))
     cuts = _cut_index(host)
-    assert cuts[("S", 2, 1)].component_labels == range(1, 4)
+    cut = cuts[("S", 2, 1)]
+    assert (cut.component_lo, cut.component_hi) == (1, 3)
     for cut in cut_family(host):
         if cut.family == "S":
             width = (1 << cut.j) - 1
@@ -216,7 +217,7 @@ def test_cut_family_plain_single_block():
     assert Counter(c.j for c in cuts) == {1: 4, 2: 2, 3: 1}
     coverage = Counter(e for c in cuts for e in cut_edges(host, c))
     assert set(coverage.values()) == {1}
-    assert set(coverage) == set(host.label_edges)
+    assert set(coverage) == set(host.links.edges)
 
 
 def test_cut_family_sibling_single_block():
@@ -256,7 +257,7 @@ def test_cut_family_coverage_is_uniform():
                     for edge in cut_edges(host, cut):
                         coverage[edge] += cut.multiplicity_share
                 expected = 2 if sibling else 1
-                assert set(coverage) == set(host.label_edges)
+                assert set(coverage) == set(host.links.edges)
                 assert set(coverage.values()) == {expected}
 
 
@@ -280,7 +281,7 @@ def test_chain_cuts():
     cuts = _cut_index(host)
     root = cuts[("ROOT", None, 1)]
     assert cut_edges(host, root) == ((4, 8),)
-    assert root.component_labels == range(1, 5)
+    assert (root.component_lo, root.component_hi) == (1, 4)
     assert root.multiplicity_share == 1
 
     host = sibling_layout_labeling(build_host(2, 2, sibling=True))
@@ -296,7 +297,7 @@ def test_every_cut_splits_host_in_two():
     ]
     for host in hosts:
         adjacency = {lab: set() for lab in range(1, host.vertex_count + 1)}
-        for a, b in host.label_edges:
+        for a, b in host.links.edges:
             adjacency[a].add(b)
             adjacency[b].add(a)
         for cut in cut_family(host):
@@ -312,7 +313,7 @@ def test_every_cut_splits_host_in_two():
                     continue
                 component.add(lab)
                 frontier.extend(adjacency[lab])
-            assert component == set(cut.component_labels)
+            assert component == set(range(cut.component_lo, cut.component_hi + 1))
             for a, b in edges:
                 adjacency[a].add(b)
                 adjacency[b].add(a)
@@ -378,7 +379,7 @@ def test_cut_check_is_exact(monkeypatch):
                 index = {edge: x for x, edge in enumerate(host.links.edges)}
                 for record in _mutated_records(rng, host):
                     try:
-                        boundary = cut_boundary(host.label_edges, count, EdgeCut(*record[:6]))
+                        boundary = cut_boundary(host.links.edges, count, EdgeCut(*record[:6]))
                     except ValueError:
                         exact = False
                     else:
@@ -420,7 +421,7 @@ def test_cut_edges_are_the_interval_boundary():
                 for lo in range(1, count + 1):
                     for hi in range(lo, count + 1):
                         want = {
-                            (a, b) for a, b in host.label_edges
+                            (a, b) for a, b in host.links.edges
                             if (lo <= a <= hi) != (lo <= b <= hi)
                         }
                         got = cut_edges(host, EdgeCut("X", None, 1, lo, hi))

@@ -29,9 +29,9 @@ def _standard_hosts(n_max):
 
 def _oracle(host):
     count = host.vertex_count
-    table = bfs_distances(count, host.label_edges)
+    table = bfs_distances(count, host.links.edges)
     neighbors = {lab: [] for lab in range(1, count + 1)}
-    for a, b in host.label_edges:
+    for a, b in host.links.edges:
         neighbors[a].append(b)
         neighbors[b].append(a)
     return count, table, neighbors
@@ -42,7 +42,7 @@ def test_standard_hosts_have_unique_shortest_paths():
     # label has exactly one neighbor closer to any goal.
     for _, host in _standard_hosts(6):
         count = host.vertex_count
-        counts = shortest_path_counts(count, host.label_edges)
+        counts = shortest_path_counts(count, host.links.edges)
         assert all(c == 1 for row in counts.values() for c in row.values())
     # the oracle itself sees a tie where there is one: a 4-cycle
     assert shortest_path_counts(4, [(1, 2), (2, 3), (3, 4), (1, 4)])[1][3] == 2
@@ -67,7 +67,7 @@ def test_search_distance_rows_match_bfs():
         if n < 2:
             continue  # no guest has two vertices
         count, rows = _instance_tables(build_guest(n, 2), host)
-        table = bfs_distances(count, host.label_edges)
+        table = bfs_distances(count, host.links.edges)
         assert all(host.links.distances(g)[0] == 0 for g in range(1, count + 1))
         assert rows == [
             [table[a][b] for b in range(1, count + 1)] for a in range(1, count + 1)

@@ -1,7 +1,13 @@
+import os
 import random
+import re
+import subprocess
+import sys
+import time
 import tracemalloc
 from itertools import permutations
-from math import factorial
+from math import factorial, log10
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +21,7 @@ from treebed import (
     LAYOUT_VARIANTS,
     BudgetExceededError,
     Embedding,
+    HostTree,
     build_guest,
     build_host,
     closed_form_wirelength,
@@ -43,7 +50,7 @@ def test_exhaustive_complete_guest_is_flat():
     # with a complete guest every bijection costs the same, so the witness
     # is the identity
     assert result.witness.assignment == (1, 2, 3, 4)
-    table = bfs_distances(4, T21.label_edges)
+    table = bfs_distances(4, T21.links.edges)
     for perm in permutations(range(1, 5)):
         total = sum(
             table[perm[u - 1]][perm[v - 1]] for u, v in guest_edges(guest)
@@ -68,6 +75,72 @@ def test_exhaustive_budget_guard():
     with pytest.raises(BudgetExceededError, match="105 label partitions"):
         exhaustive_min_wirelength(guest, T31, budget=104)
     assert exhaustive_min_wirelength(guest, T31, budget=105).explored == 105
+
+
+def test_budget_refusal_names_the_exact_count_up_to_256_labels():
+    # every guest shape the engine runs, one partition over its budget and
+    # exactly at it
+    for n in range(2, 9):
+        for p in range(2, n + 1):
+            count = _partition_count(1 << n, 1 << p)
+            with pytest.raises(BudgetExceededError) as info:
+                search._check_budget(1 << n, 1 << p, count - 1, prefix="x: ")
+            assert str(info.value) == (
+                f"x: {count} label partitions exceed the budget of {count - 1}"
+            ), (n, p)
+            search._check_budget(1 << n, 1 << p, count)
+
+
+def test_budget_refusal_past_256_labels_names_the_order_of_magnitude():
+    # From n = 13 the exact count has more digits than Python prints.
+    for n in (9, 13):
+        count = _partition_count(1 << n, 4)
+        host = HostTree(n, 1, False)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as info:
+            exhaustive_min_wirelength(build_guest(n, 2), host)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (
+            f"about 10**{round(log10(count))} label partitions exceed the budget of 3000000"
+        )
+
+
+def test_budget_refusal_at_n_20_stops_counting_early():
+    # The whole count at n = 20 takes over a minute; a child process, so
+    # that a count that does not stop at the budget fails within 10 s.
+    script = (
+        "import time\n"
+        "from treebed import BudgetExceededError, HostTree, build_guest,"
+        " exhaustive_min_wirelength\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    exhaustive_min_wirelength(build_guest(20, 2), HostTree(20, 1, False))\n"
+        "except BudgetExceededError as exc:\n"
+        "    print(time.perf_counter() - start, exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=10, check=True)
+    seconds, message = done.stdout.split(" ", 1)
+    assert float(seconds) < 1
+    assert re.fullmatch(r"about 10\*\*\d+ label partitions exceed the budget of 3000000\n",
+                        message)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda guest: local_search_min(guest, T31, seed=1.5, iterations=1),
+     "seed and iterations must be integers, got seed=1.5, iterations=1"),
+    (lambda guest: local_search_min(guest, T31, seed=0, iterations=2.0),
+     "seed and iterations must be integers, got seed=0, iterations=2.0"),
+    (lambda guest: exhaustive_min_wirelength(guest, T31, budget=None),
+     "budget must be an integer, got None"),
+    (lambda guest: exhaustive_min_wirelength(guest, T31, budget=2.5),
+     "budget must be an integer, got 2.5"),
+], ids=["seed", "iterations", "budget-none", "budget-float"])
+def test_search_arguments_must_be_integers(call, message):
+    with pytest.raises(ValueError) as info:
+        call(build_guest(3, 2))
+    assert str(info.value) == message
 
 
 def test_exhaustive_budget_is_checked_before_the_distance_rows():
@@ -165,7 +238,7 @@ HOST_SHAPES = [("binary", 0)] + [("sibling", v) for v in LAYOUT_VARIANTS]
 def _oracle_tables(guest, host):
     """Flat 0-based distance table and guest edge arrays for the oracles."""
     count = guest.vertex_count
-    table = bfs_distances(count, host.label_edges)
+    table = bfs_distances(count, host.links.edges)
     dist = [table[a][b] for a in range(1, count + 1) for b in range(1, count + 1)]
     edges = guest_edges(guest)
     return count, dist, [u - 1 for u, _ in edges], [v - 1 for _, v in edges]
