@@ -552,6 +552,9 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
+    # A request makes no reference cycles, so the collector would only traverse its tables.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ValueError, BudgetExceededError) as exc:
@@ -560,6 +563,9 @@ def main(argv=None) -> int:
     except (OSError, ConsistencyError, CoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # Everything alive now (the interpreter's, ``site``'s and the package's

@@ -229,19 +229,7 @@ def _loads(
     links: HostLinks, partite_at: list[int], groups: Iterable[Sequence[int]]
 ) -> list[int]:
     """Each host edge's load from the guest edges with both ends in one
-    label group of ``groups``: one ``_add_subtree_loads`` pass per group."""
-    load = [0] * (links.spill + 1)
-    for members in groups:
-        _add_subtree_loads(links, partite_at, members, load)
-    load.pop()  # the ``spill`` slot, above the top of the host
-    return load
-
-
-def _add_subtree_loads(
-    links: HostLinks, partite_at: list[int], members: Sequence[int], load: list[int]
-) -> None:
-    """Add to ``load`` each host edge's share of the guest edges among the
-    labels ``members``.
+    label group of ``groups``: one pass from the leaves up per group.
 
     Call ``S_t`` the labels in the subtree of ``t``: ``t`` and everything
     below it on the host's parent links.  A route with one end in ``S_t``
@@ -251,53 +239,56 @@ def _add_subtree_loads(
     link those leaving ``S_t`` minus those.  The guest joins every two
     vertices in different partite sets, so between disjoint label sets
     ``X`` and ``Y`` it has ``|X||Y| - sum_j c_j(X) c_j(Y)`` edges, with
-    ``c_j`` the number of labels holding partite set ``j``.  One pass from
-    the leaves up keeps each subtree's size, partite counts and number of
-    guest edges leaving it, merging the smaller count dict into the larger;
-    the first of two siblings waits for the second.
+    ``c_j`` the number of labels holding partite set ``j``.  Each pass keeps
+    each subtree's size, partite counts and number of guest edges leaving
+    it, merging the smaller count dict into the larger; the first of two
+    siblings waits for the second.
     """
-    totals = Counter(partite_at[s] for s in members)
-    size = [0] * len(partite_at)
-    leaving = [0] * len(partite_at)
-    counts: list[dict[int, int]] = [{} for _ in partite_at]
-    for s in members:
-        size[s] = 1
-        leaving[s] = len(members) - totals[partite_at[s]]
-        counts[s] = {partite_at[s]: 1}
-
-    def join(a: int, b: int) -> int:
-        """Merge subtree record ``b`` into ``a``; return the guest edges
-        between the two."""
-        big, small = counts[a], counts[b]
-        if len(big) < len(small):
-            big, small = small, big
-            counts[a] = big
-        same = 0
-        for j, c in small.items():
-            had = big.get(j, 0)
-            same += had * c
-            big[j] = had + c
-        between = size[a] * size[b] - same
-        size[a] += size[b]
-        leaving[a] += leaving[b] - 2 * between
-        return between
-
     up, up_edge, sib, sib_edge = links.up, links.up_edge, links.sib, links.sib_edge
-    done = [False] * len(partite_at)
-    for t in links.order:
-        # Every label below t came earlier in the order, so t's record is
-        # its whole subtree.
-        done[t] = True
-        load[up_edge[t]] += leaving[t]
-        twin = sib[t]
-        if not twin:
-            join(up[t], t)
-        elif done[twin]:
-            across = join(t, twin)
-            load[sib_edge[t]] += across
-            load[up_edge[t]] -= across
-            load[up_edge[twin]] -= across
-            join(up[t], t)
+    load = [0] * len(links.edges)
+    for members in groups:
+        totals = Counter(partite_at[s] for s in members)
+        size = [0] * len(partite_at)
+        leaving = [0] * len(partite_at)
+        counts: list[dict[int, int]] = [{} for _ in partite_at]
+        for s in members:
+            size[s] = 1
+            leaving[s] = len(members) - totals[partite_at[s]]
+            counts[s] = {partite_at[s]: 1}
+
+        def join(a: int, b: int) -> int:
+            """Merge subtree record ``b`` into ``a``; return the guest edges
+            between the two."""
+            big, small = counts[a], counts[b]
+            if len(big) < len(small):
+                big, small = small, big
+                counts[a] = big
+            same = 0
+            for j, c in small.items():
+                had = big.get(j, 0)
+                same += had * c
+                big[j] = had + c
+            between = size[a] * size[b] - same
+            size[a] += size[b]
+            leaving[a] += leaving[b] - 2 * between
+            return between
+
+        done = [False] * len(partite_at)
+        for t in links.order:
+            # Every label below t came earlier in the order, so t's record is
+            # its whole subtree.
+            done[t] = True
+            load[up_edge[t]] += leaving[t]
+            twin = sib[t]
+            if not twin:
+                join(up[t], t)
+            elif done[twin]:
+                across = join(t, twin)
+                load[sib_edge[t]] += across
+                load[up_edge[t]] -= across
+                load[up_edge[twin]] -= across
+                join(up[t], t)
+    return load
 
 
 def _tally(guest: Guest, host: HostTree, embedding: Embedding) -> tuple[list[int], list[int]]:
@@ -331,7 +322,7 @@ def edge_congestion(
     """Number of guest edges whose routed path uses ``host_edge``."""
     a, b = host_edge
     links = host.links
-    index = links.spill
+    index = None
     if all(isinstance(x, int) and 1 <= x <= host.vertex_count for x in (a, b)):
         # One end hangs from the other, or the two are siblings.
         if links.up[a] == b:
@@ -340,7 +331,7 @@ def edge_congestion(
             index = links.up_edge[b]
         elif links.sib[a] == b:
             index = links.sib_edge[a]
-    if index == links.spill:
+    if index is None:
         raise ValueError(f"{host_edge} is not a host edge (in label space)")
     _, load = _tally(guest, host, embedding)
     return load[index]
@@ -493,7 +484,7 @@ def _partition_total(
     value per cut, weighted by share, over the family's uniform coverage:
     each cut's leaving guest edges from ``build_report``, its routed
     congestion from ``wirelength_via_partition``."""
-    coverage = [0] * links.spill
+    coverage = [0] * len(links.edges)
     for _, _, _, _, _, share, indices in cuts:
         for x in indices:
             coverage[x] += share

@@ -117,14 +117,15 @@ class HostTree(Frozen):
         """The standard cut family as records (``_standard_cuts``), built and
         checked on first use: each record's interval lies inside the host and
         its edges, each listed once, are the interval's edge boundary
-        (``_boundary``).  The first record that fails raises
+        (``_crossing``).  The first record that fails raises
         ``ConsistencyError`` and nothing is cached, so every use raises."""
         cuts = tuple(_standard_cuts(self))
-        count = self.vertex_count
+        count, links = self.vertex_count, self.links
         for _, _, _, lo, hi, _, indices in cuts:
             if not 1 <= lo <= hi <= count:
                 raise ConsistencyError(f"cut component {lo}..{hi} is not inside 1..{count}")
-            if sorted(indices) != _boundary(self, lo, hi):
+            boundary = _crossing(links, lo, hi)
+            if len(indices) != len(boundary) or boundary != set(indices):
                 raise ConsistencyError(f"cut edges are not the edge boundary of labels {lo}..{hi}")
         return cuts
 
@@ -132,29 +133,25 @@ class HostTree(Frozen):
 class HostLinks:
     """A host's parent, chain and sibling links, in label space.
 
-    Dropping the sibling edges leaves a tree rooted at the first pendant:
-    every tree vertex hangs from its parent, every tree root from its
-    block's pendant, and every pendant from the previous one on the chain.
-    Each sibling edge joins two children of one parent.  So between any two
-    labels there is exactly one shortest path, and the canonical route (the
-    smallest-labeled neighbor one step closer to the goal, of which there is
-    only one) is that path.  Per label ``t``:
+    Dropping the sibling edges leaves a tree rooted at the first pendant,
+    the top of the host: every tree vertex hangs from its parent, every tree
+    root from its block's pendant, and every other pendant from the previous
+    one on the chain.  Each sibling edge joins two children of one parent.
+    So between any two labels there is exactly one shortest path, and the
+    canonical route (the smallest-labeled neighbor one step closer to the
+    goal, of which there is only one) is that path.  Per label ``t``:
 
-    - ``up[t]`` is the label ``t`` hangs from and ``up_edge[t]`` the index
-      in ``edges`` of that link (0 and ``spill`` at the top of the host);
-    - ``sib[t]`` is the sibling of ``t`` and ``sib_edge[t]`` the index of
-      their edge (0 and ``spill`` when ``t`` has none).
+    - ``up[t]`` is the label ``t`` hangs from (0 at the top) and
+      ``up_edge[t]`` the index in ``edges`` of that link;
+    - ``sib[t]`` is the sibling of ``t`` (0 when ``t`` has none) and
+      ``sib_edge[t]`` the index of their edge.
 
-    ``order`` lists every label before the label it hangs from.  ``spill
-    == len(edges)`` indexes no edge; it stands in where a label has no
-    link.  ``memo`` holds ``(guest, embedding, partite_at, load)`` for the
-    most recent instance routed over these links (``embedding._tally``),
-    so repeated queries on one instance share one pass and die with the
-    host.
-
-    The subtree of ``t`` is ``t`` and every label below it on the ``up``
-    links; ``lo[t]`` and ``hi[t]`` are its lowest and highest label, and
-    every labeling puts it on all of ``lo[t]..hi[t]``.
+    ``up_edge`` and ``sib_edge`` hold an index only where the link exists,
+    and ``None`` elsewhere.  ``order`` lists every label but the top, each
+    before the label it hangs from.  ``memo`` holds ``(guest, embedding,
+    partite_at, load)`` for the most recent instance routed over these links
+    (``embedding._tally``), so repeated queries on one instance share one
+    pass and die with the host.
 
     The links also index the edges: the edge between ``a`` and ``b`` is
     ``up_edge[a]`` when ``a`` hangs from ``b``, ``up_edge[b]`` when ``b``
@@ -163,12 +160,10 @@ class HostLinks:
     ``spans`` holds, per gap ``g``, the place between labels ``g`` and
     ``g + 1`` (``0 <= g <= count``), the indices of the edges spanning it:
     edge ``(a, b)`` with ``a < b`` spans the gaps ``a..b-1``.  Its one
-    reader is ``_boundary``.
+    reader is ``_crossing``.
     """
 
-    __slots__ = (
-        "edges", "spill", "up", "up_edge", "sib", "sib_edge", "order", "lo", "hi", "spans", "memo",
-    )
+    __slots__ = ("edges", "up", "up_edge", "sib", "sib_edge", "order", "spans", "memo")
 
     def __init__(self, host: HostTree) -> None:
         pos = host._positions()
@@ -188,30 +183,21 @@ class HostLinks:
                     sib[t] = base + pos[h ^ 1]
                 order.append(t)
             up[pendant] = base
-            order.append(pendant)
+            if base:  # the first pendant, the top, hangs from nothing
+                order.append(pendant)
         links = [(t, u) for t, u in enumerate(up) if u]
         pairs = [(a, b) for a, b in enumerate(sib) if a < b]
         edges = [(u, t) if u < t else (t, u) for t, u in links] + pairs
         self.edges = tuple(edges)
-        self.spill = spill = len(edges)
         self.up = up
-        self.up_edge = [spill] * (count + 1)
+        self.up_edge: list[int | None] = [None] * (count + 1)
         for idx, (t, _) in enumerate(links):
             self.up_edge[t] = idx
         self.sib = sib
-        self.sib_edge = [spill] * (count + 1)
+        self.sib_edge: list[int | None] = [None] * (count + 1)
         for idx, (a, b) in enumerate(pairs, start=len(links)):
             self.sib_edge[a] = self.sib_edge[b] = idx
         self.order = order
-        lo = list(range(count + 1))
-        hi = lo[:]
-        for t in order:
-            u = up[t]
-            if lo[t] < lo[u]:
-                lo[u] = lo[t]
-            if hi[t] > hi[u]:
-                hi[u] = hi[t]
-        self.lo, self.hi = lo, hi
         changes: list[list[int]] = [[] for _ in range(count + 1)]
         for x, (a, b) in enumerate(edges):
             changes[a].append(x)
@@ -279,15 +265,21 @@ def cut_edges(host: HostTree, cut: EdgeCut) -> tuple[tuple[int, int], ...]:
 
 
 def _boundary(host: HostTree, lo: int, hi: int) -> list[int]:
-    """The indices into ``host.links.edges`` of the host edges with exactly
-    one end in ``lo..hi``, in order: those spanning one of the gaps ``lo -
-    1`` and ``hi`` but not both (``HostLinks.spans``).  The host's check of
-    its own family and every caller's cut read their edges here alone."""
+    """``_crossing`` in order; ``ValueError`` unless ``lo..hi`` lies inside the host."""
     count = host.vertex_count
     if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi <= count):
         raise ValueError(f"cut component {lo}..{hi} is not inside 1..{count}")
-    spans = host.links.spans
-    return sorted(set(spans[lo - 1]).symmetric_difference(spans[hi]))
+    return sorted(_crossing(host.links, lo, hi))
+
+
+def _crossing(links: HostLinks, lo: int, hi: int) -> set[int]:
+    """The indices into ``links.edges`` of the host edges with exactly one
+    end in ``lo..hi``, an interval inside the host: those spanning one of
+    the gaps ``lo - 1`` and ``hi`` but not both (``HostLinks.spans``).  The
+    host's check of its own family and every caller's cut read their edges
+    here alone."""
+    spans = links.spans
+    return set(spans[lo - 1]).symmetric_difference(spans[hi])
 
 
 def check_host_shape(n1: int, k: int) -> None:
@@ -403,8 +395,17 @@ def _standard_cuts(host: HostTree) -> list[tuple]:
     indices)`` tuple per cut."""
     pos = host._positions()
     links = host.links
-    up_edge, sib_edge = links.up_edge, links.sib_edge
-    lo, hi = links.lo, links.hi
+    up, up_edge, sib_edge = links.up, links.up_edge, links.sib_edge
+    # The subtree of t (t and every label below it on the up links) fills
+    # the labels lo[t]..hi[t] in every labeling.
+    lo = list(range(host.vertex_count + 1))
+    hi = lo[:]
+    for t in links.order:
+        u = up[t]
+        if lo[t] < lo[u]:
+            lo[u] = lo[t]
+        if hi[t] > hi[u]:
+            hi[u] = hi[t]
     n1, k, sibling = host.n1, host.k, host.sibling
     block = 1 << n1
     cuts: list[tuple] = []

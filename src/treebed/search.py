@@ -165,6 +165,7 @@ def _min_wirelength_partitions(nv, rows, parts):
             blocks[opened].pop()
 
     place(0, 0, 0)
+    del place  # the closure holds itself, a cycle that would keep rows alive
     total = sum(map(sum, rows)) // 2
     return total - best_within, best_blocks, explored
 

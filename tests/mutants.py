@@ -18,10 +18,16 @@ FORMULAS = "src/treebed/formulas.py"
 MUTANTS = (
     (
         HOSTS,
-        "sorted(indices) != _boundary(self, lo, hi)",
-        "set(indices) != set(_boundary(self, lo, hi))",
-        "the host's cut check compares edge sets, so a record that lists one"
-        " boundary edge twice passes",
+        "len(indices) != len(boundary) or boundary != set(indices)",
+        "boundary != set(indices)",
+        "the host's cut check compares edge sets alone, so a record that lists"
+        " one boundary edge twice passes",
+    ),
+    (
+        HOSTS,
+        "if base:  # the first pendant",
+        "if True:  # the first pendant",
+        "the top of the host, which hangs from nothing, joins the links' order",
     ),
     (
         HOSTS,
@@ -37,8 +43,8 @@ MUTANTS = (
     ),
     (
         HOSTS,
-        ".symmetric_difference(spans[hi]))",
-        ".symmetric_difference(spans[hi - 1]))",
+        ".symmetric_difference(spans[hi])\n",
+        ".symmetric_difference(spans[hi - 1])\n",
         "the boundary reader takes its right gap at hi - 1, not hi",
     ),
     (
@@ -149,6 +155,30 @@ MUTANTS = (
         '"-" if j is None else j',
         "j",
         "verify's text prints None for the j of a chain cut",
+    ),
+    (
+        EMBEDDING,
+        "load = [0] * len(links.edges)",
+        "load = [0] * (len(links.edges) + 1)",
+        "the routed load keeps one slot past the host's last edge",
+    ),
+    (
+        CLI,
+        "            gc.enable()\n",
+        "            pass\n",
+        "a CLI request leaves the cyclic collector off",
+    ),
+    (
+        CLI,
+        "        if collecting:\n",
+        "        if True:\n",
+        "a CLI request turns the cyclic collector on though its caller had it off",
+    ),
+    (
+        SEARCH,
+        "    del place  #",
+        "    #",
+        "the exhaustive search leaves its recursive closure in a reference cycle",
     ),
     (
         EMBEDDING,

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -388,6 +389,29 @@ def test_swap_label_out_of_range(capsys):
         assert (code, err) == (2, "error: label 0 out of range 1..8\n")
 
 
+def test_requests_leave_no_cyclic_garbage(capsys):
+    # main runs each request with the cyclic collector off and then restores
+    # the caller's setting, on or off; no request, the searches included,
+    # leaves a reference cycle behind for a later collection
+    requests = (
+        ("verify", "--n", "4", "--p", "2", "--host", "sibling"),
+        ("wirelength", "--n", "4", "--p", "2", "--local-search", "2", "--seed", "7"),
+        ("wirelength", "--n", "4", "--p", "4", "--exhaustive"),
+        ("sweep", "--n-min", "3", "--n-max", "3", "--exhaustive"),
+    )
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv in requests:
+                gc.collect()
+                assert run(capsys, *argv)[0] == 0
+                assert gc.isenabled() is enabled
+                assert gc.collect() == 0, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_broken_standard_family_exits_1(capsys, monkeypatch):
     # a standard cut record that is not its interval's edge boundary, or a
     # family that no longer covers every edge, is a failed cross-check
@@ -401,7 +425,7 @@ def test_broken_standard_family_exits_1(capsys, monkeypatch):
     cases = [
         ((3, 0), boundary),  # edge 0 has neither end in 5..5
         ((3, 16, 16), boundary),
-        ((3, host.links.spill + 3), boundary),
+        ((3, len(host.links.edges) + 3), boundary),  # an index past the edges
         # dropping the cut leaves its edge (5, 7) covered once, the rest twice
         (None, "error: cut family does not cover every host edge uniformly: host"
                " edge (5, 7) has coverage 1 but host edge (1, 3) has 2\n"),

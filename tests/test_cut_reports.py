@@ -4,11 +4,14 @@ oracle."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import cut_boundary, cut_report, per_goal_tally
 from treebed import (
     LAYOUT_VARIANTS,
     EdgeCut,
+    Embedding,
     build_guest,
     build_host,
     CutReport,
@@ -18,6 +21,7 @@ from treebed import (
     cut_family,
     identity_embedding,
     inorder_labeling,
+    interval_boundary_congestion,
     max_subgraph_edges_closed_form,
     sibling_layout_labeling,
     verify_cut_conditions,
@@ -267,16 +271,16 @@ def test_build_report_cross_checks_the_standard_family(monkeypatch):
     # one standard cut record with a wrong edge: an edge with neither end
     # in its interval instead of its first edge, its last edge left out,
     # its first edge listed twice in place of its edges (the sibling S
-    # record's two edges become one edge twice), or an index past spill
+    # record's two edges become one edge twice), or an index past the edges
     guest = build_guest(4, 2)
     standard_cuts = hosts._standard_cuts
     for host in (_labeled(4, 2, "binary"), _labeled(4, 2, "sibling", 1)):
         emb = identity_embedding(guest, host)
-        edges, spill = host.links.edges, host.links.spill
+        edges = host.links.edges
         family, j, i, lo, hi, share, indices = standard_cuts(host)[3]
         away = next(x for x, (a, b) in enumerate(edges) if not lo <= a <= hi and not lo <= b <= hi)
         twice = (indices[0], indices[0])
-        for wrong in ((away,) + indices[1:], indices[:-1], twice, indices[:-1] + (spill + 3,)):
+        for wrong in ((away,) + indices[1:], indices[:-1], twice, indices[:-1] + (len(edges) + 3,)):
             def broken(host, wrong=wrong):
                 cuts = standard_cuts(host)
                 cuts[3] = (family, j, i, lo, hi, share, wrong)
@@ -387,3 +391,39 @@ def test_a_failed_check_raises_again(monkeypatch):
     monkeypatch.undo()
     assert host.cuts == tuple(hosts._standard_cuts(host))
     assert host.cuts is host.cuts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_each_standard_cut_accounts_for_the_excess_wirelength(data):
+    # a random embedding at n <= 8, on every host kind and variant: each
+    # standard cut's congestion is at least the fewest guest edges a set of
+    # its size can leave, with equality exactly when its preimages are
+    # optimal; and the wirelength's excess over the closed form is the cuts'
+    # excesses over those minima, weighted by share, over the coverage
+    n = data.draw(st.integers(2, 8))
+    p = data.draw(st.integers(2, n))
+    n1 = data.draw(st.integers(1, n))
+    kind, variant = data.draw(
+        st.sampled_from([("binary", 0)] + [("sibling", v) for v in LAYOUT_VARIANTS])
+    )
+    guest, host = build_guest(n, p), _labeled(n, n1, kind, variant)
+    count = host.vertex_count
+    if data.draw(st.booleans()):
+        emb = Embedding(data.draw(st.permutations(range(1, count + 1))))
+    else:  # near the identity, where most cuts stay optimal
+        emb = identity_embedding(guest, host)
+        label = st.integers(1, count)
+        for a, b in data.draw(st.lists(st.tuples(label, label), max_size=3)):
+            emb = emb.swapped(a, b) if a != b else emb
+    report = build_report(guest, host, emb)
+    excess = 0
+    for (_, _, _, lo, hi, share, _), cut, conditions in zip(
+        host.cuts, report.per_cut, report.cut_conditions
+    ):
+        least = interval_boundary_congestion(hi - lo + 1, n, p)
+        assert cut.ec >= least
+        assert (cut.ec == least) == conditions.preimages_optimal, (lo, hi)
+        excess += share * (cut.ec - least)
+    coverage = 2 if host.sibling else 1
+    assert excess == coverage * (report.direct - report.closed_form)

@@ -349,16 +349,16 @@ def test_standard_cuts_are_interval_boundaries():
 
 def _mutated_records(rng, host):
     """Every standard cut record of ``host``, then per cut: one edge
-    dropped, one edge listed twice, random indices up to ``spill``, and the
-    interval moved by one at either end."""
-    spill = host.links.spill
+    dropped, one edge listed twice, random indices up to one past the last
+    edge, and the interval moved by one at either end."""
+    past = len(host.links.edges)
     for record in _standard_cuts(host):
         family, j, i, lo, hi, share, indices = record
         yield record
         yield family, j, i, lo, hi, share, indices[1:]
         yield family, j, i, lo, hi, share, indices + indices[-1:]
         for size in (1, 2, 3):
-            wild = tuple(rng.choices(range(spill + 1), k=size))
+            wild = tuple(rng.choices(range(past + 1), k=size))
             yield family, j, i, lo, hi, share, wild
         for a, b in ((-1, 0), (1, 0), (0, -1), (0, 1)):
             yield family, j, i, lo + a, hi + b, share, indices
