@@ -25,7 +25,6 @@ from treebed.hosts import (
     LAYOUT_VARIANTS,
     HostTree,
     check_host_shape,
-    host_counts,
 )
 
 if TYPE_CHECKING:
@@ -110,6 +109,7 @@ def _unescaped(text: str) -> str:
 
 
 GUEST_FIELDS = ("vertex_count", "edge_count", "part_count", "part_size", "degree")
+HOST_FIELDS = ("vertex_count", "edge_count", "sibling_edge_count")
 
 
 def cmd_guest(args) -> int:
@@ -129,18 +129,17 @@ def cmd_guest(args) -> int:
 
 def cmd_host(args) -> int:
     host = _build_labeled(args.n1, args.k, args.host, args.variant)
-    counts = host_counts(args.n1, args.k, sibling=host.sibling)
     info = {"schema": 1, "n1": args.n1, "k": args.k, "kind": args.host}
-    info.update(counts)
-    info["level_counts"] = {str(lvl): c for lvl, c in counts["level_counts"].items()}
+    info.update((key, getattr(host, key)) for key in HOST_FIELDS)
+    info["level_counts"] = {str(lvl): c for lvl, c in host.level_counts.items()}
     # Larger hosts print only their counts, so their labels are never built.
-    if counts["vertex_count"] <= 256:
+    if host.vertex_count <= 256:
         info["label_of"] = {str(v): host.label_of[v] for v in sorted(host.label_of)}
     if args.output == "json":
         print(_json(info))
     else:
         print(f"host: {args.host}, {args.k} block(s) of height {args.n1}")
-        for key in ("vertex_count", "edge_count", "sibling_edge_count"):
+        for key in HOST_FIELDS:
             print(f"  {key} = {info[key]}")
     return 0
 

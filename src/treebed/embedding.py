@@ -319,18 +319,15 @@ def wirelength_direct(guest: Guest, host: HostTree, embedding: Embedding) -> int
 def edge_congestion(
     guest: Guest, host: HostTree, embedding: Embedding, host_edge: tuple[int, int]
 ) -> int:
-    """Number of guest edges whose routed path uses ``host_edge``."""
+    """Number of guest edges whose routed path uses ``host_edge``, a pair
+    of integer labels in either order."""
     a, b = host_edge
-    links = host.links
+    edges = host.links.edges
     index = None
-    if all(isinstance(x, int) and 1 <= x <= host.vertex_count for x in (a, b)):
-        # One end hangs from the other, or the two are siblings.
-        if links.up[a] == b:
-            index = links.up_edge[a]
-        elif links.up[b] == a:
-            index = links.up_edge[b]
-        elif links.sib[a] == b:
-            index = links.sib_edge[a]
+    if isinstance(a, int) and isinstance(b, int) and 1 <= min(a, b) <= host.vertex_count:
+        lo, hi = sorted(host_edge)
+        # The edges at label lo are the edge boundary of the interval lo..lo.
+        index = next((x for x in _boundary(host, lo, lo) if edges[x] == (lo, hi)), None)
     if index is None:
         raise ValueError(f"{host_edge} is not a host edge (in label space)")
     _, load = _tally(guest, host, embedding)

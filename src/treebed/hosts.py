@@ -38,7 +38,6 @@ __all__ = [
     "EdgeCut",
     "build_host",
     "check_host_shape",
-    "host_counts",
     "inorder_labeling",
     "sibling_layout_labeling",
     "cut_edges",
@@ -60,6 +59,8 @@ class HostTree(Frozen):
     ``k`` blocks of height ``n1``, with sibling edges when ``sibling``.
     ``variant`` is 0 for binary hosts, labeled inorder, and one of
     ``LAYOUT_VARIANTS`` for sibling hosts.  Compared and hashed by value.
+    Its counts come from the shape alone; its links, labels and cut family
+    are built on first use.
     """
 
     _fields = ("n1", "k", "sibling", "variant")
@@ -79,6 +80,24 @@ class HostTree(Frozen):
     @property
     def vertex_count(self) -> int:
         return self.k << self.n1
+
+    @property
+    def edge_count(self) -> int:
+        """The tree and chain links (one per label but the top), plus the sibling edges."""
+        return self.vertex_count - 1 + self.sibling_edge_count
+
+    @property
+    def sibling_edge_count(self) -> int:
+        """One sibling edge per internal tree vertex: ``2**(n1-1) - 1`` per block."""
+        return self.k * ((1 << (self.n1 - 1)) - 1) if self.sibling else 0
+
+    @property
+    def level_counts(self) -> dict[int, int]:
+        """Vertices per level: the ``k`` pendants at level 0, then
+        ``k * 2**(level-1)`` tree vertices at each level ``1..n1``."""
+        levels = {0: self.k}
+        levels.update((level, self.k << (level - 1)) for level in range(1, self.n1 + 1))
+        return levels
 
     @cached_property
     def layout(self) -> tuple[int, ...]:
@@ -152,10 +171,6 @@ class HostLinks:
     partite_at, load)`` for the most recent instance routed over these links
     (``embedding._tally``), so repeated queries on one instance share one
     pass and die with the host.
-
-    The links also index the edges: the edge between ``a`` and ``b`` is
-    ``up_edge[a]`` when ``a`` hangs from ``b``, ``up_edge[b]`` when ``b``
-    hangs from ``a``, and ``sib_edge[a]`` when the two are siblings.
 
     ``spans`` holds, per gap ``g``, the place between labels ``g`` and
     ``g + 1`` (``0 <= g <= count``), the indices of the edges spanning it:
@@ -298,26 +313,6 @@ def _check_host_size(n1: int, k: int) -> None:
     # Bound n1 first, so that an absurd n1 is refused before 2**n1 is built.
     if n1 > 20 or k * (1 << n1) > (1 << 20):
         raise ValueError(f"host with k={k}, n1={n1} exceeds the supported 2**20 vertices")
-
-
-def host_counts(n1: int, k: int, sibling: bool = False) -> dict:
-    """The counts of ``build_host(n1, k, sibling)``, without building it.
-
-    Returns ``vertex_count``, ``edge_count``, ``sibling_edge_count`` and
-    ``level_counts`` (vertices per level, pendants at level 0), and
-    validates like ``build_host``.
-    """
-    _check_host_size(n1, k)
-    vertices = k << n1
-    siblings = k * ((1 << (n1 - 1)) - 1) if sibling else 0
-    levels = {0: k}
-    levels.update((level, k << (level - 1)) for level in range(1, n1 + 1))
-    return {
-        "vertex_count": vertices,
-        "edge_count": vertices - 1 + siblings,
-        "sibling_edge_count": siblings,
-        "level_counts": levels,
-    }
 
 
 def build_host(n1: int, k: int, sibling: bool = False) -> HostTree:

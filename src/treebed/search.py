@@ -139,6 +139,11 @@ def _min_wirelength_partitions(nv, rows, parts):
     increasing label order), and the number of partitions evaluated.
     """
     size = nv // parts
+    total = sum(map(sum, rows)) // 2
+    # One label per block leaves one partition, with no pair inside a block;
+    # the recursion below would take a stack frame per label to reach it.
+    if size == 1:
+        return total, tuple((label,) for label in range(nv)), 1
     blocks: list[list[int]] = [[] for _ in range(parts)]
     best_within = -1
     best_blocks: tuple[tuple[int, ...], ...] = ()
@@ -166,7 +171,6 @@ def _min_wirelength_partitions(nv, rows, parts):
 
     place(0, 0, 0)
     del place  # the closure holds itself, a cycle that would keep rows alive
-    total = sum(map(sum, rows)) // 2
     return total - best_within, best_blocks, explored
 
 
@@ -227,11 +231,6 @@ def local_search_min(
     rng = _SplitMix64(seed)
     explored = 0
 
-    def fresh() -> list[int]:
-        perm = list(range(count))
-        rng.shuffle(perm)
-        return perm
-
     def start(perm: list[int]) -> tuple[list[list[int]], int]:
         """Per-set distance table of ``perm`` and its wirelength."""
         table = [
@@ -275,18 +274,15 @@ def local_search_min(
             perm[a], perm[b] = lb, la
             value += best_delta
 
-    current = fresh()
-    table, value = start(current)
-    explored += 1
-    best_value, best_perm = value, tuple(current)
-
-    for it in range(iterations):
-        if it > 0:
-            current = fresh()
-            table, value = start(current)
-            explored += 1
-        value = descend(current, table, value)
-        if value < best_value:
+    best_value, best_perm = None, ()
+    for _ in range(max(iterations, 1)):
+        current = list(range(count))
+        rng.shuffle(current)
+        table, value = start(current)
+        explored += 1
+        if iterations:
+            value = descend(current, table, value)
+        if best_value is None or value < best_value:
             best_value, best_perm = value, tuple(current)
 
     witness = Embedding(lab + 1 for lab in best_perm)

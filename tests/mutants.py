@@ -204,6 +204,33 @@ MUTANTS = (
         "up[t]",
         "a route never steps across to a sibling on the goal's spine",
     ),
+    (
+        HOSTS,
+        "self.k * ((1 << (self.n1 - 1)) - 1) if self.sibling",
+        "self.k * (1 << (self.n1 - 1)) if self.sibling",
+        "a sibling host counts one sibling edge per block too many",
+    ),
+    (
+        EMBEDDING,
+        "if edges[x] == (lo, hi)",
+        "if True",
+        "edge_congestion takes any edge at the smaller label for a pair that no"
+        " edge joins",
+    ),
+    (
+        SEARCH,
+        "        if iterations:\n",
+        "        if True:\n",
+        "local search with iterations=0 descends from the seed embedding instead"
+        " of reporting it",
+    ),
+    (
+        SEARCH,
+        "    if size == 1:\n",
+        "    if False:\n",
+        "p = n runs the recursion, a stack frame per label, past the interpreter's"
+        " limit at n = 10",
+    ),
 )
 
 EQUIVALENT = (

@@ -33,20 +33,19 @@ PYTEST = [
     "--deselect", "tests/test_mutants.py::test_each_mutant_applies_exactly_once",
 ]
 # Every test file runs on every row; only the order changes when a row is
-# killed.  Chosen from each row's failing tests on a full run without -x
-# and the files' measured times: test_cli.py (1 s) kills 24 of the 31
-# rows, test_formulas.py (0.6 s) the share row, test_routing.py (2 s) the
-# row whose routes never step across, test_search.py (10 s) the shuffle
-# row and the two partition-count rows no CLI request reaches, and
-# test_cut_reports.py (11 s) the row that rebuilds the cut family; the
-# rest follow, fastest first, and test_tally.py kills the row whose load
-# keeps a slot past the last edge.
+# killed.  Chosen from each file's kill time on each row, every file run
+# alone, and the files' measured times: test_cli.py (2 s) kills 25 of the
+# 35 rows, test_tally.py (3 s) the share row and the row whose load keeps
+# a slot past the last edge, test_search.py (10 s) the five search rows no
+# CLI request reaches, test_embedding.py (6 s) the row whose routes never
+# step across and the edge lookup row, and test_cut_reports.py (10 s) the
+# row that rebuilds the cut family; the rest follow, fastest first.
 ORDER = (
-    "test_cli.py", "test_formulas.py", "test_routing.py", "test_search.py",
-    "test_cut_reports.py", "test_mutants.py", "test_cli_usage.py", "test_records.py",
-    "test_isoperimetric.py", "test_public_surface.py", "test_graphs.py",
-    "test_report_writer.py", "test_acceptance.py", "test_tally.py", "test_hosts.py",
-    "test_argv.py", "test_embedding.py",
+    "test_cli.py", "test_tally.py", "test_search.py", "test_embedding.py",
+    "test_cut_reports.py", "test_cli_usage.py", "test_mutants.py",
+    "test_public_surface.py", "test_records.py", "test_graphs.py",
+    "test_isoperimetric.py", "test_formulas.py", "test_routing.py",
+    "test_report_writer.py", "test_hosts.py", "test_argv.py", "test_acceptance.py",
 )
 
 

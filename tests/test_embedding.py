@@ -142,15 +142,21 @@ def test_edge_congestion_examples():
     emb = identity_embedding(guest, T31)
     # inorder puts the tree root at label 4, so the pendant edge is (4, 8)
     assert edge_congestion(guest, T31, emb, (4, 8)) == 6
-    # labels outside 1..count, a label paired with itself and a pair of
-    # labels that are not adjacent are refused, each in both orders; a
-    # label -count would index the links like label 1 without the range check
+    # labels outside 1..count, a label paired with itself, every pair of
+    # labels that are not adjacent and a float end that compares equal to a
+    # label are refused, each in both orders; (1, 2) is an edge of T31, and
+    # a label -count would index the gap spans from the end without the
+    # range check
+    assert (1, 2) in T31.links.edges
     for host in (T31, ST31, T22, ST22):
         emb = identity_embedding(guest, host)
         count = host.vertex_count
-        assert (1, count) not in host.links.edges
-        bad = [(0, 1), (count, count + 1), (3, 3), (1, count), (-count, host.links.up[1]),
-               (1.0, host.links.up[1])]
+        edges = host.links.edges
+        apart = [(a, b) for a in range(1, count + 1) for b in range(a + 1, count + 1)
+                 if (a, b) not in edges]
+        assert (1, count) in apart
+        bad = [(0, 1), (count, count + 1), (3, 3), (-count, host.links.up[1]),
+               (1.0, 2), (1.0, host.links.up[1])] + apart
         for a, b in bad + [(b, a) for a, b in bad]:
             with pytest.raises(ValueError) as err:
                 edge_congestion(guest, host, emb, (a, b))

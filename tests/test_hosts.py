@@ -18,7 +18,7 @@ from treebed import (
 )
 from treebed import hosts
 from treebed.errors import ConsistencyError
-from treebed.hosts import _standard_cuts, host_counts
+from treebed.hosts import _standard_cuts
 
 
 def _cut_index(host):
@@ -68,18 +68,17 @@ def test_build_host_small_shapes():
 
 
 def test_build_host_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n1 must be at least 1"):
         build_host(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must be at least 1"):
         build_host(2, 0)
-    with pytest.raises(ValueError):
-        build_host(19, 4)
+    with pytest.raises(ValueError, match="exceeds the supported 2\\*\\*20"):
+        build_host(19, 4, sibling=True)
     # a float shape or variant is refused up front, not by a later shift
     for n1, k in ((2, 1.0), (2.0, 1)):
-        with pytest.raises(ValueError, match="n1 and k must be integers"):
-            HostTree(n1, k, False)
-        with pytest.raises(ValueError, match="n1 and k must be integers"):
-            host_counts(n1, k)
+        for sibling in (False, True):
+            with pytest.raises(ValueError, match="n1 and k must be integers"):
+                HostTree(n1, k, sibling)
     with pytest.raises(ValueError, match="variant must be one of"):
         HostTree(3, 1, True, 1.0)
     with pytest.raises(ValueError, match="binary hosts have only variant 0"):
@@ -102,20 +101,16 @@ def test_host_edge_and_level_counts():
 
 
 def test_host_counts_match_built_hosts():
+    # the counts come from the shape; the links are built and climbed here
     for n1 in range(1, 9):
         for k in range(1, 5):
             for sibling in (False, True):
                 host = _labeled(build_host(n1, k, sibling=sibling))
-                assert host_counts(n1, k, sibling) == {
-                    "vertex_count": host.vertex_count,
-                    "edge_count": len(host.links.edges),
-                    "sibling_edge_count": sum(map(bool, host.links.sib)) // 2,
-                    "level_counts": _level_counts(host),
-                }
-    with pytest.raises(ValueError, match="n1 must be at least 1"):
-        host_counts(0, 1)
-    with pytest.raises(ValueError, match="exceeds the supported 2\\*\\*20"):
-        host_counts(19, 4)
+                links = host.links
+                assert host.vertex_count == len(host.label_of) == len(links.up) - 1
+                assert host.edge_count == len(links.edges)
+                assert host.sibling_edge_count == sum(map(bool, links.sib)) // 2
+                assert host.level_counts == _level_counts(host)
 
 
 def test_blocks_only_touch_through_the_chain():

@@ -58,6 +58,16 @@ def test_exhaustive_complete_guest_is_flat():
         assert total == 9
 
 
+def test_exhaustive_one_label_per_block_past_the_recursion_limit():
+    # p = n leaves one partition however many labels there are, so the
+    # search returns it without a stack frame per label (1024 at n = 10)
+    for n in (9, 10, 11):
+        result = exhaustive_min_wirelength(build_guest(n, n), HostTree(n, 1, False))
+        assert result.best_value == closed_form_wirelength(n, n)
+        assert result.explored == 1
+        assert result.witness.assignment == tuple(range(1, (1 << n) + 1))
+
+
 def test_exhaustive_single_blocks():
     guest = build_guest(3, 2)
     result = exhaustive_min_wirelength(guest, T31)
