@@ -146,6 +146,12 @@ def cmd_host(args) -> int:
 
 def cmd_wirelength(args) -> int:
     guest, host, embedding = _instance(args)
+    if args.local_search is not None:  # refused on its arguments before either search
+        if args.seed is None:
+            raise ValueError("--local-search requires an explicit --seed")
+        from treebed.search import _check_local_args
+
+        _check_local_args(args.seed, args.local_search)
     exhaustive_min = None
     if args.exhaustive:  # refused on --budget before any distance row is built
         from treebed.search import exhaustive_min_wirelength
@@ -153,8 +159,6 @@ def cmd_wirelength(args) -> int:
         exhaustive_min = exhaustive_min_wirelength(guest, host, budget=args.budget).best_value
     heuristic = None
     if args.local_search is not None:
-        if args.seed is None:
-            raise ValueError("--local-search requires an explicit --seed")
         from treebed.search import local_search_min
 
         heuristic = local_search_min(

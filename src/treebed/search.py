@@ -18,7 +18,7 @@ are reproducible across platforms and Python versions.
 from __future__ import annotations
 
 from math import lgamma, log
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from treebed.embedding import Embedding, _vertex_count
 from treebed.errors import DEFAULT_PARTITION_BUDGET, BudgetExceededError
@@ -78,13 +78,12 @@ class SearchResult(NamedTuple):
     exhaustive: bool
 
 
-def _instance_tables(guest: Guest, host: HostTree) -> tuple[int, list[list[int]]]:
-    """Vertex count and the 0-based label distance rows of the host.
+def _distance_rows(host: HostTree, count: int) -> Iterator[list[int]]:
+    """The host's 0-based label distance rows, one at a time.
 
     Row ``a`` counts the edges on every label's route to label ``a + 1``.
     """
-    count = _vertex_count(guest, host)
-    return count, [host.links.distances(a)[1:] for a in range(1, count + 1)]
+    return (host.links.distances(a)[1:] for a in range(1, count + 1))
 
 
 def _check_budget(nv: int, parts: int, budget: int, prefix: str = "") -> None:
@@ -120,19 +119,13 @@ def _check_budget(nv: int, parts: int, budget: int, prefix: str = "") -> None:
 def _min_wirelength_partitions(nv, rows, parts):
     """Minimize the multipartite wirelength over all label partitions.
 
-    Parameters
-    ----------
-    nv:
-        Number of labels, ``0..nv-1``; a multiple of ``parts``.
-    rows:
-        ``rows[x][y]`` is the distance between labels ``x`` and ``y``.
-    parts:
-        Number of partite sets; each block holds ``nv // parts`` labels.
-
-    Labels join blocks in increasing order: each either joins an open block
-    that is not full or opens the next empty one, so every partition is met
-    once, with its blocks ordered by their smallest label.  The
-    within-block distance sum grows as labels join.
+    The labels ``0..nv-1`` split into ``parts`` blocks (partite sets) of
+    ``nv // parts``; ``rows[x][y]`` is the distance between labels ``x`` and
+    ``y``.  Labels join blocks in increasing order: each either joins an
+    open block that is not full or opens the next empty one, so every
+    partition is met once, with its blocks ordered by their smallest label.
+    The within-block distance sum grows as labels join, one stack frame per
+    label.
 
     Returns ``(best_total, best_blocks, explored)``: the minimum
     wirelength, the blocks of the first partition that attains it (each in
@@ -140,10 +133,6 @@ def _min_wirelength_partitions(nv, rows, parts):
     """
     size = nv // parts
     total = sum(map(sum, rows)) // 2
-    # One label per block leaves one partition, with no pair inside a block;
-    # the recursion below would take a stack frame per label to reach it.
-    if size == 1:
-        return total, tuple((label,) for label in range(nv)), 1
     blocks: list[list[int]] = [[] for _ in range(parts)]
     best_within = -1
     best_blocks: tuple[tuple[int, ...], ...] = ()
@@ -187,18 +176,31 @@ def exhaustive_min_wirelength(
     split: its ``j``-th block (blocks ordered by smallest label) goes to
     partite set ``j + 1``, in increasing label order.  Refuses to start,
     before it builds the distance rows, if the number of partitions exceeds
-    ``budget`` (``_check_budget``).
+    ``budget`` (``_check_budget``).  At ``p = n``, one label per block, it
+    sums the distance rows as they stream and stores none.
     """
     count = _vertex_count(guest, host)
     parts = guest.part_count
     _check_budget(count, parts, budget)
-    rows = _instance_tables(guest, host)[1]
-    best, blocks, explored = _min_wirelength_partitions(count, rows, parts)
+    rows = _distance_rows(host, count)
+    if parts == count:  # one label per block: one partition, no pair inside a block
+        witness = Embedding(range(1, count + 1))
+        return SearchResult(sum(map(sum, rows)) // 2, witness, 1, exhaustive=True)
+    best, blocks, explored = _min_wirelength_partitions(count, list(rows), parts)
     # Partite set j + 1 holds the vertices j + 1, j + 1 + parts, ...
     assignment = [0] * count
     for j, block in enumerate(blocks):
         assignment[j::parts] = [lab + 1 for lab in block]
     return SearchResult(best, Embedding(assignment), explored, exhaustive=True)
+
+
+def _check_local_args(seed: int, iterations: int) -> None:
+    """Refuse, with ``ValueError``, a local search's seed or iterations."""
+    if not (isinstance(seed, int) and isinstance(iterations, int)):
+        raise ValueError(f"seed and iterations must be integers, got seed={seed!r}, "
+                         f"iterations={iterations!r}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be nonnegative, got {iterations}")
 
 
 def local_search_min(
@@ -218,12 +220,9 @@ def local_search_min(
     updates two rows.  Swaps inside one partite set change nothing; they
     are counted, and priced above zero so that none is chosen.
     """
-    if not (isinstance(seed, int) and isinstance(iterations, int)):
-        raise ValueError(f"seed and iterations must be integers, got seed={seed!r}, "
-                         f"iterations={iterations!r}")
-    if iterations < 0:
-        raise ValueError(f"iterations must be nonnegative, got {iterations}")
-    count, rows = _instance_tables(guest, host)
+    _check_local_args(seed, iterations)
+    count = _vertex_count(guest, host)
+    rows = list(_distance_rows(host, count))
     parts = guest.part_count
     total = sum(map(sum, rows)) // 2
     pairs_per_pass = count * (count - 1) // 2

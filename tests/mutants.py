@@ -85,6 +85,12 @@ MUTANTS = (
     ),
     (
         CLI,
+        "        _check_local_args(args.seed, args.local_search)\n",
+        "",
+        "a negative --local-search waits for the exhaustive search before it is refused",
+    ),
+    (
+        CLI,
         "return 1 if failed else 0",
         "return 0",
         "sweep exits 0 even when a check column reads false",
@@ -226,8 +232,8 @@ MUTANTS = (
     ),
     (
         SEARCH,
-        "    if size == 1:\n",
-        "    if False:\n",
+        "    if parts == count:",
+        "    if False:",
         "p = n runs the recursion, a stack frame per label, past the interpreter's"
         " limit at n = 10",
     ),

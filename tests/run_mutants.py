@@ -34,8 +34,8 @@ PYTEST = [
 ]
 # Every test file runs on every row; only the order changes when a row is
 # killed.  Chosen from each file's kill time on each row, every file run
-# alone, and the files' measured times: test_cli.py (2 s) kills 25 of the
-# 35 rows, test_tally.py (3 s) the share row and the row whose load keeps
+# alone, and the files' measured times: test_cli.py (2 s) kills 26 of the
+# 36 rows, test_tally.py (3 s) the share row and the row whose load keeps
 # a slot past the last edge, test_search.py (10 s) the five search rows no
 # CLI request reaches, test_embedding.py (6 s) the row whose routes never
 # step across and the edge lookup row, and test_cut_reports.py (10 s) the

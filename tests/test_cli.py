@@ -25,7 +25,7 @@ from treebed import (
     wirelength_direct,
     wirelength_via_partition,
 )
-from treebed import cli, embedding, formulas, hosts
+from treebed import cli, embedding, formulas, hosts, search
 from treebed.cli import main
 from treebed.errors import ConsistencyError
 
@@ -190,6 +190,19 @@ def test_wirelength_local_search(capsys):
     )
     assert code == 2
     assert "--seed" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--local-search", "1"), "--local-search requires an explicit --seed"),
+    (("--local-search", "-1", "--seed", "3"), "iterations must be nonnegative, got -1"),
+])
+def test_local_search_arguments_are_refused_before_any_search(monkeypatch, capsys, argv,
+                                                               message):
+    # n = 4, p = 2 has 2 627 625 label partitions, about 5 s of exhaustive
+    # search that a refusal must not wait for
+    monkeypatch.setattr(search, "exhaustive_min_wirelength", _unreachable)
+    code, out, err = run(capsys, "wirelength", "--n", "4", "--p", "2", "--exhaustive", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_wirelength_swap_same_partite_stays_optimal(capsys):
@@ -786,7 +799,7 @@ def test_sweep_caps(capsys, monkeypatch):
 
 
 def _unreachable(*args, **kwargs):
-    pytest.fail("the sweep built a row before checking its whole selection")
+    pytest.fail("the request did work before checking its arguments")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -7,13 +7,12 @@ import pytest
 from oracles import bfs_distances, canonical_route, shortest_path_counts
 from treebed import (
     LAYOUT_VARIANTS,
-    build_guest,
     build_host,
     inorder_labeling,
     route,
     sibling_layout_labeling,
 )
-from treebed.search import _instance_tables
+from treebed.search import _distance_rows
 
 
 def _standard_hosts(n_max):
@@ -63,10 +62,9 @@ def test_route_matches_canonical_route():
 
 
 def test_search_distance_rows_match_bfs():
-    for n, host in _standard_hosts(6):
-        if n < 2:
-            continue  # no guest has two vertices
-        count, rows = _instance_tables(build_guest(n, 2), host)
+    for _, host in _standard_hosts(6):
+        count = host.vertex_count
+        rows = list(_distance_rows(host, count))
         table = bfs_distances(count, host.links.edges)
         assert all(host.links.distances(g)[0] == 0 for g in range(1, count + 1))
         assert rows == [

@@ -61,11 +61,22 @@ def test_exhaustive_complete_guest_is_flat():
 def test_exhaustive_one_label_per_block_past_the_recursion_limit():
     # p = n leaves one partition however many labels there are, so the
     # search returns it without a stack frame per label (1024 at n = 10)
+    # and sums the distance rows as they stream: a stored V² table of rows
+    # would peak at about 32 MB at n = 11.  The host's links are built before
+    # tracing, so the bound is the search's own.
     for n in (9, 10, 11):
-        result = exhaustive_min_wirelength(build_guest(n, n), HostTree(n, 1, False))
+        guest, host = build_guest(n, n), HostTree(n, 1, False)
+        host.links
+        tracemalloc.start()
+        try:
+            result = exhaustive_min_wirelength(guest, host)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert result.best_value == closed_form_wirelength(n, n)
         assert result.explored == 1
         assert result.witness.assignment == tuple(range(1, (1 << n) + 1))
+        assert peak < 4 << 20, (n, peak)
 
 
 def test_exhaustive_single_blocks():
@@ -410,7 +421,7 @@ def test_local_search_takes_the_last_pair(monkeypatch):
     for a in range(16):
         for b in range(a + 1, 16):
             rows[a][b] = rows[b][a] = rng.randint(1, 9)
-    monkeypatch.setattr(search, "_instance_tables", lambda guest, host: (16, rows))
+    monkeypatch.setattr(search, "_distance_rows", lambda host, count: iter(rows))
     dist = [d for row in rows for d in row]
     edges = guest_edges(guest)
     edge_u, edge_v = [u - 1 for u, _ in edges], [v - 1 for _, v in edges]
