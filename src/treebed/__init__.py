@@ -32,16 +32,13 @@ from treebed.formulas import (
     interval_boundary_congestion,
     max_subgraph_edges_closed_form,
 )
-from treebed.graphs import Guest, build_guest
+from treebed.graphs import Guest
 from treebed.hosts import (
     LAYOUT_VARIANTS,
     EdgeCut,
     HostTree,
-    build_host,
     cut_edges,
     cut_family,
-    inorder_labeling,
-    sibling_layout_labeling,
 )
 
 __version__ = "0.1.0"
@@ -59,8 +56,6 @@ __all__ = [
     "LAYOUT_VARIANTS",
     "SearchResult",
     "WirelengthReport",
-    "build_guest",
-    "build_host",
     "build_report",
     "closed_form_wirelength",
     "congestion_lemma_value",
@@ -70,12 +65,10 @@ __all__ = [
     "edge_congestion",
     "exhaustive_min_wirelength",
     "identity_embedding",
-    "inorder_labeling",
     "interval_boundary_congestion",
     "local_search_min",
     "max_subgraph_edges_closed_form",
     "route",
-    "sibling_layout_labeling",
     "verify_cut_conditions",
     "wirelength_direct",
     "wirelength_via_partition",

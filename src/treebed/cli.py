@@ -20,7 +20,7 @@ from treebed.embedding import Embedding, build_report, identity_embedding
 from treebed.errors import (
     DEFAULT_PARTITION_BUDGET, BudgetExceededError, ConsistencyError, CoverageError,
 )
-from treebed.graphs import Guest, build_guest, check_guest_shape
+from treebed.graphs import Guest, check_guest_shape
 from treebed.hosts import (
     LAYOUT_VARIANTS,
     HostTree,
@@ -47,7 +47,7 @@ def _instance(args) -> tuple[Guest, HostTree, Embedding]:
     n, p = args.n, args.p
     if n > ENGINE_MAX_N:
         raise ValueError(f"engine runs are capped at n <= {ENGINE_MAX_N}")
-    guest = build_guest(n, p)
+    guest = Guest(n, p)
     n1 = args.n1 if args.n1 is not None else n
     if not 1 <= n1 <= n:
         raise ValueError(f"need 1 <= n1 <= n, got n1={n1}")
@@ -275,7 +275,7 @@ def _sweep_rows(args, selection):
     kinds = ["binary", "sibling"] if args.host == "both" else [args.host]
     for n, p_values, n1_values in selection:
         engine = n <= ENGINE_MAX_N and args.engine != "off"
-        guests = [build_guest(n, p) for p in p_values] if engine else []
+        guests = [Guest(n, p) for p in p_values] if engine else []
         columns = {}  # (p, n1, kind) -> direct, via_partition, best, cut_conditions_ok
         for n1, kind in product(n1_values, kinds) if guests else ():
             host = _build_labeled(n1, 1 << (n - n1), kind, 0)
@@ -363,7 +363,7 @@ def cmd_export_dot(args) -> int:
             raise ValueError("guest export needs --n and --p")
         if args.n > ENGINE_MAX_N:
             raise ValueError(f"guest export is capped at n <= {ENGINE_MAX_N}")
-        text = _guest_dot(build_guest(args.n, args.p))
+        text = _guest_dot(Guest(args.n, args.p))
     else:
         if args.n1 is None:
             raise ValueError("host export needs --n1")

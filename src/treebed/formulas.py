@@ -17,7 +17,7 @@ count any vertex set of a given size induces.
 from __future__ import annotations
 
 from treebed.errors import ConsistencyError
-from treebed.graphs import MAX_N, check_guest_shape
+from treebed.graphs import check_guest_shape
 
 __all__ = [
     "max_subgraph_edges_closed_form",

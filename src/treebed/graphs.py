@@ -15,7 +15,7 @@ from typing import Iterable
 
 from treebed.frozen import Frozen
 
-__all__ = ["Guest", "build_guest", "check_guest_shape"]
+__all__ = ["Guest", "check_guest_shape"]
 
 MAX_N = 20  # largest n of a guest; the closed forms share the cap
 
@@ -98,8 +98,9 @@ def check_guest_shape(n: int, p: int) -> None:
 
 
 def build_guest(n: int, p: int) -> Guest:
-    """Guest graph on ``2**n`` vertices with ``2**p`` interleaved partite sets.
+    """``Guest(n, p)``.
 
-    Requires ``2 <= p <= n <= MAX_N`` (see ``check_guest_shape``).
+    It stays only because ``perfbench/traced.py`` imports it, and goes with
+    the ``Guest.graph`` alias (ROADMAP item 5, step 2).
     """
     return Guest(n, p)

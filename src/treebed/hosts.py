@@ -36,10 +36,7 @@ __all__ = [
     "HostTree",
     "HostLinks",
     "EdgeCut",
-    "build_host",
     "check_host_shape",
-    "inorder_labeling",
-    "sibling_layout_labeling",
     "cut_edges",
     "cut_family",
     "LAYOUT_VARIANTS",
@@ -67,6 +64,8 @@ class HostTree(Frozen):
 
     def __init__(self, n1: int, k: int, sibling: bool, variant: int = 0) -> None:
         _check_host_size(n1, k)
+        if not isinstance(sibling, bool):
+            raise ValueError(f"sibling must be True or False, got {sibling!r}")
         if sibling and not (isinstance(variant, int) and variant in LAYOUT_VARIANTS):
             raise ValueError(f"variant must be one of {LAYOUT_VARIANTS}, got {variant}")
         if not sibling and (variant != 0 or not isinstance(variant, int)):
@@ -316,10 +315,10 @@ def _check_host_size(n1: int, k: int) -> None:
 
 
 def build_host(n1: int, k: int, sibling: bool = False) -> HostTree:
-    """The host with ``k`` blocks of height ``n1``, in variant 0.
+    """``HostTree(n1, k, sibling)``, in variant 0.
 
-    ``sibling=True`` adds the edge between the two children of every
-    internal tree vertex (``2**(n1-1) - 1`` extra edges per block).
+    It stays only because ``perfbench/traced.py`` imports it, and goes with
+    the ``Guest.graph`` alias (ROADMAP item 5, step 2).
     """
     return HostTree(n1, k, sibling)
 
@@ -341,11 +340,10 @@ def _heap_order(top: int, order: tuple[int, int, int]) -> list[int]:
 
 
 def inorder_labeling(host: HostTree) -> HostTree:
-    """``host``, which as a binary host is already labeled inorder: each
-    block by inorder tree traversal, its pendant last.
+    """``host``, which as a binary host is already labeled inorder.
 
     Refuses sibling hosts.  It stays only because ``perfbench/traced.py``
-    calls it, and goes with the ``Guest.graph`` alias (ROADMAP item 5,
+    imports it, and goes with the ``Guest.graph`` alias (ROADMAP item 5,
     step 2).
     """
     if host.sibling:
@@ -354,12 +352,11 @@ def inorder_labeling(host: HostTree) -> HostTree:
 
 
 def sibling_layout_labeling(host: HostTree, variant: int = 0) -> HostTree:
-    """The sibling host ``host`` with its blocks in layout ``variant``.
+    """``HostTree(host.n1, host.k, True, variant)``.
 
-    Variant 0 orders every subtree as (left, right, parent), variant 1
-    mirrors the children, variants 2 and 3 put the parent first.  All four
-    keep each subtree, and each sibling pair's union of subtrees, on a
-    consecutive label interval.
+    Refuses binary hosts.  It stays only because ``perfbench/traced.py``
+    imports it, and goes with the ``Guest.graph`` alias (ROADMAP item 5,
+    step 2).
     """
     if not host.sibling:
         raise ValueError("sibling layout applies to sibling hosts only")

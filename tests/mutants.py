@@ -217,6 +217,14 @@ MUTANTS = (
         "a sibling host counts one sibling edge per block too many",
     ),
     (
+        HOSTS,
+        "        if not isinstance(sibling, bool):\n"
+        '            raise ValueError(f"sibling must be True or False, got {sibling!r}")\n',
+        "",
+        'a host takes any value as sibling: "False" builds a sibling host and None'
+        " a binary one, neither equal to the host with that bool",
+    ),
+    (
         EMBEDDING,
         "if edges[x] == (lo, hi)",
         "if True",

@@ -35,11 +35,12 @@ PYTEST = [
 # Every test file runs on every row; only the order changes when a row is
 # killed.  Chosen from each file's kill time on each row, every file run
 # alone, and the files' measured times: test_cli.py (2 s) kills 26 of the
-# 36 rows, test_tally.py (3 s) the share row and the row whose load keeps
+# 37 rows, test_tally.py (3 s) the share row and the row whose load keeps
 # a slot past the last edge, test_search.py (10 s) the five search rows no
 # CLI request reaches, test_embedding.py (6 s) the row whose routes never
 # step across and the edge lookup row, and test_cut_reports.py (10 s) the
-# row that rebuilds the cut family; the rest follow, fastest first.
+# row that rebuilds the cut family; the rest follow, fastest first, and
+# test_hosts.py among them kills the row that drops the sibling type check.
 ORDER = (
     "test_cli.py", "test_tally.py", "test_search.py", "test_embedding.py",
     "test_cut_reports.py", "test_cli_usage.py", "test_mutants.py",

@@ -24,8 +24,6 @@ from treebed import (
     Embedding,
     HostTree,
     Guest,
-    build_guest,
-    build_host,
     build_report,
     closed_form_wirelength,
     congestion_lemma_value,
@@ -34,9 +32,7 @@ from treebed import (
     cut_family,
     exhaustive_min_wirelength,
     identity_embedding,
-    inorder_labeling,
     max_subgraph_edges_closed_form,
-    sibling_layout_labeling,
     verify_cut_conditions,
     wirelength_direct,
 )
@@ -65,17 +61,12 @@ def grid():
     hosts = {}
     for n in range(2, GRID_MAX_N + 1):
         for p in range(2, n + 1):
-            guest = build_guest(n, p)
+            guest = Guest(n, p)
             for n1 in range(1, n + 1):
                 for sibling in (False, True):
                     key = (n, n1, sibling)
                     if key not in hosts:
-                        host = build_host(n1, 1 << (n - n1), sibling=sibling)
-                        hosts[key] = (
-                            sibling_layout_labeling(host)
-                            if sibling
-                            else inorder_labeling(host)
-                        )
+                        hosts[key] = HostTree(n1, 1 << (n - n1), sibling)
                     host = hosts[key]
                     embedding = identity_embedding(guest, host)
                     report = build_report(guest, host, embedding)
@@ -191,12 +182,10 @@ def test_acceptance_06_single_sibling_closed_form_all_variants(grid):
     variants_checked = 0
     for n in range(2, GRID_MAX_N + 1):
         for p in range(2, n + 1):
-            guest = build_guest(n, p)
+            guest = Guest(n, p)
             expected = closed_form_wirelength(n, p, sibling=True)
             for variant in range(4):
-                host = sibling_layout_labeling(
-                    build_host(n, 1, sibling=True), variant
-                )
+                host = HostTree(n, 1, True, variant)
                 embedding = identity_embedding(guest, host)
                 assert wirelength_direct(guest, host, embedding) == expected
                 if n <= 4:
@@ -244,9 +233,8 @@ EXHAUSTIVE_MINIMA = {
 def test_acceptance_08_exhaustive_search_confirms_optimality():
     started = time.perf_counter()
     for (p, n1, sibling), expected in EXHAUSTIVE_MINIMA.items():
-        guest = build_guest(3, p)
-        host = build_host(n1, 1 << (3 - n1), sibling=sibling)
-        host = sibling_layout_labeling(host) if sibling else inorder_labeling(host)
+        guest = Guest(3, p)
+        host = HostTree(n1, 1 << (3 - n1), sibling)
         table = bfs_distances(8, host.links.edges)
         dist = [table[a][b] for a in range(1, 9) for b in range(1, 9)]
         edges = guest_edges(guest)
@@ -322,9 +310,8 @@ def test_acceptance_11_exhaustive_search_confirms_optimality_at_n4(n1, sibling, 
     # 16 labels in 4 blocks of 4: 16!/((4!)^4 4!) label partitions, about
     # 5 s each on a 2-vCPU VM, within the default budget.
     started = time.perf_counter()
-    guest = build_guest(4, 2)
-    host = build_host(n1, 1 << (4 - n1), sibling=sibling)
-    host = sibling_layout_labeling(host) if sibling else inorder_labeling(host)
+    guest = Guest(4, 2)
+    host = HostTree(n1, 1 << (4 - n1), sibling)
     result = exhaustive_min_wirelength(guest, host)
     assert result.exhaustive and result.explored == 2627625
     assert result.best_value == expected

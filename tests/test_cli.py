@@ -11,16 +11,13 @@ import pytest
 
 from treebed import (
     LAYOUT_VARIANTS,
+    Guest,
     HostTree,
-    build_guest,
-    build_host,
     build_report,
     congestion_lemma_value,
     cut_congestion,
     cut_family,
     identity_embedding,
-    inorder_labeling,
-    sibling_layout_labeling,
     verify_cut_conditions,
     wirelength_direct,
     wirelength_via_partition,
@@ -277,12 +274,8 @@ def _reference_verify(n, p, n1, kind, variant, swaps):
     """``verify``'s rows, flags and exit code, computed cut by cut from the
     public functions as the command did before it was built on
     ``build_report``."""
-    guest = build_guest(n, p)
-    host = build_host(n1, 1 << (n - n1), sibling=(kind == "sibling"))
-    if kind == "sibling":
-        host = sibling_layout_labeling(host, variant)
-    else:
-        host = inorder_labeling(host)
+    guest = Guest(n, p)
+    host = HostTree(n1, 1 << (n - n1), kind == "sibling", variant)
     embedding = identity_embedding(guest, host)
     for a, b in swaps:
         embedding = embedding.swapped(a, b)
@@ -484,7 +477,7 @@ def test_an_uneven_leaving_total_exits_1(capsys, monkeypatch):
     # host's weighted total odd, against its coverage of 2
     argv = ("verify", "--n", "4", "--p", "2", "--n1", "2", "--host", "sibling", "--variant", "1")
     host = HostTree(2, 4, True, 1)
-    guest = build_guest(4, 2)
+    guest = Guest(4, 2)
     report = build_report(guest, host, identity_embedding(guest, host))
     assert host.cuts[3][0] == "S" and host.cuts[3][5] == 1
     leaving = embedding._leaving
@@ -511,7 +504,7 @@ def test_the_reported_ec_is_the_routed_load(capsys, monkeypatch):
     # while its ec stays the routed congestion
     argv = ("verify", "--n", "4", "--p", "2", "--n1", "2", "--output", "text")
     host = HostTree(2, 4, False)
-    guest = build_guest(4, 2)
+    guest = Guest(4, 2)
     emb = identity_embedding(guest, host)
     target = host.cuts[9]
     assert target[0] == "S" and target[5] == 1

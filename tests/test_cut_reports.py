@@ -12,18 +12,16 @@ from treebed import (
     LAYOUT_VARIANTS,
     EdgeCut,
     Embedding,
-    build_guest,
-    build_host,
+    Guest,
+    HostTree,
     CutReport,
     build_report,
     congestion_lemma_value,
     cut_congestion,
     cut_family,
     identity_embedding,
-    inorder_labeling,
     interval_boundary_congestion,
     max_subgraph_edges_closed_form,
-    sibling_layout_labeling,
     verify_cut_conditions,
     wirelength_via_partition,
 )
@@ -32,11 +30,8 @@ from treebed.embedding import _leaving, _records, _reports, _tally
 from treebed.errors import ConsistencyError
 
 
-def _labeled(n, n1, kind, variant=0):
-    host = build_host(n1, 1 << (n - n1), sibling=kind == "sibling")
-    if kind == "sibling":
-        return sibling_layout_labeling(host, variant)
-    return inorder_labeling(host)
+def _host(n, n1, kind, variant=0):
+    return HostTree(n1, 1 << (n - n1), kind == "sibling", variant)
 
 
 def _shapes(n, p_values):
@@ -124,8 +119,8 @@ def test_cut_reports_match_oracle_up_to_n6():
     for n in range(2, 7):
         count = 1 << n
         for p, n1, kind, variant in _shapes(n, sorted({2, n if n < 6 else 2})):
-            guest = build_guest(n, p)
-            host = _labeled(n, n1, kind, variant)
+            guest = Guest(n, p)
+            host = _host(n, n1, kind, variant)
             for emb in _embeddings(guest, host, rng):
                 intervals = _intervals(count, rng, every=n <= 3)
                 cuts = cut_family(host) + tuple(
@@ -155,8 +150,8 @@ def test_cut_reports_match_oracle_at_n7_and_n8(n, p, n1, kind, variant):
     # the standard cuts, both halves, a centred half, a few prefixes and
     # suffixes and one random interval
     rng = random.Random(n * 100 + n1)
-    guest = build_guest(n, p)
-    host = _labeled(n, n1, kind, variant)
+    guest = Guest(n, p)
+    host = _host(n, n1, kind, variant)
     count = 1 << n
     half = count // 2
     intervals = [(1, half), (half + 1, count), (half // 2 + 1, half // 2 + half),
@@ -192,8 +187,8 @@ def test_broken_cuts_raise_the_oracles_message():
     raised = 0
     for n in range(2, 7):
         for p, n1, kind, variant in _shapes(n, [2]):
-            guest = build_guest(n, p)
-            host = _labeled(n, n1, kind, variant)
+            guest = Guest(n, p)
+            host = _host(n, n1, kind, variant)
             emb = identity_embedding(guest, host)
             count = host.vertex_count
             for cut in rng.sample(cut_family(host), min(4, len(cut_family(host)))):
@@ -232,8 +227,8 @@ def test_leaving_counts_each_preimage():
     for n in range(2, 8):
         count = 1 << n
         for p, n1, kind, variant in _shapes(n, range(2, n + 1)):
-            guest = build_guest(n, p)
-            host = _labeled(n, n1, kind, variant)
+            guest = Guest(n, p)
+            host = _host(n, n1, kind, variant)
             spans = _caller_intervals(count, rng)
             callers = _records(host, [EdgeCut("X", None, 1, lo, hi) for lo, hi in spans])
             shuffled = list(range(1, count + 1))
@@ -251,8 +246,8 @@ def test_leaving_counts_each_preimage():
 
 
 def test_a_batch_raises_for_its_first_broken_cut():
-    guest = build_guest(4, 2)
-    host = _labeled(4, 2, "sibling", 1)
+    guest = Guest(4, 2)
+    host = _host(4, 2, "sibling", 1)
     tally = _tally(guest, host, identity_embedding(guest, host))
     cuts = cut_family(host)
     above = cuts[3]._replace(component_hi=17)
@@ -272,9 +267,9 @@ def test_build_report_cross_checks_the_standard_family(monkeypatch):
     # in its interval instead of its first edge, its last edge left out,
     # its first edge listed twice in place of its edges (the sibling S
     # record's two edges become one edge twice), or an index past the edges
-    guest = build_guest(4, 2)
+    guest = Guest(4, 2)
     standard_cuts = hosts._standard_cuts
-    for host in (_labeled(4, 2, "binary"), _labeled(4, 2, "sibling", 1)):
+    for host in (_host(4, 2, "binary"), _host(4, 2, "sibling", 1)):
         emb = identity_embedding(guest, host)
         edges = host.links.edges
         family, j, i, lo, hi, share, indices = standard_cuts(host)[3]
@@ -322,8 +317,8 @@ def test_each_host_checks_its_family_once(monkeypatch):
         return real(host)
 
     monkeypatch.setattr(hosts, "_standard_cuts", counting)
-    guest = build_guest(4, 2)
-    host = _labeled(4, 2, "sibling", 1)
+    guest = Guest(4, 2)
+    host = _host(4, 2, "sibling", 1)
     emb = identity_embedding(guest, host)
     report = build_report(guest, host, emb)
     assert build_report(guest, host, emb.swapped(1, 16)).direct > report.direct
@@ -335,8 +330,8 @@ def test_each_host_checks_its_family_once(monkeypatch):
 def test_an_iterator_of_cuts_is_read_once():
     # a family given as an iterator gives the tuple's total, and an
     # interval out of range in it raises the same message
-    guest = build_guest(3, 2)
-    for host in (_labeled(3, 2, "binary"), _labeled(3, 3, "sibling")):
+    guest = Guest(3, 2)
+    for host in (_host(3, 2, "binary"), _host(3, 3, "sibling")):
         emb = identity_embedding(guest, host).swapped(1, 7)
         cuts = cut_family(host)
         total = wirelength_via_partition(guest, host, emb, cuts)
@@ -352,8 +347,8 @@ def test_an_iterator_of_cuts_is_read_once():
 def test_build_report_at_n14(n1, p, kind):
     # 16384 labels, past the CLI's engine cap: a chain of 8192 one-level
     # blocks, and a single sibling tree
-    guest = build_guest(14, p)
-    host = _labeled(14, n1, kind)
+    guest = Guest(14, p)
+    host = _host(14, n1, kind)
     report = build_report(guest, host, identity_embedding(guest, host))
     assert report.direct == report.via_partition == report.closed_form
     assert report.cut_conditions_ok
@@ -362,8 +357,8 @@ def test_build_report_at_n14(n1, p, kind):
 def test_a_broken_family_fails_every_reader(monkeypatch):
     # cut_family and the default family of wirelength_via_partition are
     # the checked family build_report reads
-    guest = build_guest(4, 2)
-    for host in (_labeled(4, 2, "binary"), _labeled(4, 2, "sibling", 1)):
+    guest = Guest(4, 2)
+    for host in (_host(4, 2, "binary"), _host(4, 2, "sibling", 1)):
         lo, hi = hosts._standard_cuts(host)[3][3:5]
         message = f"cut edges are not the edge boundary of labels {lo}..{hi}"
         emb = identity_embedding(guest, host)
@@ -382,7 +377,7 @@ def test_a_broken_family_fails_every_reader(monkeypatch):
 def test_a_failed_check_raises_again(monkeypatch):
     # a failed check keeps nothing, so each use builds and checks the
     # family again; a family that passes is kept
-    host = _labeled(4, 2, "sibling", 1)
+    host = _host(4, 2, "sibling", 1)
     built = _break_family(monkeypatch)
     for uses in (1, 2, 3):
         with pytest.raises(ConsistencyError):
@@ -407,7 +402,7 @@ def test_each_standard_cut_accounts_for_the_excess_wirelength(data):
     kind, variant = data.draw(
         st.sampled_from([("binary", 0)] + [("sibling", v) for v in LAYOUT_VARIANTS])
     )
-    guest, host = build_guest(n, p), _labeled(n, n1, kind, variant)
+    guest, host = Guest(n, p), _host(n, n1, kind, variant)
     count = host.vertex_count
     if data.draw(st.booleans()):
         emb = Embedding(data.draw(st.permutations(range(1, count + 1))))

@@ -11,9 +11,8 @@ from treebed import (
     CoverageError,
     EdgeCut,
     Embedding,
+    Guest,
     HostTree,
-    build_guest,
-    build_host,
     build_report,
     closed_form_wirelength,
     congestion_lemma_value,
@@ -23,21 +22,19 @@ from treebed import (
     edge_congestion,
     exhaustive_min_wirelength,
     identity_embedding,
-    inorder_labeling,
     local_search_min,
     route,
-    sibling_layout_labeling,
     verify_cut_conditions,
     wirelength_direct,
     wirelength_via_partition,
 )
 
-T21 = inorder_labeling(build_host(2, 1))
-T31 = inorder_labeling(build_host(3, 1))
-T22 = inorder_labeling(build_host(2, 2))
-ST21 = sibling_layout_labeling(build_host(2, 1, sibling=True))
-ST31 = sibling_layout_labeling(build_host(3, 1, sibling=True))
-ST22 = sibling_layout_labeling(build_host(2, 2, sibling=True))
+T21 = HostTree(2, 1, False)
+T31 = HostTree(3, 1, False)
+T22 = HostTree(2, 2, False)
+ST21 = HostTree(2, 1, True)
+ST31 = HostTree(3, 1, True)
+ST22 = HostTree(2, 2, True)
 
 
 def _cut(host, key):
@@ -66,7 +63,7 @@ def test_embedding_swapped():
 
 
 def test_identity_embedding_checks_sizes():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     assert identity_embedding(guest, T31).assignment == tuple(range(1, 9))
     with pytest.raises(ValueError):
         identity_embedding(guest, T21)
@@ -121,8 +118,8 @@ def test_route_breaks_ties_toward_smallest_label():
 
 
 def test_wirelength_direct_examples():
-    assert wirelength_direct(build_guest(2, 2), T21, identity_embedding(build_guest(2, 2), T21)) == 9
-    guest = build_guest(3, 2)
+    assert wirelength_direct(Guest(2, 2), T21, identity_embedding(Guest(2, 2), T21)) == 9
+    guest = Guest(3, 2)
     assert wirelength_direct(guest, T31, identity_embedding(guest, T31)) == 54
     assert wirelength_direct(guest, ST31, identity_embedding(guest, ST31)) == 45
     assert wirelength_direct(guest, T22, identity_embedding(guest, T22)) == 60
@@ -133,12 +130,12 @@ def test_wirelength_direct_examples():
 
 
 def test_edge_congestion_examples():
-    guest22 = build_guest(2, 2)
+    guest22 = Guest(2, 2)
     emb = identity_embedding(guest22, T21)
     assert edge_congestion(guest22, T21, emb, (2, 4)) == 3
     assert edge_congestion(guest22, T21, emb, (4, 2)) == 3
 
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     emb = identity_embedding(guest, T31)
     # inorder puts the tree root at label 4, so the pendant edge is (4, 8)
     assert edge_congestion(guest, T31, emb, (4, 8)) == 6
@@ -164,7 +161,7 @@ def test_edge_congestion_examples():
 
 
 def test_edge_congestion_sums_to_direct():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     for host in (T31, ST31, T22, ST22):
         for emb in (
             identity_embedding(guest, host),
@@ -178,7 +175,7 @@ def test_edge_congestion_sums_to_direct():
 
 
 def test_cut_congestion_examples():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     emb = identity_embedding(guest, T31)
     assert cut_congestion(guest, T31, emb, _cut(T31, ("S", 2, 1))) == 12
 
@@ -190,14 +187,14 @@ def test_cut_congestion_examples():
 
 
 def test_congestion_lemma_value_examples():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     assert congestion_lemma_value(guest, {1}) == 6
     assert congestion_lemma_value(guest, {1, 2, 3}) == 12
     assert congestion_lemma_value(guest, range(1, 9)) == 0
 
 
 def test_cut_conditions_hold_for_identity():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     for host in (T31, ST31, T22, ST22):
         emb = identity_embedding(guest, host)
         for cut in cut_family(host):
@@ -212,7 +209,7 @@ def test_cut_conditions_hold_for_identity():
 def test_cut_conditions_match_route_oracle():
     # Label intervals cut out by their edge boundary, convex or not, so that
     # routes can leave a side and come back or cross more than once.
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     edges = guest_edges(guest)
     seen = set()
     for host in (T31, ST31, T22, ST22):
@@ -248,7 +245,7 @@ def test_cut_conditions_match_route_oracle():
 
 
 def test_verify_rejects_cut_that_is_not_an_interval_boundary():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     emb = identity_embedding(guest, ST31)
     cut = _cut(ST31, ("S", 2, 1))
     lo, hi = cut.component_lo, cut.component_hi
@@ -260,11 +257,6 @@ def test_verify_rejects_cut_that_is_not_an_interval_boundary():
         with pytest.raises(ValueError, match=f"^{message}$"):
             verify_cut_conditions(guest, ST31, emb, bad)
     assert verify_cut_conditions(guest, ST31, emb, cut).ok
-
-
-def _labeled(n, n1, sibling, variant):
-    host = build_host(n1, 1 << (n - n1), sibling=sibling)
-    return sibling_layout_labeling(host, variant) if sibling else inorder_labeling(host)
 
 
 def _interval_cuts(intervals):
@@ -333,8 +325,8 @@ def test_engine_matches_independent_route_oracle():
             for sibling in (False, True):
                 ps = range(2, n + 1) if n < 5 else [rng.randrange(2, n + 1)]
                 for p in ps:
-                    guest = build_guest(n, p)
-                    host = _labeled(n, n1, sibling, rng.randrange(4) if sibling else 0)
+                    guest = Guest(n, p)
+                    host = HostTree(n1, 1 << (n - n1), sibling, rng.randrange(4) if sibling else 0)
                     emb = identity_embedding(guest, host)
                     if n < 5:
                         _check_against_route_oracle(guest, host, emb)
@@ -354,8 +346,8 @@ def test_engine_matches_route_oracle_at_n7_and_n8(n, p, n1, sibling):
     # same-side tally; the first half of the blocks, a chain cut's
     # component, keeps both flags.
     rng = random.Random(n * 10 + n1)
-    guest = build_guest(n, p)
-    host = _labeled(n, n1, sibling, rng.randrange(4) if sibling else 0)
+    guest = Guest(n, p)
+    host = HostTree(n1, 1 << (n - n1), sibling, rng.randrange(4) if sibling else 0)
     count = host.vertex_count
     emb = identity_embedding(guest, host)
     for _ in range(3):
@@ -371,8 +363,8 @@ def test_engine_matches_route_oracle_at_n7_and_n8(n, p, n1, sibling):
 def test_engine_matches_closed_form_at_n12(n1, p, sibling, variant):
     # 4096 labels, past the CLI's engine cap; labels 1 and 4095 hold guest
     # vertices in different partite sets, so swapping them costs wirelength
-    guest = build_guest(12, p)
-    host = _labeled(12, n1, sibling, variant)
+    guest = Guest(12, p)
+    host = HostTree(n1, 1 << (12 - n1), sibling, variant)
     emb = identity_embedding(guest, host)
     closed = closed_form_wirelength(12, p, n1=n1, sibling=sibling)
     assert wirelength_direct(guest, host, emb) == closed
@@ -381,8 +373,8 @@ def test_engine_matches_closed_form_at_n12(n1, p, sibling, variant):
 
 
 def test_build_report_leaves_no_instance_alive():
-    guest = build_guest(6, 3)
-    host = inorder_labeling(build_host(3, 8))
+    guest = Guest(6, 3)
+    host = HostTree(3, 8, False)
     build_report(guest, host, identity_embedding(guest, host))
     refs = [weakref.ref(guest), weakref.ref(host)]
     del guest, host
@@ -390,7 +382,7 @@ def test_build_report_leaves_no_instance_alive():
 
 
 def test_engine_never_materializes_the_guest():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     for host in (T31, ST31):
         identity = identity_embedding(guest, host)
         for emb in (identity, identity.swapped(1, 7)):
@@ -416,7 +408,7 @@ def test_partite_counts_match_the_edge_list(data):
     # random vertex sets that are not intervals, against the materialized edges
     n = data.draw(st.integers(2, 6))
     p = data.draw(st.integers(2, n))
-    guest = build_guest(n, p)
+    guest = Guest(n, p)
     chosen = data.draw(st.sets(st.integers(1, guest.vertex_count), min_size=2))
     assume(max(chosen) - min(chosen) >= len(chosen))
     edges = guest_edges(guest)
@@ -429,7 +421,7 @@ def test_partite_counts_match_the_edge_list(data):
 def test_same_partite_swap_changes_nothing():
     # labels 1 and 5 sit in the same partite, so exchanging them is just a
     # guest relabeling: still optimal, still passing every check
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     emb = identity_embedding(guest, T31).swapped(1, 5)
     assert wirelength_direct(guest, T31, emb) == 54
     assert all(
@@ -438,7 +430,7 @@ def test_same_partite_swap_changes_nothing():
 
 
 def test_cross_partite_swap_breaks_optimality():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     emb = identity_embedding(guest, T31).swapped(1, 7)
     assert wirelength_direct(guest, T31, emb) == 58
     assert wirelength_via_partition(guest, T31, emb) == 58
@@ -451,7 +443,7 @@ def test_cross_partite_swap_breaks_optimality():
 
 
 def test_partition_requires_full_coverage():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     emb = identity_embedding(guest, T31)
     cuts = cut_family(T31)
     with pytest.raises(CoverageError):
@@ -462,7 +454,7 @@ def test_a_coverage_error_names_its_witness():
     # the standard family with one cut dropped, or one cut given twice: the
     # first host edge, in links.edges order, whose coverage differs from
     # the first edge's, with both coverages
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     emb = identity_embedding(guest, ST31)
     cuts = cut_family(ST31)
     # every edge has coverage 2; the first two cuts hold the first two edges
@@ -485,7 +477,7 @@ def test_a_coverage_error_names_its_witness():
 
 
 def test_partition_matches_direct_for_any_embedding():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     for host in (T31, ST31, T22, ST22):
         for emb in (
             identity_embedding(guest, host),
@@ -503,7 +495,7 @@ def test_partition_total_checks_coverage_not_routing():
     # direct, since any uniformly covering family counts each load c times
     rng = random.Random(29)
     for n, p in ((3, 2), (4, 2), (5, 3)):
-        guest = build_guest(n, p)
+        guest = Guest(n, p)
         for n1 in range(1, n + 1):
             for sibling, variant in [(False, 0)] + [(True, v) for v in LAYOUT_VARIANTS]:
                 host = HostTree(n1, 1 << (n - n1), sibling, variant)
@@ -517,7 +509,7 @@ def test_partition_total_checks_coverage_not_routing():
 
 
 def test_within_partite_relabeling_keeps_wirelength():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     emb = identity_embedding(guest, T31)
     base = wirelength_direct(guest, T31, emb)
     for swap in ((1, 5), (2, 6), (3, 7), (4, 8)):
@@ -526,7 +518,7 @@ def test_within_partite_relabeling_keeps_wirelength():
 
 
 def test_build_report_identity():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     report = build_report(guest, ST31, identity_embedding(guest, ST31))
     assert (report.n, report.p, report.n1, report.k) == (3, 2, 3, 1)
     assert report.host_kind == "sibling"
@@ -538,7 +530,7 @@ def test_build_report_identity():
 
 
 def test_report_consistency_flags():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     report = build_report(guest, T31, identity_embedding(guest, T31))
     assert report.consistent
     assert report._replace(exhaustive_min=report.direct).consistent
@@ -553,7 +545,7 @@ def test_report_consistency_flags():
 
 
 def test_report_dict_layout():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     report = build_report(guest, T31, identity_embedding(guest, T31))
     data = report.to_dict()
     assert list(data) == [
@@ -590,9 +582,8 @@ def test_partition_agrees_with_direct_everywhere(data):
     p = data.draw(st.integers(2, n))
     n1 = data.draw(st.integers(1, n))
     sibling = data.draw(st.booleans())
-    guest = build_guest(n, p)
-    host = build_host(n1, 1 << (n - n1), sibling=sibling)
-    host = sibling_layout_labeling(host) if sibling else inorder_labeling(host)
+    guest = Guest(n, p)
+    host = HostTree(n1, 1 << (n - n1), sibling)
     labels = data.draw(st.permutations(range(1, guest.vertex_count + 1)))
     emb = Embedding(tuple(labels))
     assert wirelength_via_partition(guest, host, emb) == wirelength_direct(

@@ -13,14 +13,12 @@ from oracles import (
 )
 import treebed
 from treebed import (
-    build_host,
+    HostTree,
     closed_form_wirelength,
     cut_family,
     formulas,
-    inorder_labeling,
     interval_boundary_congestion,
     max_subgraph_edges_closed_form,
-    sibling_layout_labeling,
 )
 
 
@@ -139,8 +137,7 @@ def test_closed_form_sums_the_host_cut_family():
     for n in range(2, 11):
         for n1 in range(1, n + 1):
             for sibling in (False, True):
-                host = build_host(n1, 1 << (n - n1), sibling=sibling)
-                host = sibling_layout_labeling(host) if sibling else inorder_labeling(host)
+                host = HostTree(n1, 1 << (n - n1), sibling)
                 sizes = [
                     (c.multiplicity_share, c.component_hi - c.component_lo + 1)
                     for c in cut_family(host)
@@ -185,8 +182,7 @@ def test_complete_guest_gives_total_host_distance():
         (3, 1, True),
     ]
     for n, n1, sibling in cases:
-        host = build_host(n1, 1 << (n - n1), sibling=sibling)
-        host = sibling_layout_labeling(host) if sibling else inorder_labeling(host)
+        host = HostTree(n1, 1 << (n - n1), sibling)
         expected = pairwise_distance_sum(host.vertex_count, host.links.edges)
         assert closed_form_wirelength(n, n, n1=n1, sibling=sibling) == expected
 

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import guest_edges, multipartite_edges
-from treebed import build_guest
+from treebed import Guest
 from treebed.cli import main
 
 
 def test_guest_shape_and_partites():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     assert guest.part_count == 4
     assert guest.part_size == 2
     assert guest.degree == 6
@@ -36,22 +36,22 @@ def test_guest_shape_and_partites():
 
 def test_guest_validation():
     with pytest.raises(ValueError):
-        build_guest(3, 1)
+        Guest(3, 1)
     with pytest.raises(ValueError):
-        build_guest(3, 4)
+        Guest(3, 4)
     with pytest.raises(ValueError):
-        build_guest(21, 2)
+        Guest(21, 2)
     # a float shape is refused up front, not by a later shift
     for n, p in ((3.0, 2), (3, 2.0)):
         with pytest.raises(ValueError, match="n and p must be integers"):
-            build_guest(n, p)
+            Guest(n, p)
 
 
 def test_guest_matches_blocked_multipartite(capsys):
     # relabeling vertex m to its (partite, position) slot must turn the
     # edges the package draws into exactly the consecutive-blocks graph
     for n, p in [(3, 2), (4, 2), (4, 3), (4, 4)]:
-        guest = build_guest(n, p)
+        guest = Guest(n, p)
         assert main(["export-dot", "guest", "--n", str(n), "--p", str(p)]) == 0
         drawn = [
             tuple(map(int, line.strip().rstrip(";").split(" -- ")))
@@ -73,7 +73,7 @@ def test_guest_matches_blocked_multipartite(capsys):
 def test_guest_degrees_are_uniform():
     for n in range(2, 9):
         for p in range(2, n + 1):
-            guest = build_guest(n, p)
+            guest = Guest(n, p)
             expected = 2 ** (n - p) * (2**p - 1)
             assert guest.degree == expected
             edges = guest_edges(guest)
@@ -86,7 +86,7 @@ def test_guest_degrees_are_uniform():
 
 
 def test_induced_edge_count_examples():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
 
     def listed(subset):
         chosen = set(subset)
@@ -109,7 +109,7 @@ def test_label_windows_stay_balanced(data):
     # any interval of consecutive labels hits every partite almost equally
     n = data.draw(st.integers(2, 6))
     p = data.draw(st.integers(2, n))
-    guest = build_guest(n, p)
+    guest = Guest(n, p)
     total = guest.vertex_count
     lo = data.draw(st.integers(1, total))
     hi = data.draw(st.integers(lo, total))

@@ -10,11 +10,8 @@ from treebed import (
     LAYOUT_VARIANTS,
     EdgeCut,
     HostTree,
-    build_host,
     cut_edges,
     cut_family,
-    inorder_labeling,
-    sibling_layout_labeling,
 )
 from treebed import hosts
 from treebed.errors import ConsistencyError
@@ -23,10 +20,6 @@ from treebed.hosts import _standard_cuts
 
 def _cut_index(host):
     return {(c.family, c.j, c.i): c for c in cut_family(host)}
-
-
-def _labeled(host):
-    return sibling_layout_labeling(host) if host.sibling else inorder_labeling(host)
 
 
 def _level_counts(host):
@@ -45,21 +38,20 @@ def _level_counts(host):
     return dict(levels)
 
 
-def test_build_host_small_shapes():
-    h = build_host(2, 1)
-    assert h == HostTree(2, 1, False)
+def test_host_small_shapes():
+    h = HostTree(2, 1, False)
     assert h.vertex_count == 4
     assert h.kind == "binary"
-    assert len(inorder_labeling(h).links.edges) == 3
+    assert len(h.links.edges) == 3
 
-    h = build_host(4, 1)
+    h = HostTree(4, 1, False)
     assert h.vertex_count == 16
-    assert len(inorder_labeling(h).links.edges) == 15
+    assert len(h.links.edges) == 15
 
-    h = build_host(2, 2, sibling=True)
+    h = HostTree(2, 2, True)
     assert h.vertex_count == 8
     assert h.kind == "sibling"
-    links = sibling_layout_labeling(h).links
+    links = h.links
     # per block: 3 tree edges + 1 sibling edge; plus 1 chain edge
     assert len(links.edges) == 9
     # the second pendant hangs from the first, which hangs from nothing
@@ -67,13 +59,13 @@ def test_build_host_small_shapes():
     assert {(a, b) for a, b in enumerate(links.sib) if a < b} == {(1, 2), (5, 6)}
 
 
-def test_build_host_validation():
+def test_host_validation():
     with pytest.raises(ValueError, match="n1 must be at least 1"):
-        build_host(0, 1)
+        HostTree(0, 1, False)
     with pytest.raises(ValueError, match="k must be at least 1"):
-        build_host(2, 0)
+        HostTree(2, 0, False)
     with pytest.raises(ValueError, match="exceeds the supported 2\\*\\*20"):
-        build_host(19, 4, sibling=True)
+        HostTree(19, 4, True)
     # a float shape or variant is refused up front, not by a later shift
     for n1, k in ((2, 1.0), (2.0, 1)):
         for sibling in (False, True):
@@ -85,11 +77,20 @@ def test_build_host_validation():
         HostTree(3, 1, False, 0.0)
 
 
+def test_host_refuses_a_sibling_that_is_not_a_bool():
+    # "False" is truthy and None falsy: either would build a host that
+    # neither compares nor hashes equal to the one with the same shape
+    for sibling in ("False", None, 1, 0):
+        with pytest.raises(ValueError, match="sibling must be True or False"):
+            HostTree(3, 1, sibling)
+    assert HostTree(3, 1, True).sibling_edge_count == 3
+
+
 def test_host_edge_and_level_counts():
     for n1 in range(1, 6):
         for k in range(1, 5):
             for sibling in (False, True):
-                host = _labeled(build_host(n1, k, sibling=sibling))
+                host = HostTree(n1, k, sibling)
                 block_edges = (1 << n1) - 1
                 if sibling:
                     block_edges += (1 << (n1 - 1)) - 1
@@ -105,7 +106,7 @@ def test_host_counts_match_built_hosts():
     for n1 in range(1, 9):
         for k in range(1, 5):
             for sibling in (False, True):
-                host = _labeled(build_host(n1, k, sibling=sibling))
+                host = HostTree(n1, k, sibling)
                 links = host.links
                 assert host.vertex_count == len(host.label_of) == len(links.up) - 1
                 assert host.edge_count == len(links.edges)
@@ -114,8 +115,7 @@ def test_host_counts_match_built_hosts():
 
 
 def test_blocks_only_touch_through_the_chain():
-    for host in (inorder_labeling(build_host(3, 3)),
-                 sibling_layout_labeling(build_host(3, 3, sibling=True), 2)):
+    for host in (HostTree(3, 3, False), HostTree(3, 3, True, 2)):
         block = 1 << 3
         for a, b in host.links.edges:
             if (a - 1) // block != (b - 1) // block:
@@ -124,12 +124,12 @@ def test_blocks_only_touch_through_the_chain():
 
 
 def test_inorder_labels_single_block():
-    host = inorder_labeling(build_host(2, 1))
+    host = HostTree(2, 1, False)
     # ids: root 1, leaves 2 and 3, pendant 4; inorder puts the root between
     # its leaves and the pendant last
     assert host.label_of == {2: 1, 1: 2, 3: 3, 4: 4}
     assert host.layout == (2, 1, 3)
-    assert inorder_labeling(build_host(3, 1)).layout == (4, 2, 5, 1, 6, 3, 7)
+    assert HostTree(3, 1, False).layout == (4, 2, 5, 1, 6, 3, 7)
 
 
 def test_host_tree_refuses_a_variant_its_kind_lacks():
@@ -144,14 +144,14 @@ def test_host_tree_refuses_a_variant_its_kind_lacks():
 
 
 def test_inorder_labels_second_block_mirrors_first():
-    host = inorder_labeling(build_host(2, 2))
+    host = HostTree(2, 2, False)
     assert host.label_of[2] == 1 and host.label_of[6] == 5
     assert host.label_of[1] == 2 and host.label_of[5] == 6
     assert host.label_of[4] == 4 and host.label_of[8] == 8
 
 
 def test_inorder_subtree_intervals():
-    host = inorder_labeling(build_host(4, 1))
+    host = HostTree(4, 1, False)
     cuts = _cut_index(host)
     cut = cuts[("S", 2, 1)]
     assert (cut.component_lo, cut.component_hi) == (1, 3)
@@ -164,22 +164,20 @@ def test_inorder_subtree_intervals():
 
 
 def test_labeling_kind_checks():
-    with pytest.raises(ValueError):
-        inorder_labeling(build_host(2, 1, sibling=True))
-    with pytest.raises(ValueError):
-        sibling_layout_labeling(build_host(2, 1))
-    with pytest.raises(ValueError):
-        sibling_layout_labeling(build_host(2, 1, sibling=True), variant=4)
+    with pytest.raises(ValueError, match="variant must be one of"):
+        HostTree(2, 1, True, 4)
+    with pytest.raises(ValueError, match="binary hosts have only variant 0"):
+        HostTree(2, 1, False, 1)
 
 
 def test_sibling_layout_canonical_labels():
-    host = sibling_layout_labeling(build_host(2, 1, sibling=True))
+    host = HostTree(2, 1, True)
     assert host.label_of == {2: 1, 3: 2, 1: 3, 4: 4}
 
-    host = sibling_layout_labeling(build_host(3, 1, sibling=True))
+    host = HostTree(3, 1, True)
     assert host.label_of == {4: 1, 5: 2, 2: 3, 6: 4, 7: 5, 3: 6, 1: 7, 8: 8}
     # every variant's block layout
-    layouts = [sibling_layout_labeling(host, v).layout for v in LAYOUT_VARIANTS]
+    layouts = [HostTree(3, 1, True, v).layout for v in LAYOUT_VARIANTS]
     assert layouts == [
         (4, 5, 2, 6, 7, 3, 1),
         (7, 6, 3, 5, 4, 2, 1),
@@ -189,11 +187,10 @@ def test_sibling_layout_canonical_labels():
 
 
 def test_sibling_layout_variants_relabel_but_keep_blocks():
-    base = build_host(3, 2, sibling=True)
     block = 1 << 3
     seen = []
     for variant in LAYOUT_VARIANTS:
-        host = sibling_layout_labeling(base, variant)
+        host = HostTree(3, 2, True, variant)
         for s in range(host.k):
             ids = range(s * block + 1, (s + 1) * block + 1)
             assert sorted(host.label_of[v] for v in ids) == list(ids)
@@ -204,7 +201,7 @@ def test_sibling_layout_variants_relabel_but_keep_blocks():
 
 
 def test_cut_family_plain_single_block():
-    host = inorder_labeling(build_host(3, 1))
+    host = HostTree(3, 1, False)
     cuts = cut_family(host)
     assert len(cuts) == 7
     assert all(c.family == "S" for c in cuts)
@@ -216,7 +213,7 @@ def test_cut_family_plain_single_block():
 
 
 def test_cut_family_sibling_single_block():
-    host = sibling_layout_labeling(build_host(3, 1, sibling=True))
+    host = HostTree(3, 1, True)
     cuts = cut_family(host)
     spans = sorted((c.component_lo, c.component_hi) for c in cuts)
     assert spans == [
@@ -243,10 +240,7 @@ def test_cut_family_coverage_is_uniform():
     for n1 in range(1, 5):
         for k in range(1, 4):
             for sibling in (False, True):
-                host = build_host(n1, k, sibling=sibling)
-                host = (
-                    sibling_layout_labeling(host) if sibling else inorder_labeling(host)
-                )
+                host = HostTree(n1, k, sibling)
                 coverage = Counter()
                 for cut in cut_family(host):
                     for edge in cut_edges(host, cut):
@@ -257,7 +251,7 @@ def test_cut_family_coverage_is_uniform():
 
 
 def test_cut_component_sizes_follow_families():
-    host = sibling_layout_labeling(build_host(4, 3, sibling=True))
+    host = HostTree(4, 3, True)
     for cut in cut_family(host):
         size = cut.component_hi - cut.component_lo + 1
         if cut.family == "S":
@@ -272,23 +266,23 @@ def test_cut_component_sizes_follow_families():
 
 
 def test_chain_cuts():
-    host = inorder_labeling(build_host(2, 2))
+    host = HostTree(2, 2, False)
     cuts = _cut_index(host)
     root = cuts[("ROOT", None, 1)]
     assert cut_edges(host, root) == ((4, 8),)
     assert (root.component_lo, root.component_hi) == (1, 4)
     assert root.multiplicity_share == 1
 
-    host = sibling_layout_labeling(build_host(2, 2, sibling=True))
+    host = HostTree(2, 2, True)
     root = _cut_index(host)[("ROOT", None, 1)]
     assert root.multiplicity_share == 2
 
 
 def test_every_cut_splits_host_in_two():
     hosts = [
-        inorder_labeling(build_host(3, 2)),
-        sibling_layout_labeling(build_host(3, 2, sibling=True)),
-        sibling_layout_labeling(build_host(2, 3, sibling=True), variant=2),
+        HostTree(3, 2, False),
+        HostTree(3, 2, True),
+        HostTree(2, 3, True, 2),
     ]
     for host in hosts:
         adjacency = {lab: set() for lab in range(1, host.vertex_count + 1)}
@@ -322,10 +316,7 @@ def test_every_cut_splits_host_in_two():
     variant=st.sampled_from(LAYOUT_VARIANTS),
 )
 def test_labelings_are_block_bijections(n1, k, sibling, variant):
-    host = build_host(n1, k, sibling=sibling)
-    host = (
-        sibling_layout_labeling(host, variant) if sibling else inorder_labeling(host)
-    )
+    host = HostTree(n1, k, sibling, variant if sibling else 0)
     block = 1 << n1
     for s in range(k):
         ids = range(s * block + 1, (s + 1) * block + 1)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_max_induced, multipartite_edges
-from treebed import build_guest, max_subgraph_edges_closed_form
+from treebed import Guest, max_subgraph_edges_closed_form
 
 
 def test_closed_form_spot_values():
@@ -58,7 +58,7 @@ def _is_optimal(guest, subset):
 
 
 def test_is_optimal_set():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     assert _is_optimal(guest, {1, 2, 3})
     assert _is_optimal(guest, {2, 3, 5})
     assert not _is_optimal(guest, {1, 5})

@@ -19,6 +19,16 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
+def test_guests_and_hosts_have_one_constructor_each():
+    # ``Guest`` and ``HostTree`` build every guest and host; the old second
+    # constructors are not part of the package surface
+    shims = {"build_guest", "build_host", "inorder_labeling", "sibling_layout_labeling"}
+    assert {"Guest", "HostTree"} <= set(treebed.__all__)
+    assert shims.isdisjoint(treebed.__all__)
+    assert shims.isdisjoint(dir(treebed))
+    assert len(treebed.__all__) == 28
+
+
 def test_search_names_load_on_first_use():
     # importing the package neither loads treebed.search nor changes the
     # collector's state; dir() lists the search names all the same

@@ -10,16 +10,13 @@ import pytest
 
 import treebed
 from treebed import (
+    LAYOUT_VARIANTS,
     Embedding,
     Guest,
     HostTree,
-    build_guest,
-    build_host,
     build_report,
     cut_family,
     identity_embedding,
-    inorder_labeling,
-    sibling_layout_labeling,
 )
 
 SRC = Path(treebed.__file__).resolve().parents[1]
@@ -48,8 +45,8 @@ def test_cli_import_skips_dataclasses():
 
 
 def _samples():
-    guest = build_guest(3, 2)
-    host = inorder_labeling(build_host(2, 2))
+    guest = Guest(3, 2)
+    host = HostTree(2, 2, False)
     return {
         "guest": guest,
         "host": host,
@@ -75,7 +72,7 @@ def test_records_refuse_assignment(kind, name):
 
 def test_value_records_compare_and_hash_by_value():
     pairs = [
-        (build_guest(4, 2), Guest(4, 2)),
+        (Guest(4, 2), Guest(4, 2)),
         (Embedding((2, 1, 3)), Embedding([2, 1, 3])),
     ]
     for a, b in pairs:
@@ -97,20 +94,41 @@ def test_value_records_compare_and_hash_by_value():
 
 
 def test_host_tree_compares_by_value():
-    a, b = build_host(2, 2), build_host(2, 2)
+    a, b = HostTree(2, 2, False), HostTree(2, 2, False)
     assert a is not b and a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
-    # Every binary host is already labeled inorder.
-    assert a == inorder_labeling(b) == HostTree(2, 2, False, 0)
+    assert a == HostTree(2, 2, False, 0)
     assert a != HostTree(2, 2, True, 0) and a != HostTree(2, 3, False, 0)
     sibling = HostTree(2, 2, True, 1)
-    assert sibling == sibling_layout_labeling(build_host(2, 2, sibling=True), 1)
+    assert sibling == HostTree(2, 2, True, 1)
     assert sibling != HostTree(2, 2, True, 0)
     assert repr(a) == "HostTree(n1=2, k=2, sibling=False, variant=0)"
 
 
+def test_perfbench_shims_match_the_constructors():
+    # ``perfbench/traced.py`` still imports these from the submodules; they
+    # go once it builds through ``Guest`` and ``HostTree`` (ROADMAP item 5).
+    from treebed.graphs import build_guest
+    from treebed.hosts import build_host, inorder_labeling, sibling_layout_labeling
+
+    assert build_guest(4, 2) == Guest(4, 2)
+    assert build_host(3, 2) == HostTree(3, 2, False)
+    assert build_host(3, 2, sibling=True) == HostTree(3, 2, True)
+    assert inorder_labeling(build_host(3, 2)) == HostTree(3, 2, False)
+    for variant in LAYOUT_VARIANTS:
+        host = sibling_layout_labeling(build_host(3, 2, sibling=True), variant)
+        assert host == HostTree(3, 2, True, variant)
+    assert sibling_layout_labeling(HostTree(3, 2, True, 3)) == HostTree(3, 2, True)
+    with pytest.raises(ValueError, match="plain binary hosts only"):
+        inorder_labeling(HostTree(2, 1, True))
+    with pytest.raises(ValueError, match="sibling hosts only"):
+        sibling_layout_labeling(HostTree(2, 1, False))
+    graph = Guest(4, 2).graph
+    assert (graph.vertex_count, graph.edge_count) == (16, 96)
+
+
 def test_cached_properties_live_in_the_instance_dict():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     assert "partites" not in vars(guest)
     parts = guest.partites
     assert vars(guest)["partites"] is parts
@@ -119,8 +137,8 @@ def test_cached_properties_live_in_the_instance_dict():
 
 
 def test_plain_records_are_named_tuples():
-    guest = build_guest(3, 2)
-    host = inorder_labeling(build_host(3, 1))
+    guest = Guest(3, 2)
+    host = HostTree(3, 1, False)
     report = build_report(guest, host, identity_embedding(guest, host))
     cut = cut_family(host)[0]
     assert cut._replace(i=99).i == 99 and cut.i != 99

@@ -5,13 +5,7 @@ import tracemalloc
 import pytest
 
 from oracles import bfs_distances, canonical_route, shortest_path_counts
-from treebed import (
-    LAYOUT_VARIANTS,
-    build_host,
-    inorder_labeling,
-    route,
-    sibling_layout_labeling,
-)
+from treebed import LAYOUT_VARIANTS, HostTree, route
 from treebed.search import _distance_rows
 
 
@@ -19,11 +13,10 @@ def _standard_hosts(n_max):
     """Every standard labeled host with 2**n labels, 1 <= n <= n_max."""
     for n in range(1, n_max + 1):
         for n1 in range(1, n + 1):
-            host = build_host(n1, 1 << (n - n1))
-            yield n, inorder_labeling(host)
-            sibling = build_host(n1, 1 << (n - n1), sibling=True)
+            k = 1 << (n - n1)
+            yield n, HostTree(n1, k, False)
             for variant in LAYOUT_VARIANTS:
-                yield n, sibling_layout_labeling(sibling, variant)
+                yield n, HostTree(n1, k, True, variant)
 
 
 def _oracle(host):
@@ -72,11 +65,11 @@ def test_search_distance_rows_match_bfs():
         ]
 
 
-def test_build_host_bounds_n1_before_sizing():
+def test_host_bounds_n1_before_sizing():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="exceeds the supported 2\\*\\*20"):
-            build_host(400_000_000, 1)
+            HostTree(400_000_000, 1, False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -21,27 +21,24 @@ from treebed import (
     LAYOUT_VARIANTS,
     BudgetExceededError,
     Embedding,
+    Guest,
     HostTree,
-    build_guest,
-    build_host,
     closed_form_wirelength,
     exhaustive_min_wirelength,
     identity_embedding,
-    inorder_labeling,
     local_search_min,
-    sibling_layout_labeling,
     wirelength_direct,
 )
 from treebed import search
 from treebed.search import SearchResult, _SplitMix64, _min_wirelength_partitions
 
-T21 = inorder_labeling(build_host(2, 1))
-T31 = inorder_labeling(build_host(3, 1))
-ST31 = sibling_layout_labeling(build_host(3, 1, sibling=True))
+T21 = HostTree(2, 1, False)
+T31 = HostTree(3, 1, False)
+ST31 = HostTree(3, 1, True)
 
 
 def test_exhaustive_complete_guest_is_flat():
-    guest = build_guest(2, 2)
+    guest = Guest(2, 2)
     result = exhaustive_min_wirelength(guest, T21)
     assert result.best_value == 9
     assert result.exhaustive
@@ -65,7 +62,7 @@ def test_exhaustive_one_label_per_block_past_the_recursion_limit():
     # would peak at about 32 MB at n = 11.  The host's links are built before
     # tracing, so the bound is the search's own.
     for n in (9, 10, 11):
-        guest, host = build_guest(n, n), HostTree(n, 1, False)
+        guest, host = Guest(n, n), HostTree(n, 1, False)
         host.links
         tracemalloc.start()
         try:
@@ -80,7 +77,7 @@ def test_exhaustive_one_label_per_block_past_the_recursion_limit():
 
 
 def test_exhaustive_single_blocks():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     result = exhaustive_min_wirelength(guest, T31)
     assert result.best_value == closed_form_wirelength(3, 2) == 54
     assert result.explored == 105
@@ -92,7 +89,7 @@ def test_exhaustive_single_blocks():
 
 
 def test_exhaustive_budget_guard():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     with pytest.raises(BudgetExceededError, match="105 label partitions"):
         exhaustive_min_wirelength(guest, T31, budget=104)
     assert exhaustive_min_wirelength(guest, T31, budget=105).explored == 105
@@ -119,7 +116,7 @@ def test_budget_refusal_past_256_labels_names_the_order_of_magnitude():
         host = HostTree(n, 1, False)
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError) as info:
-            exhaustive_min_wirelength(build_guest(n, 2), host)
+            exhaustive_min_wirelength(Guest(n, 2), host)
         assert time.perf_counter() - start < 1
         assert str(info.value) == (
             f"about 10**{round(log10(count))} label partitions exceed the budget of 3000000"
@@ -131,11 +128,11 @@ def test_budget_refusal_at_n_20_stops_counting_early():
     # that a count that does not stop at the budget fails within 10 s.
     script = (
         "import time\n"
-        "from treebed import BudgetExceededError, HostTree, build_guest,"
+        "from treebed import BudgetExceededError, Guest, HostTree,"
         " exhaustive_min_wirelength\n"
         "start = time.perf_counter()\n"
         "try:\n"
-        "    exhaustive_min_wirelength(build_guest(20, 2), HostTree(20, 1, False))\n"
+        "    exhaustive_min_wirelength(Guest(20, 2), HostTree(20, 1, False))\n"
         "except BudgetExceededError as exc:\n"
         "    print(time.perf_counter() - start, exc)\n"
     )
@@ -160,14 +157,14 @@ def test_budget_refusal_at_n_20_stops_counting_early():
 ], ids=["seed", "iterations", "budget-none", "budget-float"])
 def test_search_arguments_must_be_integers(call, message):
     with pytest.raises(ValueError) as info:
-        call(build_guest(3, 2))
+        call(Guest(3, 2))
     assert str(info.value) == message
 
 
 def test_exhaustive_budget_is_checked_before_the_distance_rows():
     # 4096 labels: the distance rows alone would take over 100 MB.
-    guest = build_guest(12, 2)
-    host = inorder_labeling(build_host(12, 1))
+    guest = Guest(12, 2)
+    host = HostTree(12, 1, False)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="exceed the budget of 3000000"):
@@ -180,7 +177,7 @@ def test_exhaustive_budget_is_checked_before_the_distance_rows():
 
 def test_exhaustive_size_mismatch():
     with pytest.raises(ValueError):
-        exhaustive_min_wirelength(build_guest(3, 2), T21)
+        exhaustive_min_wirelength(Guest(3, 2), T21)
 
 
 # path 0-1-2, flattened row-major
@@ -246,11 +243,8 @@ def test_bijection_kernel_matches_bruteforce():
             assert explored == len(list(permutations(range(nv))))
 
 
-def _labeled(n, n1, kind, variant):
-    host = build_host(n1, 1 << (n - n1), sibling=(kind == "sibling"))
-    if kind == "sibling":
-        return sibling_layout_labeling(host, variant)
-    return inorder_labeling(host)
+def _host(n, n1, kind, variant):
+    return HostTree(n1, 1 << (n - n1), kind == "sibling", variant)
 
 
 HOST_SHAPES = [("binary", 0)] + [("sibling", v) for v in LAYOUT_VARIANTS]
@@ -275,11 +269,11 @@ def test_partition_search_matches_bijection_oracle():
     # sibling layout variant
     for n in (2, 3):
         for p in range(2, n + 1):
-            guest = build_guest(n, p)
+            guest = Guest(n, p)
             partitions = _partition_count(1 << n, 1 << p)
             for n1 in range(1, n + 1):
                 for kind, variant in HOST_SHAPES:
-                    host = _labeled(n, n1, kind, variant)
+                    host = _host(n, n1, kind, variant)
                     count, dist, edge_u, edge_v = _oracle_tables(guest, host)
                     expect, _, _ = min_wirelength_bijections(count, dist, edge_u, edge_v)
                     result = exhaustive_min_wirelength(guest, host)
@@ -338,7 +332,7 @@ def test_partition_kernel_matches_oracle_on_random_tables():
 
 
 def test_local_search_finds_small_optima():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     for seed in (0, 1, 2):
         result = local_search_min(guest, T31, seed=seed, iterations=1000)
         assert result.best_value == 54
@@ -347,15 +341,15 @@ def test_local_search_finds_small_optima():
 
 
 def test_local_search_on_larger_host():
-    guest = build_guest(4, 2)
-    host = inorder_labeling(build_host(4, 1))
+    guest = Guest(4, 2)
+    host = HostTree(4, 1, False)
     for seed in (0, 1, 2):
         result = local_search_min(guest, host, seed=seed, iterations=2)
         assert result.best_value == closed_form_wirelength(4, 2) == 324
 
 
 def test_local_search_zero_iterations_reports_seed_embedding():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     result = local_search_min(guest, ST31, seed=42, iterations=0)
     assert result.explored == 1
     assert result.best_value == wirelength_direct(guest, ST31, result.witness)
@@ -363,14 +357,14 @@ def test_local_search_zero_iterations_reports_seed_embedding():
 
 
 def test_local_search_is_deterministic():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     a = local_search_min(guest, ST31, seed=7, iterations=3)
     b = local_search_min(guest, ST31, seed=7, iterations=3)
     assert a == b
 
 
 def test_local_search_never_beats_exhaustive():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     floor = exhaustive_min_wirelength(guest, ST31).best_value
     for seed in (3, 11):
         result = local_search_min(guest, ST31, seed=seed, iterations=5)
@@ -378,7 +372,7 @@ def test_local_search_never_beats_exhaustive():
 
 
 def test_local_search_validation():
-    guest = build_guest(3, 2)
+    guest = Guest(3, 2)
     with pytest.raises(ValueError):
         local_search_min(guest, T31, seed=0, iterations=-1)
 
@@ -390,11 +384,11 @@ def test_local_search_matches_neighbor_descent():
     shape = 0
     for n in range(3, 7):
         for p in range(2, n + 1):
-            guest = build_guest(n, p)
+            guest = Guest(n, p)
             kind, variant = HOST_SHAPES[shape % len(HOST_SHAPES)]
             n1 = 1 + shape % n
             shape += 1
-            host = _labeled(n, n1, kind, variant)
+            host = _host(n, n1, kind, variant)
             count, dist, edge_u, edge_v = _oracle_tables(guest, host)
             for seed in (shape, 1000 + 7 * shape):
                 history = local_search_by_neighbors(
@@ -415,7 +409,7 @@ def test_local_search_takes_the_last_pair(monkeypatch):
     # of the last 2**p guest vertices, since equal swap deltas are common
     # there and the first pair wins.  So the descent runs on a random table,
     # where a chosen best swap at seeds 14 and 22 is the last pair (14, 15).
-    guest = build_guest(4, 2)
+    guest = Guest(4, 2)
     rng = random.Random(1)
     rows = [[0] * 16 for _ in range(16)]
     for a in range(16):
@@ -425,7 +419,7 @@ def test_local_search_takes_the_last_pair(monkeypatch):
     dist = [d for row in rows for d in row]
     edges = guest_edges(guest)
     edge_u, edge_v = [u - 1 for u, _ in edges], [v - 1 for _, v in edges]
-    host = inorder_labeling(build_host(4, 1))
+    host = HostTree(4, 1, False)
     for seed in (14, 22):
         best, perm, explored = local_search_by_neighbors(
             16, dist, edge_u, edge_v, _SplitMix64(seed), 1

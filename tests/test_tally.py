@@ -8,23 +8,20 @@ from oracles import heap_cut_family, heap_host, per_goal_tally
 from treebed import (
     LAYOUT_VARIANTS,
     Embedding,
-    build_guest,
-    build_host,
+    Guest,
+    HostTree,
     cut_edges,
     cut_family,
     identity_embedding,
-    inorder_labeling,
-    sibling_layout_labeling,
 )
 from treebed.embedding import _loads, _tally
 from treebed.hosts import _standard_cuts
 
 
-def _labeled_hosts(n1, k):
-    yield inorder_labeling(build_host(n1, k))
-    sibling = build_host(n1, k, sibling=True)
+def _hosts(n1, k):
+    yield HostTree(n1, k, False)
     for variant in LAYOUT_VARIANTS:
-        yield sibling_layout_labeling(sibling, variant)
+        yield HostTree(n1, k, True, variant)
 
 
 def _random_embedding(count, rng):
@@ -61,9 +58,9 @@ def test_subtree_tally_matches_per_goal_sweep():
     seen = 0
     for n in range(2, 7):
         for p in range(2, n + 1):
-            guest = build_guest(n, p)
+            guest = Guest(n, p)
             for n1 in range(1, n + 1):
-                for host in _labeled_hosts(n1, 1 << (n - n1)):
+                for host in _hosts(n1, 1 << (n - n1)):
                     sides = _random_sides(1 << n, side_rng) + [(1, 1 << n)]
                     _check_tally(guest, host, identity_embedding(guest, host), sides)
                     _check_tally(guest, host, _random_embedding(1 << n, rng), sides)
@@ -78,10 +75,10 @@ def test_subtree_tally_matches_per_goal_sweep():
 def test_subtree_tally_at_n7_and_n8(n, p, n1, kind):
     # 128 and 256 labels; the sided tallies on five fixed intervals and two
     # random ones
-    guest = build_guest(n, p)
+    guest = Guest(n, p)
     count = 1 << n
-    host = build_host(n1, 1 << (n - n1), sibling=kind == "sibling")
-    host = sibling_layout_labeling(host, 2) if kind == "sibling" else inorder_labeling(host)
+    sibling = kind == "sibling"
+    host = HostTree(n1, 1 << (n - n1), sibling, 2 if sibling else 0)
     rng = random.Random(n1)
     shuffled = _random_embedding(count, rng)
     sides = [(1, 40), (30, 100), (70, 90), (100, count - 3), (count - 20, count)]
@@ -94,7 +91,7 @@ def test_links_match_heap_host():
     seen = 0
     for n1 in range(1, 7):
         for k in range(1, 5):
-            for host in _labeled_hosts(n1, k):
+            for host in _hosts(n1, k):
                 edges, label_of, up, sib = heap_host(n1, k, host.sibling, host.layout)
                 assert sorted(host.links.edges) == sorted(edges)
                 assert host.links.up == up and host.links.sib == sib
@@ -109,7 +106,7 @@ def test_cut_family_matches_heap_construction():
     seen = 0
     for n1 in range(1, 7):
         for k in range(1, 5):
-            for host in _labeled_hosts(n1, k):
+            for host in _hosts(n1, k):
                 expected = heap_cut_family(host)
                 assert expected is not None
                 got = [(*c, frozenset(cut_edges(host, c))) for c in cut_family(host)]
